@@ -26,6 +26,10 @@ uint64_t CountDecisions(
   return n;
 }
 
+Status NoSession(uint64_t id) {
+  return Status::NotFound("no open session " + std::to_string(id));
+}
+
 }  // namespace
 
 MonitorService::Session::Session(std::shared_ptr<const SelectorStack> stack,
@@ -140,58 +144,55 @@ Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
   return ids;
 }
 
-Result<std::shared_ptr<MonitorService::Session>> MonitorService::Find(
-    SessionId id) const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
+MonitorService::Session* MonitorService::LockSession(
+    SessionId id, std::unique_lock<std::mutex>* lock) const {
+  std::lock_guard<std::mutex> map_lock(sessions_mu_);
   auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("no open session " + std::to_string(id));
-  }
-  return it->second;
+  if (it == sessions_.end()) return nullptr;
+  *lock = std::unique_lock<std::mutex>(it->second->mu);
+  return it->second.get();
 }
 
-double MonitorService::StepLocked(Session* s) {
-  const auto start = Clock::now();
+void MonitorService::StepLocked(Session* s) {
   s->last_progress =
       s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
   ++s->next_obs;
-  const double dt = SecondsSince(start);
-  s->elapsed_sec += dt;
-  return dt;
 }
 
-Result<double> MonitorService::Advance(SessionId id) {
+Result<double> MonitorService::Advance(SessionId id, bool* done) {
   // Parents to the wire request being advanced when the TCP front-end
   // set a TraceContext; one relaxed load when tracing is off.
   obs::TraceSpan span("advance.step", /*arg=*/id);
-  RPE_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
   double progress = 0.0;
-  double dt = 0.0;
   {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->next_obs >= s->run->observations.size()) {
+    std::unique_lock<std::mutex> lock;
+    Session* s = LockSession(id, &lock);
+    if (s == nullptr) return NoSession(id);
+    const size_t total = s->run->observations.size();
+    if (s->next_obs >= total) {
       return Status::OutOfRange("session " + std::to_string(id) +
                                 " replay complete");
     }
-    dt = StepLocked(s.get());
+    StepLocked(s);
     progress = s->last_progress;
+    if (done != nullptr) *done = s->next_obs >= total;
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++observations_scored_;
-  scoring_time_sec_ += dt;
+  observations_scored_.fetch_add(1, std::memory_order_relaxed);
   return progress;
 }
 
-Result<double> MonitorService::Progress(SessionId id) const {
-  RPE_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  std::lock_guard<std::mutex> lock(s->mu);
+Result<double> MonitorService::Progress(SessionId id, bool* done) const {
+  std::unique_lock<std::mutex> lock;
+  const Session* s = LockSession(id, &lock);
+  if (s == nullptr) return NoSession(id);
+  if (done != nullptr) *done = s->next_obs >= s->run->observations.size();
   return s->last_progress;
 }
 
 Result<bool> MonitorService::Done(SessionId id) const {
-  RPE_ASSIGN_OR_RETURN(std::shared_ptr<Session> s, Find(id));
-  std::lock_guard<std::mutex> lock(s->mu);
-  return s->next_obs >= s->run->observations.size();
+  bool done = false;
+  RPE_RETURN_NOT_OK(Progress(id, &done).status());
+  return done;
 }
 
 void MonitorService::PushLatencyLocked(double latency_ms) {
@@ -216,9 +217,7 @@ Status MonitorService::CloseSession(SessionId id) {
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     auto it = sessions_.find(id);
-    if (it == sessions_.end()) {
-      return Status::NotFound("no open session " + std::to_string(id));
-    }
+    if (it == sessions_.end()) return NoSession(id);
     s = std::move(it->second);
     sessions_.erase(it);
   }
@@ -297,7 +296,10 @@ size_t MonitorService::Tick(size_t max_steps) {
     // Re-check under the session lock: a concurrent Advance may have
     // finished the session since the scheduling pass.
     if (s->next_obs < s->run->observations.size()) {
-      step_sec[si] = StepLocked(s);
+      const auto start = Clock::now();
+      StepLocked(s);
+      step_sec[si] = SecondsSince(start);
+      s->elapsed_sec += step_sec[si];
       stepped[si] = 1;
     }
     unfinished[si] = s->next_obs < s->run->observations.size() ? 1 : 0;
@@ -314,8 +316,8 @@ size_t MonitorService::Tick(size_t max_steps) {
     remaining += unfinished[si];
     elapsed += step_sec[si];
   }
+  observations_scored_.fetch_add(scored, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(stats_mu_);
-  observations_scored_ += scored;
   scoring_time_sec_ += elapsed;
   return remaining;
 }
@@ -353,12 +355,14 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
     decisions[i] = CountDecisions(decided[i]);
     scored[i] = run.observations.size();
   });
+  uint64_t total_scored = 0;
+  for (uint64_t n : scored) total_scored += n;
+  observations_scored_.fetch_add(total_scored, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(stats_mu_);
   for (size_t i = 0; i < runs.size(); ++i) {
     ++sessions_opened_;
     ++sessions_completed_;
     decisions_ += decisions[i];
-    observations_scored_ += scored[i];
     scoring_time_sec_ += latency_ms[i] / 1e3;
     PushLatencyLocked(latency_ms[i]);
   }
@@ -378,23 +382,34 @@ MonitorService::Stats MonitorService::GetStats(
   Stats stats;
   if (provider) stats.ingest = provider();
   stats.model_generation = model_generation();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats.sessions_opened = sessions_opened_;
-  stats.sessions_completed = sessions_completed_;
-  stats.decisions = decisions_;
-  stats.observations_scored = observations_scored_;
-  stats.p50_replay_ms = Percentile(replay_latency_ms_, 50.0);
-  stats.p95_replay_ms = Percentile(replay_latency_ms_, 95.0);
-  stats.scoring_time_sec = scoring_time_sec_;
-  if (latency_samples != nullptr) *latency_samples = replay_latency_ms_;
-  if (scoring_time_sec_ > 0.0) {
+  // Copy under the lock, sort outside it: the IO thread answering kStats
+  // holds stats_mu_ for a copy, not for a sort, and one sort serves both
+  // cuts.
+  std::vector<double> samples;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats.sessions_opened = sessions_opened_;
+    stats.sessions_completed = sessions_completed_;
+    stats.decisions = decisions_;
+    stats.scoring_time_sec = scoring_time_sec_;
+    samples = replay_latency_ms_;
+  }
+  stats.observations_scored =
+      observations_scored_.load(std::memory_order_relaxed);
+  std::sort(samples.begin(), samples.end());
+  stats.p50_replay_ms = PercentileSorted(samples, 50.0);
+  stats.p95_replay_ms = PercentileSorted(samples, 95.0);
+  if (latency_samples != nullptr) *latency_samples = std::move(samples);
+  if (stats.scoring_time_sec > 0.0) {
     // Throughput over cumulative scoring time (accrued live at every
-    // decision and observation tick, so open or early-closed sessions
-    // are counted): per-core rates comparable across thread counts.
+    // decision and timed observation tick, so open or early-closed
+    // sessions are counted): per-core rates comparable across thread
+    // counts.
     stats.decisions_per_sec =
-        static_cast<double>(decisions_) / scoring_time_sec_;
+        static_cast<double>(stats.decisions) / stats.scoring_time_sec;
     stats.observations_per_sec =
-        static_cast<double>(observations_scored_) / scoring_time_sec_;
+        static_cast<double>(stats.observations_scored) /
+        stats.scoring_time_sec;
   }
   return stats;
 }

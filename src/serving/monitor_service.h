@@ -23,6 +23,7 @@
 // observe → record → retrain → publish cycle.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -98,11 +99,16 @@ class MonitorService : public ModelPublisher {
 
   /// Advance the session by one observation tick; returns the query
   /// progress reported at the new observation. OutOfRange once the run's
-  /// observation stream is exhausted.
-  Result<double> Advance(SessionId id);
+  /// observation stream is exhausted. When `done` is non-null it receives
+  /// what Done() would return right after this step, read under the same
+  /// lookup and session lock. The step reads no clock: a session driven
+  /// by Advance accrues scoring time and replay latency for its decide
+  /// pass at open only.
+  Result<double> Advance(SessionId id, bool* done = nullptr);
 
-  /// Last reported progress (0 before the first Advance).
-  Result<double> Progress(SessionId id) const;
+  /// Last reported progress (0 before the first Advance); `done`, when
+  /// non-null, receives Done() from the same lookup.
+  Result<double> Progress(SessionId id, bool* done = nullptr) const;
 
   /// True once every observation of the session's run has been scored.
   Result<bool> Done(SessionId id) const;
@@ -145,7 +151,8 @@ class MonitorService : public ModelPublisher {
     double observations_per_sec = 0.0;
     /// Cumulative scoring time in seconds — the denominator of the rates,
     /// exposed so an aggregator (ShardedMonitorService) can recompute
-    /// exact pooled rates from summed counters and times.
+    /// exact pooled rates from summed counters and times. Accrued by
+    /// decide passes, Tick steps and ReplayAll; Advance steps are untimed.
     double scoring_time_sec = 0.0;
     /// Generation of the published model snapshot (see SwapModels).
     uint64_t model_generation = 0;
@@ -153,12 +160,12 @@ class MonitorService : public ModelPublisher {
     /// via SetIngestStatsProvider).
     IngestStats ingest;
   };
-  /// When `latency_samples` is non-null it receives a copy of the bounded
+  /// When `latency_samples` is non-null it receives the bounded
   /// replay-latency reservoir behind p50/p95 (most recent kLatencyWindow
-  /// completions, unordered), taken under the same lock hold as the
-  /// counters — one consistent snapshot. A shard aggregator merges these
-  /// across shards so pooled percentiles are computed over the union of
-  /// samples instead of averaging per-shard percentiles.
+  /// completions), sorted ascending and copied under the same lock hold
+  /// as the counters — one consistent snapshot. A shard aggregator merges
+  /// these across shards so pooled percentiles are computed over the
+  /// union of samples instead of averaging per-shard percentiles.
   Stats GetStats(std::vector<double>* latency_samples = nullptr) const;
 
   /// Register the source of Stats::ingest (typically
@@ -175,7 +182,7 @@ class MonitorService : public ModelPublisher {
     std::vector<ProgressMonitor::PipelineDecision> decisions;
     size_t next_obs = 0;
     double last_progress = 0.0;
-    double elapsed_sec = 0.0;  ///< cumulative scoring time
+    double elapsed_sec = 0.0;  ///< decide time + timed Tick steps
     /// Fairness credit for budgeted Tick (guarded by the service's
     /// tick_mu_: only the serialized scheduling pass touches it).
     uint64_t deficit = 0;
@@ -186,10 +193,14 @@ class MonitorService : public ModelPublisher {
             const QueryRunResult* r, double marker_pct);
   };
 
-  Result<std::shared_ptr<Session>> Find(SessionId id) const;
-  /// One observation tick of one session (caller holds s->mu); returns
-  /// the scoring time spent.
-  static double StepLocked(Session* s);
+  /// Find `id` and take its session lock. The map lock is held only until
+  /// the session lock is taken (lock coupling), so a lookup pays no
+  /// reference count; CloseSession unlinks under the map lock before it
+  /// takes the session lock, so the session outlives `lock`. Returns
+  /// nullptr, `lock` untouched, when no such session is open.
+  Session* LockSession(SessionId id, std::unique_lock<std::mutex>* lock) const;
+  /// One observation tick of one session (caller holds s->mu).
+  static void StepLocked(Session* s);
   void RecordCompletion(const Session& s);
   /// Caller holds stats_mu_.
   void PushLatencyLocked(double latency_ms);
@@ -211,13 +222,15 @@ class MonitorService : public ModelPublisher {
   mutable std::mutex ingest_mu_;
   std::function<IngestStats()> ingest_provider_;
 
+  /// Relaxed: bumped on every step without stats_mu_.
+  std::atomic<uint64_t> observations_scored_{0};
+
   mutable std::mutex stats_mu_;
   size_t sessions_opened_ = 0;
   size_t sessions_completed_ = 0;
   uint64_t decisions_ = 0;
-  uint64_t observations_scored_ = 0;
-  /// Cumulative scoring time, accrued live (session open, every Advance/
-  /// Tick step, every ReplayAll session) — the rate denominator.
+  /// Cumulative scoring time, accrued live (session open, every Tick
+  /// step, every ReplayAll session) — the rate denominator.
   double scoring_time_sec_ = 0.0;
   /// Bounded ring of recent per-session replay latencies (see Stats).
   static constexpr size_t kLatencyWindow = 4096;

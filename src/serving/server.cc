@@ -98,8 +98,9 @@ struct TcpServer::InboxEntry {
   /// is enabled (0 otherwise). Child spans (shard route, advance steps,
   /// a swap's retrain/publish) parent to it through TraceContext.
   uint64_t trace_id = 0;
-  /// Decode timestamp — the start of the request's end-to-end latency
-  /// (always captured; the latency histogram records every request).
+  /// Time of the read() that delivered the frame — the start of the
+  /// request's end-to-end latency (always captured; the latency histogram
+  /// records every request).
   uint64_t recv_ns = 0;
   /// Records the frame offered, captured before the payload was released
   /// (nonzero only for shed ingest frames).
@@ -134,7 +135,7 @@ struct TcpServer::AdvanceWork {
   Connection* conn = nullptr;
   uint64_t session = 0;
   uint64_t trace_id = 0;  ///< root span carried from the inbox entry
-  uint64_t recv_ns = 0;   ///< decode timestamp carried from the entry
+  uint64_t recv_ns = 0;   ///< read timestamp carried from the entry
   uint32_t budget = 0;
   uint32_t taken = 0;
   double progress = 0.0;
@@ -486,8 +487,13 @@ void TcpServer::CloseConnection(IoThread* io, Connection* conn) {
   io->conns.erase(conn->fd);  // frees *conn
 }
 
-void TcpServer::SendFrame(IoThread* io, Connection* conn, std::string frame) {
+void TcpServer::SendFrame(IoThread* io, Connection* conn,
+                          const std::string& frame) {
   conn->wbuf.append(frame);
+  FrameQueued(io, conn);
+}
+
+void TcpServer::FrameQueued(IoThread* io, Connection* conn) {
   c_.frames_sent->Inc();
   if (conn->pending_write() > options_.max_write_buffer &&
       !conn->paused_read) {
@@ -500,8 +506,10 @@ void TcpServer::SendFrame(IoThread* io, Connection* conn, std::string frame) {
 
 bool TcpServer::FlushWrites(IoThread* io, Connection* conn) {
   while (conn->pending_write() > 0) {
-    ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->woff,
-                        conn->pending_write());
+    // MSG_NOSIGNAL: a peer that hung up with requests in flight is an
+    // EPIPE on this connection, not a SIGPIPE for the process.
+    ssize_t n = ::send(conn->fd, conn->wbuf.data() + conn->woff,
+                       conn->pending_write(), MSG_NOSIGNAL);
     if (RPE_INJECT_FAULT("server.write")) {
       n = -1;
       errno = ECONNRESET;
@@ -594,16 +602,16 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                   EncodeErrorFrame(MsgType::kProgress, req.status()));
         return;
       }
-      const auto progress = service_->Progress(req->session_id);
+      bool done = false;
+      const auto progress = service_->Progress(req->session_id, &done);
       if (!progress.ok()) {
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kProgress, progress.status()));
         return;
       }
-      const auto done = service_->Done(req->session_id);
       ProgressResponse resp;
       resp.progress = *progress;
-      resp.done = done.ok() && *done ? 1 : 0;
+      resp.done = done ? 1 : 0;
       SendFrame(io, conn, EncodeProgressResponse(resp));
       return;
     }
@@ -755,7 +763,8 @@ void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
     conn->inbox.pop_front();
     if (entry.shed) {
       AnswerShed(io, conn, entry);
-      FinishRequest("request.shed", entry.trace_id, entry.recv_ns, 0);
+      FinishRequest("request.shed", entry.trace_id, entry.recv_ns,
+                    MonotonicNanos(), 0);
       continue;
     }
     inflight_total_.fetch_sub(1, std::memory_order_relaxed);
@@ -770,19 +779,20 @@ void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
     // A kAdvance defers into the batch; its root span and latency sample
     // are recorded when RunAdvanceBatch answers it.
     if (!conn->advancing) {
-      FinishRequest(SpanNameFor(type), entry.trace_id, entry.recv_ns, 0);
+      FinishRequest(SpanNameFor(type), entry.trace_id, entry.recv_ns,
+                    MonotonicNanos(), 0);
     }
   }
 }
 
 void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
-                              uint64_t recv_ns, uint64_t arg) {
-  const uint64_t now = MonotonicNanos();
-  const uint64_t latency = now > recv_ns ? now - recv_ns : 0;
+                              uint64_t recv_ns, uint64_t done_ns,
+                              uint64_t arg) {
+  const uint64_t latency = done_ns > recv_ns ? done_ns - recv_ns : 0;
   request_latency_->Record(latency);
   obs::Tracer& tracer = obs::Tracer::Global();
   if (trace_id != 0) {
-    tracer.Record(name, trace_id, 0, recv_ns, latency);
+    tracer.Record(name, trace_id, 0, recv_ns, latency, arg);
   }
   const uint64_t threshold = tracer.slow_threshold_ns();
   if (threshold != 0 && latency >= threshold) {
@@ -807,14 +817,12 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
       // parents to the request whose budget it came from, even though the
       // batch interleaves requests deficit-fairly.
       obs::TraceContext::Scope scope(w.trace_id);
-      const auto step = service_->Advance(w.session);
+      const auto step = service_->Advance(w.session, &w.done);
       if (step.ok()) {
         w.progress = *step;
         ++w.taken;
         c_.advance_steps->Inc();
         if (w.taken >= w.budget) {
-          const auto done = service_->Done(w.session);
-          w.done = done.ok() && *done;
           w.retired = true;
           --active;
         }
@@ -835,6 +843,9 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
       --active;
     }
   }
+  // Every request of the batch is answered at once: one clock read
+  // closes all their latencies.
+  const uint64_t answered_ns = MonotonicNanos();
   for (AdvanceWork& w : batch) {
     Connection* conn = w.conn;
     if (conn->dead) continue;
@@ -845,9 +856,11 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
       resp.progress = w.progress;
       resp.steps = w.taken;
       resp.done = w.done ? 1 : 0;
-      SendFrame(io, conn, EncodeAdvanceResponse(resp));
+      AppendAdvanceResponse(resp, &conn->wbuf);
+      FrameQueued(io, conn);
     }
-    FinishRequest("request.advance", w.trace_id, w.recv_ns, w.taken);
+    FinishRequest("request.advance", w.trace_id, w.recv_ns, answered_ns,
+                  w.taken);
     conn->advancing = false;
   }
   batch.clear();
@@ -855,6 +868,7 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
 
 bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
   char chunk[kReadChunk];
+  obs::Tracer& tracer = obs::Tracer::Global();
   while (!conn->paused_read) {
     ssize_t n = ::read(conn->fd, chunk, sizeof chunk);
     if (RPE_INJECT_FAULT("server.read")) {
@@ -873,10 +887,12 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
       return false;
     }
     c_.bytes_received->Inc(static_cast<uint64_t>(n));
+    // One clock read per read(): every request this chunk completes
+    // starts its end-to-end latency here.
+    const uint64_t read_ns = MonotonicNanos();
     conn->decoder.Feed(chunk, static_cast<size_t>(n));
+    const bool tracing = tracer.enabled();
     while (true) {
-      obs::Tracer& tracer = obs::Tracer::Global();
-      const bool tracing = tracer.enabled();
       const uint64_t decode_start = tracing ? MonotonicNanos() : 0;
       WireFrame frame;
       auto next = conn->decoder.Next(&frame);
@@ -901,14 +917,14 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
       c_.frames_received->Inc();
       InboxEntry entry;
       entry.frame = std::move(frame);
-      // The request's clock starts at decode; its root span id is minted
-      // here so every downstream child (route, advance steps, a swap's
-      // retrain) can parent to it.
-      entry.recv_ns = MonotonicNanos();
+      entry.recv_ns = read_ns;
       if (tracing) {
+        // The root span id is minted here so every downstream child
+        // (decode, route, advance steps, a swap's retrain) can parent to
+        // it.
         entry.trace_id = tracer.NewSpanId();
         tracer.Record("frame.decode", tracer.NewSpanId(), entry.trace_id,
-                      decode_start, entry.recv_ns - decode_start,
+                      decode_start, MonotonicNanos() - decode_start,
                       static_cast<uint64_t>(entry.frame.type));
       }
       // Admission control happens here, at read time: a frame over the
@@ -932,6 +948,10 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
       }
       conn->inbox.push_back(std::move(entry));
     }
+    // epoll is level-triggered: a short read drained the socket, and
+    // bytes arriving later raise EPOLLIN again, so the read() that would
+    // only return EAGAIN is skipped.
+    if (static_cast<size_t>(n) < sizeof chunk) return true;
   }
   return true;
 }

@@ -179,7 +179,8 @@ class TcpServer {
 
   void AcceptLoop();
   void IoLoop(IoThread* io);
-  /// Read until EAGAIN, decode frames into the connection inbox. False =
+  /// Read until a short read (the socket is drained; epoll is
+  /// level-triggered), decode frames into the connection inbox. False =
   /// the connection died (already cleaned up).
   bool ReadInto(IoThread* io, Connection* conn);
   /// Dispatch queued frames in FIFO order until an Advance defers or the
@@ -190,15 +191,19 @@ class TcpServer {
   /// Flush the write buffer; arms EPOLLOUT on partial writes, resumes
   /// paused reads once drained. False = the connection died.
   bool FlushWrites(IoThread* io, Connection* conn);
-  void SendFrame(IoThread* io, Connection* conn, std::string frame);
+  void SendFrame(IoThread* io, Connection* conn, const std::string& frame);
+  /// Account one frame just appended to conn->wbuf and apply write
+  /// backpressure.
+  void FrameQueued(IoThread* io, Connection* conn);
   void CloseConnection(IoThread* io, Connection* conn);
   void HandleFrame(IoThread* io, Connection* conn, const InboxEntry& entry);
-  /// Close out one answered request: record its end-to-end latency in
-  /// the request histogram, emit the root trace span, and write the
+  /// Close out one request answered at `done_ns`: record its end-to-end
+  /// latency (from the read() that delivered it) in the request
+  /// histogram, emit the root trace span carrying `arg`, and write the
   /// slow-request log line when the latency crosses the --slow-ms
   /// threshold.
   void FinishRequest(const char* name, uint64_t trace_id, uint64_t recv_ns,
-                     uint64_t arg);
+                     uint64_t done_ns, uint64_t arg);
   /// Serve one accepted /metrics HTTP connection inline (blocking with
   /// short timeouts; runs on the acceptor thread).
   void HandleMetricsConn(int fd);

@@ -87,12 +87,12 @@ ShardedMonitorService::OpenSessionOnShard(const QueryRunResult* run,
   return local * shards_.size() + shard;
 }
 
-Result<double> ShardedMonitorService::Advance(SessionId id) {
-  return shards_[ShardOf(id)]->Advance(LocalId(id));
+Result<double> ShardedMonitorService::Advance(SessionId id, bool* done) {
+  return shards_[ShardOf(id)]->Advance(LocalId(id), done);
 }
 
-Result<double> ShardedMonitorService::Progress(SessionId id) const {
-  return shards_[ShardOf(id)]->Progress(LocalId(id));
+Result<double> ShardedMonitorService::Progress(SessionId id, bool* done) const {
+  return shards_[ShardOf(id)]->Progress(LocalId(id), done);
 }
 
 Result<bool> ShardedMonitorService::Done(SessionId id) const {
@@ -191,13 +191,17 @@ ShardedMonitorService::Stats ShardedMonitorService::GetStats() const {
       stats.max_model_generation =
           std::max(stats.max_model_generation, s.model_generation);
     }
+    // Each shard hands back its reservoir sorted, so the union stays
+    // sorted with a linear merge instead of a sort.
+    const size_t merged = latencies.size();
     latencies.insert(latencies.end(), samples.begin(), samples.end());
+    std::inplace_merge(latencies.begin(), latencies.begin() + merged,
+                       latencies.end());
   }
   // Consistent-cut generation (the swap lock is held): min == max.
   stats.total.model_generation = stats.min_model_generation;
   // Pooled percentiles over the union of the shard reservoirs — exact,
-  // not an average of per-shard percentiles; one sort serves both cuts.
-  std::sort(latencies.begin(), latencies.end());
+  // not an average of per-shard percentiles.
   stats.total.p50_replay_ms = PercentileSorted(latencies, 50.0);
   stats.total.p95_replay_ms = PercentileSorted(latencies, 95.0);
   if (stats.total.scoring_time_sec > 0.0) {

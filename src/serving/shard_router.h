@@ -86,8 +86,8 @@ class ShardedMonitorService : public ModelPublisher {
   /// normal Advance/Progress/Close/Done calls.
   Result<SessionId> OpenSessionOnShard(const QueryRunResult* run,
                                        size_t shard);
-  Result<double> Advance(SessionId id);
-  Result<double> Progress(SessionId id) const;
+  Result<double> Advance(SessionId id, bool* done = nullptr);
+  Result<double> Progress(SessionId id, bool* done = nullptr) const;
   Result<bool> Done(SessionId id) const;
   Status CloseSession(SessionId id);
   size_t num_open_sessions() const;  ///< sum over shards

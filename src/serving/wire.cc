@@ -225,12 +225,30 @@ std::string EncodeAdvanceRequest(const AdvanceRequest& m) {
   return FinishFrame(MsgType::kAdvance, 0, &w);
 }
 
+void AppendAdvanceResponse(const AdvanceResponse& m, std::string* out) {
+  // Header and payload assembled on the stack, one append into `out`.
+  constexpr uint32_t kPayloadBytes =
+      sizeof m.progress + sizeof m.steps + sizeof m.done;
+  char frame[kFrameHeaderBytes + kPayloadBytes];
+  char* at = frame;
+  const auto put = [&at](auto value) {
+    std::memcpy(at, &value, sizeof value);
+    at += sizeof value;
+  };
+  put(kPayloadBytes);
+  put(static_cast<uint8_t>(MsgType::kAdvance));
+  put(uint8_t{0});   // status OK
+  put(uint16_t{0});  // reserved
+  put(m.progress);
+  put(m.steps);
+  put(m.done);
+  out->append(frame, sizeof frame);
+}
+
 std::string EncodeAdvanceResponse(const AdvanceResponse& m) {
-  Writer w(13);
-  w.Put(m.progress);
-  w.Put(m.steps);
-  w.Put(m.done);
-  return FinishFrame(MsgType::kAdvance, 0, &w);
+  std::string out;
+  AppendAdvanceResponse(m, &out);
+  return out;
 }
 
 std::string EncodeProgressRequest(const ProgressRequest& m) {

@@ -250,6 +250,9 @@ std::string EncodeOpenRequest(const OpenRequest& m);
 std::string EncodeOpenResponse(const OpenResponse& m);
 std::string EncodeAdvanceRequest(const AdvanceRequest& m);
 std::string EncodeAdvanceResponse(const AdvanceResponse& m);
+/// Append the EncodeAdvanceResponse frame to `out` without a temporary
+/// (the server writes replies straight into a connection's buffer).
+void AppendAdvanceResponse(const AdvanceResponse& m, std::string* out);
 std::string EncodeProgressRequest(const ProgressRequest& m);
 std::string EncodeProgressResponse(const ProgressResponse& m);
 std::string EncodeCloseRequest(const CloseRequest& m);

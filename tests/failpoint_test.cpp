@@ -7,6 +7,8 @@
 // never a partial stack.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -40,8 +42,12 @@ class ScopedFailPoint {
   const std::string name_;
 };
 
+/// Per-process path: ctest runs each test of a suite in its own process,
+/// concurrently under -j, and a suite fixture that writes and removes a
+/// shared file would race its siblings.
 std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
+  return std::filesystem::temp_directory_path().string() + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 // ---------------------------------------------------------------------------

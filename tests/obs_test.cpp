@@ -18,7 +18,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -550,6 +553,45 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
                 stats.records_ingest_shed,
             offered);
   EXPECT_EQ(stats.protocol_errors, 1u);
+}
+
+TEST_F(ObsScrapeTest, AdvanceRootSpanCarriesItsStepCountInTheChromeTrace) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Enable(/*capacity=*/256);
+  ShardedMonitorService::Options service_options;
+  service_options.num_shards = 1;
+  ShardedMonitorService service(stack_, service_options);
+  TcpServer server(&service, {run_}, TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  ScrapeClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  auto opened = client.Call(EncodeOpenRequest({0}));
+  ASSERT_TRUE(opened.ok() && opened->ok());
+  auto open_response = DecodeOpenResponse(opened->payload);
+  ASSERT_TRUE(open_response.ok());
+  ASSERT_GE(open_response->num_observations, 3u);
+  auto advanced =
+      client.Call(EncodeAdvanceRequest({open_response->session_id, 3}));
+  ASSERT_TRUE(advanced.ok() && advanced->ok());
+  server.Stop();
+
+  const std::string path = std::filesystem::temp_directory_path().string() +
+                           "/rpe_obs_trace_" + std::to_string(::getpid()) +
+                           ".json";
+  ASSERT_TRUE(tracer.WriteChromeTrace(path).ok());
+  tracer.Disable();
+  std::ifstream in(path);
+  std::string line;
+  std::string advance_event;
+  while (std::getline(in, line)) {
+    if (line.find("\"name\":\"request.advance\"") != std::string::npos) {
+      advance_event = line;
+    }
+  }
+  std::remove(path.c_str());
+  // The root span of an answered Advance carries the steps it took.
+  EXPECT_NE(advance_event.find("\"arg\":3}"), std::string::npos)
+      << advance_event;
 }
 
 TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {

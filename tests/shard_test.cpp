@@ -3,12 +3,15 @@
 // stress), counter aggregation must be exact sums, routing must keep
 // per-session semantics intact, and a SwapModels publish must land on
 // every shard as one generation step even while sessions open
-// concurrently.
+// concurrently. Advance reports the done flag from its own lookup, and
+// the lock-free observation counter stays exact under concurrent steps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/shard_router.h"
@@ -198,6 +201,105 @@ TEST_F(ShardedMonitorServiceTest, RoutedSessionsMatchSequentialReplay) {
   EXPECT_FALSE(service.Advance(ids[0]).ok());
   EXPECT_FALSE(service.Progress(12345678).ok());
   EXPECT_FALSE(service.CloseSession(0).ok());
+}
+
+TEST_F(ShardedMonitorServiceTest, AdvanceDoneFlagMatchesDoneAfterEveryStep) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  const auto reference = ReferencePerRun();
+  for (size_t r = 0; r < runs_->size(); ++r) {
+    auto id = service.OpenSession(&(*runs_)[r]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    bool done = true;
+    auto resting = service.Progress(*id, &done);
+    ASSERT_TRUE(resting.ok());
+    EXPECT_EQ(done, *service.Done(*id));
+    // The flag Advance hands back with each step is the one Done()
+    // reports right after it, from the same lookup.
+    for (size_t oi = 0; oi < reference[r].size(); ++oi) {
+      done = !done;  // poison: Advance must overwrite it
+      auto progress = service.Advance(*id, &done);
+      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+      ASSERT_EQ(*progress, reference[r][oi]) << "run " << r << " obs " << oi;
+      ASSERT_EQ(done, *service.Done(*id)) << "run " << r << " obs " << oi;
+      ASSERT_EQ(done, oi + 1 == reference[r].size());
+      bool progress_done = !done;
+      ASSERT_EQ(*service.Progress(*id, &progress_done), *progress);
+      ASSERT_EQ(progress_done, done);
+    }
+    auto exhausted = service.Advance(*id, &done);
+    EXPECT_EQ(exhausted.status().code(), StatusCode::kOutOfRange);
+    EXPECT_TRUE(*service.Done(*id));
+    ASSERT_TRUE(service.CloseSession(*id).ok());
+  }
+}
+
+TEST_F(ShardedMonitorServiceTest, ConcurrentAdvanceCountsEveryStepExactly) {
+  // 8 threads over 2 shards, each advancing only its own sessions to the
+  // end: the relaxed observation counter must come out exact.
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  const auto reference = ReferencePerRun();
+  constexpr size_t kThreads = 8;
+  constexpr size_t kSessionsPerThread = 6;
+  std::vector<uint64_t> steps(kThreads, 0);
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < kSessionsPerThread; ++k) {
+        const size_t r = (t + k) % runs_->size();
+        auto id = service.OpenSessionOnShard(&(*runs_)[r], (t + k) % 2);
+        if (!id.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        bool done = false;
+        for (size_t oi = 0; !done; ++oi) {
+          auto progress = service.Advance(*id, &done);
+          if (!progress.ok() || oi >= reference[r].size() ||
+              *progress != reference[r][oi]) {
+            mismatches.fetch_add(1);
+            break;
+          }
+          ++steps[t];
+        }
+        if (!service.CloseSession(*id).ok()) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  uint64_t total = 0;
+  uint64_t expected = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    total += steps[t];
+    for (size_t k = 0; k < kSessionsPerThread; ++k) {
+      expected += reference[(t + k) % runs_->size()].size();
+    }
+  }
+  EXPECT_EQ(total, expected);
+  const ShardedMonitorService::Stats stats = service.GetStats();
+  EXPECT_EQ(stats.total.observations_scored, total);
+  EXPECT_EQ(stats.total.sessions_completed, kThreads * kSessionsPerThread);
+
+  // Shards hand back their reservoirs sorted; the one-sort percentiles
+  // (per shard and merged) equal Percentile over the raw samples.
+  std::vector<double> pooled;
+  for (size_t sh = 0; sh < service.num_shards(); ++sh) {
+    std::vector<double> samples;
+    const MonitorService::Stats shard_stats =
+        service.shard(sh).GetStats(&samples);
+    EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
+    EXPECT_EQ(shard_stats.p50_replay_ms, Percentile(samples, 50.0));
+    EXPECT_EQ(shard_stats.p95_replay_ms, Percentile(samples, 95.0));
+    pooled.insert(pooled.end(), samples.begin(), samples.end());
+  }
+  EXPECT_EQ(pooled.size(), kThreads * kSessionsPerThread);
+  EXPECT_EQ(stats.total.p50_replay_ms, Percentile(pooled, 50.0));
+  EXPECT_EQ(stats.total.p95_replay_ms, Percentile(pooled, 95.0));
 }
 
 TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {

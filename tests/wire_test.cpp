@@ -773,6 +773,129 @@ TEST_F(WireLoopbackTest, ConcurrentClientsAcrossShardsStayIsolated) {
   server.Stop();
 }
 
+TEST_F(WireLoopbackTest, PipelinedAdvanceSplitAcrossReadsAnswersInOrder) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  TcpServer server(&service, RunPtrs(), TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+
+  ProgressMonitor sequential(&stack_->static_selector,
+                             &stack_->dynamic_selector);
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  std::vector<uint64_t> sessions;
+  std::vector<std::vector<double>> reference;
+  for (size_t r = 0; r < runs_->size(); ++r) {
+    auto opened_frame =
+        client.Call(EncodeOpenRequest({static_cast<uint32_t>(r)}));
+    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+    auto opened = DecodeOpenResponse(opened_frame->payload);
+    ASSERT_TRUE(opened.ok());
+    sessions.push_back(opened->session_id);
+    reference.push_back(sequential.ReplayQueryProgress((*runs_)[r]));
+  }
+
+  // 64 single-step Advance frames round-robin over the sessions, sent as
+  // one stream cut into small uneven pieces: most cuts land inside a
+  // frame header, and the pauses make the server see many short reads.
+  constexpr size_t kFrames = 64;
+  std::string stream;
+  for (size_t i = 0; i < kFrames; ++i) {
+    stream += EncodeAdvanceRequest({sessions[i % sessions.size()], 1});
+  }
+  constexpr size_t kPieces[] = {3, 5, 9, 13, 6, 21, 2};
+  size_t header_cuts = 0;
+  for (size_t off = 0, k = 0; off < stream.size(); ++k) {
+    const size_t n = std::min(kPieces[k % std::size(kPieces)],
+                              stream.size() - off);
+    ASSERT_TRUE(client.SendRaw(std::string_view(stream).substr(off, n)));
+    off += n;
+    const size_t frame_bytes = stream.size() / kFrames;
+    if (off % frame_bytes != 0 && off % frame_bytes < kFrameHeaderBytes) {
+      ++header_cuts;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_GT(header_cuts, kFrames / 2);
+
+  // Answers arrive in request order; each one is the next value of its
+  // session's sequential replay (or the resting value once exhausted).
+  std::vector<size_t> taken(sessions.size(), 0);
+  uint64_t steps = 0;
+  for (size_t i = 0; i < kFrames; ++i) {
+    auto frame = client.Receive();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_TRUE(frame->ok()) << frame->ToStatus().ToString();
+    ASSERT_EQ(frame->type, MsgType::kAdvance);
+    auto advanced = DecodeAdvanceResponse(frame->payload);
+    ASSERT_TRUE(advanced.ok());
+    const size_t s = i % sessions.size();
+    const std::vector<double>& expected = reference[s];
+    const bool stepped = taken[s] < expected.size();
+    ASSERT_EQ(advanced->steps, stepped ? 1u : 0u) << "frame " << i;
+    const double want = expected[stepped ? taken[s] : expected.size() - 1];
+    ASSERT_EQ(std::memcmp(&advanced->progress, &want, sizeof(double)), 0)
+        << "frame " << i << " session " << s;
+    taken[s] += stepped ? 1 : 0;
+    steps += advanced->steps;
+    EXPECT_EQ(advanced->done, taken[s] == expected.size() ? 1 : 0)
+        << "frame " << i;
+  }
+  server.Stop();
+  const TcpServerStats stats = server.GetStats();
+  EXPECT_EQ(stats.frames_received, sessions.size() + kFrames);
+  EXPECT_EQ(stats.frames_sent, sessions.size() + kFrames);
+  EXPECT_EQ(stats.advance_steps, steps);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.io_errors, 0u);
+}
+
+TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 1;
+  ShardedMonitorService service(stack_, options);
+  RecordIngestQueue queue(kMaxIngestBatchRecords);
+  TcpServer server(&service, RunPtrs(), &queue, TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // The server reads at most 64 KiB per read(); this frame needs several,
+  // so reassembly must keep going after full reads and resume after
+  // short ones.
+  constexpr size_t kServerReadChunk = 64 * 1024;
+  IngestBatchRequest batch;
+  batch.records = RandomRecords(kMaxIngestBatchRecords, 5);
+  const std::string frame = EncodeIngestBatchRequest(batch);
+  ASSERT_GT(frame.size(), 2 * kServerReadChunk);
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  auto reply = client.Call(frame);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_TRUE(reply->ok()) << reply->ToStatus().ToString();
+  auto ingested = DecodeIngestResponse(reply->payload);
+  ASSERT_TRUE(ingested.ok());
+  EXPECT_EQ(ingested->accepted, kMaxIngestBatchRecords);
+  EXPECT_EQ(ingested->dropped, 0u);
+  EXPECT_EQ(queue.size(), kMaxIngestBatchRecords);
+  server.Stop();
+
+  const TcpServerStats stats = server.GetStats();
+  EXPECT_EQ(stats.frames_received, 1u);
+  EXPECT_EQ(stats.bytes_received, frame.size());
+  EXPECT_EQ(stats.records_ingested, kMaxIngestBatchRecords);
+  EXPECT_EQ(stats.records_ingest_dropped + stats.records_ingest_shed, 0u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+
+  // The queue holds exactly the records sent, in order.
+  std::vector<PipelineRecord> drained;
+  ASSERT_EQ(queue.DrainBatch(&drained, kMaxIngestBatchRecords),
+            kMaxIngestBatchRecords);
+  for (size_t i = 0; i < drained.size(); ++i) {
+    ASSERT_EQ(drained[i].features, batch.records[i].features) << i;
+  }
+}
+
 TEST_F(WireLoopbackTest, GarbageStreamsAreRejectedWithoutKillingTheServer) {
   ShardedMonitorService::Options options;
   options.num_shards = 2;
