@@ -59,10 +59,15 @@ struct ForJob {
 
 ThreadPool::ThreadPool(int num_threads) {
   const int total = ResolveThreads(num_threads);
+  // ParallelFor hands work only to waiting workers, so return once every
+  // worker waits: otherwise the first call on a new pool runs serially.
+  // Workers read workers_.size() under mu_, so spawn them under it too.
+  std::unique_lock<std::mutex> lock(mu_);
   workers_.reserve(static_cast<size_t>(total > 0 ? total - 1 : 0));
   for (int i = 0; i + 1 < total; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  ready_cv_.wait(lock, [this] { return idle_ == workers_.size(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -87,7 +92,7 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      ++idle_;
+      if (++idle_ == workers_.size()) ready_cv_.notify_one();
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       --idle_;
       if (queue_.empty()) return;  // shutdown with nothing left to run

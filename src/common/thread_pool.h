@@ -61,6 +61,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable ready_cv_;  ///< signalled when every worker waits
   std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   size_t idle_ = 0;  ///< workers currently waiting for a task (under mu_)

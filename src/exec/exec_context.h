@@ -27,7 +27,9 @@ struct ExecOptions {
   /// Emission hook: invoked with the fully assembled run (observations,
   /// pipelines, ground truth) just before ExecutePlan returns — the tap
   /// the online-learning loop uses to capture training data from a
-  /// running system. Called on the executing thread; must not throw. The
+  /// running system. Called on the executing thread — a pool worker,
+  /// possibly concurrently with other queries, when reached through
+  /// RunWorkload or PlanAndExecuteWorkload — and must not throw. The
   /// referenced result is only valid for the duration of the call.
   std::function<void(const QueryRunResult&)> on_run_complete;
 };

@@ -1,10 +1,16 @@
 #include "harness/runner.h"
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "exec/executor.h"
 
 namespace rpe {
@@ -24,52 +30,92 @@ Result<OwnedRun> RunQuery(const Workload& workload, const QuerySpec& spec,
   return run;
 }
 
-Result<std::vector<PipelineRecord>> RunWorkload(const Workload& workload,
-                                                const RunOptions& options,
-                                                const std::string& tag) {
-  // One histogram store for the whole workload (statistics are per
-  // database, not per query).
-  CardinalityEstimator card(workload.catalog.get());
-  Planner planner(workload.catalog.get(), &card, options.planner);
+WorkloadRun PlanAndExecuteWorkload(const Workload& workload,
+                                   const RunOptions& options,
+                                   const std::string& tag, bool keep_runs) {
+  using Clock = std::chrono::steady_clock;
+  const size_t n = workload.queries.size();
+  WorkloadRun out;
 
-  std::vector<PipelineRecord> records;
-  size_t failed = 0;
-  for (size_t qi = 0; qi < workload.queries.size(); ++qi) {
-    const QuerySpec& spec = workload.queries[qi];
-    auto plan_result = planner.Plan(spec);
-    if (!plan_result.ok()) {
-      ++failed;
-      continue;
+  // Plan serially: the estimator's lazy histogram cache is unsynchronised.
+  const auto plan_start = Clock::now();
+  std::vector<std::unique_ptr<PhysicalPlan>> plans(n);
+  {
+    CardinalityEstimator card(workload.catalog.get());
+    Planner planner(workload.catalog.get(), &card, options.planner);
+    for (size_t qi = 0; qi < n; ++qi) {
+      auto plan = planner.Plan(workload.queries[qi]);
+      if (plan.ok()) plans[qi] = std::move(plan).ValueOrDie();
     }
-    std::unique_ptr<PhysicalPlan> plan = std::move(plan_result).ValueOrDie();
-    auto run_result = ExecutePlan(*plan, *workload.catalog, options.exec);
-    if (!run_result.ok()) {
-      ++failed;
-      continue;
-    }
-    QueryRunResult run = std::move(run_result).ValueOrDie();
-    run.plan = plan.get();
-    for (const Pipeline& pipeline : run.pipelines) {
-      PipelineView view{&run, &pipeline};
+  }
+  const auto exec_start = Clock::now();
+
+  // Execute in parallel; each index writes only its own slot.
+  struct Slot {
+    bool ok = false;
+    std::vector<PipelineRecord> records;
+    OwnedRun run;
+  };
+  std::vector<Slot> slots(n);
+  ThreadPool::Global().ParallelFor(n, [&](size_t qi) {
+    if (plans[qi] == nullptr) return;
+    auto result = ExecutePlan(*plans[qi], *workload.catalog, options.exec);
+    if (!result.ok()) return;
+    Slot& slot = slots[qi];
+    slot.ok = true;
+    slot.run.plan = std::move(plans[qi]);
+    slot.run.result = std::move(result).ValueOrDie();
+    slot.run.result.plan = slot.run.plan.get();
+    for (const Pipeline& pipeline : slot.run.result.pipelines) {
+      PipelineView view{&slot.run.result, &pipeline};
       PipelineRecord record;
-      if (MakeRecord(view, workload.config.name, spec.name, tag, &record,
-                     options.min_observations)) {
-        if (options.on_record) options.on_record(record);
-        records.push_back(std::move(record));
+      if (MakeRecord(view, workload.config.name, workload.queries[qi].name,
+                     tag, &record, options.min_observations)) {
+        slot.records.push_back(std::move(record));
       }
+    }
+    if (!keep_runs) slot.run = OwnedRun();
+  });
+#if defined(__GLIBC__)
+  // Hand the freed execution memory of the parallel phase back to the OS.
+  malloc_trim(0);
+#endif
+  const auto exec_end = Clock::now();
+  out.plan_seconds =
+      std::chrono::duration<double>(exec_start - plan_start).count();
+  out.execute_seconds =
+      std::chrono::duration<double>(exec_end - exec_start).count();
+
+  for (size_t qi = 0; qi < n; ++qi) {
+    Slot& slot = slots[qi];
+    if (slot.ok) {
+      for (PipelineRecord& record : slot.records) {
+        if (options.on_record) options.on_record(record);
+        out.records.push_back(std::move(record));
+      }
+      if (keep_runs) out.runs.push_back(std::move(slot.run));
+    } else {
+      ++out.failed;
     }
     if (options.progress_every > 0 && (qi + 1) % options.progress_every == 0) {
       std::cerr << "[" << workload.config.name << "] " << (qi + 1) << "/"
-                << workload.queries.size() << " queries, "
-                << records.size() << " records\n";
+                << n << " queries, " << out.records.size() << " records\n";
     }
   }
-  if (failed > workload.queries.size() / 4) {
+  return out;
+}
+
+Result<std::vector<PipelineRecord>> RunWorkload(const Workload& workload,
+                                                const RunOptions& options,
+                                                const std::string& tag) {
+  WorkloadRun run =
+      PlanAndExecuteWorkload(workload, options, tag, /*keep_runs=*/false);
+  if (run.failed > workload.queries.size() / 4) {
     return Status::Internal("too many query failures in workload " +
                             workload.config.name + ": " +
-                            std::to_string(failed));
+                            std::to_string(run.failed));
   }
-  return records;
+  return std::move(run.records);
 }
 
 Result<std::vector<PipelineRecord>> BuildAndRun(const WorkloadConfig& config,

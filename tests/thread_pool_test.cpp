@@ -1,9 +1,13 @@
 // ThreadPool tests: deterministic per-index results, exception
 // propagation, pool reuse across many ParallelFor rounds, nested calls
-// (the selector-over-model-over-feature shape), and Submit futures.
+// (the selector-over-model-over-feature shape), Submit futures, and a
+// fresh pool's first call running on every worker.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -86,6 +90,26 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
       EXPECT_EQ(out[i][j], static_cast<int>(i * j));
     }
   }
+}
+
+TEST(ThreadPoolTest, FirstParallelForOnAFreshPoolRunsOnEveryWorker) {
+  // ParallelFor hands indices only to workers already waiting for work.
+  // A 4-way rendezvous completes only if the first call on a new pool
+  // runs its 4 indices on 4 threads at once; a serial index would wait
+  // out the deadline instead.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  size_t met = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pool.ParallelFor(4, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++arrived == 4) cv.notify_all();
+    if (cv.wait_until(lock, deadline, [&] { return arrived == 4; })) ++met;
+  });
+  EXPECT_EQ(met, 4u);
 }
 
 TEST(ThreadPoolTest, SubmitReturnsFutureResult) {

@@ -68,6 +68,7 @@
 #include <csignal>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <string>
@@ -367,28 +368,32 @@ int CmdSnapshotLoad(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 /// Build + execute a serving workload, keeping every successful run alive
 /// (sessions replay against them) and its featurized records. Shared by
-/// serve-replay and serve-online.
+/// the serve-* commands.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
                               std::vector<OwnedRun>* runs,
                               std::vector<PipelineRecord>* records) {
-  std::cerr << "building + running workload " << config.name << " ...\n";
+  const auto build_start = std::chrono::steady_clock::now();
   RPE_ASSIGN_OR_RETURN(Workload workload, BuildWorkload(config));
-  RunOptions options;
-  for (const QuerySpec& spec : workload.queries) {
-    auto run = RunQuery(workload, spec, options);
-    if (!run.ok()) continue;
-    for (const Pipeline& pipeline : run->result.pipelines) {
-      PipelineView view{&run->result, &pipeline};
-      PipelineRecord record;
-      if (MakeRecord(view, config.name, spec.name, "", &record,
-                     options.min_observations)) {
-        records->push_back(std::move(record));
-      }
-    }
-    runs->push_back(std::move(run).ValueOrDie());
-  }
+  const double build_s = SecondsSince(build_start);
+  WorkloadRun executed =
+      PlanAndExecuteWorkload(workload, RunOptions{}, "", /*keep_runs=*/true);
+  RPE_LOG_INFO << std::fixed << std::setprecision(3) << "workload "
+               << config.name << ": build " << build_s << " s, plan "
+               << workload.queries.size() << " queries "
+               << executed.plan_seconds << " s, execute "
+               << executed.execute_seconds << " s on "
+               << ThreadPool::Global().num_threads() << " threads ("
+               << executed.failed << " failed)";
+  *runs = std::move(executed.runs);
+  *records = std::move(executed.records);
   if (runs->empty()) {
     return Status::Internal("no query of the workload executed successfully");
   }
@@ -432,10 +437,13 @@ std::shared_ptr<const SelectorStack> InitialStack(
   if (preloaded != nullptr) return preloaded;
   MartParams params = EstimatorSelector::DefaultParams();
   params.num_trees = std::stoi(FlagOr(flags, "trees", default_trees));
-  std::cerr << "training selector stack on " << records.size()
-            << " records ...\n";
-  return std::make_shared<const SelectorStack>(SelectorStack::Train(
+  const auto train_start = std::chrono::steady_clock::now();
+  auto stack = std::make_shared<const SelectorStack>(SelectorStack::Train(
       records, ParsePool(FlagOr(flags, "pool", "six")), params));
+  RPE_LOG_INFO << std::fixed << std::setprecision(3)
+               << "train selector stack on " << records.size()
+               << " records " << SecondsSince(train_start) << " s";
+  return stack;
 }
 
 /// Shared --shards parsing for the serve commands (1..1024; powers of two
