@@ -19,6 +19,7 @@
 #include "common/crc32.h"
 #include "common/random.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "mart/flat_ensemble.h"
 #include "mart/tree.h"
@@ -193,22 +194,53 @@ void BM_LeafHistSubtract(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafHistSubtract);
 
+// The serving corpus's shape: 321 records × 203 features, every column
+// with more distinct values than bins (so 255 bins each). No leaf pays
+// for subtraction here, and most leaves below the root have fewer rows
+// than bins — the occupied-bin sweep's case.
+struct ServingFitFixture {
+  ServingFitFixture() : data(203) {
+    Rng rng(17);
+    std::vector<double> x(203);
+    for (size_t i = 0; i < 321; ++i) {
+      for (auto& v : x) v = rng.NextDouble();
+      RPE_CHECK_OK(data.AddExample(
+          x, x[0] * 0.7 + (x[1] > 0.4 ? 0.5 : -0.2) + x[2] * x[3]));
+    }
+    binned = std::make_unique<BinnedDataset>(data);
+    residuals = data.targets();
+  }
+  Dataset data;
+  std::unique_ptr<BinnedDataset> binned;
+  std::vector<double> residuals;
+};
+
 // One full tree fit over the histogram pipeline (30 leaves, the paper's
-// shape) — the unit the TrainerLoop pays per boosting iteration.
+// shape) — the unit the TrainerLoop pays per boosting iteration. /0 and
+// /1 fit the 20k × 100 fixture on the global pool, with and without
+// subtraction; /2 fits the serving-shaped 321 × 203 fixture on one thread,
+// so its CPU time is the whole fit's.
 void BM_TreeFit(benchmark::State& state) {
+  static ServingFitFixture serving;
+  static ThreadPool one_thread(1);
   auto& fx = Hist();
+  const bool small = state.range(0) == 2;
+  const BinnedDataset& binned = small ? *serving.binned : *fx.binned;
+  const std::vector<double>& residuals =
+      small ? serving.residuals : fx.residuals;
   TreeParams params;
   params.max_leaves = 30;
   params.force_direct_histograms = state.range(0) == 1;
   for (auto _ : state) {
-    RegressionTree tree = RegressionTree::Fit(*fx.binned, fx.residuals, {},
-                                              params, nullptr, nullptr);
+    RegressionTree tree =
+        RegressionTree::Fit(binned, residuals, {}, params, nullptr,
+                            small ? &one_thread : nullptr);
     benchmark::DoNotOptimize(tree.num_nodes());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_examples()));
+                          static_cast<int64_t>(binned.num_examples()));
 }
-BENCHMARK(BM_TreeFit)->Arg(0)->Arg(1);
+BENCHMARK(BM_TreeFit)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MartTrain1k(benchmark::State& state) {
   Dataset data(50);

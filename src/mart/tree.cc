@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -19,17 +20,6 @@
 namespace rpe {
 
 namespace {
-
-/// Candidate split of one growable leaf.
-struct SplitCandidate {
-  bool valid = false;
-  size_t feature = 0;
-  size_t bin = 0;        ///< left gets bins <= bin
-  double threshold = 0;  ///< raw value boundary
-  double gain = 0.0;
-  double left_sum = 0.0, right_sum = 0.0;
-  size_t left_count = 0, right_count = 0;
-};
 
 struct GrowableLeaf {
   std::vector<uint32_t> indices;
@@ -188,29 +178,30 @@ inline void AccumulateColumnSparse(const uint8_t* __restrict col,
   }
 }
 
-/// Best split of one feature, read off its histogram slab: the cumulative
-/// left-to-right sweep over bin boundaries. Pure function of the slab and
-/// the leaf totals, so feature sweeps can run concurrently and reduce in
-/// feature order afterwards.
-SplitCandidate SweepFeature(const BinnedDataset& data, size_t f,
-                            const double* sum, const uint32_t* cnt,
-                            double total_sum, size_t n,
-                            const TreeParams& params) {
+/// The cumulative left-to-right sweep over bin boundaries shared by both
+/// public sweeps. `visit_bins(take)` calls `take(b)` for bins
+/// b < num_bins(f) - 1 in ascending order until it returns false; `take`
+/// moves bin b to the left side and scores the boundary after it. Both
+/// sweeps therefore run the same floating-point operations on every bin
+/// they both visit.
+template <typename VisitBins>
+SplitCandidate Sweep(const BinnedDataset& data, size_t f, const double* sum,
+                     const uint32_t* cnt, double total_sum, size_t n,
+                     const TreeParams& params, VisitBins visit_bins) {
   SplitCandidate best;
-  const size_t nbins = data.num_bins(f);
-  if (nbins < 2) return best;
+  if (data.num_bins(f) < 2) return best;
+  const size_t min_leaf = static_cast<size_t>(params.min_examples_per_leaf);
   const double parent_score = total_sum * total_sum / static_cast<double>(n);
-
   double left_sum = 0.0;
   size_t left_cnt = 0;
-  for (size_t b = 0; b + 1 < nbins; ++b) {
+  visit_bins([&](size_t b) {
     left_sum += sum[b];
     left_cnt += cnt[b];
     const size_t right_cnt = n - left_cnt;
-    if (left_cnt < static_cast<size_t>(params.min_examples_per_leaf) ||
-        right_cnt < static_cast<size_t>(params.min_examples_per_leaf)) {
-      continue;
-    }
+    // Counts only grow left: once the right side is too small, no later
+    // boundary can qualify either.
+    if (right_cnt < min_leaf) return false;
+    if (left_cnt < min_leaf) return true;
     const double right_sum = total_sum - left_sum;
     const double score =
         left_sum * left_sum / static_cast<double>(left_cnt) +
@@ -227,9 +218,58 @@ SplitCandidate SweepFeature(const BinnedDataset& data, size_t f,
       best.left_count = left_cnt;
       best.right_count = right_cnt;
     }
-  }
+    return true;
+  });
   return best;
 }
+
+}  // namespace
+
+// Pure function of the slab and the leaf totals, so feature sweeps can run
+// concurrently and reduce in feature order afterwards.
+SplitCandidate SweepFeature(const BinnedDataset& data, size_t f,
+                            const double* sum, const uint32_t* cnt,
+                            double total_sum, size_t n,
+                            const TreeParams& params) {
+  const size_t nbins = data.num_bins(f);
+  return Sweep(data, f, sum, cnt, total_sum, n, params, [&](auto take) {
+    for (size_t b = 0; b + 1 < nbins && take(b); ++b) {
+    }
+  });
+}
+
+// Exactness: in the full sweep an empty, directly built bin adds exactly
+// 0.0 to left_sum (no directly accumulated sum is ever -0.0, so the add is
+// the identity) and 0 to left_count, so its boundary repeats the previous
+// boundary's gain — or, before the first occupied bin, fails the
+// min-leaf guard (left_count 0) — and the strict `gain > best` keeps the
+// earlier, occupied bin. Skipping empty bins therefore leaves the winning
+// bin, threshold, gain and child sums unchanged.
+SplitCandidate SweepOccupiedBins(const BinnedDataset& data, size_t f,
+                                 std::span<const uint32_t> indices,
+                                 const double* sum, const uint32_t* cnt,
+                                 double total_sum, const TreeParams& params) {
+  const size_t nbins = data.num_bins(f);
+  uint64_t occupied[4] = {0, 0, 0, 0};
+  const uint8_t* col = data.feature_bins(f).data();
+  for (uint32_t idx : indices) {
+    const uint8_t b = col[idx];
+    occupied[b >> 6] |= uint64_t{1} << (b & 63);
+  }
+  return Sweep(data, f, sum, cnt, total_sum, indices.size(), params,
+               [&](auto take) {
+                 for (size_t w = 0; w < 4; ++w) {
+                   for (uint64_t bits = occupied[w]; bits != 0;
+                        bits &= bits - 1) {
+                     const size_t b =
+                         w * 64 + static_cast<size_t>(std::countr_zero(bits));
+                     if (b + 1 >= nbins || !take(b)) return;
+                   }
+                 }
+               });
+}
+
+namespace {
 
 /// Re-accumulate feature f's histogram directly from the leaf's examples
 /// and sweep it: the canonical (subtraction-free) statistics for this
@@ -344,7 +384,14 @@ SplitCandidate FindBestSplit(const BinnedDataset& data,
         } else if (source == HistSource::kSubtract) {
           leaf.hist->SubtractChild(*child, off, off + nbins);
         }
-        per_feature[f] = SweepFeature(data, f, sum, cnt, leaf.sum, n, params);
+        // Directly built slabs of a leaf smaller than the bin count sweep
+        // only the occupied bins; subtracted slabs may carry rounding
+        // residue in empty bins, so they always take the full sweep.
+        per_feature[f] =
+            source != HistSource::kSubtract && n < nbins
+                ? SweepOccupiedBins(data, f, leaf.indices, sum, cnt,
+                                    leaf.sum, params)
+                : SweepFeature(data, f, sum, cnt, leaf.sum, n, params);
       }
     };
     if (fan_out) {

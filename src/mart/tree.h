@@ -4,10 +4,17 @@
 // a leaf's examples fills a HistogramSet (all features at once, streaming
 // the column-major bin slabs), a per-feature sweep picks the best split,
 // and each split derives the larger child's histograms by subtraction
-// (parent − smaller child). Histogram accumulation and the sweep
-// parallelize over feature blocks on a ThreadPool with an ordered
-// reduction, so the fitted tree is identical to the sequential result at
-// any thread count. The full pipeline is documented in docs/TRAINING.md.
+// (parent − smaller child). A leaf with fewer examples than a feature has
+// bins sweeps only its occupied bins when that histogram was built
+// directly: an empty directly built bin adds exactly 0.0 and repeats the
+// previous boundary's gain, which the strict `gain > best` never elects,
+// so the split is bit-identical to the full sweep. Every sweep stops at
+// the last boundary that leaves min_examples_per_leaf on the right
+// (integer counts, so exact on subtracted slabs too). Histogram
+// accumulation and the sweep parallelize over feature blocks on a
+// ThreadPool with an ordered reduction, so the fitted tree is identical to
+// the sequential result at any thread count. The full pipeline is
+// documented in docs/TRAINING.md.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +36,51 @@ struct TreeParams {
   /// Test/benchmark escape hatch: build every leaf's histograms directly
   /// instead of deriving siblings by subtraction. The subtraction path
   /// canonicalizes the winning feature's statistics from a direct
-  /// re-accumulation, so everything entering the tree is free of
-  /// subtraction rounding and the two modes fit identical trees unless
-  /// two *different features'* split gains tie within that rounding
-  /// (e.g. exactly duplicated columns), where the cross-feature election
-  /// itself may differ (asserted identical on continuous fixtures by
-  /// tests/mart_test.cpp); direct mode exists to prove that and to give
-  /// benchmarks a no-subtraction baseline.
+  /// re-accumulation, so the threshold, gain and child sums of a chosen
+  /// split are free of subtraction rounding. Which feature wins is not:
+  /// when two features' gains lie within that rounding of each other
+  /// (columns that split a leaf's rows the same way but bin differently
+  /// overall), the subtracted sweep can elect a different feature than a
+  /// direct one. On continuous fixtures the two modes fit
+  /// identical trees (tests/mart_test.cpp); on real selector corpora they
+  /// do not (docs/TRAINING.md §4), so the modes are not interchangeable:
+  /// subtraction is what the serving layer trains with, and direct mode
+  /// is only the tests' and benchmarks' no-subtraction baseline.
   bool force_direct_histograms = false;
 };
+
+/// \brief Best split of one leaf on one feature, as a sweep reports it.
+struct SplitCandidate {
+  bool valid = false;
+  size_t feature = 0;
+  size_t bin = 0;        ///< left gets bins <= bin
+  double threshold = 0;  ///< raw value boundary
+  double gain = 0.0;
+  double left_sum = 0.0, right_sum = 0.0;
+  size_t left_count = 0, right_count = 0;
+};
+
+/// Best split of feature f read off its histogram slab (`sum`/`cnt`, one
+/// entry per bin) of a leaf with `n` examples summing to `total_sum`: the
+/// cumulative left-to-right sweep over every bin boundary, stopping once
+/// fewer than min_examples_per_leaf examples remain on the right. The
+/// earliest bin wins gain ties. Valid for any slab, directly built or
+/// derived by subtraction — the reference for SweepOccupiedBins.
+SplitCandidate SweepFeature(const BinnedDataset& data, size_t f,
+                            const double* sum, const uint32_t* cnt,
+                            double total_sum, size_t n,
+                            const TreeParams& params);
+
+/// The same sweep visiting only the bins that the leaf's examples
+/// (`indices`) occupy in feature f, found as a 256-bit mask in one pass
+/// over the leaf. Bit-identical to SweepFeature when the slab was built
+/// directly from `indices` (every empty bin holds exactly 0.0 and 0);
+/// a subtracted slab may hold rounding residue in empty bins and must use
+/// SweepFeature. Cheaper when the leaf has fewer examples than f has bins.
+SplitCandidate SweepOccupiedBins(const BinnedDataset& data, size_t f,
+                                 std::span<const uint32_t> indices,
+                                 const double* sum, const uint32_t* cnt,
+                                 double total_sum, const TreeParams& params);
 
 /// Build every feature's histogram over the examples in `indices` into
 /// `hist` (which must be sized for `data`, i.e. HistogramSet(data)): for

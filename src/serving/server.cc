@@ -352,6 +352,14 @@ void TcpServer::Stop() {
   acceptor_.join();
   for (auto& io : io_threads_) io->thread.join();
   for (auto& io : io_threads_) {
+    // Accepted just before the stop, but the IO loop exited before
+    // adopting them: close them here so no fd leaks and every accepted
+    // connection is counted closed.
+    for (const int fd : io->handoff) {
+      ::close(fd);
+      c_.connections_closed->Inc();
+    }
+    io->handoff.clear();
     ::close(io->epoll_fd);
     ::close(io->wake_fd);
   }

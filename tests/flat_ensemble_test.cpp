@@ -4,6 +4,7 @@
 // training (parallel training must serialize byte-identically).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "mart/flat_ensemble.h"
+#include "serving/snapshot.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
@@ -218,6 +221,32 @@ TEST(FlatEnsembleSetTest, MixedWideAndNarrowModelsStayBitExact) {
   }
 }
 
+/// The serving corpus's column mix at its size (about 320 records × 200
+/// features): continuous columns with more distinct values than the 255
+/// bins, discrete columns with a handful of levels, and exact duplicates
+/// of an earlier column — the shapes whose small leaves take the
+/// occupied-bin sweep and whose gains tie across features.
+void ServingShapeColumns(std::vector<double>* x) {
+  for (size_t f = 0; f < x->size(); ++f) {
+    if (f % 4 == 1) (*x)[f] = std::floor((*x)[f] * 5.0);
+    if (f % 4 == 2) (*x)[f] = (*x)[f - 2];
+  }
+}
+
+Dataset ServingShapedDataset(size_t n, size_t nf, uint64_t seed) {
+  Dataset data(nf);
+  Rng rng(seed);
+  std::vector<double> x(nf);
+  for (size_t i = 0; i < n; ++i) {
+    for (auto& v : x) v = rng.NextDouble();
+    ServingShapeColumns(&x);
+    const double y = x[0] * 0.7 + x[1] * 0.1 + (x[3] > 0.4 ? 0.5 : -0.2) +
+                     0.1 * rng.NextGaussian();
+    RPE_CHECK_OK(data.AddExample(x, y));
+  }
+  return data;
+}
+
 // Training determinism: the fitted model (and therefore its serialized
 // text) must be byte-identical at any thread count — histogram
 // accumulation and the split sweep parallelize over feature blocks whose
@@ -225,20 +254,55 @@ TEST(FlatEnsembleSetTest, MixedWideAndNarrowModelsStayBitExact) {
 // feature order on the caller, and the prediction update writes per-index
 // slots only.
 TEST(ParallelTrainingTest, SerializedModelsAreThreadCountInvariant) {
-  Dataset data = RandomDataset(3000, 10, 31);
-  MartParams params;
-  params.num_trees = 30;
-  params.subsample = 0.8;
+  struct Input {
+    const char* name;
+    Dataset data;
+    double subsample;
+  };
+  const Input inputs[] = {
+      {"3000x10 continuous", RandomDataset(3000, 10, 31), 0.8},
+      {"320x200 serving-shaped", ServingShapedDataset(320, 200, 37), 1.0},
+  };
+  for (const Input& input : inputs) {
+    MartParams params;
+    params.num_trees = 30;
+    params.subsample = input.subsample;
 
-  ThreadPool sequential(1);
-  params.pool = &sequential;
-  const std::string blob_seq = MartModel::Train(data, params).Serialize();
-  for (const int threads : {2, 8}) {
+    ThreadPool sequential(1);
+    params.pool = &sequential;
+    const std::string blob_seq =
+        MartModel::Train(input.data, params).Serialize();
+    for (const int threads : {2, 4, 8}) {
+      ThreadPool pool(threads);
+      params.pool = &pool;
+      EXPECT_EQ(blob_seq, MartModel::Train(input.data, params).Serialize())
+          << input.name << " threads=" << threads;
+    }
+  }
+}
+
+// The same invariance one level up, on what the server publishes: both
+// selectors of a six-candidate stack, trained on serving-shaped records,
+// encode to the same snapshot bytes at any thread count.
+TEST(ParallelTrainingTest, SelectorStackEncodesIdenticallyAtAnyThreadCount) {
+  auto records = ::rpe::testing::RandomRecords(320, 41);
+  for (auto& r : records) ServingShapeColumns(&r.features);
+  MartParams params = EstimatorSelector::DefaultParams();
+  params.num_trees = 10;
+
+  std::string reference;
+  for (const int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     params.pool = &pool;
-    EXPECT_EQ(blob_seq, MartModel::Train(data, params).Serialize())
-        << "threads=" << threads;
+    const std::string encoded =
+        EncodeSelectorStack(SelectorStack::Train(records, PoolSix(), params));
+    if (reference.empty()) {
+      reference = encoded;
+    } else {
+      EXPECT_EQ(encoded, reference) << "threads=" << threads;
+    }
   }
+  ASSERT_FALSE(reference.empty());
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // MART learner tests: binning (column-major layout), one-pass leaf
-// histograms and the subtraction trick, tree fitting, boosting
-// convergence, serialization, feature importance and the linear baseline.
+// histograms and the subtraction trick, the split sweeps, tree fitting,
+// boosting convergence, serialization, feature importance and the linear
+// baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -208,6 +214,255 @@ TEST(TreeTest, SubtractionAndDirectHistogramsFitIdenticalModels) {
   params.tree.force_direct_histograms = true;
   const std::string direct = MartModel::Train(data, params).Serialize();
   EXPECT_EQ(with_subtraction, direct);
+}
+
+// Pins the exact model a subtraction-mode fit produces. Columns 2 and 3
+// equal column 1 on one `kind` each but bin differently overall, so once
+// the tree splits on kind their gains can tie up to the rounding of slabs
+// derived by subtraction two levels deep, in leaves with fewer rows than
+// bins. Which of them is elected therefore depends on every ulp of those
+// slabs, empty bins included; a sweep that skipped a subtracted slab's
+// empty bins (and the rounding residue they hold) changes this hash.
+// Split-search optimizations must keep models byte-identical: update the
+// constant only in a change meant to change models.
+TEST(TreeTest, TiedSubtractedSplitsMatchPinnedModel) {
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+  GTEST_SKIP() << "fused multiply-add contraction changes model bits";
+#endif
+  Dataset data(8);
+  Rng rng(17);
+  std::vector<double> x(8);
+  for (size_t i = 0; i < 1000; ++i) {
+    const double kind = static_cast<double>(rng.NextUInt(2));
+    const double card = rng.NextDouble();
+    x[0] = kind;
+    x[1] = card;
+    x[2] = kind == 1.0 ? card : 2.0 + card;
+    x[3] = kind == 0.0 ? card : 2.0 + card;
+    x[4] = std::floor(rng.NextDouble() * 6.0);
+    x[5] = std::floor(card * 10.0);
+    x[6] = kind == 1.0 ? std::floor(card * 40.0) : 0.0;
+    x[7] = std::floor(rng.NextDouble() * 3.0);
+    const double y =
+        std::floor((kind * 0.6 + card + 0.3 * rng.NextDouble()) * 64.0) / 64.0;
+    RPE_CHECK_OK(data.AddExample(x, y));
+  }
+  MartParams params;
+  params.num_trees = 10;
+  const MartModel model = MartModel::Train(data, params);
+
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over every node's bits
+  const auto mix = [&hash](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((v >> (8 * byte)) & 0xFF)) * 0x100000001b3ull;
+    }
+  };
+  for (const RegressionTree& tree : model.trees()) {
+    for (const RegressionTree::Node& node : tree.nodes()) {
+      mix(static_cast<uint64_t>(node.feature));
+      mix(static_cast<uint64_t>(node.left));
+      mix(static_cast<uint64_t>(node.right));
+      mix(std::bit_cast<uint64_t>(node.threshold));
+      mix(std::bit_cast<uint64_t>(node.value));
+    }
+  }
+  EXPECT_EQ(hash, 0xa8e31fc5b64da364ull) << std::hex << hash;
+}
+
+// --- Split sweeps ---------------------------------------------------------
+
+// The sweep as first written: every boundary, no early stop. An
+// independent oracle for both the early stop and the occupied-bin sweep.
+SplitCandidate NaiveSweep(const BinnedDataset& data, size_t f,
+                          const double* sum, const uint32_t* cnt,
+                          double total_sum, size_t n,
+                          const TreeParams& params) {
+  SplitCandidate best;
+  const size_t nbins = data.num_bins(f);
+  if (nbins < 2) return best;
+  const size_t min_leaf = static_cast<size_t>(params.min_examples_per_leaf);
+  const double parent_score = total_sum * total_sum / static_cast<double>(n);
+  double left_sum = 0.0;
+  size_t left_cnt = 0;
+  for (size_t b = 0; b + 1 < nbins; ++b) {
+    left_sum += sum[b];
+    left_cnt += cnt[b];
+    const size_t right_cnt = n - left_cnt;
+    if (left_cnt < min_leaf || right_cnt < min_leaf) continue;
+    const double right_sum = total_sum - left_sum;
+    const double gain = left_sum * left_sum / static_cast<double>(left_cnt) +
+                        right_sum * right_sum / static_cast<double>(right_cnt) -
+                        parent_score;
+    if (gain > best.gain && gain > params.min_gain) {
+      best = {true,     f,         b,        data.bin_upper(f, b), gain,
+              left_sum, right_sum, left_cnt, right_cnt};
+    }
+  }
+  return best;
+}
+
+::testing::AssertionResult BitwiseEqual(const SplitCandidate& a,
+                                        const SplitCandidate& b) {
+  const auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  if (a.valid == b.valid && a.feature == b.feature && a.bin == b.bin &&
+      bits(a.threshold) == bits(b.threshold) && bits(a.gain) == bits(b.gain) &&
+      bits(a.left_sum) == bits(b.left_sum) &&
+      bits(a.right_sum) == bits(b.right_sum) &&
+      a.left_count == b.left_count && a.right_count == b.right_count) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "valid " << a.valid << "/" << b.valid << " feature " << a.feature
+         << "/" << b.feature << " bin " << a.bin << "/" << b.bin << " gain "
+         << a.gain << "/" << b.gain << " counts " << a.left_count << "+"
+         << a.right_count << "/" << b.left_count << "+" << b.right_count;
+}
+
+// Small leaves over a dataset whose bin ids are known by construction:
+// feature 0 puts row i in bin i % 255 (255 bins, three rows per bin),
+// feature 1 is discrete (7 bins), feature 2 permutes 200 bins.
+class SweepTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 3 * 255;
+
+  SweepTest() : data_(3), residuals_(kRows, 0.0) {
+    for (size_t i = 0; i < kRows; ++i) {
+      RPE_CHECK_OK(data_.AddExample({static_cast<double>(i % 255),
+                                     static_cast<double>(i % 7),
+                                     static_cast<double>(i * 37 % 200)},
+                                    0.0));
+    }
+    binned_ = std::make_unique<BinnedDataset>(data_);
+    RPE_CHECK_EQ(binned_->num_bins(0), 255u);
+  }
+
+  /// Rows of a leaf whose feature-0 bins are `bins` (each bin at most
+  /// three times), in the strictly increasing order Fit keeps.
+  static std::vector<uint32_t> RowsInBins(const std::vector<size_t>& bins) {
+    std::vector<uint32_t> rows;
+    for (size_t b : bins) {
+      size_t k = 0;
+      while (std::find(rows.begin(), rows.end(), b + 255 * k) != rows.end()) {
+        ++k;
+      }
+      RPE_CHECK_LT(k, 3u);
+      rows.push_back(static_cast<uint32_t>(b + 255 * k));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  /// Builds the leaf's histograms directly, runs both sweeps and the
+  /// naive oracle on every feature, and requires all three bitwise equal.
+  /// Returns feature 0's candidate for case-specific checks.
+  SplitCandidate ExpectSweepsAgree(const std::vector<uint32_t>& rows,
+                                   const TreeParams& params,
+                                   const std::string& label) {
+    HistogramSet hist(*binned_);
+    BuildLeafHistograms(*binned_, residuals_, rows, &hist, nullptr);
+    double total = 0.0;
+    for (uint32_t r : rows) total += residuals_[r];
+    SplitCandidate first;
+    for (size_t f = 0; f < binned_->num_features(); ++f) {
+      const double* sum = hist.sums().data() + binned_->hist_offset(f);
+      const uint32_t* cnt = hist.counts().data() + binned_->hist_offset(f);
+      const SplitCandidate full =
+          SweepFeature(*binned_, f, sum, cnt, total, rows.size(), params);
+      const SplitCandidate occupied =
+          SweepOccupiedBins(*binned_, f, rows, sum, cnt, total, params);
+      const SplitCandidate naive =
+          NaiveSweep(*binned_, f, sum, cnt, total, rows.size(), params);
+      EXPECT_TRUE(BitwiseEqual(occupied, full)) << label << " f=" << f;
+      EXPECT_TRUE(BitwiseEqual(full, naive)) << label << " f=" << f;
+      if (f == 0) first = full;
+    }
+    return first;
+  }
+
+  Dataset data_;
+  std::unique_ptr<BinnedDataset> binned_;
+  std::vector<double> residuals_;
+};
+
+TEST_F(SweepTest, OccupiedBinSweepMatchesFullSweepOnRandomSmallLeaves) {
+  Rng rng(71);
+  std::vector<uint32_t> all(kRows);
+  std::iota(all.begin(), all.end(), 0u);
+  for (int trial = 0; trial < 400; ++trial) {
+    // Gaussian residuals, then three-valued ones that make gain ties
+    // likely, then constant ones (no positive gain anywhere).
+    for (auto& r : residuals_) {
+      r = trial % 3 == 0   ? rng.NextGaussian()
+          : trial % 3 == 1 ? static_cast<double>(rng.NextInt(-1, 1))
+                           : 0.5;
+    }
+    rng.Shuffle(&all);
+    const size_t n = static_cast<size_t>(rng.NextInt(1, 254));
+    std::vector<uint32_t> rows(all.begin(), all.begin() + n);
+    std::sort(rows.begin(), rows.end());
+    TreeParams params;
+    params.min_examples_per_leaf = std::array{1, 2, 3, 8}[trial % 4];
+    ExpectSweepsAgree(rows, params, "trial " + std::to_string(trial));
+  }
+}
+
+TEST_F(SweepTest, LastBinOccupied) {
+  TreeParams params;
+  params.min_examples_per_leaf = 1;
+  const auto rows = RowsInBins({0, 254});
+  residuals_[rows[1]] = 1.0;
+  const SplitCandidate best = ExpectSweepsAgree(rows, params, "{0,254}");
+  ASSERT_TRUE(best.valid);
+  EXPECT_EQ(best.bin, 0u);
+  // Bins 253 and 254 both occupied: 253 is the last legal boundary.
+  const auto tail = RowsInBins({100, 253, 254, 254});
+  residuals_[tail[1]] = -2.0;
+  residuals_[tail[3]] = 3.0;
+  for (int min_leaf : {1, 2}) {
+    params.min_examples_per_leaf = min_leaf;
+    ExpectSweepsAgree(tail, params, "tail min " + std::to_string(min_leaf));
+  }
+}
+
+TEST_F(SweepTest, SingleOccupiedBinHasNoSplit) {
+  TreeParams params;
+  params.min_examples_per_leaf = 1;
+  for (size_t bin : {0u, 77u, 254u}) {
+    const auto rows = RowsInBins({bin, bin, bin});
+    residuals_[rows[0]] = 4.0;
+    EXPECT_FALSE(ExpectSweepsAgree(rows, params, "bin " + std::to_string(bin))
+                     .valid);
+  }
+}
+
+TEST_F(SweepTest, CountsExactlyAtMinimum) {
+  TreeParams params;
+  params.min_examples_per_leaf = 4;
+  const auto rows = RowsInBins({10, 10, 11, 12, 20, 20, 21, 22});
+  for (size_t k = 0; k < rows.size(); ++k) residuals_[rows[k]] = k < 4 ? 1 : 3;
+  // The only legal boundary leaves exactly four examples on each side.
+  const SplitCandidate best = ExpectSweepsAgree(rows, params, "min 4");
+  ASSERT_TRUE(best.valid);
+  EXPECT_EQ(best.bin, 12u);
+  EXPECT_EQ(best.left_count, 4u);
+  EXPECT_EQ(best.right_count, 4u);
+  // One more required example per side and no boundary qualifies.
+  params.min_examples_per_leaf = 5;
+  EXPECT_FALSE(ExpectSweepsAgree(rows, params, "min 5").valid);
+}
+
+TEST_F(SweepTest, TiedGainsKeepTheEarliestOccupiedBin) {
+  TreeParams params;
+  params.min_examples_per_leaf = 1;
+  const auto rows = RowsInBins({30, 60, 90, 120});
+  // Residuals 1, 0, 0, 1: the boundaries after bins 30 and 90 score
+  // 1/1 + 1/3 and 1/3 + 1/1, an exact tie.
+  residuals_[rows[0]] = 1.0;
+  residuals_[rows[3]] = 1.0;
+  const SplitCandidate best = ExpectSweepsAgree(rows, params, "tie");
+  ASSERT_TRUE(best.valid);
+  EXPECT_EQ(best.bin, 30u);
+  EXPECT_EQ(best.left_count, 1u);
 }
 
 // --- Regression tree -----------------------------------------------------

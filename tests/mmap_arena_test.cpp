@@ -5,6 +5,8 @@
 // rejected with a Status, never UB.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -21,8 +23,12 @@ namespace {
 
 using ::rpe::testing::RandomRecords;
 
+/// Per-process path: ctest runs each test of a suite in its own process,
+/// concurrently under -j, and a suite fixture that writes (and maps) a
+/// shared file would race its siblings.
 std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
+  return std::filesystem::temp_directory_path().string() + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {

@@ -16,6 +16,8 @@
 // the CI fuzz job).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,8 +48,12 @@ size_t EnvCount(const char* name, size_t fallback) {
   return static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
+/// Per-process path: ctest runs each test of a suite in its own process,
+/// concurrently under -j, and a suite fixture that writes (and maps) a
+/// shared file would race its siblings.
 std::string TempPath(const std::string& name) {
-  return std::filesystem::temp_directory_path().string() + "/" + name;
+  return std::filesystem::temp_directory_path().string() + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 void WriteBytes(const std::string& path, const std::string& bytes) {

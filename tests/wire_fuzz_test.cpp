@@ -275,6 +275,10 @@ void DrainOneCase(const std::string& stream, uint64_t seed) {
           (void)DecodeIngestBatchRequest(frame.payload);
           (void)DecodeIngestResponse(frame.payload);
           break;
+        case MsgType::kMetricsDump:
+          // Empty request, exposition-text response: nothing typed to
+          // decode.
+          break;
       }
     }
     if (poisoned) break;
