@@ -273,7 +273,6 @@ struct InferenceFixture {
     MartParams params;
     params.num_trees = 100;
     model = MartModel::Train(data, params);
-    flat = FlatEnsemble::Compile(model);
     // The deployed selection configuration of the paper (Fig. 3): eight
     // candidate regressors at M = 200 boosting iterations each.
     params.num_trees = 200;
@@ -286,7 +285,6 @@ struct InferenceFixture {
   Dataset data;
   std::vector<double> probe;
   MartModel model;
-  FlatEnsemble flat;
   std::vector<MartModel> pool_models;  // the per-candidate selection pool
   FlatEnsembleSet pool_set;
 };
@@ -304,28 +302,6 @@ void BM_MartPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MartPredict);
-
-void BM_FlatPredict(benchmark::State& state) {
-  auto& fx = Inference();
-  const std::span<const double> x(fx.probe);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.flat.Predict(x));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatPredict);
-
-void BM_FlatPredictBatch(benchmark::State& state) {
-  auto& fx = Inference();
-  std::vector<double> out(fx.data.num_examples());
-  for (auto _ : state) {
-    fx.flat.PredictBatch(fx.data, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(out.size()));
-}
-BENCHMARK(BM_FlatPredictBatch);
 
 // Multi-model scoring, one feature vector per decision: the per-decision
 // cost of the selection stack (8 candidate regressors), seed loop vs.
@@ -634,7 +610,6 @@ void BM_SnapshotMmapLoad(benchmark::State& state) {
   for (auto _ : state) {
     auto loaded = LoadSelectorStackMmap(fx.stack_path);
     RPE_CHECK(loaded.ok());
-    RPE_CHECK(loaded->zero_copy);  // the row measures the aliasing path
     benchmark::DoNotOptimize(loaded->stack->static_selector.pool().size());
   }
 }

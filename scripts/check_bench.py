@@ -89,7 +89,6 @@ def main():
         default=[
             "BM_ZipfSample",
             "BM_IngestQueuePush",
-            "BM_FlatPredict",
             "BM_MartPredict",
             "BM_SnapshotMmapLoad",
             "BM_SnapshotReadLoad",

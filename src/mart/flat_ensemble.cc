@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/simd.h"
@@ -17,175 +16,6 @@
 
 namespace rpe {
 namespace flat_internal {
-
-NodeStore::Emitted NodeStore::EmitSubtree(
-    const std::vector<RegressionTree::Node>& nodes, int old_idx,
-    double learning_rate) {
-  const RegressionTree::Node& n = nodes[static_cast<size_t>(old_idx)];
-  const int32_t my = static_cast<int32_t>(topo.size());
-  if (n.feature < 0) {
-    // x <= NaN is false for every x (including -inf and NaN), so the walk
-    // always takes `right`, which points back at the leaf itself: the
-    // cursor parks here for the rest of a fixed-depth walk.
-    topo.vec().push_back(PackTopo(0, 0));
-    split.vec().push_back(std::numeric_limits<double>::quiet_NaN());
-    leaf.vec().push_back(learning_rate * n.value);
-    return {my, 0};
-  }
-  RPE_CHECK_LT(n.feature, 1 << kFeatureBits);
-  topo.vec().push_back(0);  // patched below once the right child is known
-  split.vec().push_back(n.threshold);
-  leaf.vec().push_back(0.0);
-  const Emitted left = EmitSubtree(nodes, n.left, learning_rate);
-  const Emitted right_child = EmitSubtree(nodes, n.right, learning_rate);
-  // The delta must fit the topo word's upper bits (trees beyond ~2M
-  // nodes would silently corrupt the walk otherwise).
-  RPE_CHECK_LT(right_child.slot - my, 1 << (31 - kFeatureBits));
-  topo.vec()[static_cast<size_t>(my)] =
-      PackTopo(n.feature, right_child.slot - my);
-  return {my, 1 + std::max(left.depth, right_child.depth)};
-}
-
-int32_t NodeStore::EmitTree(const RegressionTree& tree,
-                            double learning_rate) {
-  Emitted emitted;
-  if (tree.nodes().empty()) {
-    // MartModel sums lr * 0.0 for an empty tree; emit that as a leaf.
-    emitted.slot = static_cast<int32_t>(topo.size());
-    emitted.depth = 0;
-    topo.vec().push_back(PackTopo(0, 0));
-    split.vec().push_back(std::numeric_limits<double>::quiet_NaN());
-    leaf.vec().push_back(learning_rate * 0.0);
-  } else {
-    emitted = EmitSubtree(tree.nodes(), 0, learning_rate);
-  }
-  roots.vec().push_back(emitted.slot);
-  depth.vec().push_back(emitted.depth);
-  return emitted.slot;
-}
-
-void NodeStore::ScheduleRange(size_t t0, size_t t1) {
-  RPE_CHECK_EQ(sched.size(), t0);  // ranges are scheduled back to back
-  std::vector<int32_t>& order = sched.vec();
-  order.resize(t1);
-  for (size_t b = t0; b < t1; b += kBlock) {
-    const size_t e = std::min(t1, b + kBlock);
-    std::iota(order.begin() + static_cast<ptrdiff_t>(b),
-              order.begin() + static_cast<ptrdiff_t>(e),
-              static_cast<int32_t>(b));
-    // Stable depth sort inside the block: the 8-chain walk groups get
-    // trees of similar depth, so no chain idles in a parked leaf while a
-    // lone deep tree finishes.
-    std::stable_sort(order.begin() + static_cast<ptrdiff_t>(b),
-                     order.begin() + static_cast<ptrdiff_t>(e),
-                     [this](int32_t a, int32_t b2) {
-                       return depth[static_cast<size_t>(a)] <
-                              depth[static_cast<size_t>(b2)];
-                     });
-  }
-}
-
-namespace {
-
-/// One walk step: one 4-byte topo load yields both the feature id and the
-/// right-child distance; the split load and the (dependent) feature
-/// gather complete the step. Compiles to a conditional move — no
-/// data-dependent branch.
-inline int32_t Step(const double* __restrict x,
-                    const int32_t* __restrict topo,
-                    const double* __restrict split, int32_t idx) {
-  const int32_t packed = topo[idx];
-  const int32_t feat = packed & ((1 << NodeStore::kFeatureBits) - 1);
-  const int32_t right = idx + (packed >> NodeStore::kFeatureBits);
-  return x[feat] <= split[idx] ? idx + 1 : right;
-}
-
-}  // namespace
-
-double NodeStore::Score(const double* __restrict x, size_t t0, size_t t1,
-                        double init) const {
-  const int32_t* __restrict tp = topo.data();
-  const double* __restrict sp = split.data();
-  const double* __restrict lv = leaf.data();
-  const int32_t* __restrict sc = sched.data();
-  double f = init;
-  // Per block: walk in depth-sorted order, park leaf values in a block
-  // buffer, then accumulate in original tree order — the sum runs
-  // bias-first, tree 0, 1, 2, … exactly like MartModel::Predict, so the
-  // result bits don't depend on the walk schedule. Eight trees walk
-  // concurrently: eight independent load→compare→step chains overlap in
-  // the pipeline, where a single chain would stall on every node fetch.
-  for (size_t b = t0; b < t1; b += kBlock) {
-    const size_t e = std::min(t1, b + kBlock);
-    // While this block walks (~tens of cycles per chain round), pull the
-    // next block's root nodes into cache: their addresses are known now,
-    // and the walk would otherwise start with eight serial misses.
-    const size_t prefetch_end = std::min(t1, b + 2 * kBlock);
-    for (size_t k = e; k < prefetch_end; ++k) {
-      const int32_t r = roots[static_cast<size_t>(sc[k])];
-      __builtin_prefetch(&tp[r], 0, 1);
-      __builtin_prefetch(&sp[r], 0, 1);
-    }
-    double vals[kBlock];
-    size_t t = b;
-    for (; t + 8 <= e; t += 8) {
-      const int32_t T0 = sc[t], T1 = sc[t + 1], T2 = sc[t + 2],
-                    T3 = sc[t + 3], T4 = sc[t + 4], T5 = sc[t + 5],
-                    T6 = sc[t + 6], T7 = sc[t + 7];
-      int32_t c0 = roots[T0], c1 = roots[T1], c2 = roots[T2],
-              c3 = roots[T3], c4 = roots[T4], c5 = roots[T5],
-              c6 = roots[T6], c7 = roots[T7];
-      // Depth-sorted within the block: the group's max is the last tree.
-      // Best-first trees are unbalanced, so a typical root→leaf path is
-      // much shorter than the max depth; once every cursor is parked in a
-      // self-looping leaf (nothing moved this step), the group is done.
-      const int32_t steps = depth[T7];
-      for (int32_t s = 0; s < steps; ++s) {
-        const int32_t n0 = Step(x, tp, sp, c0);
-        const int32_t n1 = Step(x, tp, sp, c1);
-        const int32_t n2 = Step(x, tp, sp, c2);
-        const int32_t n3 = Step(x, tp, sp, c3);
-        const int32_t n4 = Step(x, tp, sp, c4);
-        const int32_t n5 = Step(x, tp, sp, c5);
-        const int32_t n6 = Step(x, tp, sp, c6);
-        const int32_t n7 = Step(x, tp, sp, c7);
-        const int32_t moved = (n0 ^ c0) | (n1 ^ c1) | (n2 ^ c2) |
-                              (n3 ^ c3) | (n4 ^ c4) | (n5 ^ c5) |
-                              (n6 ^ c6) | (n7 ^ c7);
-        c0 = n0;
-        c1 = n1;
-        c2 = n2;
-        c3 = n3;
-        c4 = n4;
-        c5 = n5;
-        c6 = n6;
-        c7 = n7;
-        if (moved == 0) break;
-      }
-      vals[T0 - b] = lv[c0];
-      vals[T1 - b] = lv[c1];
-      vals[T2 - b] = lv[c2];
-      vals[T3 - b] = lv[c3];
-      vals[T4 - b] = lv[c4];
-      vals[T5 - b] = lv[c5];
-      vals[T6 - b] = lv[c6];
-      vals[T7 - b] = lv[c7];
-    }
-    for (; t < e; ++t) {
-      const int32_t tree = sc[t];
-      int32_t c = roots[tree];
-      const int32_t steps = depth[tree];
-      for (int32_t s = 0; s < steps; ++s) {
-        const int32_t n = Step(x, tp, sp, c);
-        if (n == c) break;  // parked in a leaf
-        c = n;
-      }
-      vals[tree - b] = lv[c];
-    }
-    for (size_t k = b; k < e; ++k) f += vals[k - b];
-  }
-  return f;
-}
 
 namespace {
 
@@ -230,9 +60,9 @@ struct QsTreeBuilder {
 
 /// Sort raw entries into (feature, ascending threshold) order and fill
 /// the parallel feat_begin/threshold/entry_tree/entry_mask tables — the
-/// shared tail of the per-model and merged QuickScorer builds.
-template <typename Table>
-void FillEntryTables(std::vector<QsRawEntry>* entries, Table* out) {
+/// tail of FlatEnsembleSet::Compile.
+void FillEntryTables(std::vector<QsRawEntry>* entries,
+                     MergedQuickScorer* out) {
   // Threshold ties need no particular order: x > threshold fires all or
   // none, and mask ANDs commute.
   std::stable_sort(entries->begin(), entries->end(),
@@ -257,117 +87,6 @@ void FillEntryTables(std::vector<QsRawEntry>* entries, Table* out) {
 }
 
 }  // namespace
-
-QuickScorerModel QuickScorerModel::Build(const MartModel& model) {
-  QuickScorerModel qs;
-  qs.bias = model.bias();
-  qs.num_trees = static_cast<int32_t>(model.num_trees());
-  for (const RegressionTree& tree : model.trees()) {
-    if (tree.num_leaves() > 64) return qs;  // usable stays false
-    for (const auto& n : tree.nodes()) {
-      qs.num_features = std::max(qs.num_features, n.feature + 1);
-    }
-  }
-
-  std::vector<QsRawEntry> entries;
-  for (int32_t t = 0; t < qs.num_trees; ++t) {
-    const RegressionTree& tree = model.trees()[static_cast<size_t>(t)];
-    qs.leaf_base.vec().push_back(static_cast<int32_t>(qs.leaf_value.size()));
-    QsTreeBuilder builder{&tree.nodes(), &entries, &qs.leaf_value.vec(), t};
-    if (tree.nodes().empty()) {
-      // MartModel sums lr * 0.0 for an empty tree: one constant leaf.
-      qs.leaf_value.vec().push_back(model.learning_rate() * 0.0);
-      builder.next_leaf = 1;
-    } else {
-      builder.Walk(0, model.learning_rate());
-    }
-    qs.init_mask.vec().push_back(
-        builder.next_leaf >= 64 ? ~uint64_t{0}
-                                : (uint64_t{1} << builder.next_leaf) - 1);
-  }
-
-  FillEntryTables(&entries, &qs);
-  qs.usable = true;
-  return qs;
-}
-
-double QuickScorerModel::Score(const double* __restrict x,
-                               std::vector<uint64_t>* bits_scratch) const {
-  std::vector<uint64_t>& bits = *bits_scratch;
-  bits.assign(init_mask.begin(), init_mask.end());
-  const double* __restrict thr = threshold.data();
-  const int32_t* __restrict tr = entry_tree.data();
-  const uint64_t* __restrict mk = entry_mask.data();
-  for (int32_t f = 0; f < num_features; ++f) {
-    const size_t end = feat_begin[static_cast<size_t>(f) + 1];
-    size_t k = feat_begin[static_cast<size_t>(f)];
-    const double xf = x[f];
-    if (std::isnan(xf)) {
-      // The tree walk sends NaN right at every node (x <= t is false),
-      // so every node of this feature is a false node.
-      for (; k < end; ++k) bits[static_cast<size_t>(tr[k])] &= mk[k];
-      continue;
-    }
-    // Ascending thresholds: once xf <= thr[k] the walk would go left at
-    // this and every later node of this feature — stop.
-    for (; k < end && xf > thr[k]; ++k) {
-      bits[static_cast<size_t>(tr[k])] &= mk[k];
-    }
-  }
-  double f = bias;
-  const int32_t* __restrict lb = leaf_base.data();
-  const double* __restrict lv = leaf_value.data();
-  for (int32_t t = 0; t < num_trees; ++t) {
-    // The exit leaf is the lowest surviving bit (leaves left of it were
-    // cleared by a false node on the exit path; see header comment).
-    f += lv[lb[t] + std::countr_zero(bits[static_cast<size_t>(t)])];
-  }
-  return f;
-}
-
-MergedQuickScorer MergedQuickScorer::Build(
-    const std::vector<QuickScorerModel>& models) {
-  MergedQuickScorer merged;
-  for (const QuickScorerModel& qs : models) {
-    if (!qs.usable) return merged;  // usable stays false
-    merged.num_features = std::max(merged.num_features, qs.num_features);
-  }
-
-  merged.model_tree_begin.vec().push_back(0);
-  for (const QuickScorerModel& qs : models) {
-    const int32_t leaf_off = static_cast<int32_t>(merged.leaf_value.size());
-    merged.bias.vec().push_back(qs.bias);
-    merged.init_mask.vec().insert(merged.init_mask.vec().end(),
-                                  qs.init_mask.begin(), qs.init_mask.end());
-    for (int32_t lb : qs.leaf_base) {
-      merged.leaf_base.vec().push_back(leaf_off + lb);
-    }
-    merged.leaf_value.vec().insert(merged.leaf_value.vec().end(),
-                                   qs.leaf_value.begin(),
-                                   qs.leaf_value.end());
-    merged.model_tree_begin.vec().push_back(merged.model_tree_begin.back() +
-                                            qs.num_trees);
-  }
-
-  // Re-sort every model's (already feature-grouped) entries into one
-  // global (feature, ascending threshold) order with global tree ids.
-  std::vector<QsRawEntry> entries;
-  for (size_t m = 0; m < models.size(); ++m) {
-    const QuickScorerModel& qs = models[m];
-    const int32_t tree_off = merged.model_tree_begin[m];
-    for (int32_t f = 0; f < qs.num_features; ++f) {
-      for (size_t k = qs.feat_begin[static_cast<size_t>(f)];
-           k < qs.feat_begin[static_cast<size_t>(f) + 1]; ++k) {
-        entries.push_back(
-            {f, qs.threshold[k], tree_off + qs.entry_tree[k],
-             qs.entry_mask[k]});
-      }
-    }
-  }
-  FillEntryTables(&entries, &merged);
-  merged.usable = true;
-  return merged;
-}
 
 void MergedQuickScorer::ScoreAll(const double* __restrict x,
                                  std::vector<uint64_t>* bits_scratch,
@@ -498,7 +217,7 @@ __attribute__((target("avx2"))) void ScoreTile8Avx2(
       // Ascending thresholds: once no lane exceeds thr[k] none exceeds
       // any later threshold of this feature — the whole tile exits, the
       // batch form of ScoreAll's early exit (validated for borrowed
-      // tables by CheckQuickScorerTables).
+      // tables by FlatEnsembleSet::FromParts).
       if (_mm256_testz_si256(c0, c0) && _mm256_testz_si256(c1, c1)) break;
       const __m256i mkv =
           _mm256_set1_epi64x(static_cast<long long>(mk[k]));
@@ -587,54 +306,40 @@ void MergedQuickScorer::PredictAllBatch(std::span<const double* const> rows,
 
 }  // namespace flat_internal
 
-FlatEnsemble FlatEnsemble::Compile(const MartModel& model) {
-  FlatEnsemble flat;
-  flat.bias_ = model.bias();
-  flat.store_.roots.vec().reserve(model.num_trees());
-  flat.store_.depth.vec().reserve(model.num_trees());
-  for (const RegressionTree& tree : model.trees()) {
-    flat.store_.EmitTree(tree, model.learning_rate());
-  }
-  flat.store_.ScheduleRange(0, model.num_trees());
-  return flat;
-}
-
-double FlatEnsemble::Predict(std::span<const double> features) const {
-  return store_.Score(features.data(), 0, num_trees(), bias_);
-}
-
-void FlatEnsemble::PredictBatch(const Dataset& data,
-                                std::span<double> out) const {
-  RPE_CHECK_EQ(out.size(), data.num_examples());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = bias_;
-  // Tile over tree blocks small enough to stay cache-resident across the
-  // whole batch; every row still accumulates trees in ascending order
-  // (bias first), so each out[i] is bitwise equal to Predict(row i).
-  const size_t nt = num_trees();
-  for (size_t t0 = 0; t0 < nt; t0 += flat_internal::NodeStore::kBlock) {
-    const size_t t1 = std::min(nt, t0 + flat_internal::NodeStore::kBlock);
-    for (size_t i = 0; i < out.size(); ++i) {
-      out[i] = store_.Score(data.ExampleSpan(i).data(), t0, t1, out[i]);
-    }
-  }
-}
-
 FlatEnsembleSet FlatEnsembleSet::Compile(const std::vector<MartModel>& models) {
   FlatEnsembleSet set;
-  set.bias_.vec().reserve(models.size());
-  set.tree_begin_.vec().reserve(models.size() + 1);
-  set.tree_begin_.vec().push_back(0);
+  flat_internal::MergedQuickScorer& qs = set.merged_;
+  // Raw entries are appended model by model, each tree in DFS order, with
+  // global tree ids; FillEntryTables' stable sort then orders threshold
+  // ties by model, then by DFS position.
+  std::vector<flat_internal::QsRawEntry> entries;
+  qs.model_tree_begin.vec().push_back(0);
   for (const MartModel& model : models) {
-    set.bias_.vec().push_back(model.bias());
+    qs.bias.vec().push_back(model.bias());
     for (const RegressionTree& tree : model.trees()) {
-      set.store_.EmitTree(tree, model.learning_rate());
+      RPE_CHECK_LE(tree.num_leaves(), kMaxTreeLeaves);
+      for (const auto& n : tree.nodes()) {
+        qs.num_features = std::max(qs.num_features, n.feature + 1);
+      }
+      qs.leaf_base.vec().push_back(static_cast<int32_t>(qs.leaf_value.size()));
+      flat_internal::QsTreeBuilder builder{
+          &tree.nodes(), &entries, &qs.leaf_value.vec(),
+          static_cast<int32_t>(qs.init_mask.size())};
+      if (tree.nodes().empty()) {
+        // MartModel sums lr * 0.0 for an empty tree: one constant leaf.
+        qs.leaf_value.vec().push_back(model.learning_rate() * 0.0);
+        builder.next_leaf = 1;
+      } else {
+        builder.Walk(0, model.learning_rate());
+      }
+      qs.init_mask.vec().push_back(
+          builder.next_leaf >= 64 ? ~uint64_t{0}
+                                  : (uint64_t{1} << builder.next_leaf) - 1);
     }
-    set.store_.ScheduleRange(static_cast<size_t>(set.tree_begin_.back()),
-                             set.store_.roots.size());
-    set.tree_begin_.vec().push_back(set.store_.roots.size());
-    set.qs_.push_back(flat_internal::QuickScorerModel::Build(model));
+    qs.model_tree_begin.vec().push_back(
+        static_cast<int32_t>(qs.init_mask.size()));
   }
-  set.merged_ = flat_internal::MergedQuickScorer::Build(set.qs_);
+  flat_internal::FillEntryTables(&entries, &qs);
   return set;
 }
 
@@ -644,42 +349,46 @@ Status FlatInvalid(const std::string& what) {
   return Status::InvalidArgument("flat snapshot section: " + what);
 }
 
-/// Shared checks for a QuickScorer table (per-model or merged): entry
-/// lists consistent with feat_begin, tree ids in [0, num_trees), and
-/// every reachable leaf index inside leaf_value. `leaf_value` must carry
-/// the writer's 64-slot guard tail: a hostile mask set can clear a tree's
-/// whole bitvector, and countr_zero(0) == 64 then indexes leaf_base + 64
-/// — inside the guard, never past the slab.
-template <typename Table>
-Status CheckQuickScorerTables(const Table& t, int32_t num_trees,
-                              size_t num_inputs, const char* what) {
-  const std::string where(what);
+}  // namespace
+
+Result<FlatEnsembleSet> FlatEnsembleSet::FromParts(
+    flat_internal::MergedQuickScorer t, size_t num_inputs) {
+  const size_t num_models = t.bias.size();
+  if (t.model_tree_begin.size() != num_models + 1 ||
+      t.model_tree_begin[0] != 0) {
+    return FlatInvalid("model table shape");
+  }
+  for (size_t m = 0; m < num_models; ++m) {
+    if (t.model_tree_begin[m + 1] < t.model_tree_begin[m]) {
+      return FlatInvalid("model_tree_begin not nondecreasing");
+    }
+  }
+  const int32_t num_trees = t.model_tree_begin.back();
   if (t.num_features < 0 ||
       static_cast<size_t>(t.num_features) > num_inputs) {
-    return FlatInvalid(where + " feature count out of range");
+    return FlatInvalid("feature count out of range");
   }
-  if (num_trees < 0 ||
-      t.init_mask.size() != static_cast<size_t>(num_trees) ||
+  if (t.init_mask.size() != static_cast<size_t>(num_trees) ||
       t.leaf_base.size() != static_cast<size_t>(num_trees)) {
-    return FlatInvalid(where + " per-tree table sizes disagree");
+    return FlatInvalid("per-tree table sizes disagree");
   }
   if (t.feat_begin.size() != static_cast<size_t>(t.num_features) + 1 ||
-      (t.feat_begin.size() > 0 && t.feat_begin[0] != 0)) {
-    return FlatInvalid(where + " feat_begin shape");
+      t.feat_begin[0] != 0) {
+    return FlatInvalid("feat_begin shape");
   }
   for (size_t f = 1; f < t.feat_begin.size(); ++f) {
     if (t.feat_begin[f] < t.feat_begin[f - 1]) {
-      return FlatInvalid(where + " feat_begin not nondecreasing");
+      return FlatInvalid("feat_begin not nondecreasing");
     }
   }
   const size_t entries = t.threshold.size();
   if (t.entry_tree.size() != entries || t.entry_mask.size() != entries ||
-      (t.feat_begin.size() > 0 && t.feat_begin.back() != entries)) {
-    return FlatInvalid(where + " entry table sizes disagree");
+      t.feat_begin.back() != entries) {
+    return FlatInvalid("entry table sizes disagree");
   }
   for (size_t k = 0; k < entries; ++k) {
     if (t.entry_tree[k] < 0 || t.entry_tree[k] >= num_trees) {
-      return FlatInvalid(where + " entry tree id out of range");
+      return FlatInvalid("entry tree id out of range");
     }
   }
   // Both scoring paths early-exit a feature's entry list at the first
@@ -692,182 +401,52 @@ Status CheckQuickScorerTables(const Table& t, int32_t num_trees,
     for (size_t k = t.feat_begin[f]; k < t.feat_begin[f + 1]; ++k) {
       if (std::isnan(t.threshold[k]) ||
           (k > t.feat_begin[f] && t.threshold[k] < t.threshold[k - 1])) {
-        return FlatInvalid(where + " entry thresholds not ascending");
+        return FlatInvalid("entry thresholds not ascending");
       }
     }
   }
+  // leaf_value must carry the writer's 64-slot guard tail: a hostile mask
+  // set can clear a tree's whole bitvector, and countr_zero(0) == 64 then
+  // indexes leaf_base + 64 — inside the guard, never past the slab.
   for (int32_t tr = 0; tr < num_trees; ++tr) {
     const int32_t lb = t.leaf_base[static_cast<size_t>(tr)];
     if (t.init_mask[static_cast<size_t>(tr)] == 0 || lb < 0 ||
         static_cast<size_t>(lb) + 65 > t.leaf_value.size()) {
-      return FlatInvalid(where + " leaf table out of range");
+      return FlatInvalid("leaf table out of range");
     }
-  }
-  return Status::OK();
-}
-
-Status CheckNodeStore(const flat_internal::NodeStore& store,
-                      size_t num_inputs) {
-  const size_t num_trees = store.roots.size();
-  const size_t num_nodes = store.topo.size();
-  if (store.depth.size() != num_trees || store.sched.size() != num_trees ||
-      store.split.size() != num_nodes || store.leaf.size() != num_nodes) {
-    return FlatInvalid("node store slab sizes disagree");
-  }
-  if (num_nodes > 0 && num_inputs == 0) {
-    return FlatInvalid("node store with zero-width inputs");
-  }
-  for (size_t t = 0; t < num_trees; ++t) {
-    if (store.roots[t] < 0 ||
-        static_cast<size_t>(store.roots[t]) >= num_nodes ||
-        store.depth[t] < 0 ||
-        static_cast<size_t>(store.depth[t]) > num_nodes) {
-      return FlatInvalid("tree root or depth out of range");
-    }
-  }
-  constexpr int32_t kFeatureMask =
-      (1 << flat_internal::NodeStore::kFeatureBits) - 1;
-  for (size_t i = 0; i < num_nodes; ++i) {
-    const int32_t packed = store.topo[i];
-    const int32_t delta = packed >> flat_internal::NodeStore::kFeatureBits;
-    const int32_t feature = packed & kFeatureMask;
-    if (packed < 0 || static_cast<size_t>(feature) >= num_inputs) {
-      return FlatInvalid("node feature out of range");
-    }
-    if (delta == 0) {
-      // A leaf must park: a finite split would let the walk step to
-      // slot i + 1, which may not exist.
-      if (!std::isnan(store.split[i])) {
-        return FlatInvalid("leaf node with a finite split");
-      }
-    } else if (i + static_cast<size_t>(delta) >= num_nodes) {
-      return FlatInvalid("right-child delta past the node store");
-    }
-  }
-  return Status::OK();
-}
-
-/// The walk schedule must be a permutation of each kBlock-aligned block
-/// of each model's tree range — Score scatters leaf values with
-/// vals[sched[t] - block_base], so anything else indexes off the block
-/// buffer.
-Status CheckSchedule(const flat_internal::NodeStore& store,
-                     const Slab<uint64_t>& tree_begin) {
-  constexpr size_t kBlock = flat_internal::NodeStore::kBlock;
-  bool seen[kBlock];
-  for (size_t m = 0; m + 1 < tree_begin.size(); ++m) {
-    const size_t t0 = tree_begin[m];
-    const size_t t1 = tree_begin[m + 1];
-    for (size_t b = t0; b < t1; b += kBlock) {
-      const size_t e = std::min(t1, b + kBlock);
-      std::fill(seen, seen + (e - b), false);
-      for (size_t t = b; t < e; ++t) {
-        const int32_t tree = store.sched[t];
-        if (tree < 0 || static_cast<size_t>(tree) < b ||
-            static_cast<size_t>(tree) >= e ||
-            seen[static_cast<size_t>(tree) - b]) {
-          return FlatInvalid("walk schedule is not a per-block permutation");
-        }
-        seen[static_cast<size_t>(tree) - b] = true;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<FlatEnsembleSet> FlatEnsembleSet::FromParts(Parts parts,
-                                                   size_t num_inputs) {
-  const size_t num_models = parts.bias.size();
-  if (parts.tree_begin.size() != num_models + 1 || parts.tree_begin[0] != 0) {
-    return FlatInvalid("tree_begin shape");
-  }
-  for (size_t m = 0; m < num_models; ++m) {
-    if (parts.tree_begin[m + 1] < parts.tree_begin[m]) {
-      return FlatInvalid("tree_begin not nondecreasing");
-    }
-  }
-  if (parts.tree_begin.back() != parts.store.roots.size()) {
-    return FlatInvalid("tree_begin does not cover the node store");
-  }
-  RPE_RETURN_NOT_OK(CheckNodeStore(parts.store, num_inputs));
-  RPE_RETURN_NOT_OK(CheckSchedule(parts.store, parts.tree_begin));
-  if (parts.qs.size() != num_models) {
-    return FlatInvalid("per-model QuickScorer count disagrees");
-  }
-  for (const flat_internal::QuickScorerModel& qs : parts.qs) {
-    if (!qs.usable) continue;
-    RPE_RETURN_NOT_OK(CheckQuickScorerTables(qs, qs.num_trees, num_inputs,
-                                             "per-model QuickScorer"));
-  }
-  if (parts.merged.usable) {
-    const auto& merged = parts.merged;
-    if (merged.model_tree_begin.size() != num_models + 1 ||
-        merged.bias.size() != num_models ||
-        (num_models > 0 && merged.model_tree_begin[0] != 0)) {
-      return FlatInvalid("merged model table shape");
-    }
-    for (size_t m = 0; m < num_models; ++m) {
-      if (merged.model_tree_begin[m + 1] < merged.model_tree_begin[m]) {
-        return FlatInvalid("merged model_tree_begin not nondecreasing");
-      }
-    }
-    const int32_t total_trees =
-        num_models > 0 ? merged.model_tree_begin.back() : 0;
-    RPE_RETURN_NOT_OK(CheckQuickScorerTables(merged, total_trees, num_inputs,
-                                             "merged QuickScorer"));
   }
   FlatEnsembleSet set;
-  set.bias_ = std::move(parts.bias);
-  set.tree_begin_ = std::move(parts.tree_begin);
-  set.store_ = std::move(parts.store);
-  set.qs_ = std::move(parts.qs);
-  set.merged_ = std::move(parts.merged);
+  set.merged_ = std::move(t);
   return set;
-}
-
-double FlatEnsembleSet::ScoreModel(size_t m, const double* x) const {
-  if (qs_[m].usable) {
-    // Thread-local scratch keeps the hot path allocation-free after the
-    // first call on each thread.
-    static thread_local std::vector<uint64_t> bits;
-    return qs_[m].Score(x, &bits);
-  }
-  return store_.Score(x, static_cast<size_t>(tree_begin_[m]),
-                      static_cast<size_t>(tree_begin_[m + 1]), bias_[m]);
 }
 
 void FlatEnsembleSet::PredictAll(std::span<const double> features,
                                  std::span<double> out) const {
   RPE_CHECK_EQ(out.size(), num_models());
-  if (merged_.usable) {
-    static thread_local std::vector<uint64_t> bits;
-    merged_.ScoreAll(features.data(), &bits, out);
-    return;
-  }
-  for (size_t m = 0; m < out.size(); ++m) {
-    out[m] = ScoreModel(m, features.data());
-  }
+  // Thread-local scratch keeps the hot path allocation-free after the
+  // first call on each thread.
+  static thread_local std::vector<uint64_t> bits;
+  merged_.ScoreAll(features.data(), &bits, out);
 }
 
 void FlatEnsembleSet::PredictAllBatch(std::span<const double* const> rows,
                                       std::span<double> out) const {
-  RPE_CHECK_EQ(out.size(), rows.size() * num_models());
-  if (merged_.usable) {
-    static thread_local flat_internal::MergedQuickScorer::BatchScratch
-        scratch;
-    merged_.PredictAllBatch(rows, &scratch, out);
-    return;
-  }
-  // No merged tables (node-walk fallback models): per-row, the exact
-  // PredictAll loop.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t m = 0; m < num_models(); ++m) {
-      out[r * num_models() + m] = ScoreModel(m, rows[r]);
-    }
-  }
+  static thread_local flat_internal::MergedQuickScorer::BatchScratch scratch;
+  merged_.PredictAllBatch(rows, &scratch, out);
 }
+
+namespace {
+
+/// First index of the smallest of `scores` (first on ties).
+size_t FirstMin(const double* scores, size_t n) {
+  size_t best = 0;
+  for (size_t m = 1; m < n; ++m) {
+    if (scores[m] < scores[best]) best = m;
+  }
+  return best;
+}
+
+}  // namespace
 
 void FlatEnsembleSet::ArgMinBatch(std::span<const double* const> rows,
                                   std::span<size_t> out) const {
@@ -878,37 +457,16 @@ void FlatEnsembleSet::ArgMinBatch(std::span<const double* const> rows,
   scores.resize(rows.size() * num_models());
   PredictAllBatch(rows, scores);
   for (size_t r = 0; r < rows.size(); ++r) {
-    const double* row = scores.data() + r * num_models();
-    size_t best = 0;
-    for (size_t m = 1; m < num_models(); ++m) {
-      if (row[m] < row[best]) best = m;
-    }
-    out[r] = best;
+    out[r] = FirstMin(scores.data() + r * num_models(), num_models());
   }
 }
 
 size_t FlatEnsembleSet::ArgMin(std::span<const double> features) const {
   RPE_CHECK_GT(num_models(), 0u);
-  if (merged_.usable) {
-    static thread_local std::vector<double> scores;
-    scores.resize(num_models());
-    PredictAll(features, scores);
-    size_t best = 0;
-    for (size_t m = 1; m < scores.size(); ++m) {
-      if (scores[m] < scores[best]) best = m;
-    }
-    return best;
-  }
-  size_t best = 0;
-  double best_value = ScoreModel(0, features.data());
-  for (size_t m = 1; m < num_models(); ++m) {
-    const double v = ScoreModel(m, features.data());
-    if (v < best_value) {
-      best_value = v;
-      best = m;
-    }
-  }
-  return best;
+  static thread_local std::vector<double> scores;
+  scores.resize(num_models());
+  PredictAll(features, scores);
+  return FirstMin(scores.data(), scores.size());
 }
 
 }  // namespace rpe

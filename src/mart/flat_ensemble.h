@@ -1,32 +1,31 @@
-// Compiled inference layout for trained MART ensembles. A FlatEnsemble
-// re-packs a MartModel's pointer-chased per-tree Node vectors into one
-// contiguous structure-of-arrays buffer: per-node packed topology words
-// (feature id + right-child offset in one int32), split thresholds, leaf
-// values, and per-tree roots/depths; nodes in preorder so the left child
-// is always the next slot, with the learning rate pre-folded into the
-// leaf values. Leaves are self-looping (NaN split, right = self), so
-// scoring walks a fixed per-tree depth with no leaf test, and eight trees
-// walk concurrently as independent dependency chains to hide load
-// latency; trees are walked depth-sorted within 16-tree blocks so the
-// chains finish together instead of idling at the block's deepest tree.
-// This is what makes the per-candidate scoring of the selection stack
-// (selector × pool × observation) cheap enough for continuous
-// monitoring. Predictions are bit-exact with MartModel::Predict: leaf
-// values land in a block buffer and accumulate in original tree order
-// from the bias, so only the walk schedule differs, never the summation
-// order.
+// Compiled inference layout for trained MART ensembles. A FlatEnsembleSet
+// packs several models (the per-candidate error regressors of
+// EstimatorSelector) into one set of QuickScorer-style tables (Lucchese et
+// al., SIGIR'15 idiom) merged across the whole set: per feature, the split
+// nodes of every model sorted by threshold; each carries a bitmask clearing
+// its left subtree's leaves. Scoring scans each feature's list while
+// x[f] > threshold (a false node means the walk would go right, abandoning
+// the left subtree) and ANDs the masks into per-tree leaf bitvectors; the
+// exit leaf of every tree is then the lowest surviving bit. Sequential
+// streaming replaces the pointer-chased walk entirely, and x[f] is loaded
+// (and NaN-tested) once per feature for the whole pool instead of once per
+// model. This is what makes the per-candidate scoring of the selection
+// stack (selector × pool × observation) cheap enough for continuous
+// monitoring.
 //
-// FlatEnsembleSet packs several models (the per-candidate error
-// regressors of EstimatorSelector) into a single buffer for multi-model
-// scoring of one feature vector without per-model call overhead.
+// Predictions are bit-exact with MartModel::Predict: the chosen leaf is the
+// one the tree walk reaches, leaf values carry the learning rate pre-folded
+// (FP multiplication is deterministic), and they accumulate per model in
+// tree order from the bias. One uint64 bitvector per tree is why trees are
+// capped at kMaxTreeLeaves (64) leaves (mart/tree.h).
 //
 // Storage: every table is a Slab — owned when compiled in memory
 // (Compile), borrowed when rebuilt over a zero-copy snapshot mapping
 // (FromParts, fed by serving/mmap_arena.h). Scoring reads only through
 // the slab views, so both forms score bit-identically. FromParts is the
-// untrusted-input gate for borrowed tables: every index a scoring walk
-// can follow is bounds-checked there, so a hostile snapshot yields a
-// Status, never UB.
+// untrusted-input gate for borrowed tables: every index scoring can
+// follow is bounds-checked there, so a hostile snapshot yields a Status,
+// never UB.
 #pragma once
 
 #include <cstdint>
@@ -41,56 +40,14 @@ namespace rpe {
 
 namespace flat_internal {
 
-/// QuickScorer-style evaluation tables for one model (Lucchese et al.,
-/// SIGIR'15 idiom): per feature, the model's split nodes sorted by
-/// threshold; each carries a bitmask clearing its left subtree's leaves.
-/// Scoring scans each feature's list while x[f] > threshold (a false
-/// node means the walk would go right, abandoning the left subtree) and
-/// ANDs the masks into per-tree leaf bitvectors; the exit leaf of every
-/// tree is then the lowest surviving bit. Sequential streaming replaces
-/// the pointer-chased walk entirely; the chosen leaf — and therefore the
-/// scored value — is identical, and leaves accumulate in tree order, so
-/// results stay bit-exact with MartModel::Predict. Only usable when every
-/// tree has at most 64 leaves (one uint64 bitvector per tree).
-struct QuickScorerModel {
-  /// Build from `model`; sets usable = false (leaving the store's walk
-  /// path in charge) if a tree exceeds 64 leaves.
-  static QuickScorerModel Build(const MartModel& model);
-
-  double Score(const double* x, std::vector<uint64_t>* bits_scratch) const;
-
-  bool usable = false;
-  double bias = 0.0;
-  int32_t num_trees = 0;
-  int32_t num_features = 0;  ///< max split feature id + 1
-
-  /// Per feature f: entries [feat_begin[f], feat_begin[f+1]) sorted by
-  /// ascending threshold (parallel arrays).
-  Slab<uint64_t> feat_begin;
-  Slab<double> threshold;
-  Slab<int32_t> entry_tree;
-  Slab<uint64_t> entry_mask;
-
-  Slab<uint64_t> init_mask;  ///< per tree: one bit per leaf
-  Slab<int32_t> leaf_base;   ///< per tree, into leaf_value
-  Slab<double> leaf_value;   ///< lr * leaf, left-to-right per tree
-};
-
-/// Per-feature evaluation tables merged across ALL models of a set: the
-/// feature-f split nodes of every model concatenated and sorted by
-/// threshold, so scoring the whole pool scans one merged list per feature
-/// behind a single shared feature loop — x[f] is loaded (and its NaN test
-/// done) once per feature for the entire set instead of once per model.
-/// Bit-exact with scoring each model's own QuickScorerModel: per model the
-/// same entry set fires (mask ANDs commute), and leaf values accumulate in
-/// the same per-model tree order from the bias. Only built when every
-/// model of the set is QuickScorer-usable.
+/// The merged evaluation tables of a model set (layout described above).
+/// Tree ids are global across the set; model m owns trees
+/// [model_tree_begin[m], model_tree_begin[m + 1]).
 struct MergedQuickScorer {
-  static MergedQuickScorer Build(const std::vector<QuickScorerModel>& models);
-
   /// out[m] = model m's prediction for x; out.size() must equal the model
   /// count. `bits_scratch` is reused across calls (resized to the global
-  /// tree count), keeping the hot path allocation-free.
+  /// tree count), keeping the hot path allocation-free. The row kernel:
+  /// also the batch kernel's tail path and its scalar reference.
   void ScoreAll(const double* x, std::vector<uint64_t>* bits_scratch,
                 std::span<double> out) const;
 
@@ -118,155 +75,65 @@ struct MergedQuickScorer {
   void PredictAllBatch(std::span<const double* const> rows,
                        BatchScratch* scratch, std::span<double> out) const;
 
-  bool usable = false;
-  int32_t num_features = 0;  ///< max over models
+  int32_t num_features = 0;  ///< max split feature id + 1 over the set
 
   /// Per feature f: entries [feat_begin[f], feat_begin[f+1]) sorted by
-  /// ascending threshold (parallel arrays); trees are global ids.
+  /// ascending threshold (parallel arrays).
   Slab<uint64_t> feat_begin;
   Slab<double> threshold;
   Slab<int32_t> entry_tree;
   Slab<uint64_t> entry_mask;
 
-  Slab<uint64_t> init_mask;  ///< per global tree: one bit per leaf
-  Slab<int32_t> leaf_base;   ///< per global tree, into leaf_value
-  Slab<double> leaf_value;   ///< concatenated per-model leaf tables
+  Slab<uint64_t> init_mask;  ///< per tree: one bit per leaf
+  Slab<int32_t> leaf_base;   ///< per tree, into leaf_value
+  /// lr * leaf, left-to-right per tree, trees concatenated. A persisted
+  /// table carries a 64-slot zero guard tail (see FromParts).
+  Slab<double> leaf_value;
   Slab<int32_t> model_tree_begin;  ///< per model + 1, global tree ids
   Slab<double> bias;               ///< per model
 };
 
-/// The shared structure-of-arrays node store; one instance holds every
-/// tree of one ensemble (or of a whole model set) back to back.
-struct NodeStore {
-  /// Append `tree` in preorder; returns its root slot. Leaves carry
-  /// lr * value in `leaf` and self-loop (NaN split / right = self).
-  int32_t EmitTree(const RegressionTree& tree, double learning_rate);
-
-  /// Build the depth-sorted walk schedule for the tree range [t0, t1)
-  /// (one range per model). Call once per range after its EmitTree calls.
-  void ScheduleRange(size_t t0, size_t t1);
-
-  /// Walk trees [t0, t1) for `x`, accumulating onto `init` in tree order
-  /// (bit-exact with the sequential per-tree sum). [t0, t1) must be a
-  /// scheduled range or a kBlock-aligned sub-range of one.
-  double Score(const double* x, size_t t0, size_t t1, double init) const;
-
-  /// Feature id (low 10 bits) and the right child's forward distance
-  /// (upper 22 bits, preorder ⇒ always in (0, subtree size)) packed so one
-  /// 4-byte load fetches a node's topology; the left child is always
-  /// slot + 1. Leaves pack feature 0 and distance 0 (right = self).
-  static constexpr int kFeatureBits = 10;
-  static int32_t PackTopo(int32_t feature, int32_t right_delta) {
-    return right_delta << kFeatureBits | feature;
-  }
-
-  /// Trees are depth-sorted and leaf-buffered in blocks of this many
-  /// trees (two 8-chain groups); PredictBatch tiles must align to it.
-  static constexpr size_t kBlock = 16;
-
-  Slab<int32_t> roots;  ///< per tree: root node slot
-  Slab<int32_t> depth;  ///< per tree: exact walk length
-  /// Walk order: per kBlock-aligned block of each scheduled range, tree
-  /// ids sorted by depth so concurrently walked trees have similar
-  /// depths. A permutation within each block.
-  Slab<int32_t> sched;
-  Slab<int32_t> topo;  ///< packed (feature id, right-child delta)
-  /// Split threshold; quiet NaN at leaves so any comparison sends the
-  /// walk right, i.e. back to the leaf itself.
-  Slab<double> split;
-  /// learning_rate * leaf value (folding the multiply is bit-exact: FP
-  /// multiplication is deterministic, only computed once); 0 elsewhere.
-  Slab<double> leaf;
-
- private:
-  struct Emitted {
-    int32_t slot;
-    int32_t depth;
-  };
-  Emitted EmitSubtree(const std::vector<RegressionTree::Node>& nodes,
-                      int old_idx, double learning_rate);
-};
-
 }  // namespace flat_internal
 
-/// \brief One MartModel compiled for fast scoring.
-class FlatEnsemble {
- public:
-  FlatEnsemble() = default;
-
-  static FlatEnsemble Compile(const MartModel& model);
-
-  /// Bit-exact equivalent of MartModel::Predict.
-  double Predict(std::span<const double> features) const;
-
-  /// Score every example of `data`; out.size() must equal
-  /// data.num_examples().
-  void PredictBatch(const Dataset& data, std::span<double> out) const;
-
-  size_t num_trees() const { return store_.roots.size(); }
-  size_t num_nodes() const { return store_.topo.size(); }
-  double bias() const { return bias_; }
-
- private:
-  double bias_ = 0.0;
-  flat_internal::NodeStore store_;
-};
-
-/// \brief Several models packed into one buffer, scored together — the
+/// \brief Several models packed into one table set, scored together — the
 /// selection-stack hot path (one error regressor per pool candidate).
 class FlatEnsembleSet {
  public:
   FlatEnsembleSet() = default;
 
+  /// Compile `models`; every tree must have at most kMaxTreeLeaves leaves
+  /// (MartModel::Train and EstimatorSelector::FromModels guarantee it).
   static FlatEnsembleSet Compile(const std::vector<MartModel>& models);
 
-  /// The full compiled state, exposed so a snapshot writer can persist it
-  /// and the zero-copy loader can rebuild a set over borrowed slabs.
-  struct Parts {
-    Slab<double> bias;          ///< per model
-    Slab<uint64_t> tree_begin;  ///< per model + 1, into store.roots
-    flat_internal::NodeStore store;
-    std::vector<flat_internal::QuickScorerModel> qs;  ///< per model
-    flat_internal::MergedQuickScorer merged;
-  };
-
-  /// Rebuild a set from persisted parts (zero-copy snapshot load path).
+  /// Rebuild a set from persisted tables (zero-copy snapshot load path).
   /// This is the untrusted-input gate: the slabs may alias raw file bytes,
-  /// so every index scoring can reach — tree ranges, walk topology,
-  /// schedule permutations, QuickScorer entry/leaf tables — is
-  /// bounds-checked against `num_inputs` (the feature-vector width scoring
-  /// will be called with) before anything is walked. Returns
+  /// so every index scoring can reach — model tree ranges, entry tree ids,
+  /// leaf bases (leaf_value must carry the writer's 64-slot guard tail) —
+  /// is bounds-checked against `num_inputs` (the feature-vector width
+  /// scoring will be called with) before anything is scored. Returns
   /// InvalidArgument instead of invoking UB on a hostile or truncated
   /// snapshot. Validation is structural only, so a set that passes scores
   /// without further checks; it scores bit-identically to the Compile'd
-  /// set its parts were persisted from.
-  static Result<FlatEnsembleSet> FromParts(Parts parts, size_t num_inputs);
+  /// set its tables were persisted from.
+  static Result<FlatEnsembleSet> FromParts(
+      flat_internal::MergedQuickScorer tables, size_t num_inputs);
 
-  /// Read access for the snapshot writer (mirrors Parts).
-  const Slab<double>& bias_slab() const { return bias_; }
-  const Slab<uint64_t>& tree_begin_slab() const { return tree_begin_; }
-  const flat_internal::NodeStore& store() const { return store_; }
-  const std::vector<flat_internal::QuickScorerModel>& quickscorers() const {
-    return qs_;
-  }
+  /// The compiled tables, for the snapshot writer.
   const flat_internal::MergedQuickScorer& merged() const { return merged_; }
 
-  size_t num_models() const { return bias_.size(); }
-  size_t num_nodes() const { return store_.topo.size(); }
+  size_t num_models() const { return merged_.bias.size(); }
 
   /// out[m] = prediction of model m; out.size() must equal num_models().
-  /// Bit-exact with calling MartModel::Predict per model. When every model
-  /// is QuickScorer-usable, all models are scored behind one shared
-  /// feature loop (MergedQuickScorer), touching x once per feature.
+  /// Bit-exact with calling MartModel::Predict per model.
   void PredictAll(std::span<const double> features,
                   std::span<double> out) const;
 
   /// Batched PredictAll over many feature vectors: out is row-major,
   /// out[r * num_models() + m] = model m's prediction for rows[r];
-  /// out.size() must be rows.size() * num_models(). When the merged
-  /// QuickScorer is usable this runs the SIMD-dispatched batch kernel
-  /// (groups of MergedQuickScorer::kBatchRows rows per tile); every
-  /// output double is bit-identical to PredictAll on the same row.
+  /// out.size() must be rows.size() * num_models(). Runs the
+  /// SIMD-dispatched batch kernel (groups of
+  /// MergedQuickScorer::kBatchRows rows per tile); every output double is
+  /// bit-identical to PredictAll on the same row.
   void PredictAllBatch(std::span<const double* const> rows,
                        std::span<double> out) const;
 
@@ -282,16 +149,6 @@ class FlatEnsembleSet {
                    std::span<size_t> out) const;
 
  private:
-  double ScoreModel(size_t m, const double* x) const;
-
-  Slab<double> bias_;          ///< per model
-  Slab<uint64_t> tree_begin_;  ///< per model, index into roots; +1 slot
-  flat_internal::NodeStore store_;
-  /// QuickScorer tables per model; the scoring path of choice whenever
-  /// usable (store_ remains the fallback for >64-leaf trees).
-  std::vector<flat_internal::QuickScorerModel> qs_;
-  /// Cross-model merged tables: the PredictAll/ArgMin path of choice when
-  /// every model is usable (per-model qs_/store_ remain the fallback).
   flat_internal::MergedQuickScorer merged_;
 };
 

@@ -15,6 +15,8 @@ constexpr size_t kMinParallelPredict = 1 << 13;
 }  // namespace
 
 MartModel MartModel::Train(const Dataset& data, const MartParams& params) {
+  RPE_CHECK_LE(params.tree.max_leaves, static_cast<int>(kMaxTreeLeaves))
+      << "max_leaves beyond the compiled scorer's leaf bitvector";
   MartModel model;
   model.learning_rate_ = params.learning_rate;
   model.feature_gains_.assign(data.num_features(), 0.0);

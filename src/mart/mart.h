@@ -62,7 +62,7 @@ class MartModel {
   size_t num_trees() const { return trees_.size(); }
   double bias() const { return bias_; }
   double learning_rate() const { return learning_rate_; }
-  /// Read-only tree access for ensemble compilation (FlatEnsemble).
+  /// Read-only tree access for ensemble compilation (FlatEnsembleSet).
   const std::vector<RegressionTree>& trees() const { return trees_; }
   /// Total split gain accumulated per feature during training.
   const std::vector<double>& feature_gains() const { return feature_gains_; }

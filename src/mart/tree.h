@@ -28,9 +28,13 @@ namespace rpe {
 
 class ThreadPool;
 
+/// Upper bound on TreeParams::max_leaves: the compiled scorer
+/// (mart/flat_ensemble.h) keeps one 64-bit leaf bitvector per tree.
+inline constexpr size_t kMaxTreeLeaves = 64;
+
 /// \brief Tree-growth parameters.
 struct TreeParams {
-  int max_leaves = 30;        ///< paper: 30 leaf nodes
+  int max_leaves = 30;        ///< paper: 30 leaf nodes; <= kMaxTreeLeaves
   int min_examples_per_leaf = 8;
   double min_gain = 1e-12;    ///< minimum variance reduction to split
   /// Test/benchmark escape hatch: build every leaf's histograms directly
@@ -118,8 +122,8 @@ void AccumulateColumnDenseScalar(const uint8_t* col, const double* res,
 /// \brief A fitted regression tree; predicts from raw feature vectors.
 class RegressionTree {
  public:
-  /// \brief One tree node; exposed read-only so FlatEnsemble can compile
-  /// the ensemble into its contiguous layout.
+  /// \brief One tree node; exposed read-only so FlatEnsembleSet can
+  /// compile the ensemble into its scoring tables.
   struct Node {
     int feature = -1;      ///< -1 for leaves
     double threshold = 0;  ///< go left iff x[feature] <= threshold

@@ -84,9 +84,16 @@ Result<EstimatorSelector> EstimatorSelector::FromModels(
                                               : schema.num_static_features();
   // The models come from persisted bytes: a split on a feature beyond the
   // selector's input width would read past the feature vector at scoring
-  // time, so it must be an error here, not a crash later.
+  // time, and a tree wider than the compiled scorer's leaf bitvector
+  // cannot be compiled, so both must be errors here, not crashes later.
   for (const MartModel& model : models) {
     for (const RegressionTree& tree : model.trees()) {
+      if (tree.num_leaves() > kMaxTreeLeaves) {
+        return Status::InvalidArgument(
+            "selector model has a tree with " +
+            std::to_string(tree.num_leaves()) + " leaves, beyond the " +
+            std::to_string(kMaxTreeLeaves) + "-leaf cap");
+      }
       for (const RegressionTree::Node& n : tree.nodes()) {
         if (n.feature >= static_cast<int>(selector.num_inputs_)) {
           return Status::InvalidArgument(

@@ -26,8 +26,9 @@
 // invariants (feature-vector arity must match the schema) — violations
 // are programming errors and abort. FromModels is the untrusted-input
 // gate (snapshot loading): malformed persisted models (wrong pool/model
-// count, split features beyond the input width, hostile node graphs)
-// return Status instead of aborting.
+// count, split features beyond the input width, trees over
+// kMaxTreeLeaves leaves, hostile node graphs) return Status instead of
+// aborting.
 #pragma once
 
 #include <span>
@@ -94,11 +95,11 @@ class EstimatorSelector {
 
   /// Batched Select: `out[r]` is exactly `Select(rows[r])` for every row
   /// — same projection, same first-on-ties argmin — but the pool scores
-  /// through FlatEnsembleSet::ArgMinBatch, whose merged QuickScorer path
-  /// runs the SIMD tile kernel (common/simd.h) across 8 decisions at
-  /// once. Each `rows[r]` must point at a full feature vector of the
-  /// schema width Select accepts. Used by the serving tier to open and
-  /// replay many sessions per call (monitor_service.h).
+  /// through FlatEnsembleSet::ArgMinBatch, which runs the SIMD tile
+  /// kernel (common/simd.h) across 8 decisions at once. Each `rows[r]`
+  /// must point at a full feature vector of the schema width Select
+  /// accepts. Used by the serving tier to open and replay many sessions
+  /// per call (monitor_service.h).
   void SelectBatch(std::span<const std::vector<double>* const> rows,
                    std::span<size_t> out) const;
 

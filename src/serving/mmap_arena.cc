@@ -63,9 +63,9 @@ constexpr size_t kMaxSlabElems = size_t{1} << 28;
 /// snapshot.cc (AuxWriter): scalars are memcpy'd (they may be unaligned),
 /// slab data is 8-aligned relative to the payload start and borrowed in
 /// place. Callers only construct a cursor over an 8-aligned payload base
-/// with an 8-aligned aux offset (anything else degrades to the copy
-/// decoder up front), so Align8 keeps every borrowed slab on its natural
-/// alignment by construction.
+/// with an 8-aligned aux offset (anything else is rejected up front), so
+/// Align8 keeps every borrowed slab on its natural alignment by
+/// construction.
 class AuxCursor {
  public:
   AuxCursor(std::string_view payload, size_t pos)
@@ -118,21 +118,6 @@ class AuxCursor {
   size_t pos_;
 };
 
-Status DecodeQsTables(AuxCursor* c, flat_internal::QuickScorerModel* qs) {
-  RPE_RETURN_NOT_OK(c->F64(&qs->bias));
-  RPE_RETURN_NOT_OK(c->I32(&qs->num_trees));
-  RPE_RETURN_NOT_OK(c->I32(&qs->num_features));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->feat_begin));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->threshold));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->entry_tree));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->entry_mask));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->init_mask));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->leaf_base));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&qs->leaf_value));
-  qs->usable = true;
-  return Status::OK();
-}
-
 /// One selector's flat section → a model-free EstimatorSelector whose
 /// scoring slabs alias the mapping. Structural validation happens in
 /// FlatEnsembleSet::FromParts / EstimatorSelector::FromFlat.
@@ -167,48 +152,22 @@ Result<EstimatorSelector> DecodeFlatSelector(AuxCursor* c,
     return Status::InvalidArgument("flat snapshot pool size mismatch");
   }
 
-  FlatEnsembleSet::Parts parts;
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.bias));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.tree_begin));
-  if (parts.bias.size() != num_models) {
-    return Status::InvalidArgument("flat snapshot bias size mismatch");
-  }
-
   Slab<uint64_t> gain_lens;
   Slab<double> gain_concat;
   RPE_RETURN_NOT_OK(c->BorrowSlab(&gain_lens));
   RPE_RETURN_NOT_OK(c->BorrowSlab(&gain_concat));
 
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.roots));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.depth));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.sched));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.topo));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.split));
-  RPE_RETURN_NOT_OK(c->BorrowSlab(&parts.store.leaf));
-
-  for (uint64_t m = 0; m < num_models; ++m) {
-    uint32_t usable = 0;
-    RPE_RETURN_NOT_OK(c->U32(&usable));
-    flat_internal::QuickScorerModel qs;
-    if (usable != 0) RPE_RETURN_NOT_OK(DecodeQsTables(c, &qs));
-    parts.qs.push_back(std::move(qs));
-  }
-  uint32_t merged_usable = 0;
-  RPE_RETURN_NOT_OK(c->U32(&merged_usable));
-  if (merged_usable != 0) {
-    auto& merged = parts.merged;
-    RPE_RETURN_NOT_OK(c->I32(&merged.num_features));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.feat_begin));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.threshold));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.entry_tree));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.entry_mask));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.init_mask));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.leaf_base));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.leaf_value));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.model_tree_begin));
-    RPE_RETURN_NOT_OK(c->BorrowSlab(&merged.bias));
-    merged.usable = true;
-  }
+  flat_internal::MergedQuickScorer tables;
+  RPE_RETURN_NOT_OK(c->I32(&tables.num_features));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.feat_begin));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.threshold));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.entry_tree));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.entry_mask));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.init_mask));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.leaf_base));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.leaf_value));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.model_tree_begin));
+  RPE_RETURN_NOT_OK(c->BorrowSlab(&tables.bias));
 
   // Gains are tiny (one double per feature per model): copy them out of
   // the mapping so FeatureImportance needs no arena bookkeeping.
@@ -232,7 +191,7 @@ Result<EstimatorSelector> DecodeFlatSelector(AuxCursor* c,
 
   RPE_ASSIGN_OR_RETURN(
       FlatEnsembleSet flat,
-      FlatEnsembleSet::FromParts(std::move(parts), expected_inputs));
+      FlatEnsembleSet::FromParts(std::move(tables), expected_inputs));
   std::vector<size_t> pool(pool_slab.begin(), pool_slab.end());
   return EstimatorSelector::FromFlat(std::move(pool), expect_dynamic,
                                      std::move(flat), std::move(gains));
@@ -260,46 +219,23 @@ Result<ArenaStackLoad> LoadSelectorStackMmap(const std::string& path) {
     return Status::InvalidArgument("snapshot holds a different payload kind");
   }
 
-  ArenaStackLoad out;
-  out.mapped_bytes = arena->size();
-
-  // An aux section at an unaligned offset (or a payload whose base is not
-  // 8-aligned — impossible for a fresh mmap, but bytes() could be fed from
-  // elsewhere one day) was written under different alignment rules:
-  // degrade to the copy decoder rather than borrow misaligned slabs. With
-  // both 8-aligned, every slab the cursor borrows is on its natural
-  // alignment by construction, so any aux parse failure past this point
-  // is structural damage and errors out.
-  const bool aligned =
-      reinterpret_cast<uintptr_t>(frame.payload.data()) % 8 == 0 &&
-      frame.aux_offset % 8 == 0;
-  if (frame.version != kSnapshotVersionLegacy && frame.aux_offset != 0 &&
-      aligned) {
-    RPE_RETURN_NOT_OK(snapshot_internal::CheckSchemaPrefix(frame.payload));
-    auto holder = std::make_shared<ArenaBackedStack>();
-    holder->arena = arena;
-    AuxCursor cursor(frame.payload, frame.aux_offset);
-    RPE_ASSIGN_OR_RETURN(
-        holder->stack.static_selector,
-        DecodeFlatSelector(&cursor, /*expect_dynamic=*/false));
-    RPE_ASSIGN_OR_RETURN(
-        holder->stack.dynamic_selector,
-        DecodeFlatSelector(&cursor, /*expect_dynamic=*/true));
-    if (cursor.Remaining() != 0) {
-      return Status::InvalidArgument(
-          "flat snapshot section has trailing bytes");
-    }
-    out.stack = std::shared_ptr<const SelectorStack>(holder, &holder->stack);
-    out.zero_copy = true;
-    return out;
+  // UnframeSnapshot guarantees an 8-aligned aux offset, and the mapping
+  // is page-aligned (payload at +32); with both, every slab the cursor
+  // borrows is on its natural alignment by construction.
+  RPE_RETURN_NOT_OK(snapshot_internal::CheckSchemaPrefix(frame.payload));
+  auto holder = std::make_shared<ArenaBackedStack>();
+  holder->arena = arena;
+  AuxCursor cursor(frame.payload, frame.aux_offset);
+  RPE_ASSIGN_OR_RETURN(holder->stack.static_selector,
+                       DecodeFlatSelector(&cursor, /*expect_dynamic=*/false));
+  RPE_ASSIGN_OR_RETURN(holder->stack.dynamic_selector,
+                       DecodeFlatSelector(&cursor, /*expect_dynamic=*/true));
+  if (cursor.Remaining() != 0) {
+    return Status::InvalidArgument("flat snapshot section has trailing bytes");
   }
-
-  // Copy fallback (legacy v1, no aux section, or unaligned slabs): decode
-  // straight from the mapping into heap-owned structures; the mapping is
-  // released when `arena` goes out of scope.
-  RPE_ASSIGN_OR_RETURN(SelectorStack stack, DecodeSelectorStack(bytes));
-  out.stack = std::make_shared<const SelectorStack>(std::move(stack));
-  out.zero_copy = false;
+  ArenaStackLoad out;
+  out.stack = std::shared_ptr<const SelectorStack>(holder, &holder->stack);
+  out.mapped_bytes = arena->size();
   return out;
 }
 

@@ -5,9 +5,10 @@
 // warm-restart / hot-publish path the serving tier uses when model slabs
 // are large enough that copying them through the heap dominates load time.
 //
-// How it works: a v2 snapshot carries an aux section with every compiled
-// slab 8-aligned (see serving/snapshot.h for the layout). The loader CRC-
-// validates the container, checks the feature schema, then constructs
+// How it works: every selector-stack snapshot carries an aux section with
+// each selector's merged QuickScorer tables as 8-aligned slabs (see
+// serving/snapshot.h for the layout). The loader CRC-validates the
+// container, checks the feature schema, then constructs
 // Slab<T>::Borrow views over the mapped bytes and passes them through the
 // untrusted-input gates (FlatEnsembleSet::FromParts,
 // EstimatorSelector::FromFlat) — a truncated, corrupt, or hostile file
@@ -22,12 +23,9 @@
 // responsibility to avoid (publish by writing a new file + atomic rename,
 // never by rewriting in place).
 //
-// Fallbacks: legacy v1 files (no aux section) and files whose aux
-// section sits at an unaligned offset degrade gracefully to the ordinary
-// copy decoder (DecodeSelectorStack) over the mapped bytes — same
-// scores, heap-owned buffers, mapping released after load. Structural
-// damage (bad magic, CRC mismatch, truncation, out-of-range tables) is
-// an error, not a fallback.
+// No fallback: this loader always aliases the mapping. Any other format
+// version, a missing or misaligned aux section, and structural damage (bad
+// magic, CRC mismatch, truncation, out-of-range tables) are errors.
 //
 // Model-free stacks: an mmap-loaded selector has no MartModels
 // (EstimatorSelector::has_models() == false). It scores bit-identically
@@ -79,19 +77,14 @@ class MmapArena {
 
 /// \brief Result of LoadSelectorStackMmap.
 struct ArenaStackLoad {
-  /// The loaded stack; when zero_copy, it transitively owns the mapping.
+  /// The loaded stack; it transitively owns the mapping.
   std::shared_ptr<const SelectorStack> stack;
-  /// True when scoring tables alias the mapping; false when the load fell
-  /// back to the copy decoder (legacy v1 file, missing aux section, or
-  /// misaligned slabs).
-  bool zero_copy = false;
   size_t mapped_bytes = 0;
 };
 
-/// Map an .rpsn selector-stack snapshot and rebuild it zero-copy (with
-/// the copy fallback described above). All validation is performed before
-/// the stack is returned; the result scores bit-identically to
-/// LoadSelectorStack on the same file.
+/// Map an .rpsn selector-stack snapshot and rebuild it zero-copy. All
+/// validation is performed before the stack is returned; the result
+/// scores bit-identically to LoadSelectorStack on the same file.
 Result<ArenaStackLoad> LoadSelectorStackMmap(const std::string& path);
 
 }  // namespace rpe

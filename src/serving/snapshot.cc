@@ -106,31 +106,25 @@ class Reader {
 // ---------------------------------------------------------------------------
 // Container framing.
 
-/// Container CRC: v1 covered the payload only; v2 additionally folds the
-/// aux-offset header field in first — it steers both loaders, so a bit
-/// flip there must read as corruption, not as a confusing structural
-/// error deep in the aux parser.
-uint32_t FrameCrc(uint32_t version, uint32_t aux_offset,
-                  std::string_view payload) {
-  uint32_t crc = 0;
-  if (version != kSnapshotVersionLegacy) {
-    crc = Crc32(&aux_offset, sizeof aux_offset);
-  }
-  return Crc32(payload.data(), payload.size(), crc);
+/// Container CRC: the aux-offset header field, then the payload. The
+/// offset steers both loaders, so a bit flip there must read as
+/// corruption, not as a confusing structural error deep in the aux parser.
+uint32_t FrameCrc(uint32_t aux_offset, std::string_view payload) {
+  return Crc32(payload.data(), payload.size(),
+               Crc32(&aux_offset, sizeof aux_offset));
 }
 
 std::string Frame(SnapshotKind kind, std::string payload,
-                  uint32_t aux_offset = 0,
-                  uint32_t version = kSnapshotVersion) {
+                  uint32_t aux_offset = 0) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
   Writer w(&out);
   w.U32(kSnapshotMagic);
-  w.U32(version);
+  w.U32(kSnapshotVersion);
   w.U32(static_cast<uint32_t>(kind));
   w.U32(0);
   w.U64(payload.size());
-  w.U32(FrameCrc(version, aux_offset, payload));
+  w.U32(FrameCrc(aux_offset, payload));
   w.U32(aux_offset);
   out += payload;
   return out;
@@ -278,7 +272,7 @@ Status DecodeAndCheckSchema(Reader* r) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-flat aux section (v2): the FlatEnsembleSet tables of both
+// Compiled-flat aux section: the FlatEnsembleSet tables of both
 // selectors, every slab 8-aligned relative to the payload start so the
 // zero-copy loader (serving/mmap_arena.cc, which mirrors this layout) can
 // point Slab views straight into the mapping. Scalars are written
@@ -312,20 +306,6 @@ class AuxWriter {
   std::string* out_;
 };
 
-void EncodeFlatQsTables(const flat_internal::QuickScorerModel& qs,
-                        AuxWriter* w) {
-  w->F64(qs.bias);
-  w->I32(qs.num_trees);
-  w->I32(qs.num_features);
-  w->AlignedSlab(qs.feat_begin);
-  w->AlignedSlab(qs.threshold);
-  w->AlignedSlab(qs.entry_tree);
-  w->AlignedSlab(qs.entry_mask);
-  w->AlignedSlab(qs.init_mask);
-  w->AlignedSlab(qs.leaf_base);
-  w->AlignedSlab(qs.leaf_value, kQsLeafGuard);
-}
-
 void EncodeFlatSet(const EstimatorSelector& selector, std::string* payload) {
   const FlatEnsembleSet& flat = selector.flat();
   AuxWriter w(payload);
@@ -341,8 +321,6 @@ void EncodeFlatSet(const EstimatorSelector& selector, std::string* payload) {
                                selector.pool().end());
     w.AlignedSlab(Slab<uint64_t>(std::move(pool)));
   }
-  w.AlignedSlab(flat.bias_slab());
-  w.AlignedSlab(flat.tree_begin_slab());
   // Per-model training gains (small, copied at load) so FeatureImportance
   // survives the model-free rebuild: per-model lengths, then the
   // concatenation.
@@ -357,36 +335,21 @@ void EncodeFlatSet(const EstimatorSelector& selector, std::string* payload) {
     w.AlignedSlab(Slab<uint64_t>(std::move(lens)));
     w.AlignedSlab(Slab<double>(std::move(concat)));
   }
-  const flat_internal::NodeStore& store = flat.store();
-  w.AlignedSlab(store.roots);
-  w.AlignedSlab(store.depth);
-  w.AlignedSlab(store.sched);
-  w.AlignedSlab(store.topo);
-  w.AlignedSlab(store.split);
-  w.AlignedSlab(store.leaf);
-  for (const flat_internal::QuickScorerModel& qs : flat.quickscorers()) {
-    w.U32(qs.usable ? 1 : 0);
-    if (qs.usable) EncodeFlatQsTables(qs, &w);
-  }
   const flat_internal::MergedQuickScorer& merged = flat.merged();
-  w.U32(merged.usable ? 1 : 0);
-  if (merged.usable) {
-    w.I32(merged.num_features);
-    w.AlignedSlab(merged.feat_begin);
-    w.AlignedSlab(merged.threshold);
-    w.AlignedSlab(merged.entry_tree);
-    w.AlignedSlab(merged.entry_mask);
-    w.AlignedSlab(merged.init_mask);
-    w.AlignedSlab(merged.leaf_base);
-    w.AlignedSlab(merged.leaf_value, kQsLeafGuard);
-    w.AlignedSlab(merged.model_tree_begin);
-    w.AlignedSlab(merged.bias);
-  }
+  w.I32(merged.num_features);
+  w.AlignedSlab(merged.feat_begin);
+  w.AlignedSlab(merged.threshold);
+  w.AlignedSlab(merged.entry_tree);
+  w.AlignedSlab(merged.entry_mask);
+  w.AlignedSlab(merged.init_mask);
+  w.AlignedSlab(merged.leaf_base);
+  w.AlignedSlab(merged.leaf_value, kQsLeafGuard);
+  w.AlignedSlab(merged.model_tree_begin);
+  w.AlignedSlab(merged.bias);
 }
 
-/// The model payload shared by the v1 and v2 writers: schema metadata,
-/// then the static and dynamic selectors. One definition so the legacy
-/// encoder can never drift from the current layout.
+/// The model payload: schema metadata, then the static and dynamic
+/// selectors.
 std::string EncodeStackModelPayload(const SelectorStack& stack) {
   RPE_CHECK(!stack.static_selector.uses_dynamic_features());
   RPE_CHECK(stack.dynamic_selector.uses_dynamic_features());
@@ -448,9 +411,10 @@ Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes) {
   if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("bad snapshot magic");
   }
-  if (version != kSnapshotVersion && version != kSnapshotVersionLegacy) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument(
+        "unsupported snapshot version " + std::to_string(version) +
+        " (this build reads " + std::to_string(kSnapshotVersion) + ")");
   }
   if (payload_size != bytes.size() - kHeaderSize) {
     return Status::InvalidArgument(
@@ -459,7 +423,7 @@ Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes) {
   const std::string_view payload = bytes.substr(kHeaderSize);
   // "snapshot.crc": the stored checksum reads back wrong — corruption on
   // the wire or at rest, detected exactly like a real bit flip.
-  if (FrameCrc(version, aux_offset, payload) != crc ||
+  if (FrameCrc(aux_offset, payload) != crc ||
       RPE_INJECT_FAULT("snapshot.crc")) {
     return Status::InvalidArgument("snapshot payload CRC mismatch");
   }
@@ -468,19 +432,24 @@ Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes) {
     return Status::InvalidArgument("unknown snapshot kind " +
                                    std::to_string(kind));
   }
-  // The CRC vouches for the aux offset (v2 folds it in); still bound it
-  // so no reader chases a hand-crafted offset past the payload. Alignment
-  // is the aux parser's concern (misalignment degrades to the copy path,
-  // it is not corruption).
-  if (version == kSnapshotVersionLegacy && aux_offset != 0) {
-    return Status::InvalidArgument("v1 snapshot with an aux section");
-  }
-  if (aux_offset != 0 && aux_offset >= payload.size()) {
+  // The CRC vouches for the aux offset; still bound it so no reader
+  // chases a hand-crafted offset past the payload or onto a misaligned
+  // slab. Every selector stack carries the aux section; record batches
+  // have none.
+  if (kind == static_cast<uint32_t>(SnapshotKind::kRecordBatch)) {
+    if (aux_offset != 0) {
+      return Status::InvalidArgument("record snapshot with an aux section");
+    }
+  } else if (aux_offset == 0) {
+    return Status::InvalidArgument(
+        "selector-stack snapshot without an aux section");
+  } else if (aux_offset % 8 != 0) {
+    return Status::InvalidArgument("snapshot aux section is misaligned");
+  } else if (aux_offset >= payload.size()) {
     return Status::InvalidArgument("snapshot aux offset past the payload");
   }
   SnapshotFrame frame;
   frame.kind = static_cast<SnapshotKind>(kind);
-  frame.version = version;
   frame.aux_offset = aux_offset;
   frame.payload = payload;
   return frame;
@@ -491,11 +460,6 @@ namespace snapshot_internal {
 Status CheckSchemaPrefix(std::string_view payload) {
   Reader r(payload);
   return DecodeAndCheckSchema(&r);
-}
-
-std::string EncodeSelectorStackLegacyV1(const SelectorStack& stack) {
-  return Frame(SnapshotKind::kSelectorStack, EncodeStackModelPayload(stack),
-               /*aux_offset=*/0, kSnapshotVersionLegacy);
 }
 
 }  // namespace snapshot_internal
@@ -513,7 +477,7 @@ SelectorStack SelectorStack::Train(const std::vector<PipelineRecord>& records,
 
 std::string EncodeSelectorStack(const SelectorStack& stack) {
   std::string payload = EncodeStackModelPayload(stack);
-  // v2 aux section: the compiled scoring tables, 8-aligned, for the
+  // Aux section: the compiled scoring tables, 8-aligned, for the
   // zero-copy loader. The model payload above stays the source of truth
   // for the heap decoder.
   AuxWriter aux(&payload);
@@ -542,25 +506,19 @@ Result<SelectorStack> DecodeSelectorStack(std::string_view bytes) {
     return Status::InvalidArgument(
         "snapshot selector stack has wrong feature modes");
   }
-  if (frame.aux_offset == 0) {
-    if (r.Remaining() != 0) {
-      return Status::InvalidArgument("snapshot has trailing payload bytes");
-    }
-  } else {
-    // v2 keeps v1's exact-consumption discipline: the only bytes allowed
-    // between the model payload and the aux section are a short run of
-    // zero alignment padding (ours is < 8; tolerate foreign writers up to
-    // a 64-byte unit). Anything else is smuggled or misframed data.
-    const size_t consumed = payload.size() - r.Remaining();
-    if (consumed > frame.aux_offset || frame.aux_offset - consumed >= 64) {
+  // Exact-consumption discipline: the only bytes allowed between the
+  // model payload and the aux section are a short run of zero alignment
+  // padding (ours is < 8; tolerate foreign writers up to a 64-byte unit).
+  // Anything else is smuggled or misframed data.
+  const size_t consumed = payload.size() - r.Remaining();
+  if (consumed > frame.aux_offset || frame.aux_offset - consumed >= 64) {
+    return Status::InvalidArgument(
+        "snapshot aux section does not abut the model payload");
+  }
+  for (size_t i = consumed; i < frame.aux_offset; ++i) {
+    if (payload[i] != '\0') {
       return Status::InvalidArgument(
-          "snapshot aux section does not abut the model payload");
-    }
-    for (size_t i = consumed; i < frame.aux_offset; ++i) {
-      if (payload[i] != '\0') {
-        return Status::InvalidArgument(
-            "snapshot has non-padding bytes before the aux section");
-      }
+          "snapshot has non-padding bytes before the aux section");
     }
   }
   return stack;

@@ -4,8 +4,8 @@
 // PipelineRecord training data. Snapshots replace the text/CSV persistence
 // path on the hot load path: doubles are stored as raw IEEE-754 bits (so
 // round-trips are bit-exact by construction, not by printf precision), all
-// numeric arrays are contiguous little-endian slabs (mmap-friendly: a
-// future reader can point straight into the payload), and the payload is
+// numeric arrays are contiguous little-endian slabs (mmap-friendly: the
+// zero-copy loader points straight into them), and the payload is
 // guarded by a CRC-32 so corruption or truncation is rejected before any
 // field is decoded.
 //
@@ -13,39 +13,41 @@
 //
 //   offset  size  field
 //   0       4     magic  "RPSN" (0x4E535052)
-//   4       4     format version (1 legacy, 2 current; see below)
+//   4       4     format version (3; no other version is readable)
 //   8       4     payload kind (SnapshotKind)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
-//   24      4     CRC-32 — v1: over the payload bytes; v2: over the
-//                 4-byte aux-offset field, then the payload (the offset
-//                 steers both loaders, so header corruption must be
-//                 caught as corruption)
-//   28      4     aux-section offset into the payload (0 = none; v1 files
-//                 always 0) — header is 32 bytes, payload 8-aligned
+//   24      4     CRC-32 over the 4-byte aux-offset field, then the
+//                 payload (the offset steers both loaders, so header
+//                 corruption must be caught as corruption)
+//   28      4     aux-section offset into the payload — required and
+//                 8-aligned for a selector stack, 0 for a record batch;
+//                 header is 32 bytes, payload 8-aligned
 //   32      ...   payload
 //
 // Selector-stack payload: feature-schema metadata (count, static count,
 // names — validated against the running binary's FeatureSchema at load),
 // then the static and dynamic selectors back to back; each selector is its
 // pool, feature mode, and per-candidate MART models with trees stored as
-// structure-of-arrays node slabs. On the ordinary heap load path the flat
-// scoring buffers (FlatEnsembleSet) are recompiled — compilation is
-// deterministic from the models, so the rebuilt stack scores
-// bit-identically to the one saved.
+// structure-of-arrays node slabs. The heap loader (DecodeSelectorStack)
+// decodes these models and recompiles the scoring tables
+// (FlatEnsembleSet) — compilation is deterministic from the models, so the
+// rebuilt stack scores bit-identically to the one saved.
 //
-// Version 2 appends an aux section ("RPFL") at the header's aux offset:
-// the compiled FlatEnsembleSet tables of both selectors with every slab
-// padded to 8-byte alignment relative to the payload start (the payload
-// itself starts at file offset 32, so payload alignment == file
-// alignment). This is what the zero-copy loader consumes: MmapArena (see
-// serving/mmap_arena.h) maps the file and rebuilds the stack with slab
-// views pointing straight into the mapping — no tree decode, no slab
-// memcpy. The heap decoder ignores the section entirely (it recompiles
-// from the models), so the two loaders can never disagree about the same
-// file's scores: both representations come from the same deterministic
-// compiler. QuickScorer leaf-value slabs are written with a 64-slot zero
-// guard tail so a hostile mask table cannot index past the slab (see
+// The aux section ("RPFL" per selector, static then dynamic) starts at the
+// header's aux offset and holds each selector's compiled tables: a header
+// (magic, feature mode, model count, input width), the pool, the
+// per-model training gains, and the FlatEnsembleSet's merged QuickScorer
+// tables, every slab padded to 8-byte alignment relative to the payload
+// start (the payload itself starts at file offset 32, so payload
+// alignment == file alignment). This is what the zero-copy loader
+// consumes: MmapArena (see serving/mmap_arena.h) maps the file and
+// rebuilds the stack with slab views pointing straight into the mapping —
+// no tree decode, no slab memcpy. The heap loader only checks that the
+// section abuts the model payload; both representations come from the
+// same deterministic compiler, so the two loaders agree about an honestly
+// written file's scores. Leaf-value slabs carry a 64-slot zero guard tail
+// so a hostile mask table cannot index past the slab (see
 // FlatEnsembleSet::FromParts).
 //
 // Record-batch payload: feature/estimator arity header (validated against
@@ -73,11 +75,9 @@
 namespace rpe {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535052;  // "RPSN"
-/// Current write version. Version 1 (no aux section) is still readable;
-/// loaders fall back to the model-decode path for it.
-inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kSnapshotVersionLegacy = 1;
-/// Magic opening the compiled-flat aux section of a v2 selector stack.
+/// The one format version this build writes and reads.
+inline constexpr uint32_t kSnapshotVersion = 3;
+/// Magic opening each selector's compiled-flat aux section.
 inline constexpr uint32_t kFlatSectionMagic = 0x4C465052;  // "RPFL"
 /// Zero doubles appended after each QuickScorer leaf-value slab so a
 /// fully-cleared (hostile) leaf bitvector indexes the guard, not past the
@@ -92,14 +92,15 @@ enum class SnapshotKind : uint32_t {
 /// Decoded container header of a snapshot buffer (CRC already verified).
 struct SnapshotFrame {
   SnapshotKind kind = SnapshotKind::kSelectorStack;
-  uint32_t version = 0;
-  /// Payload offset of the aux section (0 = absent / legacy).
+  /// Payload offset of the aux section: nonzero and 8-aligned for a
+  /// selector stack, 0 for a record batch.
   uint32_t aux_offset = 0;
   std::string_view payload;  ///< views into the caller's buffer
 };
 
-/// Verify magic/version/size/CRC and return the framed payload. Accepts
-/// versions 1 and 2; anything else is InvalidArgument.
+/// Verify magic/version/size/CRC and the kind's aux-offset rule, and
+/// return the framed payload. Any version but kSnapshotVersion is
+/// InvalidArgument.
 Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes);
 
 /// \brief The trained model pair the serving layer runs on: static-feature
@@ -142,11 +143,6 @@ namespace snapshot_internal {
 /// against this binary's FeatureSchema (the zero-copy loader runs this
 /// before trusting the aux section; the heap decoder does it inline).
 Status CheckSchemaPrefix(std::string_view payload);
-
-/// Encode with a version-1 header and no aux section — the layout pre-v2
-/// writers shipped. Kept so the legacy fallback path of the loaders stays
-/// covered (tests) and old readers can be fed by downgrade tooling.
-std::string EncodeSelectorStackLegacyV1(const SelectorStack& stack);
 
 }  // namespace snapshot_internal
 

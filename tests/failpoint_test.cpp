@@ -2,7 +2,7 @@
 // spec parsing, sync hooks), graceful degradation of the online loop
 // under injected retrain/snapshot/publish faults (bounded retry +
 // backoff, quarantine, exact failure/recovery counters, clean Stop), and
-// the mmap copy-fallback paths under injected open/mmap/short-read
+// the mmap load path under injected open/mmap/madvise/short-read
 // failures — a load either succeeds bit-identically or returns a Status,
 // never a partial stack.
 #include <gtest/gtest.h>
@@ -388,9 +388,9 @@ TEST(TrainerLoopFaultTest, StopCompletesCleanlyUnderPersistentFault) {
 }
 
 // ---------------------------------------------------------------------------
-// Mmap / snapshot read paths under injected failures (the copy-fallback
-// satellite): a load either returns the bit-identical stack or a clean
-// Status — never a partial stack, never UB.
+// Mmap / snapshot read paths under injected failures: a load either
+// returns the bit-identical stack or a clean Status — never a partial
+// stack, never UB.
 
 class MmapFaultTest : public ::testing::Test {
  protected:
@@ -453,7 +453,7 @@ TEST_F(MmapFaultTest, InjectedMadviseFailureDegradesToUnprefaultedLoad) {
   EXPECT_FALSE(arena.ValueOrDie()->prefaulted());
   auto loaded = LoadSelectorStackMmap(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->zero_copy);
+  EXPECT_FALSE(loaded->stack->static_selector.has_models());
   ExpectScoresMatchOriginal(*loaded->stack);
 }
 
@@ -499,7 +499,7 @@ TEST_F(MmapFaultTest, TransientFaultThenRetryLoadsBitIdentically) {
   EXPECT_FALSE(LoadSelectorStackMmap(*path_).ok());
   auto retried = LoadSelectorStackMmap(*path_);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_TRUE(retried->zero_copy);
+  EXPECT_FALSE(retried->stack->static_selector.has_models());
   ExpectScoresMatchOriginal(*retried->stack);
 }
 

@@ -1,8 +1,7 @@
 // Zero-copy snapshot arena tests: mmap-loaded stacks must score
-// bit-identically to heap-loaded ones, legacy/unaligned files must fall
-// back to the copy decoder (same scores, no aliasing), and every flavor
-// of damage — truncation, corruption, hostile compiled tables — must be
-// rejected with a Status, never UB.
+// bit-identically to heap-loaded ones, and every flavor of damage — a
+// missing or misaligned aux section, truncation, corruption, hostile
+// compiled tables — must be rejected with a Status, never UB.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -38,17 +37,12 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 }
 
 /// Patch the header of raw snapshot bytes after a payload edit: payload
-/// size, CRC (v2 folds the aux-offset field in first), aux offset,
-/// version (header layout documented in snapshot.h).
-void ReframeHeader(std::string* bytes, uint32_t version,
-                   uint32_t aux_offset) {
+/// size, CRC (over the aux-offset field, then the payload), aux offset
+/// (header layout documented in snapshot.h).
+void ReframeHeader(std::string* bytes, uint32_t aux_offset) {
   const uint64_t payload_size = bytes->size() - 32;
-  uint32_t crc = 0;
-  if (version != kSnapshotVersionLegacy) {
-    crc = Crc32(&aux_offset, sizeof aux_offset);
-  }
-  crc = Crc32(bytes->data() + 32, payload_size, crc);
-  std::memcpy(bytes->data() + 4, &version, 4);
+  const uint32_t crc = Crc32(bytes->data() + 32, payload_size,
+                             Crc32(&aux_offset, sizeof aux_offset));
   std::memcpy(bytes->data() + 16, &payload_size, 8);
   std::memcpy(bytes->data() + 24, &crc, 4);
   std::memcpy(bytes->data() + 28, &aux_offset, 4);
@@ -111,7 +105,6 @@ std::string* MmapArenaTest::path_ = nullptr;
 TEST_F(MmapArenaTest, ZeroCopyLoadScoresBitIdentically) {
   auto loaded = LoadSelectorStackMmap(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->zero_copy);
   EXPECT_GT(loaded->mapped_bytes, 0u);
   // Model-free: the arena stack is a scoring artifact.
   EXPECT_FALSE(loaded->stack->static_selector.has_models());
@@ -140,7 +133,6 @@ TEST_F(MmapArenaTest, ArenaOutlivesLoaderScope) {
   {
     auto loaded = LoadSelectorStackMmap(*path_);
     ASSERT_TRUE(loaded.ok());
-    ASSERT_TRUE(loaded->zero_copy);
     stack = loaded->stack;
   }
   // The ArenaStackLoad is gone; the aliased shared_ptr must keep the
@@ -148,35 +140,26 @@ TEST_F(MmapArenaTest, ArenaOutlivesLoaderScope) {
   ExpectScoresMatchOriginal(*stack);
 }
 
-TEST_F(MmapArenaTest, LegacyV1FileFallsBackToCopy) {
-  const std::string legacy_path = TempPath("rpe_mmap_arena_legacy.rpsn");
-  WriteBytes(legacy_path,
-             snapshot_internal::EncodeSelectorStackLegacyV1(*stack_));
-  auto loaded = LoadSelectorStackMmap(legacy_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->zero_copy);
-  // The copy path decodes real models.
-  EXPECT_TRUE(loaded->stack->static_selector.has_models());
-  ExpectScoresMatchOriginal(*loaded->stack);
-  std::remove(legacy_path.c_str());
-}
-
-TEST_F(MmapArenaTest, MisalignedAuxSectionFallsBackToCopy) {
+TEST_F(MmapArenaTest, MisalignedAuxSectionIsRejected) {
   // Shift the aux section by 4 bytes: every 8-aligned slab is now
-  // misaligned, so the zero-copy path must degrade to the copy decoder
-  // (the model payload is untouched).
+  // misaligned. The model payload is untouched, yet both loaders must
+  // refuse the file — there is no copy fallback.
   std::string bytes = EncodeSelectorStack(*stack_);
   const uint32_t aux = ReadAuxOffset(bytes);
   ASSERT_GT(aux, 0u);
   bytes.insert(32 + aux, 4, '\0');
-  ReframeHeader(&bytes, kSnapshotVersion, aux + 4);
+  ReframeHeader(&bytes, aux + 4);
   const std::string path = TempPath("rpe_mmap_arena_misaligned.rpsn");
   WriteBytes(path, bytes);
 
   auto loaded = LoadSelectorStackMmap(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->zero_copy);
-  ExpectScoresMatchOriginal(*loaded->stack);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("misaligned"), std::string::npos)
+      << loaded.status().ToString();
+  auto heap = LoadSelectorStack(path);
+  ASSERT_FALSE(heap.ok());
+  EXPECT_EQ(heap.status().message(), loaded.status().message());
   std::remove(path.c_str());
 }
 
@@ -223,15 +206,29 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
   // Consistently re-framed but past the payload: bounded at unframe time.
   {
     std::string bad = bytes;
-    ReframeHeader(&bad, kSnapshotVersion, static_cast<uint32_t>(bad.size()));
+    // 8-aligned, so the bound (not the alignment check) is what trips.
+    ReframeHeader(&bad, static_cast<uint32_t>(bad.size() + 7) & ~7u);
     WriteBytes(path, bad);
     EXPECT_FALSE(LoadSelectorStackMmap(path).ok());
   }
-  // Consistently re-framed but pointing mid-section (8-aligned so it is
-  // not taken for an alignment fallback): the flat magic check trips.
+  // Consistently re-framed without an aux section: every selector stack
+  // carries one, so both loaders refuse it at unframe time.
   {
     std::string bad = bytes;
-    ReframeHeader(&bad, kSnapshotVersion, aux + 8);
+    ReframeHeader(&bad, 0);
+    WriteBytes(path, bad);
+    auto loaded = LoadSelectorStackMmap(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("without an aux section"),
+              std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_FALSE(DecodeSelectorStack(bad).ok());
+  }
+  // Consistently re-framed but pointing mid-section (8-aligned, so it
+  // gets past the alignment check): the flat magic check trips.
+  {
+    std::string bad = bytes;
+    ReframeHeader(&bad, aux + 8);
     WriteBytes(path, bad);
     auto loaded = LoadSelectorStackMmap(path);
     EXPECT_FALSE(loaded.ok());
@@ -250,7 +247,6 @@ TEST_F(MmapArenaTest, MissingAndEmptyFilesAreErrors) {
 TEST_F(MmapArenaTest, EncodingModelFreeStackDies) {
   auto loaded = LoadSelectorStackMmap(*path_);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_TRUE(loaded->zero_copy);
   // A zero-copy stack has nothing to persist; re-encoding it must be a
   // loud programming error, not a silent empty model section.
   EXPECT_DEATH(EncodeSelectorStack(*loaded->stack), "model-free");
@@ -263,24 +259,13 @@ TEST_F(MmapArenaTest, EncodingModelFreeStackDies) {
 
 class FromPartsTest : public ::testing::Test {
  protected:
-  static FlatEnsembleSet::Parts CloneParts(const FlatEnsembleSet& set) {
-    FlatEnsembleSet::Parts parts;
-    parts.bias = set.bias_slab();
-    parts.tree_begin = set.tree_begin_slab();
-    parts.store = set.store();
-    parts.qs = set.quickscorers();
-    parts.merged = set.merged();
-    // FromParts expects persisted leaf tables, which carry the 64-slot
+  static flat_internal::MergedQuickScorer CloneParts(
+      const FlatEnsembleSet& set) {
+    flat_internal::MergedQuickScorer parts = set.merged();
+    // FromParts expects a persisted leaf table, which carries the 64-slot
     // guard tail the snapshot writer appends.
-    for (auto& qs : parts.qs) {
-      if (qs.usable) {
-        qs.leaf_value.vec().resize(qs.leaf_value.size() + kQsLeafGuard, 0.0);
-      }
-    }
-    if (parts.merged.usable) {
-      parts.merged.leaf_value.vec().resize(
-          parts.merged.leaf_value.size() + kQsLeafGuard, 0.0);
-    }
+    parts.leaf_value.vec().resize(parts.leaf_value.size() + kQsLeafGuard,
+                                  0.0);
     return parts;
   }
 
@@ -329,63 +314,36 @@ TEST_F(FromPartsTest, IntactPartsRebuildAndScoreIdentically) {
 }
 
 TEST_F(FromPartsTest, HostileTablesAreRejected) {
-  {  // tree_begin not covering the store
+  {  // model tree ranges not covering the per-tree tables
     auto parts = CloneParts(*set_);
-    parts.tree_begin.vec().back() += 1;
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // root past the node store
-    auto parts = CloneParts(*set_);
-    parts.store.roots.vec()[0] =
-        static_cast<int32_t>(parts.store.topo.size());
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // interior node whose right child walks off the store
-    auto parts = CloneParts(*set_);
-    const int32_t huge_delta = static_cast<int32_t>(parts.store.topo.size());
-    parts.store.topo.vec()[0] = flat_internal::NodeStore::PackTopo(
-        0, huge_delta);
+    parts.model_tree_begin.vec().back() += 1;
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
   {  // split feature beyond the input width
     auto parts = CloneParts(*set_);
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), 1).ok());
   }
-  {  // leaf with a finite split could step past the last node
+  {  // entry pointing at a tree that does not exist
     auto parts = CloneParts(*set_);
-    for (size_t i = 0; i < parts.store.topo.size(); ++i) {
-      if ((parts.store.topo[i] >>
-           flat_internal::NodeStore::kFeatureBits) == 0) {
-        parts.store.split.vec()[i] = 0.5;
-        break;
-      }
-    }
+    ASSERT_FALSE(parts.entry_tree.empty());
+    parts.entry_tree.vec()[0] = static_cast<int32_t>(parts.init_mask.size());
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
-  {  // schedule that is not a per-block permutation
+  {  // thresholds that do not ascend within a feature (the early exit
+     // would then skip entries that fire)
     auto parts = CloneParts(*set_);
-    parts.store.sched.vec()[0] = parts.store.sched[1];
-    EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
-  }
-  {  // QuickScorer entry pointing at a tree that does not exist
-    auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.qs[0].usable);
-    ASSERT_FALSE(parts.qs[0].entry_tree.empty());
-    parts.qs[0].entry_tree.vec()[0] = parts.qs[0].num_trees;
+    ASSERT_GE(parts.feat_begin[1], 2u);
+    parts.threshold.vec()[0] = parts.threshold[1] + 1.0;
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
   {  // leaf base past the (guarded) leaf table
     auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.merged.usable);
-    parts.merged.leaf_base.vec()[0] =
-        static_cast<int32_t>(parts.merged.leaf_value.size());
+    parts.leaf_base.vec()[0] = static_cast<int32_t>(parts.leaf_value.size());
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
-  {  // missing guard tail on the merged leaf table
+  {  // missing guard tail on the leaf table
     auto parts = CloneParts(*set_);
-    ASSERT_TRUE(parts.merged.usable);
-    parts.merged.leaf_value.vec().resize(parts.merged.leaf_value.size() -
-                                         kQsLeafGuard);
+    parts.leaf_value.vec().resize(parts.leaf_value.size() - kQsLeafGuard);
     EXPECT_FALSE(FlatEnsembleSet::FromParts(std::move(parts), kInputs).ok());
   }
 }

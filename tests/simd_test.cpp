@@ -438,7 +438,6 @@ TEST(SimdBatchScore, DifferentialAgainstPerRowScoring) {
   for (size_t c = 0; c < num_cases; ++c) {
     const uint64_t case_seed = base_seed + c;
     const FlatEnsembleSet set = SmallTrainedSet(case_seed, 3);
-    ASSERT_TRUE(set.merged().usable);
     const size_t nm = set.num_models();
     uint64_t state = case_seed;
     for (size_t num_rows : batch_sizes) {
@@ -533,7 +532,8 @@ TEST(SimdEndToEnd, SnapshotRoundTripsAcrossTiers) {
                 want));
       auto mapped = LoadSelectorStackMmap(path);
       ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-      EXPECT_TRUE(mapped.ValueOrDie().zero_copy);
+      EXPECT_FALSE(
+          mapped.ValueOrDie().stack->dynamic_selector.has_models());
       EXPECT_TRUE(BitEq(
           mapped.ValueOrDie().stack->dynamic_selector.PredictErrors(probe),
           want));

@@ -71,7 +71,7 @@ bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-/// Recompute the v2 header CRC + payload-size fields after a payload or
+/// Recompute the header CRC + payload-size fields after a payload or
 /// aux-offset edit, so the mutation survives the checksum gate and
 /// exercises the parsers behind it (header layout in snapshot.h).
 void RepairCrc(std::string* bytes) {
@@ -249,7 +249,7 @@ TEST_F(SnapshotFuzzTest, UnmutatedBaselineLoadsThroughBothPaths) {
   WriteBytes(*path_, *valid_);
   auto mapped = LoadSelectorStackMmap(*path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->zero_copy);
+  EXPECT_FALSE(mapped->stack->static_selector.has_models());
   CheckOneCase({*valid_, false}, 0);
 }
 

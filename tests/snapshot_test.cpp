@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
@@ -150,6 +152,26 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     auto decoded = DecodeRecordBatch(bad);
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  }
+  // Earlier formats with a valid CRC under their own rule (v1 over the
+  // payload only, v2 over the aux offset, then the payload): no longer
+  // readable, and the error names both versions.
+  const std::string stack_bytes = EncodeSelectorStack(*stack_);
+  for (const uint32_t version : {1u, 2u}) {
+    std::string old = stack_bytes;
+    uint32_t aux_offset = 0;
+    if (version == 2) std::memcpy(&aux_offset, old.data() + 28, 4);
+    std::memcpy(old.data() + 28, &aux_offset, 4);
+    const uint32_t seed =
+        version == 1 ? 0 : Crc32(&aux_offset, sizeof aux_offset);
+    const uint32_t crc = Crc32(old.data() + 32, old.size() - 32, seed);
+    std::memcpy(old.data() + 4, &version, 4);
+    std::memcpy(old.data() + 24, &crc, 4);
+    auto decoded = DecodeSelectorStack(old);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().message(),
+              "unsupported snapshot version " + std::to_string(version) +
+                  " (this build reads 3)");
   }
 }
 

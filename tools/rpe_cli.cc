@@ -418,7 +418,6 @@ Result<std::shared_ptr<const SelectorStack>> PreloadModel(
   if (flags.count("mmap") > 0) {
     RPE_ASSIGN_OR_RETURN(ArenaStackLoad loaded, LoadSelectorStackMmap(path));
     std::cerr << "mmap-loaded selector stack from " << path << " ("
-              << (loaded.zero_copy ? "zero-copy" : "copy fallback") << ", "
               << loaded.mapped_bytes << " bytes mapped)\n";
     return loaded.stack;
   }
