@@ -8,7 +8,9 @@
 #      docs/ROBUSTNESS.md, docs/NETWORK.md and docs/CLI.md reference in
 #      backticks still exists somewhere under src/ (or bench/, tests/,
 #      tools/ for bench rows, test files and CLI flags) — the guides
-#      must not drift from the code.
+#      must not drift from the code, and
+#   4. docs/OBSERVABILITY.md's metric catalog has a row for every metric
+#      name src/ registers, and no row for a name nothing registers.
 #
 # usage: scripts/check_docs.sh [path/to/rpe_cli]
 set -u
@@ -91,8 +93,34 @@ EOF
   fi
 done
 
+# --- 4. metric catalog ------------------------------------------------------
+# Registered = every string literal passed to GetCounter / GetGauge /
+# GetHistogram or Sample::CounterSample / GaugeSample under src/ (calls
+# may wrap, so the sources are joined first). Cataloged = the first cell
+# of each row of the catalog table, up to any `{label}` suffix.
+registered=$(find src -name '*.cc' -o -name '*.h' | sort | xargs cat |
+  tr '\n' ' ' |
+  grep -oE '(GetCounter|GetGauge|GetHistogram|CounterSample|GaugeSample)\( *"[A-Za-z0-9_:]+"' |
+  sed -E 's/.*"([^"]+)"$/\1/' | sort -u)
+cataloged=$(awk '/^## Metric catalog/ {on = 1; next} /^## / {on = 0} on' \
+  docs/OBSERVABILITY.md | grep -oE '^\| `[A-Za-z0-9_:]+' |
+  sed -E 's/^\| `//' | sort -u)
+if [ -z "$registered" ] || [ -z "$cataloged" ]; then
+  # Guard against the gate passing vacuously after a refactor.
+  echo "NO METRIC NAMES EXTRACTED (registered: $(echo "$registered" | wc -w), cataloged: $(echo "$cataloged" | wc -w))"
+  failures=$((failures + 1))
+fi
+for name in $(comm -23 <(echo "$registered") <(echo "$cataloged")); do
+  echo "UNCATALOGED METRIC: src/ registers '$name' but docs/OBSERVABILITY.md has no row for it"
+  failures=$((failures + 1))
+done
+for name in $(comm -13 <(echo "$registered") <(echo "$cataloged")); do
+  echo "STALE METRIC: docs/OBSERVABILITY.md catalogs '$name' but nothing under src/ registers it"
+  failures=$((failures + 1))
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures failure(s)"
   exit 1
 fi
-echo "check_docs: links resolve, documented subcommands exist, guide symbols are live"
+echo "check_docs: links resolve, documented subcommands exist, guide symbols are live, metric catalog is complete"

@@ -110,43 +110,40 @@ Sample Sample::GaugeSample(std::string name, double value,
 // ---------------------------------------------------------------------------
 // Registry
 
-Counter* MetricsRegistry::GetCounter(std::string_view name,
-                                     std::string_view table_label) {
-  std::lock_guard<std::mutex> lock(mu_);
+MetricsRegistry::Family& MetricsRegistry::FamilyLocked(
+    std::string_view name, std::string_view table_label) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     it = families_.emplace(std::string(name), Family{}).first;
-    it->second.table_label = std::string(table_label);
     order_.push_back(it->first);
   }
-  if (!it->second.counter) it->second.counter = std::make_unique<Counter>();
-  return it->second.counter.get();
+  if (it->second.table_label.empty()) {
+    it->second.table_label = std::string(table_label);
+  }
+  return it->second;
+}
+
+Counter* MetricsRegistry::GetCounter(std::string_view name,
+                                     std::string_view table_label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Family& fam = FamilyLocked(name, table_label);
+  if (!fam.counter) fam.counter = std::make_unique<Counter>();
+  return fam.counter.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name,
                                  std::string_view table_label) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    it = families_.emplace(std::string(name), Family{}).first;
-    it->second.table_label = std::string(table_label);
-    order_.push_back(it->first);
-  }
-  if (!it->second.gauge) it->second.gauge = std::make_unique<Gauge>();
-  return it->second.gauge.get();
+  Family& fam = FamilyLocked(name, table_label);
+  if (!fam.gauge) fam.gauge = std::make_unique<Gauge>();
+  return fam.gauge.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) {
-    it = families_.emplace(std::string(name), Family{}).first;
-    order_.push_back(it->first);
-  }
-  if (!it->second.histogram) {
-    it->second.histogram = std::make_unique<Histogram>();
-  }
-  return it->second.histogram.get();
+  Family& fam = FamilyLocked(name, "");
+  if (!fam.histogram) fam.histogram = std::make_unique<Histogram>();
+  return fam.histogram.get();
 }
 
 int MetricsRegistry::AddCollector(Collector fn) {
@@ -200,21 +197,29 @@ void AppendValue(std::string* out, double v) {
 
 std::string MetricsRegistry::RenderPrometheus() const {
   const std::vector<Sample> samples = Collect();
+  // The exposition format wants one TYPE line per family with the
+  // family's samples contiguous; a collector may interleave families
+  // (hits/trips per failpoint), so group them in first-appearance order.
+  std::vector<std::vector<const Sample*>> families;
+  std::map<std::string_view, size_t> family_of;
+  for (const Sample& s : samples) {
+    auto [it, inserted] = family_of.emplace(s.name, families.size());
+    if (inserted) families.emplace_back();
+    families[it->second].push_back(&s);
+  }
   std::string out;
   out.reserve(4096);
-  std::string last_family;
-  for (const Sample& s : samples) {
-    if (s.name != last_family) {
-      out += "# TYPE " + s.name + " " +
-             (s.kind == Sample::Kind::kCounter ? "counter" : "gauge") +
-             "\n";
-      last_family = s.name;
+  for (const std::vector<const Sample*>& family : families) {
+    const Sample& head = *family.front();
+    out += "# TYPE " + head.name + " " +
+           (head.kind == Sample::Kind::kCounter ? "counter" : "gauge") + "\n";
+    for (const Sample* s : family) {
+      out += s->name;
+      if (!s->labels.empty()) out += "{" + s->labels + "}";
+      out += " ";
+      AppendValue(&out, s->value);
+      out += "\n";
     }
-    out += s.name;
-    if (!s.labels.empty()) out += "{" + s.labels + "}";
-    out += " ";
-    AppendValue(&out, s.value);
-    out += "\n";
   }
   // Owned histograms: cumulative buckets at octave granularity (one `le`
   // per power of two touched), in seconds per Prometheus convention —

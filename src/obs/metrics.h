@@ -13,11 +13,12 @@
 // Ownership: a MetricsRegistry owns its metrics for its lifetime;
 // GetCounter/GetGauge/GetHistogram register on first use and return
 // stable pointers that callers may cache and hit lock-free forever
-// after. Metrics that live outside the registry (per-shard service
-// stats, failpoint counters, SIMD tier) are exported through scrape-time
-// collectors (AddCollector): a collector appends Samples when — and only
-// when — someone scrapes, so exporting a subsystem costs it nothing
-// between scrapes. Samples carry an optional table label, which is what
+// after. The serving tier's counters all live here; values that exist
+// only at scrape time (rates, quantiles, per-shard gauges) or outside
+// the registry (failpoint counters, SIMD tier) are exported through
+// scrape-time collectors (AddCollector): a collector appends Samples
+// when — and only when — someone scrapes, so it costs nothing between
+// scrapes. Samples carry an optional table label, which is what
 // the registry-driven CLI stats table (table_printer.h: MetricsTable)
 // renders; the same Collect() feeds the /metrics endpoint, the
 // kMetricsDump wire frame, and the exit-time tables — one source of
@@ -166,7 +167,8 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create. A non-empty table_label makes the metric a row of
-  /// the CLI stats table; the first registration's label wins.
+  /// the CLI stats table; the first non-empty label wins, so a reader
+  /// that looks a cell up before its owner registers it costs no row.
   Counter* GetCounter(std::string_view name,
                       std::string_view table_label = "");
   Gauge* GetGauge(std::string_view name, std::string_view table_label = "");
@@ -183,8 +185,10 @@ class MetricsRegistry {
   /// Owned scalars (registration order) followed by collector output.
   std::vector<Sample> Collect() const;
 
-  /// Prometheus text exposition (version 0.0.4): Collect() plus owned
-  /// histograms (seconds-unit `le` bounds from the nanosecond buckets).
+  /// Prometheus text exposition (version 0.0.4): Collect() grouped into
+  /// contiguous families (first-appearance order, one TYPE line each),
+  /// plus owned histograms (seconds-unit `le` bounds from the nanosecond
+  /// buckets).
   std::string RenderPrometheus() const;
 
   /// Process-global default registry (used when a subsystem is not handed
@@ -198,6 +202,8 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  /// Find-or-add `name` (caller holds mu_).
+  Family& FamilyLocked(std::string_view name, std::string_view table_label);
 
   mutable std::mutex mu_;
   std::map<std::string, Family, std::less<>> families_;

@@ -5,8 +5,24 @@
 
 namespace rpe {
 
-RecordIngestQueue::RecordIngestQueue(size_t capacity) : capacity_(capacity) {
+RecordIngestQueue::RecordIngestQueue(size_t capacity)
+    : RecordIngestQueue(capacity, nullptr) {}
+
+RecordIngestQueue::RecordIngestQueue(size_t capacity,
+                                     obs::MetricsRegistry* metrics)
+    : capacity_(capacity) {
   RPE_CHECK(capacity_ > 0);
+  if (metrics == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = own_metrics_.get();
+  }
+  pushed_ = metrics->GetCounter("rpe_ingest_pushed_total", "records pushed");
+  dropped_ =
+      metrics->GetCounter("rpe_ingest_dropped_total", "records dropped");
+  drained_ =
+      metrics->GetCounter("rpe_ingest_drained_total", "records drained");
+  batches_ = metrics->GetCounter("rpe_ingest_batches_total");
+  depth_ = metrics->GetGauge("rpe_ingest_queue_depth", "ingest queue");
 }
 
 bool RecordIngestQueue::Push(PipelineRecord record) {
@@ -16,27 +32,35 @@ bool RecordIngestQueue::Push(PipelineRecord record) {
     // same drop accounting, so injected losses stay exact.
     if (closed_ || queue_.size() >= capacity_ ||
         RPE_INJECT_FAULT("ingest.push")) {
-      ++dropped_;
+      dropped_->Inc();
       return false;
     }
     queue_.push_back(std::move(record));
-    ++pushed_;
+    pushed_->Inc();
+    depth_->Set(static_cast<int64_t>(queue_.size()));
   }
   cv_.notify_one();
   return true;
 }
 
-size_t RecordIngestQueue::DrainBatch(std::vector<PipelineRecord>* out,
-                                     size_t max_records) {
-  std::lock_guard<std::mutex> lock(mu_);
+size_t RecordIngestQueue::DrainLocked(std::vector<PipelineRecord>* out,
+                                      size_t max_records) {
   const size_t n = std::min(max_records, queue_.size());
+  if (n == 0) return 0;
   for (size_t i = 0; i < n; ++i) {
     out->push_back(std::move(queue_.front()));
     queue_.pop_front();
   }
-  drained_ += n;
-  if (n > 0) ++batches_;
+  drained_->Inc(n);
+  batches_->Inc();
+  depth_->Set(static_cast<int64_t>(queue_.size()));
   return n;
+}
+
+size_t RecordIngestQueue::DrainBatch(std::vector<PipelineRecord>* out,
+                                     size_t max_records) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return DrainLocked(out, max_records);
 }
 
 size_t RecordIngestQueue::WaitAndDrain(std::vector<PipelineRecord>* out,
@@ -47,14 +71,7 @@ size_t RecordIngestQueue::WaitAndDrain(std::vector<PipelineRecord>* out,
   // until the consumer has reached this wait instead of sleeping.
   (void)RPE_INJECT_FAULT("ingest.wait");
   cv_.wait_for(lock, timeout, [&] { return !queue_.empty() || closed_; });
-  const size_t n = std::min(max_records, queue_.size());
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  drained_ += n;
-  if (n > 0) ++batches_;
-  return n;
+  return DrainLocked(out, max_records);
 }
 
 void RecordIngestQueue::Close() {
@@ -73,27 +90,6 @@ bool RecordIngestQueue::closed() const {
 size_t RecordIngestQueue::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-uint64_t RecordIngestQueue::pushed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pushed_;
-}
-
-uint64_t RecordIngestQueue::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-IngestStats RecordIngestQueue::GetStats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  IngestStats stats;
-  stats.pushed = pushed_;
-  stats.dropped = dropped_;
-  stats.drained = drained_;
-  stats.batches = batches_;
-  stats.queue_size = queue_.size();
-  return stats;
 }
 
 }  // namespace rpe

@@ -13,6 +13,12 @@
 // accounted as either pushed or dropped, and pushed == drained once the
 // consumer has caught up.
 //
+// Counters live in the obs::MetricsRegistry handed to the constructor
+// (rpe_ingest_pushed/dropped/drained/batches_total, the
+// rpe_ingest_queue_depth gauge; nullptr = a queue-private registry), each
+// bumped under the queue lock, so at any quiescent point
+// pushed == drained + depth.
+//
 // Threading contract: all methods are thread-safe. Push may be called
 // from any number of threads; DrainBatch/WaitAndDrain are intended for a
 // single consumer (multiple consumers are safe but split the stream).
@@ -24,55 +30,21 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "selection/record.h"
 
 namespace rpe {
-
-/// \brief Counters describing the online-learning loop, exported through
-/// MonitorService::Stats. The queue fills the queue-side fields; the
-/// TrainerLoop overlays the retraining fields.
-struct IngestStats {
-  uint64_t pushed = 0;   ///< records accepted into the queue
-  uint64_t dropped = 0;  ///< records rejected (queue full or closed)
-  uint64_t drained = 0;  ///< records handed to the consumer
-  uint64_t batches = 0;  ///< drain calls that returned at least one record
-  uint64_t retrains = 0;  ///< completed retrain + publish cycles
-  /// MonitorService model generation of the most recent publish (0 =
-  /// nothing published yet).
-  uint64_t last_swap_generation = 0;
-  /// Retrain cycles that failed before anything was published; the loop
-  /// quarantines (exponential backoff) and keeps serving the previous
-  /// generation.
-  uint64_t retrain_failures = 0;
-  /// Successful retrain + publish cycles that ended a failure streak —
-  /// the loop healed without intervention.
-  uint64_t retrain_recoveries = 0;
-  /// Failed .rpsn writes of retrained stacks after every retry was
-  /// exhausted (publish still proceeded — a lost snapshot file never
-  /// blocks serving fresh models).
-  uint64_t snapshot_write_failures = 0;
-  /// Snapshot-write retry attempts (beyond each first try) that the
-  /// bounded exponential backoff consumed.
-  uint64_t snapshot_write_retries = 0;
-  /// Publishes abandoned after every retry was exhausted: the retrained
-  /// stack is dropped, the previous generation keeps serving, and the
-  /// pending-record counters stay set so a later cycle retries.
-  uint64_t publish_failures = 0;
-  /// Publish retry attempts (beyond each first try).
-  uint64_t publish_retries = 0;
-  size_t queue_size = 0;   ///< records currently queued
-  size_t corpus_size = 0;  ///< records in the sliding training corpus
-  double last_retrain_ms = 0.0;  ///< wall time of the most recent retrain
-};
 
 /// \brief Bounded MPSC queue of completed pipeline records. See the file
 /// comment for the threading contract.
 class RecordIngestQueue {
  public:
   explicit RecordIngestQueue(size_t capacity);
+  RecordIngestQueue(size_t capacity, obs::MetricsRegistry* metrics);
 
   /// Offer one record. Returns true if accepted; false (and counts the
   /// record as dropped) when the queue is full or closed. Never blocks.
@@ -94,23 +66,24 @@ class RecordIngestQueue {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  uint64_t pushed() const;
-  uint64_t dropped() const;
-
-  /// Queue-side counters (retraining fields are zero; the TrainerLoop
-  /// merges its own on top).
-  IngestStats GetStats() const;
+  uint64_t pushed() const { return pushed_->Value(); }
+  uint64_t dropped() const { return dropped_->Value(); }
 
  private:
+  /// Pop up to `max_records` into `*out` (caller holds mu_).
+  size_t DrainLocked(std::vector<PipelineRecord>* out, size_t max_records);
+
   const size_t capacity_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter* pushed_ = nullptr;   ///< records accepted into the queue
+  obs::Counter* dropped_ = nullptr;  ///< rejected (queue full or closed)
+  obs::Counter* drained_ = nullptr;  ///< records handed to the consumer
+  obs::Counter* batches_ = nullptr;  ///< drains that returned >= 1 record
+  obs::Gauge* depth_ = nullptr;      ///< records currently queued
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<PipelineRecord> queue_;
   bool closed_ = false;
-  uint64_t pushed_ = 0;
-  uint64_t dropped_ = 0;
-  uint64_t drained_ = 0;
-  uint64_t batches_ = 0;
 };
 
 }  // namespace rpe

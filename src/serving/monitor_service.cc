@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 
@@ -13,8 +12,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double SecondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+uint64_t NanosSince(Clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
 }
 
 uint64_t CountDecisions(
@@ -43,8 +45,23 @@ MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models,
                                Options options)
-    : options_(options), models_(std::move(models)) {
+    : options_(options), metrics_(options.metrics), models_(std::move(models)) {
   RPE_CHECK(models_ != nullptr);
+  if (metrics_ == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = own_metrics_.get();
+  }
+  // Table labels are the exact rows the serve-* exit tables print
+  // (parsed by scripts/server_smoke_test.sh and cli_exit_test.sh).
+  sessions_opened_ =
+      metrics_->GetCounter("rpe_sessions_opened_total", "sessions opened");
+  sessions_completed_ = metrics_->GetCounter("rpe_sessions_completed_total",
+                                             "sessions completed");
+  decisions_ = metrics_->GetCounter("rpe_decisions_total", "decisions");
+  observations_scored_ = metrics_->GetCounter(
+      "rpe_observations_scored_total", "observations scored");
+  scoring_ns_ = metrics_->GetCounter("rpe_scoring_time_nanoseconds_total");
+  replay_latency_ = metrics_->GetHistogram("rpe_replay_latency_seconds");
 }
 
 uint64_t MonitorService::SwapModels(
@@ -65,12 +82,6 @@ uint64_t MonitorService::model_generation() const {
   return model_generation_;
 }
 
-void MonitorService::SetIngestStatsProvider(
-    std::function<IngestStats()> provider) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  ingest_provider_ = std::move(provider);
-}
-
 Result<MonitorService::SessionId> MonitorService::OpenSession(
     const QueryRunResult* run) {
   if (run == nullptr) {
@@ -82,21 +93,13 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
   // The estimator decisions — the selector scoring — happen at open, once,
   // exactly as a live monitor decides when the query is admitted.
   session->decisions = session->monitor.DecideForRun(*run);
-  session->elapsed_sec = SecondsSince(start);
-  const double session_elapsed = session->elapsed_sec;
-  const uint64_t decisions = CountDecisions(session->decisions);
-  SessionId id = 0;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    id = next_id_++;
-    sessions_.emplace(id, std::move(session));
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++sessions_opened_;
-    decisions_ += decisions;
-    scoring_time_sec_ += session_elapsed;
-  }
+  session->elapsed_ns = NanosSince(start);
+  sessions_opened_->Inc();
+  decisions_->Inc(CountDecisions(session->decisions));
+  scoring_ns_->Inc(session->elapsed_ns);
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  const SessionId id = next_id_++;
+  sessions_.emplace(id, std::move(session));
   return id;
 }
 
@@ -120,26 +123,21 @@ Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
   // One batched decision pass across every pipeline of every run — the
   // same choices OpenSession makes per run, scored in full SIMD tiles.
   auto decided = opened.front()->monitor.DecideForRuns(runs);
-  const double elapsed = SecondsSince(start);
-  const double per_session = elapsed / static_cast<double>(runs.size());
+  const uint64_t elapsed = NanosSince(start);
+  const uint64_t per_session = elapsed / runs.size();
   uint64_t total_decisions = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     total_decisions += CountDecisions(decided[i]);
     opened[i]->decisions = std::move(decided[i]);
-    opened[i]->elapsed_sec = per_session;
+    opened[i]->elapsed_ns = per_session;
   }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (size_t i = 0; i < runs.size(); ++i) {
-      ids[i] = next_id_++;
-      sessions_.emplace(ids[i], std::move(opened[i]));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    sessions_opened_ += runs.size();
-    decisions_ += total_decisions;
-    scoring_time_sec_ += elapsed;
+  sessions_opened_->Inc(runs.size());
+  decisions_->Inc(total_decisions);
+  scoring_ns_->Inc(elapsed);
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ids[i] = next_id_++;
+    sessions_.emplace(ids[i], std::move(opened[i]));
   }
   return ids;
 }
@@ -177,7 +175,7 @@ Result<double> MonitorService::Advance(SessionId id, bool* done) {
     progress = s->last_progress;
     if (done != nullptr) *done = s->next_obs >= total;
   }
-  observations_scored_.fetch_add(1, std::memory_order_relaxed);
+  observations_scored_->Inc();
   return progress;
 }
 
@@ -195,21 +193,11 @@ Result<bool> MonitorService::Done(SessionId id) const {
   return done;
 }
 
-void MonitorService::PushLatencyLocked(double latency_ms) {
-  if (replay_latency_ms_.size() < kLatencyWindow) {
-    replay_latency_ms_.push_back(latency_ms);
-  } else {
-    replay_latency_ms_[latency_next_] = latency_ms;  // overwrite the oldest
-    latency_next_ = (latency_next_ + 1) % kLatencyWindow;
-  }
-}
-
 void MonitorService::RecordCompletion(const Session& s) {
   // Scoring time already accrued live (at open and per step); only the
   // completion latency sample and count are recorded here.
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++sessions_completed_;
-  PushLatencyLocked(s.elapsed_sec * 1e3);
+  sessions_completed_->Inc();
+  replay_latency_->Record(s.elapsed_ns);
 }
 
 Status MonitorService::CloseSession(SessionId id) {
@@ -289,7 +277,7 @@ size_t MonitorService::Tick(size_t max_steps) {
       options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
   std::vector<uint8_t> stepped(selected.size(), 0);
   std::vector<uint8_t> unfinished(selected.size(), 0);
-  std::vector<double> step_sec(selected.size(), 0.0);
+  std::vector<uint64_t> step_ns(selected.size(), 0);
   pool->ParallelFor(selected.size(), [&](size_t si) {
     Session* s = active[selected[si]].second.get();
     std::lock_guard<std::mutex> lock(s->mu);
@@ -298,8 +286,8 @@ size_t MonitorService::Tick(size_t max_steps) {
     if (s->next_obs < s->run->observations.size()) {
       const auto start = Clock::now();
       StepLocked(s);
-      step_sec[si] = SecondsSince(start);
-      s->elapsed_sec += step_sec[si];
+      step_ns[si] = NanosSince(start);
+      s->elapsed_ns += step_ns[si];
       stepped[si] = 1;
     }
     unfinished[si] = s->next_obs < s->run->observations.size() ? 1 : 0;
@@ -310,15 +298,14 @@ size_t MonitorService::Tick(size_t max_steps) {
 
   size_t scored = 0;
   size_t remaining = skipped_unfinished;
-  double elapsed = 0.0;
+  uint64_t elapsed = 0;
   for (size_t si = 0; si < selected.size(); ++si) {
     scored += stepped[si];
     remaining += unfinished[si];
-    elapsed += step_sec[si];
+    elapsed += step_ns[si];
   }
-  observations_scored_.fetch_add(scored, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  scoring_time_sec_ += elapsed;
+  observations_scored_->Inc(scored);
+  scoring_ns_->Inc(elapsed);
   return remaining;
 }
 
@@ -338,11 +325,10 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
   ProgressMonitor monitor(&stack->static_selector, &stack->dynamic_selector,
                           options_.revision_marker_pct);
   const auto decided = monitor.DecideForRuns(runs);
-  const double decide_ms_per_run =
-      SecondsSince(decide_start) * 1e3 / static_cast<double>(runs.size());
-  std::vector<double> latency_ms(runs.size(), 0.0);
-  std::vector<uint64_t> decisions(runs.size(), 0);
-  std::vector<uint64_t> scored(runs.size(), 0);
+  const uint64_t decide_ns_per_run = NanosSince(decide_start) / runs.size();
+  sessions_opened_->Inc(runs.size());
+  // Each worker accrues its own session's counters: the cells are
+  // per-thread sharded, so the parallel pass shares no lock.
   pool->ParallelFor(runs.size(), [&](size_t i) {
     const QueryRunResult& run = *runs[i];
     const auto start = Clock::now();
@@ -351,67 +337,14 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
     for (size_t oi = 0; oi < run.observations.size(); ++oi) {
       series.push_back(monitor.QueryProgressAt(run, decided[i], oi));
     }
-    latency_ms[i] = decide_ms_per_run + SecondsSince(start) * 1e3;
-    decisions[i] = CountDecisions(decided[i]);
-    scored[i] = run.observations.size();
+    const uint64_t latency_ns = decide_ns_per_run + NanosSince(start);
+    decisions_->Inc(CountDecisions(decided[i]));
+    observations_scored_->Inc(run.observations.size());
+    scoring_ns_->Inc(latency_ns);
+    replay_latency_->Record(latency_ns);
+    sessions_completed_->Inc();
   });
-  uint64_t total_scored = 0;
-  for (uint64_t n : scored) total_scored += n;
-  observations_scored_.fetch_add(total_scored, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    ++sessions_opened_;
-    ++sessions_completed_;
-    decisions_ += decisions[i];
-    scoring_time_sec_ += latency_ms[i] / 1e3;
-    PushLatencyLocked(latency_ms[i]);
-  }
   return out;
-}
-
-MonitorService::Stats MonitorService::GetStats(
-    std::vector<double>* latency_samples) const {
-  // The ingest provider is fetched and called outside the service locks:
-  // it reaches into the TrainerLoop, which itself calls back into the
-  // service (SwapModels), so holding stats_mu_ across it could deadlock.
-  std::function<IngestStats()> provider;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    provider = ingest_provider_;
-  }
-  Stats stats;
-  if (provider) stats.ingest = provider();
-  stats.model_generation = model_generation();
-  // Copy under the lock, sort outside it: the IO thread answering kStats
-  // holds stats_mu_ for a copy, not for a sort, and one sort serves both
-  // cuts.
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats.sessions_opened = sessions_opened_;
-    stats.sessions_completed = sessions_completed_;
-    stats.decisions = decisions_;
-    stats.scoring_time_sec = scoring_time_sec_;
-    samples = replay_latency_ms_;
-  }
-  stats.observations_scored =
-      observations_scored_.load(std::memory_order_relaxed);
-  std::sort(samples.begin(), samples.end());
-  stats.p50_replay_ms = PercentileSorted(samples, 50.0);
-  stats.p95_replay_ms = PercentileSorted(samples, 95.0);
-  if (latency_samples != nullptr) *latency_samples = std::move(samples);
-  if (stats.scoring_time_sec > 0.0) {
-    // Throughput over cumulative scoring time (accrued live at every
-    // decision and timed observation tick, so open or early-closed
-    // sessions are counted): per-core rates comparable across thread
-    // counts.
-    stats.decisions_per_sec =
-        static_cast<double>(stats.decisions) / stats.scoring_time_sec;
-    stats.observations_per_sec =
-        static_cast<double>(stats.observations_scored) /
-        stats.scoring_time_sec;
-  }
-  return stats;
 }
 
 }  // namespace rpe

@@ -18,22 +18,25 @@
 //
 // The service is also the publish point of the online-learning loop
 // (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
-// monotonic model generation, and GetStats can surface the trainer's
-// IngestStats next to the replay counters so one call describes the whole
-// observe → record → retrain → publish cycle.
+// monotonic model generation.
+//
+// Counters: every session, decision, observation and replay latency is
+// accrued straight into cells of the obs::MetricsRegistry handed in via
+// Options::metrics (docs/OBSERVABILITY.md is the catalog); there is no
+// stats struct and no stats lock. A service whose registry is shared
+// with the queue, the trainer and the TCP front-end describes the whole
+// observe → record → retrain → publish cycle in one scrape.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "selection/monitor.h"
-#include "serving/ingest.h"
 #include "serving/snapshot.h"
 
 namespace rpe {
@@ -64,6 +67,10 @@ class MonitorService : public ModelPublisher {
     double revision_marker_pct = 20.0;
     /// Worker pool for sharded replay; nullptr = the global pool.
     ThreadPool* pool = nullptr;
+    /// Registry the service's counters and replay-latency histogram live
+    /// in. nullptr = a service-private registry, so tests that assert
+    /// exact per-service counters stay isolated from each other.
+    obs::MetricsRegistry* metrics = nullptr;
   };
 
   using SessionId = uint64_t;
@@ -113,7 +120,8 @@ class MonitorService : public ModelPublisher {
   /// True once every observation of the session's run has been scored.
   Result<bool> Done(SessionId id) const;
 
-  /// Close the session; its replay latency enters the aggregate stats.
+  /// Close the session; a fully replayed session counts as completed and
+  /// its replay latency enters rpe_replay_latency_seconds.
   Status CloseSession(SessionId id);
 
   size_t num_open_sessions() const;
@@ -136,43 +144,9 @@ class MonitorService : public ModelPublisher {
   std::vector<std::vector<double>> ReplayAll(
       std::span<const QueryRunResult* const> runs);
 
-  /// \brief Aggregate serving statistics since construction.
-  struct Stats {
-    size_t sessions_opened = 0;
-    size_t sessions_completed = 0;  ///< fully replayed (closed or ReplayAll)
-    uint64_t decisions = 0;  ///< estimator selections (initial + revised)
-    uint64_t observations_scored = 0;
-    /// Per-session full-replay latency percentiles over a sliding window
-    /// of the most recent completions (the service is long-running; the
-    /// window keeps stats memory bounded).
-    double p50_replay_ms = 0.0;
-    double p95_replay_ms = 0.0;
-    double decisions_per_sec = 0.0;  ///< over cumulative scoring time
-    double observations_per_sec = 0.0;
-    /// Cumulative scoring time in seconds — the denominator of the rates,
-    /// exposed so an aggregator (ShardedMonitorService) can recompute
-    /// exact pooled rates from summed counters and times. Accrued by
-    /// decide passes, Tick steps and ReplayAll; Advance steps are untimed.
-    double scoring_time_sec = 0.0;
-    /// Generation of the published model snapshot (see SwapModels).
-    uint64_t model_generation = 0;
-    /// Online-learning counters (zeros unless a provider is registered
-    /// via SetIngestStatsProvider).
-    IngestStats ingest;
-  };
-  /// When `latency_samples` is non-null it receives the bounded
-  /// replay-latency reservoir behind p50/p95 (most recent kLatencyWindow
-  /// completions), sorted ascending and copied under the same lock hold
-  /// as the counters — one consistent snapshot. A shard aggregator merges
-  /// these across shards so pooled percentiles are computed over the
-  /// union of samples instead of averaging per-shard percentiles.
-  Stats GetStats(std::vector<double>* latency_samples = nullptr) const;
-
-  /// Register the source of Stats::ingest (typically
-  /// TrainerLoop::GetStats). The provider is called outside the service's
-  /// locks on every GetStats; pass nullptr to unregister. It must stay
-  /// callable until unregistered or the service is destroyed.
-  void SetIngestStatsProvider(std::function<IngestStats()> provider);
+  /// The registry the service's counters live in (Options::metrics, or
+  /// the service-private one).
+  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
   struct Session {
@@ -182,7 +156,7 @@ class MonitorService : public ModelPublisher {
     std::vector<ProgressMonitor::PipelineDecision> decisions;
     size_t next_obs = 0;
     double last_progress = 0.0;
-    double elapsed_sec = 0.0;  ///< decide time + timed Tick steps
+    uint64_t elapsed_ns = 0;  ///< decide time + timed Tick steps
     /// Fairness credit for budgeted Tick (guarded by the service's
     /// tick_mu_: only the serialized scheduling pass touches it).
     uint64_t deficit = 0;
@@ -202,10 +176,22 @@ class MonitorService : public ModelPublisher {
   /// One observation tick of one session (caller holds s->mu).
   static void StepLocked(Session* s);
   void RecordCompletion(const Session& s);
-  /// Caller holds stats_mu_.
-  void PushLatencyLocked(double latency_ms);
 
   const Options options_;
+
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter* sessions_opened_ = nullptr;
+  /// Fully replayed sessions (closed after the last step, or ReplayAll).
+  obs::Counter* sessions_completed_ = nullptr;
+  /// Estimator selections (initial + revised).
+  obs::Counter* decisions_ = nullptr;
+  obs::Counter* observations_scored_ = nullptr;
+  /// Cumulative scoring time (decide passes, Tick steps and ReplayAll;
+  /// Advance steps are untimed), the denominator of the rates.
+  obs::Counter* scoring_ns_ = nullptr;
+  /// Per-session full-replay latency, recorded at completion.
+  obs::Histogram* replay_latency_ = nullptr;
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const SelectorStack> models_;
@@ -218,24 +204,6 @@ class MonitorService : public ModelPublisher {
   /// Serializes Tick passes (the deficit scheduling state is
   /// single-ticker); Advance/ReplayAll do not take it.
   std::mutex tick_mu_;
-
-  mutable std::mutex ingest_mu_;
-  std::function<IngestStats()> ingest_provider_;
-
-  /// Relaxed: bumped on every step without stats_mu_.
-  std::atomic<uint64_t> observations_scored_{0};
-
-  mutable std::mutex stats_mu_;
-  size_t sessions_opened_ = 0;
-  size_t sessions_completed_ = 0;
-  uint64_t decisions_ = 0;
-  /// Cumulative scoring time, accrued live (session open, every Tick
-  /// step, every ReplayAll session) — the rate denominator.
-  double scoring_time_sec_ = 0.0;
-  /// Bounded ring of recent per-session replay latencies (see Stats).
-  static constexpr size_t kLatencyWindow = 4096;
-  std::vector<double> replay_latency_ms_;
-  size_t latency_next_ = 0;
 };
 
 }  // namespace rpe

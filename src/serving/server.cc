@@ -149,7 +149,7 @@ struct TcpServer::AdvanceWork {
 /// per-thread counters that used to live here are registry-owned
 /// obs::Counters now (TcpServer::Counters) — same relaxed-increment hot
 /// path (each thread writes its own shard cell), one source of truth for
-/// GetStats, the exit table, and the metrics scrape.
+/// kStats, the exit table, and the metrics scrape.
 struct TcpServer::IoThread {
   size_t index = 0;
   int epoll_fd = -1;
@@ -220,6 +220,21 @@ TcpServer::TcpServer(ShardedMonitorService* service,
       "rpe_server_records_ingest_shed_total", "wire records shed");
   request_latency_ =
       registry_->GetHistogram("rpe_server_request_latency_seconds");
+  // The cells the service, queue and trainer accrue into when they share
+  // this registry (find-or-create: the owners' table labels still win).
+  w_.sessions_opened = registry_->GetCounter("rpe_sessions_opened_total");
+  w_.sessions_completed =
+      registry_->GetCounter("rpe_sessions_completed_total");
+  w_.decisions = registry_->GetCounter("rpe_decisions_total");
+  w_.observations_scored =
+      registry_->GetCounter("rpe_observations_scored_total");
+  w_.model_generation = registry_->GetGauge("rpe_model_generation");
+  w_.replay_latency = registry_->GetHistogram("rpe_replay_latency_seconds");
+  w_.ingest_pushed = registry_->GetCounter("rpe_ingest_pushed_total");
+  w_.ingest_dropped = registry_->GetCounter("rpe_ingest_dropped_total");
+  w_.ingest_drained = registry_->GetCounter("rpe_ingest_drained_total");
+  w_.ingest_queue_depth = registry_->GetGauge("rpe_ingest_queue_depth");
+  w_.retrains = registry_->GetCounter("rpe_retrains_total");
 }
 
 TcpServer::~TcpServer() { Stop(); }
@@ -1072,59 +1087,38 @@ void TcpServer::IoLoop(IoThread* io) {
   }
 }
 
-TcpServerStats TcpServer::GetStats() const {
-  // The registry counters ARE the stats — this struct is a point-in-time
-  // read of the same cells /metrics scrapes.
-  TcpServerStats s;
-  s.connections_accepted = c_.connections_accepted->Value();
-  s.connections_closed = c_.connections_closed->Value();
-  s.frames_received = c_.frames_received->Value();
-  s.frames_sent = c_.frames_sent->Value();
-  s.bytes_received = c_.bytes_received->Value();
-  s.bytes_sent = c_.bytes_sent->Value();
-  s.protocol_errors = c_.protocol_errors->Value();
-  s.io_errors = c_.io_errors->Value();
-  s.wire_sessions_opened = c_.wire_sessions_opened->Value();
-  s.wire_sessions_closed = c_.wire_sessions_closed->Value();
-  s.advance_steps = c_.advance_steps->Value();
-  s.requests_shed = c_.requests_shed->Value();
-  s.records_ingested = c_.records_ingested->Value();
-  s.records_ingest_dropped = c_.records_ingest_dropped->Value();
-  s.records_ingest_shed = c_.records_ingest_shed->Value();
-  return s;
-}
-
 WireStats TcpServer::BuildWireStats() const {
-  const ShardedMonitorService::Stats svc = service_->GetStats();
-  const TcpServerStats tcp = GetStats();
+  // A fixed view of registry cells: the same values /metrics,
+  // kMetricsDump and the exit table render.
+  const obs::Histogram::Snapshot latency = w_.replay_latency->Snap();
   WireStats w;
-  w.sessions_opened = svc.total.sessions_opened;
-  w.sessions_completed = svc.total.sessions_completed;
-  w.decisions = svc.total.decisions;
-  w.observations_scored = svc.total.observations_scored;
-  w.model_generation = svc.total.model_generation;
-  w.connections_accepted = tcp.connections_accepted;
-  w.connections_closed = tcp.connections_closed;
-  w.frames_received = tcp.frames_received;
-  w.frames_sent = tcp.frames_sent;
-  w.bytes_received = tcp.bytes_received;
-  w.bytes_sent = tcp.bytes_sent;
-  w.protocol_errors = tcp.protocol_errors;
-  w.io_errors = tcp.io_errors;
-  w.wire_sessions_opened = tcp.wire_sessions_opened;
-  w.wire_sessions_closed = tcp.wire_sessions_closed;
-  w.advance_steps = tcp.advance_steps;
-  w.p50_replay_ms = svc.total.p50_replay_ms;
-  w.p95_replay_ms = svc.total.p95_replay_ms;
-  w.records_ingested = tcp.records_ingested;
-  w.records_ingest_dropped = tcp.records_ingest_dropped;
-  w.records_ingest_shed = tcp.records_ingest_shed;
-  w.requests_shed = tcp.requests_shed;
-  w.ingest_pushed = svc.total.ingest.pushed;
-  w.ingest_dropped = svc.total.ingest.dropped;
-  w.ingest_drained = svc.total.ingest.drained;
-  w.ingest_queue_size = svc.total.ingest.queue_size;
-  w.retrains = svc.total.ingest.retrains;
+  w.sessions_opened = w_.sessions_opened->Value();
+  w.sessions_completed = w_.sessions_completed->Value();
+  w.decisions = w_.decisions->Value();
+  w.observations_scored = w_.observations_scored->Value();
+  w.model_generation = static_cast<uint64_t>(w_.model_generation->Value());
+  w.connections_accepted = c_.connections_accepted->Value();
+  w.connections_closed = c_.connections_closed->Value();
+  w.frames_received = c_.frames_received->Value();
+  w.frames_sent = c_.frames_sent->Value();
+  w.bytes_received = c_.bytes_received->Value();
+  w.bytes_sent = c_.bytes_sent->Value();
+  w.protocol_errors = c_.protocol_errors->Value();
+  w.io_errors = c_.io_errors->Value();
+  w.wire_sessions_opened = c_.wire_sessions_opened->Value();
+  w.wire_sessions_closed = c_.wire_sessions_closed->Value();
+  w.advance_steps = c_.advance_steps->Value();
+  w.p50_replay_ms = latency.Quantile(0.50) / 1e6;
+  w.p95_replay_ms = latency.Quantile(0.95) / 1e6;
+  w.records_ingested = c_.records_ingested->Value();
+  w.records_ingest_dropped = c_.records_ingest_dropped->Value();
+  w.records_ingest_shed = c_.records_ingest_shed->Value();
+  w.requests_shed = c_.requests_shed->Value();
+  w.ingest_pushed = w_.ingest_pushed->Value();
+  w.ingest_dropped = w_.ingest_dropped->Value();
+  w.ingest_drained = w_.ingest_drained->Value();
+  w.ingest_queue_size = static_cast<uint64_t>(w_.ingest_queue_depth->Value());
+  w.retrains = w_.retrains->Value();
   return w;
 }
 

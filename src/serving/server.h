@@ -38,10 +38,11 @@
 // silently: a frame that exceeds the per-connection or global in-flight
 // budget, or an ingest frame that would push the queue past its
 // watermark, is answered with a kStatusBusy error frame in FIFO order
-// and counted exactly (TcpServerStats::requests_shed /
-// records_ingest_shed). Shed decisions happen at read time — the frame's
-// payload is released immediately, so a flood costs inbox slots, not
-// payload bytes — but the busy response still goes out in request order.
+// and counted exactly (rpe_server_requests_shed_total /
+// rpe_server_records_ingest_shed_total). Shed decisions happen at read
+// time — the frame's payload is released immediately, so a flood costs
+// inbox slots, not payload bytes — but the busy response still goes out
+// in request order.
 //
 // Shutdown: Stop() closes the listen socket, wakes every IO thread,
 // flushes pending write buffers for up to Options::drain_timeout, closes
@@ -67,31 +68,6 @@
 #include "serving/wire.h"
 
 namespace rpe {
-
-/// \brief Exact counters of the TCP front-end, summed over IO threads.
-/// (The serving-tier counters live in ShardedMonitorService::Stats; a
-/// StatsResponse over the wire carries both.)
-struct TcpServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t frames_received = 0;
-  uint64_t frames_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t protocol_errors = 0;  ///< hostile frames / payloads
-  uint64_t io_errors = 0;        ///< read/write/accept failures
-  uint64_t wire_sessions_opened = 0;
-  uint64_t wire_sessions_closed = 0;
-  uint64_t advance_steps = 0;  ///< observation steps taken for Advance
-  // Admission control / online ingest. Every record offered over the wire
-  // is accounted exactly once: ingested + ingest_dropped + ingest_shed ==
-  // records offered; every shed frame (session or ingest) was answered
-  // with kStatusBusy, never silently discarded.
-  uint64_t requests_shed = 0;           ///< session frames answered busy
-  uint64_t records_ingested = 0;        ///< records accepted into the queue
-  uint64_t records_ingest_dropped = 0;  ///< records refused at the queue edge
-  uint64_t records_ingest_shed = 0;     ///< records answered busy
-};
 
 /// \brief Epoll event-loop TCP server over a ShardedMonitorService.
 /// Start/Stop are not thread-safe against each other; everything the IO
@@ -121,9 +97,11 @@ class TcpServer {
     /// capacity (shed exactly when Push would start dropping).
     size_t ingest_shed_watermark = 0;
     /// Registry the server's counters and request-latency histogram live
-    /// in (also the source a kMetricsDump frame and the /metrics endpoint
-    /// render). nullptr = a server-private registry, so tests that assert
-    /// exact per-server counters stay isolated from each other.
+    /// in (also the source kStats, a kMetricsDump frame and the /metrics
+    /// endpoint render). Hand the service, queue and trainer the same
+    /// registry, or kStats reports zeros for their fields. nullptr = a
+    /// server-private registry, so tests that assert exact per-server
+    /// counters stay isolated from each other.
     obs::MetricsRegistry* metrics = nullptr;
     /// Port of the HTTP /metrics exposition listener (loopback, GET
     /// only): -1 disables it, 0 picks an ephemeral port — read it back
@@ -164,11 +142,10 @@ class TcpServer {
   /// the server-private one).
   obs::MetricsRegistry& metrics_registry() { return *registry_; }
 
-  TcpServerStats GetStats() const;
-
-  /// The WireStats a StatsRequest returns right now (service + front-end
-  /// counters merged) — shared with the stats handler so tests and the
-  /// CLI summary read exactly what clients see.
+  /// The WireStats a StatsRequest returns right now: every field read
+  /// from this server's registry cells (p50/p95 from the
+  /// rpe_replay_latency_seconds histogram), so tests read exactly what
+  /// clients see.
   WireStats BuildWireStats() const;
 
  private:
@@ -223,7 +200,7 @@ class TcpServer {
 
   /// The server's counters are registry-owned obs::Counters (one relaxed
   /// sharded fetch_add per accrual, summed only on scrape) — the same
-  /// objects back GetStats, the exit table, kMetricsDump, and /metrics.
+  /// objects back kStats, the exit table, kMetricsDump, and /metrics.
   struct Counters {
     obs::Counter* connections_accepted = nullptr;
     obs::Counter* connections_closed = nullptr;
@@ -246,6 +223,21 @@ class TcpServer {
   obs::MetricsRegistry* registry_ = nullptr;
   Counters c_;
   obs::Histogram* request_latency_ = nullptr;  ///< end-to-end, ns
+  /// The service / ingest / trainer cells kStats reads (see BuildWireStats).
+  struct WireCells {
+    obs::Counter* sessions_opened = nullptr;
+    obs::Counter* sessions_completed = nullptr;
+    obs::Counter* decisions = nullptr;
+    obs::Counter* observations_scored = nullptr;
+    obs::Gauge* model_generation = nullptr;
+    obs::Histogram* replay_latency = nullptr;
+    obs::Counter* ingest_pushed = nullptr;
+    obs::Counter* ingest_dropped = nullptr;
+    obs::Counter* ingest_drained = nullptr;
+    obs::Gauge* ingest_queue_depth = nullptr;
+    obs::Counter* retrains = nullptr;
+  };
+  WireCells w_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

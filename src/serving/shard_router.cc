@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 
 namespace rpe {
@@ -22,17 +21,36 @@ uint64_t HashTicket(uint64_t x) {
 
 ShardedMonitorService::ShardedMonitorService(
     std::shared_ptr<const SelectorStack> models, Options options)
-    : options_(options) {
+    : options_(options), metrics_(options.metrics) {
   RPE_CHECK_GE(options_.num_shards, 1u);
   RPE_CHECK(models != nullptr);
+  if (metrics_ == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = own_metrics_.get();
+  }
   MonitorService::Options shard_options;
   shard_options.revision_marker_pct = options_.revision_marker_pct;
   shard_options.pool = options_.pool;
+  shard_options.metrics = metrics_;
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(
         std::make_unique<MonitorService>(models, shard_options));
   }
+  // Registered after the shards' cells, so the table keeps its row
+  // order; the shards already registered the cells looked up below.
+  generation_ = metrics_->GetGauge("rpe_model_generation", "model generation");
+  generation_->Set(0);
+  decisions_ = metrics_->GetCounter("rpe_decisions_total");
+  observations_ = metrics_->GetCounter("rpe_observations_scored_total");
+  scoring_ns_ = metrics_->GetCounter("rpe_scoring_time_nanoseconds_total");
+  replay_latency_ = metrics_->GetHistogram("rpe_replay_latency_seconds");
+  collector_id_ = metrics_->AddCollector(
+      [this](std::vector<obs::Sample>* out) { AppendDerivedSamples(out); });
+}
+
+ShardedMonitorService::~ShardedMonitorService() {
+  metrics_->RemoveCollector(collector_id_);
 }
 
 ThreadPool* ShardedMonitorService::Pool() const {
@@ -56,15 +74,14 @@ uint64_t ShardedMonitorService::SwapModels(
       RPE_CHECK_EQ(g, generation);
     }
   }
+  // One gauge write per fan-out, after every shard has stepped: a scrape
+  // never sees a generation that some shard does not serve yet.
+  generation_->Set(static_cast<int64_t>(generation));
   return generation;
 }
 
 uint64_t ShardedMonitorService::model_generation() const {
-  uint64_t min_gen = shards_[0]->model_generation();
-  for (size_t s = 1; s < shards_.size(); ++s) {
-    min_gen = std::min(min_gen, shards_[s]->model_generation());
-  }
-  return min_gen;
+  return static_cast<uint64_t>(generation_->Value());
 }
 
 Result<ShardedMonitorService::SessionId> ShardedMonitorService::OpenSession(
@@ -153,72 +170,41 @@ std::vector<std::vector<double>> ShardedMonitorService::ReplayAll(
   return out;
 }
 
-ShardedMonitorService::Stats ShardedMonitorService::GetStats() const {
-  // Provider called outside any router lock (it reaches the TrainerLoop,
-  // which publishes back through SwapModels).
-  std::function<IngestStats()> provider;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    provider = ingest_provider_;
+void ShardedMonitorService::AppendDerivedSamples(
+    std::vector<obs::Sample>* out) const {
+  // Runs under the registry mutex: read the cells through pointers taken
+  // at construction, never through Get* (which takes that mutex).
+  const obs::Histogram::Snapshot latency =
+      replay_latency_->Snap();
+  const double scoring_sec =
+      static_cast<double>(scoring_ns_->Value()) / 1e9;
+  const auto per_sec = [scoring_sec](const obs::Counter* c) {
+    return scoring_sec > 0.0 ? static_cast<double>(c->Value()) / scoring_sec
+                             : 0.0;
+  };
+  // table_value() in the smoke/exit scripts takes the FIRST row whose
+  // label matches, so "decisions/sec" must render after the registered
+  // "decisions" row, which every collector does.
+  out->push_back(obs::Sample::GaugeSample(
+      "rpe_shards", static_cast<double>(shards_.size()), "shards"));
+  out->push_back(obs::Sample::GaugeSample("rpe_replay_latency_p50_ms",
+                                          latency.Quantile(0.50) / 1e6,
+                                          "p50 replay latency (ms)"));
+  out->push_back(obs::Sample::GaugeSample("rpe_replay_latency_p95_ms",
+                                          latency.Quantile(0.95) / 1e6,
+                                          "p95 replay latency (ms)"));
+  out->push_back(obs::Sample::GaugeSample(
+      "rpe_decisions_per_sec", per_sec(decisions_),
+      "decisions/sec"));
+  out->push_back(obs::Sample::GaugeSample(
+      "rpe_observations_per_sec", per_sec(observations_),
+      "observations/sec"));
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    out->push_back(obs::Sample::GaugeSample(
+        "rpe_shard_sessions_open",
+        static_cast<double>(shards_[i]->num_open_sessions()), "",
+        "shard=\"" + std::to_string(i) + "\""));
   }
-  Stats stats;
-  stats.shards = shards_.size();
-  if (provider) stats.total.ingest = provider();
-
-  // Exclude publishes while scanning: a swap fan-out can never interleave
-  // with the per-shard reads, so the reported generations are a consistent
-  // cut (min == max always; both are kept as an interface-level check).
-  std::lock_guard<std::mutex> swap_lock(swap_mu_);
-  std::vector<double> latencies;
-  std::vector<double> samples;
-  bool first = true;
-  for (const auto& shard : shards_) {
-    // Counters and reservoir come from one lock hold per shard, so each
-    // shard's contribution is internally consistent.
-    const MonitorService::Stats s = shard->GetStats(&samples);
-    stats.total.sessions_opened += s.sessions_opened;
-    stats.total.sessions_completed += s.sessions_completed;
-    stats.total.decisions += s.decisions;
-    stats.total.observations_scored += s.observations_scored;
-    stats.total.scoring_time_sec += s.scoring_time_sec;
-    if (first) {
-      stats.min_model_generation = s.model_generation;
-      stats.max_model_generation = s.model_generation;
-      first = false;
-    } else {
-      stats.min_model_generation =
-          std::min(stats.min_model_generation, s.model_generation);
-      stats.max_model_generation =
-          std::max(stats.max_model_generation, s.model_generation);
-    }
-    // Each shard hands back its reservoir sorted, so the union stays
-    // sorted with a linear merge instead of a sort.
-    const size_t merged = latencies.size();
-    latencies.insert(latencies.end(), samples.begin(), samples.end());
-    std::inplace_merge(latencies.begin(), latencies.begin() + merged,
-                       latencies.end());
-  }
-  // Consistent-cut generation (the swap lock is held): min == max.
-  stats.total.model_generation = stats.min_model_generation;
-  // Pooled percentiles over the union of the shard reservoirs — exact,
-  // not an average of per-shard percentiles.
-  stats.total.p50_replay_ms = PercentileSorted(latencies, 50.0);
-  stats.total.p95_replay_ms = PercentileSorted(latencies, 95.0);
-  if (stats.total.scoring_time_sec > 0.0) {
-    stats.total.decisions_per_sec =
-        static_cast<double>(stats.total.decisions) /
-        stats.total.scoring_time_sec;
-    stats.total.observations_per_sec =
-        static_cast<double>(stats.total.observations_scored) /
-        stats.total.scoring_time_sec;
-  }
-  return stats;
-}
-
-void ShardedMonitorService::SetIngestStatsProvider(
-    std::function<IngestStats()> provider) {
-  std::lock_guard<std::mutex> lock(ingest_mu_);
-  ingest_provider_ = std::move(provider);
 }
 
 }  // namespace rpe

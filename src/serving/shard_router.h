@@ -3,8 +3,8 @@
 // at tens of thousands of open sessions every OpenSession/Advance/Close
 // serializes on the same two locks. The router hash-partitions sessions
 // across N fully independent MonitorService shards — each with its own
-// session map, locks, latency reservoir, and deficit-fair tick budget —
-// so unrelated sessions never contend and the data-path cost of routing
+// session map, locks, and deficit-fair tick budget — so unrelated
+// sessions never contend and the data-path cost of routing
 // is two arithmetic ops on the session id.
 //
 // Routing: OpenSession picks a shard by hashing a monotone open ticket
@@ -15,9 +15,9 @@
 //
 // Publish: SwapModels fans out to every shard under one router lock, so a
 // publish is observed by all shards as one generation step — after any
-// SwapModels returns, every shard reports the same generation, and
-// concurrent GetStats can never see the generations more than one step
-// apart (min/max are both reported). The router is the TrainerLoop's
+// SwapModels returns, every shard reports the same generation. The
+// rpe_model_generation gauge is set once per fan-out, under the same
+// lock, after every shard has stepped. The router is the TrainerLoop's
 // ModelPublisher, so the online-learning loop drives all shards with one
 // call.
 //
@@ -30,13 +30,18 @@
 // Determinism: shards only partition sessions; each session's replay is
 // the same deterministic observation walk MonitorService performs, so a
 // sharded replay is bit-identical to an unsharded one at any shard count
-// and any thread count. Counter stats are exact sums; p50/p95 are
-// computed over the union of the per-shard latency reservoirs.
+// and any thread count.
+//
+// Metrics: every shard accrues into the router's registry, so each
+// counter is one cell shared by all shards (exact sums by construction)
+// and the replay-latency histogram pools every session. The router adds
+// one scrape-time collector for the values derived only when scraped:
+// rpe_shards, rpe_shard_sessions_open{shard}, p50/p95 replay latency and
+// the decisions/observations per-second rates.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -60,20 +65,28 @@ class ShardedMonitorService : public ModelPublisher {
     double revision_marker_pct = 20.0;
     /// Worker pool for per-shard tick/replay batches; nullptr = global.
     ThreadPool* pool = nullptr;
+    /// Registry every shard's counters live in (see file comment).
+    /// nullptr = a router-private registry, for test isolation.
+    obs::MetricsRegistry* metrics = nullptr;
   };
 
   using SessionId = MonitorService::SessionId;
 
   ShardedMonitorService(std::shared_ptr<const SelectorStack> models,
                         Options options);
+  ~ShardedMonitorService();  ///< removes the scrape-time collector
+
+  /// The registry's collector holds `this`.
+  ShardedMonitorService(const ShardedMonitorService&) = delete;
+  ShardedMonitorService& operator=(const ShardedMonitorService&) = delete;
 
   size_t num_shards() const { return shards_.size(); }
 
   /// Fan the publish out to every shard in one generation step (see file
   /// comment). Returns the new generation, identical on every shard.
   uint64_t SwapModels(std::shared_ptr<const SelectorStack> models) override;
-  /// Generation every shard has observed (the min across shards — i.e.
-  /// "published everywhere").
+  /// Generation every shard has observed ("published everywhere"): the
+  /// rpe_model_generation gauge, written once each fan-out completes.
   uint64_t model_generation() const;
 
   /// Session API, routed by id; semantics identical to MonitorService.
@@ -104,25 +117,9 @@ class ShardedMonitorService : public ModelPublisher {
   std::vector<std::vector<double>> ReplayAll(
       std::span<const QueryRunResult* const> runs);
 
-  /// \brief Aggregated serving statistics.
-  struct Stats {
-    size_t shards = 0;
-    /// Summed counters; p50/p95 merged over the union of per-shard
-    /// latency reservoirs; rates recomputed from summed counters over
-    /// summed scoring time. model_generation is the min across shards;
-    /// ingest comes from the router-level provider.
-    MonitorService::Stats total;
-    /// Min/max shard generation. GetStats excludes publishes while it
-    /// scans, so these are always equal — a consistent cut across shards;
-    /// both are reported as an interface-level consistency check.
-    uint64_t min_model_generation = 0;
-    uint64_t max_model_generation = 0;
-  };
-  Stats GetStats() const;
-
-  /// Register the source of Stats::ingest for the aggregate (typically
-  /// TrainerLoop::GetStats); pass nullptr to unregister.
-  void SetIngestStatsProvider(std::function<IngestStats()> provider);
+  /// The registry every shard's counters live in (Options::metrics, or
+  /// the router-private one).
+  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   /// Direct shard access for tests/benches (shards are owned; do not swap
   /// models through a shard directly or the one-step generation invariant
@@ -133,19 +130,27 @@ class ShardedMonitorService : public ModelPublisher {
   size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   SessionId LocalId(SessionId id) const { return id / shards_.size(); }
   ThreadPool* Pool() const;
+  /// The scrape-time samples (see file comment).
+  void AppendDerivedSamples(std::vector<obs::Sample>* out) const;
 
   const Options options_;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<MonitorService>> shards_;
+  obs::Gauge* generation_ = nullptr;  ///< set under swap_mu_
+  /// The shards' shared cells the collector derives its samples from.
+  obs::Counter* decisions_ = nullptr;
+  obs::Counter* observations_ = nullptr;
+  obs::Counter* scoring_ns_ = nullptr;
+  obs::Histogram* replay_latency_ = nullptr;
+  int collector_id_ = 0;
 
   /// Monotone open ticket; hashed to pick the shard of a new session.
   std::atomic<uint64_t> open_ticket_{0};
 
   /// Serializes SwapModels fan-outs so a publish lands on every shard as
   /// one step and generations advance in lockstep.
-  mutable std::mutex swap_mu_;
-
-  mutable std::mutex ingest_mu_;
-  std::function<IngestStats()> ingest_provider_;
+  std::mutex swap_mu_;
 };
 
 }  // namespace rpe

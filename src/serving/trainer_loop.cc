@@ -1,6 +1,7 @@
 #include "serving/trainer_loop.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -30,6 +31,30 @@ TrainerLoop::TrainerLoop(RecordIngestQueue* queue, ModelPublisher* service,
   RPE_CHECK(options_.min_corpus > 0);
   RPE_CHECK(options_.max_corpus >= options_.min_corpus);
   last_retrain_time_ = Clock::now();
+  obs::MetricsRegistry* metrics = options_.metrics;
+  if (metrics == nullptr) {
+    own_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = own_metrics_.get();
+  }
+  retrains_ =
+      metrics->GetCounter("rpe_retrains_total", "retrains published");
+  retrain_failures_ =
+      metrics->GetCounter("rpe_retrain_failures_total", "retrain failures");
+  retrain_recoveries_ = metrics->GetCounter("rpe_retrain_recoveries_total",
+                                            "retrain recoveries");
+  snapshot_write_failures_ = metrics->GetCounter(
+      "rpe_snapshot_write_failures_total", "snapshot write failures");
+  snapshot_write_retries_ = metrics->GetCounter(
+      "rpe_snapshot_write_retries_total", "snapshot write retries");
+  publish_failures_ =
+      metrics->GetCounter("rpe_publish_failures_total", "publish failures");
+  publish_retries_ =
+      metrics->GetCounter("rpe_publish_retries_total", "publish retries");
+  corpus_size_ =
+      metrics->GetGauge("rpe_training_corpus_size", "training corpus");
+  last_retrain_ms_ =
+      metrics->GetGauge("rpe_last_retrain_ms", "last retrain (ms)");
+  last_swap_generation_ = metrics->GetGauge("rpe_last_swap_generation");
 }
 
 TrainerLoop::~TrainerLoop() { Stop(); }
@@ -66,8 +91,7 @@ void TrainerLoop::SeedCorpus(std::vector<PipelineRecord> records) {
   std::lock_guard<std::mutex> lock(run_mu_);
   for (auto& r : records) corpus_.push_back(std::move(r));
   while (corpus_.size() > options_.max_corpus) corpus_.pop_front();
-  std::lock_guard<std::mutex> stats_lock(stats_mu_);
-  corpus_size_ = corpus_.size();
+  corpus_size_->Set(static_cast<int64_t>(corpus_.size()));
 }
 
 void TrainerLoop::ThreadMain() {
@@ -98,8 +122,7 @@ void TrainerLoop::MergeBatchLocked(std::vector<PipelineRecord>* batch) {
   has_pending_since_ = true;
   for (auto& r : *batch) corpus_.push_back(std::move(r));
   while (corpus_.size() > options_.max_corpus) corpus_.pop_front();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  corpus_size_ = corpus_.size();
+  corpus_size_->Set(static_cast<int64_t>(corpus_.size()));
 }
 
 void TrainerLoop::MaybeRetrainLocked() {
@@ -135,13 +158,12 @@ void TrainerLoop::MaybeRetrainLocked() {
   auto stack = std::make_shared<const SelectorStack>(
       SelectorStack::Train(snapshot, options_.pool, options_.params));
 
-  uint64_t snapshot_failures = 0, snapshot_retries = 0;
   if (!options_.snapshot_path.empty()) {
     Status saved;
     for (size_t attempt = 0;; ++attempt) {
       saved = SaveSelectorStack(*stack, options_.snapshot_path);
       if (saved.ok() || attempt >= options_.snapshot_write_retries) break;
-      ++snapshot_retries;
+      snapshot_write_retries_->Inc();
       std::this_thread::sleep_for(
           BackoffDelay(options_.retry_backoff, attempt));
     }
@@ -151,7 +173,7 @@ void TrainerLoop::MaybeRetrainLocked() {
       RPE_LOG_WARN << "trainer_loop: snapshot write failed after "
                    << options_.snapshot_write_retries
                    << " retries: " << saved.ToString();
-      snapshot_failures = 1;
+      snapshot_write_failures_->Inc();
     }
   }
 
@@ -160,7 +182,6 @@ void TrainerLoop::MaybeRetrainLocked() {
   // then the stack is dropped and the loop quarantines.
   uint64_t generation = 0;
   bool published = false;
-  uint64_t publish_retries = 0;
   {
     obs::TraceSpan publish_span("trainer.publish", retrain_span.id(),
                                 /*arg=*/0);
@@ -171,22 +192,13 @@ void TrainerLoop::MaybeRetrainLocked() {
         break;
       }
       if (attempt >= options_.publish_retries) break;
-      ++publish_retries;
+      publish_retries_->Inc();
       std::this_thread::sleep_for(
           BackoffDelay(options_.retry_backoff, attempt));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot_write_failures_ += snapshot_failures;
-    snapshot_write_retries_ += snapshot_retries;
-    publish_retries_ += publish_retries;
-  }
   if (!published) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++publish_failures_;
-    }
+    publish_failures_->Inc();
     FailCycleLocked("publish failed");
     return;
   }
@@ -197,17 +209,13 @@ void TrainerLoop::MaybeRetrainLocked() {
   const double retrain_ms =
       std::chrono::duration<double, std::milli>(last_retrain_time_ - start)
           .count();
-  const bool recovered = consecutive_failures_ > 0;
+  if (consecutive_failures_ > 0) retrain_recoveries_->Inc();
   consecutive_failures_ = 0;
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++retrains_;
-    if (recovered) ++retrain_recoveries_;
-    last_swap_generation_ = generation;
-    corpus_size_ = corpus_.size();
-    last_retrain_ms_ = retrain_ms;
-  }
+  last_swap_generation_->Set(static_cast<int64_t>(generation));
+  corpus_size_->Set(static_cast<int64_t>(corpus_.size()));
+  last_retrain_ms_->Set(std::llround(retrain_ms));
+  retrains_->Inc();
   // Observe-only sync hook: tests wait for the nth successful publish
   // here (FailPoints::WaitForHits) instead of polling retrains().
   (void)RPE_INJECT_FAULT("trainer.retrain.done");
@@ -221,37 +229,7 @@ void TrainerLoop::FailCycleLocked(const char* what) {
   RPE_LOG_WARN << "trainer_loop: " << what << " (failure streak "
                << consecutive_failures_
                << "); serving the previous generation, quarantined";
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++retrain_failures_;
-}
-
-uint64_t TrainerLoop::retrains() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return retrains_;
-}
-
-uint64_t TrainerLoop::last_swap_generation() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return last_swap_generation_;
-}
-
-IngestStats TrainerLoop::GetStats() const {
-  IngestStats stats = queue_->GetStats();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats.retrains = retrains_;
-  stats.last_swap_generation = last_swap_generation_;
-  stats.retrain_failures = retrain_failures_;
-  stats.retrain_recoveries = retrain_recoveries_;
-  stats.snapshot_write_failures = snapshot_write_failures_;
-  stats.snapshot_write_retries = snapshot_write_retries_;
-  stats.publish_failures = publish_failures_;
-  stats.publish_retries = publish_retries_;
-  stats.last_retrain_ms = last_retrain_ms_;
-  // Live corpus size when the loop is idle; the post-retrain size while a
-  // retrain is in flight (run_mu_ is not taken here so stats never stall
-  // behind training).
-  stats.corpus_size = corpus_size_;
-  return stats;
+  retrain_failures_->Inc();
 }
 
 }  // namespace rpe

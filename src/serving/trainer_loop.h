@@ -20,19 +20,21 @@
 // deferral of the next attempt) while sessions keep scoring on the last
 // published generation; the pending-record counters stay set, so the next
 // cycle out of quarantine retries, and a success is counted as a
-// recovery. Every failure/retry/recovery is an exact counter in
-// IngestStats, surfaced through MonitorService::Stats. Stop() completes
-// cleanly under any of these faults. The failure edges carry failpoints
-// ("trainer.retrain", "trainer.publish", "snapshot.write" — see
-// common/failpoint.h) so every path is deterministically testable.
+// recovery. Every failure/retry/recovery is an exact counter in the
+// obs::MetricsRegistry handed in via Options::metrics (rpe_retrain_*,
+// rpe_snapshot_write_*, rpe_publish_* — docs/OBSERVABILITY.md). Stop()
+// completes cleanly under any of these faults. The failure edges carry
+// failpoints ("trainer.retrain", "trainer.publish", "snapshot.write" —
+// see common/failpoint.h) so every path is deterministically testable.
 //
 // Threading contract: Start spawns the single consumer thread; Stop joins
 // it and then performs one final synchronous drain + threshold check so
 // every record accepted by the queue before Close/Stop is accounted for
 // (pushed == drained). RunOnce is the same single step the thread
 // executes, exposed publicly so tests and shutdown paths can drive the
-// loop deterministically; it is serialized against the thread. GetStats /
-// generation / retrains are thread-safe at any time.
+// loop deterministically; it is serialized against the thread. The
+// counters, retrains() and last_swap_generation() are thread-safe at any
+// time.
 //
 // Determinism: training is thread-count-invariant (see MartParams), so
 // for a fixed sequence of drained batches the published stacks are
@@ -48,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serving/ingest.h"
 #include "serving/monitor_service.h"
 
@@ -92,6 +95,9 @@ class TrainerLoop {
     /// - 1), capped at 64x, while the previous generation keeps serving.
     /// 0 disables the deferral (each trigger may retry immediately).
     std::chrono::milliseconds retrain_quarantine{100};
+    /// Registry the loop's counters live in. nullptr = a loop-private
+    /// registry, for test isolation.
+    obs::MetricsRegistry* metrics = nullptr;
   };
 
   /// `queue` and `service` must outlive the loop. `service` is any
@@ -126,13 +132,12 @@ class TrainerLoop {
   /// while the thread runs (steps are serialized).
   size_t RunOnce();
 
-  uint64_t retrains() const;
+  /// Completed retrain + publish cycles (rpe_retrains_total).
+  uint64_t retrains() const { return retrains_->Value(); }
   /// MonitorService generation of the most recent publish (0 = none yet).
-  uint64_t last_swap_generation() const;
-
-  /// Queue counters merged with the loop's retraining counters — the
-  /// Stats::ingest payload (wire via MonitorService::SetIngestStatsProvider).
-  IngestStats GetStats() const;
+  uint64_t last_swap_generation() const {
+    return static_cast<uint64_t>(last_swap_generation_->Value());
+  }
 
  private:
   void ThreadMain();
@@ -141,7 +146,7 @@ class TrainerLoop {
   /// Retrain + publish if a trigger trips (caller holds run_mu_).
   void MaybeRetrainLocked();
   /// Record a failed retrain/publish cycle and enter quarantine (caller
-  /// holds run_mu_, not stats_mu_).
+  /// holds run_mu_).
   void FailCycleLocked(const char* what);
 
   RecordIngestQueue* const queue_;
@@ -161,17 +166,22 @@ class TrainerLoop {
   uint64_t consecutive_failures_ = 0;
   std::chrono::steady_clock::time_point quarantine_until_;  // run_mu_
 
-  mutable std::mutex stats_mu_;
-  uint64_t retrains_ = 0;
-  uint64_t last_swap_generation_ = 0;
-  uint64_t retrain_failures_ = 0;
-  uint64_t retrain_recoveries_ = 0;
-  uint64_t snapshot_write_failures_ = 0;
-  uint64_t snapshot_write_retries_ = 0;
-  uint64_t publish_failures_ = 0;
-  uint64_t publish_retries_ = 0;
-  size_t corpus_size_ = 0;
-  double last_retrain_ms_ = 0.0;
+  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
+  obs::Counter* retrains_ = nullptr;
+  /// Retrain cycles that failed before anything was published.
+  obs::Counter* retrain_failures_ = nullptr;
+  /// Successful cycles that ended a failure streak.
+  obs::Counter* retrain_recoveries_ = nullptr;
+  /// Snapshot writes that failed after every retry (publish proceeded).
+  obs::Counter* snapshot_write_failures_ = nullptr;
+  obs::Counter* snapshot_write_retries_ = nullptr;  ///< beyond each first try
+  /// Publishes abandoned after every retry (previous generation serves).
+  obs::Counter* publish_failures_ = nullptr;
+  obs::Counter* publish_retries_ = nullptr;  ///< beyond each first try
+  /// Corpus size after the latest merge or retrain.
+  obs::Gauge* corpus_size_ = nullptr;
+  obs::Gauge* last_retrain_ms_ = nullptr;  ///< whole milliseconds
+  obs::Gauge* last_swap_generation_ = nullptr;
 
   std::atomic<bool> stop_{false};
   bool started_ = false;  // guarded by lifecycle_mu_

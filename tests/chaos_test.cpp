@@ -31,6 +31,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -121,10 +122,13 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
                   ";snapshot.write=prob:0.5:seed=" + std::to_string(seed + 3))
                   .ok());
 
+  // One registry for the whole tier, as rpe_cli wires it.
+  obs::MetricsRegistry metrics;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 4;
+  service_options.metrics = &metrics;
   ShardedMonitorService service(stack_, service_options);
-  RecordIngestQueue queue(128);
+  RecordIngestQueue queue(128, &metrics);
   TrainerLoop::Options trainer_options;
   trainer_options.retrain_min_records = 24;
   trainer_options.min_corpus = 8;
@@ -140,8 +144,8 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
     p.seed = 7;
     return p;
   }();
+  trainer_options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, trainer_options);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   // Worker threads interleave session traffic, record pushes, and swap
@@ -202,17 +206,19 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
   // Exact accounting survived the storm: every offer is accepted-or-
   // dropped, every accepted record was drained by Stop, every open
   // session was closed, and injected failures match the trip counters.
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.pushed, accepted.load());
-  EXPECT_EQ(stats.pushed + stats.dropped, offered.load());
-  EXPECT_LE(FailPoints::Trips("ingest.push"), stats.dropped);
-  EXPECT_EQ(stats.drained, stats.pushed);
-  EXPECT_EQ(stats.queue_size, 0u);
+  const uint64_t pushed = CounterValue(metrics, "rpe_ingest_pushed_total");
+  const uint64_t dropped = CounterValue(metrics, "rpe_ingest_dropped_total");
+  EXPECT_EQ(pushed, accepted.load());
+  EXPECT_EQ(pushed + dropped, offered.load());
+  EXPECT_LE(FailPoints::Trips("ingest.push"), dropped);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), pushed);
+  EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
   EXPECT_EQ(opened.load(), closed.load());
   EXPECT_EQ(service.num_open_sessions(), 0u);
-  EXPECT_EQ(service.model_generation(), stats.last_swap_generation);
-  EXPECT_EQ(stats.retrain_failures,
-            FailPoints::Trips("trainer.retrain") + stats.publish_failures);
+  EXPECT_EQ(service.model_generation(), trainer.last_swap_generation());
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"),
+            FailPoints::Trips("trainer.retrain") +
+                CounterValue(metrics, "rpe_publish_failures_total"));
 
   FailPoints::DisarmAll();
 }

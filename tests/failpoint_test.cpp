@@ -26,6 +26,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::RandomRecords;
 
 /// Arm a failpoint for the scope of one test; the disarm is exception-
@@ -219,8 +220,10 @@ TEST(TrainerLoopFaultTest, SnapshotWriteRetryRecoversAndCounts) {
   std::remove(path.c_str());
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
   TrainerLoop::Options options = FpTrainerOptions();
   options.snapshot_path = path;
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
 
   // First write attempt fails, the first backoff retry succeeds.
@@ -228,10 +231,9 @@ TEST(TrainerLoopFaultTest, SnapshotWriteRetryRecoversAndCounts) {
   PushThresholdBatch(&queue, 0);
   trainer.RunOnce();
 
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.snapshot_write_retries, 1u);
-  EXPECT_EQ(stats.snapshot_write_failures, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_snapshot_write_retries_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_snapshot_write_failures_total"), 0u);
   EXPECT_EQ(service.model_generation(), 1u);
   // The retried write really landed: the snapshot round-trips.
   EXPECT_TRUE(LoadSelectorStack(path).ok());
@@ -243,9 +245,11 @@ TEST(TrainerLoopFaultTest, SnapshotWriteExhaustionNeverBlocksPublish) {
   std::remove(path.c_str());
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
   TrainerLoop::Options options = FpTrainerOptions();
   options.snapshot_path = path;
   options.snapshot_write_retries = 2;
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
 
   const ScopedFailPoint fp("snapshot.write", FailPointSpec::Always());
@@ -254,11 +258,10 @@ TEST(TrainerLoopFaultTest, SnapshotWriteExhaustionNeverBlocksPublish) {
 
   // Losing the on-disk copy is survivable: the publish still went out and
   // the loss is an exact counter, not a log line.
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.snapshot_write_failures, 1u);
-  EXPECT_EQ(stats.snapshot_write_retries, 2u);
-  EXPECT_EQ(stats.retrain_failures, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_snapshot_write_failures_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_snapshot_write_retries_total"), 2u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 0u);
   EXPECT_EQ(service.model_generation(), 1u);
   EXPECT_FALSE(std::filesystem::exists(path));
 }
@@ -267,48 +270,50 @@ TEST(TrainerLoopFaultTest, RetrainFailureKeepsPreviousGenerationThenHeals) {
   auto initial = FpTinyStack();
   MonitorService service(initial);
   RecordIngestQueue queue(256);
-  TrainerLoop trainer(&queue, &service, FpTrainerOptions());
+  obs::MetricsRegistry metrics;
+  TrainerLoop::Options options = FpTrainerOptions();
+  options.metrics = &metrics;
+  TrainerLoop trainer(&queue, &service, options);
 
   const ScopedFailPoint fp("trainer.retrain", FailPointSpec::Nth(1));
   PushThresholdBatch(&queue, 0);
   trainer.RunOnce();
 
   // The failed cycle published nothing: sessions keep the previous stack.
-  IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrain_failures, 1u);
-  EXPECT_EQ(stats.retrains, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 0u);
   EXPECT_EQ(service.model_generation(), 0u);
   EXPECT_EQ(service.models().get(), initial.get());
 
   // The pending counters survived the failure, so the very next cycle
   // (zero quarantine here) retries without fresh records and heals.
   trainer.RunOnce();
-  stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.retrain_recoveries, 1u);
-  EXPECT_EQ(stats.retrain_failures, 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_recoveries_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
   EXPECT_EQ(service.model_generation(), 1u);
 }
 
 TEST(TrainerLoopFaultTest, QuarantineDefersRetryAfterFailure) {
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
   TrainerLoop::Options options = FpTrainerOptions();
   options.retrain_quarantine = std::chrono::hours(1);
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
 
   const ScopedFailPoint fp("trainer.retrain", FailPointSpec::Nth(1));
   PushThresholdBatch(&queue, 0);
   trainer.RunOnce();
-  EXPECT_EQ(trainer.GetStats().retrain_failures, 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
 
   // Inside the quarantine window nothing retrains — a persistent fault
   // must not become a training hot loop — and the failure count is exact:
   // one fault, one counted failure, no matter how often the loop runs.
   for (int i = 0; i < 3; ++i) trainer.RunOnce();
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 0u);
-  EXPECT_EQ(stats.retrain_failures, 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
   EXPECT_EQ(FailPoints::Hits("trainer.retrain"), 1u);
   EXPECT_EQ(service.model_generation(), 0u);
 }
@@ -317,19 +322,20 @@ TEST(TrainerLoopFaultTest, PublishRetriesThenDropsStackAndHealsLater) {
   auto initial = FpTinyStack();
   MonitorService service(initial);
   RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
   TrainerLoop::Options options = FpTrainerOptions();
   options.publish_retries = 2;
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
 
   {
     const ScopedFailPoint fp("trainer.publish", FailPointSpec::Always());
     PushThresholdBatch(&queue, 0);
     trainer.RunOnce();
-    const IngestStats stats = trainer.GetStats();
-    EXPECT_EQ(stats.publish_failures, 1u);
-    EXPECT_EQ(stats.publish_retries, 2u);
-    EXPECT_EQ(stats.retrain_failures, 1u);
-    EXPECT_EQ(stats.retrains, 0u);
+    EXPECT_EQ(CounterValue(metrics, "rpe_publish_failures_total"), 1u);
+    EXPECT_EQ(CounterValue(metrics, "rpe_publish_retries_total"), 2u);
+    EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
+    EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 0u);
     EXPECT_EQ(service.model_generation(), 0u);
     EXPECT_EQ(service.models().get(), initial.get());
   }
@@ -337,34 +343,37 @@ TEST(TrainerLoopFaultTest, PublishRetriesThenDropsStackAndHealsLater) {
   // Fault cleared: the retained pending counters drive a retry, the
   // publish lands, and the heal is counted.
   trainer.RunOnce();
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.retrain_recoveries, 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrain_recoveries_total"), 1u);
   EXPECT_EQ(service.model_generation(), 1u);
 }
 
 TEST(TrainerLoopFaultTest, PublishRetryBeforeExhaustionSucceeds) {
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);
-  TrainerLoop trainer(&queue, &service, FpTrainerOptions());
+  obs::MetricsRegistry metrics;
+  TrainerLoop::Options options = FpTrainerOptions();
+  options.metrics = &metrics;
+  TrainerLoop trainer(&queue, &service, options);
 
   // Trips the first attempt only; the first retry publishes.
   const ScopedFailPoint fp("trainer.publish", FailPointSpec::Nth(1));
   PushThresholdBatch(&queue, 0);
   trainer.RunOnce();
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.retrains, 1u);
-  EXPECT_EQ(stats.publish_retries, 1u);
-  EXPECT_EQ(stats.publish_failures, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_publish_retries_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_publish_failures_total"), 0u);
   EXPECT_EQ(service.model_generation(), 1u);
 }
 
 TEST(TrainerLoopFaultTest, StopCompletesCleanlyUnderPersistentFault) {
   MonitorService service(FpTinyStack());
-  RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
+  RecordIngestQueue queue(256, &metrics);
   TrainerLoop::Options options = FpTrainerOptions();
   options.poll_interval = std::chrono::milliseconds(2);
   options.retrain_quarantine = std::chrono::hours(1);
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
 
   const ScopedFailPoint fp("trainer.retrain", FailPointSpec::Always());
@@ -379,11 +388,11 @@ TEST(TrainerLoopFaultTest, StopCompletesCleanlyUnderPersistentFault) {
                                       std::chrono::seconds(30)));
   trainer.Stop();  // must return despite the wedged retrain path
 
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.pushed, 80u);
-  EXPECT_EQ(stats.drained, 80u);  // Stop still drains the tail
-  EXPECT_GE(stats.retrain_failures, 1u);
-  EXPECT_EQ(stats.retrains, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"), 80u);
+  // Stop still drains the tail.
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), 80u);
+  EXPECT_GE(CounterValue(metrics, "rpe_retrain_failures_total"), 1u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 0u);
   EXPECT_EQ(service.model_generation(), 0u);
 }
 

@@ -20,6 +20,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -79,7 +80,8 @@ std::shared_ptr<const SelectorStack> TinyStack(uint64_t record_seed,
 
 TEST(RecordIngestQueueTest, DropAccountingIsExactUnderBackpressure) {
   const auto pool = RandomRecords(4, 3);
-  RecordIngestQueue queue(8);
+  obs::MetricsRegistry metrics;
+  RecordIngestQueue queue(8, &metrics);
   size_t accepted = 0, rejected = 0;
   for (size_t i = 0; i < 20; ++i) {
     if (queue.Push(LabeledRecord(pool, i))) {
@@ -105,11 +107,11 @@ TEST(RecordIngestQueueTest, DropAccountingIsExactUnderBackpressure) {
   EXPECT_EQ(queue.DrainBatch(&out, 100), 3u);
   EXPECT_EQ(queue.size(), 0u);
 
-  const IngestStats stats = queue.GetStats();
-  EXPECT_EQ(stats.pushed, 8u);
-  EXPECT_EQ(stats.dropped, 12u);
-  EXPECT_EQ(stats.drained, 8u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"), 8u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_dropped_total"), 12u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), 8u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_batches_total"), 2u);
+  EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
 
   // After capacity frees up, pushes are accepted again.
   EXPECT_TRUE(queue.Push(LabeledRecord(pool, 99)));
@@ -156,10 +158,15 @@ TEST(RecordIngestQueueTest, WaitAndDrainWakesOnPushAndOnClose) {
 TEST(TrainerLoopTest, RetrainThresholdTriggersDeterministically) {
   const auto pool = RandomRecords(8, 11);
   auto initial = TinyStack(21, 9);
-  MonitorService service(initial);
-  RecordIngestQueue queue(256);
-  TrainerLoop trainer(&queue, &service, TinyTrainerOptions());
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
+  // One registry for the service, queue and trainer, as rpe_cli wires it.
+  obs::MetricsRegistry metrics;
+  MonitorService::Options service_options;
+  service_options.metrics = &metrics;
+  MonitorService service(initial, service_options);
+  RecordIngestQueue queue(256, &metrics);
+  TrainerLoop::Options trainer_options = TinyTrainerOptions();
+  trainer_options.metrics = &metrics;
+  TrainerLoop trainer(&queue, &service, trainer_options);
 
   // One below the row-count threshold: drain happens, no retrain.
   for (size_t i = 0; i < 31; ++i) queue.Push(LabeledRecord(pool, i));
@@ -185,15 +192,13 @@ TEST(TrainerLoopTest, RetrainThresholdTriggersDeterministically) {
   EXPECT_EQ(trainer.retrains(), 2u);
   EXPECT_EQ(service.model_generation(), 2u);
 
-  const MonitorService::Stats stats = service.GetStats();
-  EXPECT_EQ(stats.model_generation, 2u);
-  EXPECT_EQ(stats.ingest.retrains, 2u);
-  EXPECT_EQ(stats.ingest.last_swap_generation, 2u);
-  EXPECT_EQ(stats.ingest.pushed, 64u);
-  EXPECT_EQ(stats.ingest.drained, 64u);
-  EXPECT_EQ(stats.ingest.dropped, 0u);
-  EXPECT_EQ(stats.ingest.corpus_size, 64u);
-  EXPECT_GT(stats.ingest.last_retrain_ms, 0.0);
+  EXPECT_EQ(CounterValue(metrics, "rpe_retrains_total"), 2u);
+  EXPECT_EQ(metrics.GetGauge("rpe_last_swap_generation")->Value(), 2);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"), 64u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), 64u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_dropped_total"), 0u);
+  EXPECT_EQ(metrics.GetGauge("rpe_training_corpus_size")->Value(), 64);
+  EXPECT_GT(metrics.GetGauge("rpe_last_retrain_ms")->Value(), 0);
 }
 
 TEST(TrainerLoopTest, SameRecordStreamPublishesByteIdenticalStacks) {
@@ -217,19 +222,22 @@ TEST(TrainerLoopTest, SlidingCorpusAgesOutOldestRecords) {
   const auto pool = RandomRecords(8, 17);
   MonitorService service(TinyStack(21, 9));
   RecordIngestQueue queue(512);
+  obs::MetricsRegistry metrics;
   TrainerLoop::Options options = TinyTrainerOptions();
   options.max_corpus = 40;
+  options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, options);
   for (size_t i = 0; i < 100; ++i) queue.Push(LabeledRecord(pool, i));
   while (trainer.RunOnce() > 0) {
   }
-  EXPECT_EQ(trainer.GetStats().corpus_size, 40u);
+  EXPECT_EQ(metrics.GetGauge("rpe_training_corpus_size")->Value(), 40);
 }
 
 TEST(TrainerLoopTest, BackgroundThreadRetrainsAndStopDrainsTail) {
   const auto pool = RandomRecords(8, 19);
   MonitorService service(TinyStack(21, 9));
-  RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
+  RecordIngestQueue queue(256, &metrics);
   TrainerLoop::Options options = TinyTrainerOptions();
   options.poll_interval = std::chrono::milliseconds(2);
   TrainerLoop trainer(&queue, &service, options);
@@ -243,11 +251,10 @@ TEST(TrainerLoopTest, BackgroundThreadRetrainsAndStopDrainsTail) {
   queue.Close();
   trainer.Stop();
   // Stop's final drain accounts for every accepted record.
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.pushed, 80u);
-  EXPECT_EQ(stats.drained, 80u);
-  EXPECT_EQ(stats.queue_size, 0u);
-  EXPECT_EQ(service.model_generation(), stats.last_swap_generation);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"), 80u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), 80u);
+  EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
+  EXPECT_EQ(service.model_generation(), trainer.last_swap_generation());
 }
 
 // ---------------------------------------------------------------------------
@@ -256,14 +263,12 @@ TEST(TrainerLoopTest, BackgroundThreadRetrainsAndStopDrainsTail) {
 TEST(MonitorServiceGenerationTest, SwapGenerationIsStrictlyMonotonic) {
   MonitorService service(TinyStack(21, 9));
   EXPECT_EQ(service.model_generation(), 0u);
-  EXPECT_EQ(service.GetStats().model_generation, 0u);
   uint64_t last = 0;
   for (int i = 0; i < 5; ++i) {
     const uint64_t gen =
         service.SwapModels(TinyStack(30 + static_cast<uint64_t>(i), 9));
     EXPECT_EQ(gen, last + 1);
     EXPECT_EQ(service.model_generation(), gen);
-    EXPECT_EQ(service.GetStats().model_generation, gen);
     last = gen;
   }
 }
@@ -489,7 +494,7 @@ TEST_F(FairTickTest, UnbudgetedTickAdvancesEverySession) {
   size_t ticks = 0;
   while (service.Tick() > 0) ++ticks;
   EXPECT_EQ(ticks, run.observations.size() - 1);
-  EXPECT_EQ(service.GetStats().observations_scored,
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
             3 * run.observations.size());
 }
 

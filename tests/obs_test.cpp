@@ -39,6 +39,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -128,6 +129,38 @@ TEST(ObsRegistryTest, RenderPrometheusEmitsTypedFamilies) {
   EXPECT_NE(text.find("obs_latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("obs_latency_seconds_count 1"), std::string::npos);
+}
+
+TEST(ObsRegistryTest, RenderPrometheusGroupsInterleavedFamilies) {
+  obs::MetricsRegistry registry;
+  // Two families interleaved per label, the way the failpoint collector
+  // emits hits and trips for every armed failpoint.
+  registry.AddCollector([](std::vector<obs::Sample>* out) {
+    for (const char* name : {"a", "b", "c"}) {
+      const std::string label = std::string("name=\"") + name + "\"";
+      out->push_back(
+          obs::Sample::CounterSample("obs_hits_total", 1.0, "", label));
+      out->push_back(
+          obs::Sample::CounterSample("obs_trips_total", 2.0, "", label));
+    }
+  });
+  const std::string text = registry.RenderPrometheus();
+  // One TYPE line per family, the family's samples right behind it, the
+  // families in first-appearance order.
+  EXPECT_EQ(text,
+            "# TYPE obs_hits_total counter\n"
+            "obs_hits_total{name=\"a\"} 1\n"
+            "obs_hits_total{name=\"b\"} 1\n"
+            "obs_hits_total{name=\"c\"} 1\n"
+            "# TYPE obs_trips_total counter\n"
+            "obs_trips_total{name=\"a\"} 2\n"
+            "obs_trips_total{name=\"b\"} 2\n"
+            "obs_trips_total{name=\"c\"} 2\n");
+  // Collect() keeps the collector's own order for the table.
+  const std::vector<obs::Sample> samples = registry.Collect();
+  ASSERT_EQ(samples.size(), 6u);
+  EXPECT_EQ(samples[0].name, "obs_hits_total");
+  EXPECT_EQ(samples[1].name, "obs_trips_total");
 }
 
 // ---------------------------------------------------------------------------
@@ -456,11 +489,15 @@ QueryRunResult* ObsScrapeTest::run_ = nullptr;
 std::shared_ptr<const SelectorStack> ObsScrapeTest::stack_;
 
 TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
+  // One registry for service, queue and server, as rpe_cli wires it.
+  obs::MetricsRegistry metrics;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 2;
+  service_options.metrics = &metrics;
   ShardedMonitorService service(stack_, service_options);
-  RecordIngestQueue queue(/*capacity=*/4);
+  RecordIngestQueue queue(/*capacity=*/4, &metrics);
   TcpServer::Options server_options;
+  server_options.metrics = &metrics;
   server_options.metrics_port = 0;  // ephemeral HTTP /metrics listener
   TcpServer server(&service, {run_}, &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -504,10 +541,68 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
   }
   EXPECT_EQ(accepted + dropped + shed, offered);
 
+  // A quiescent cut: every request is answered and nothing drains the
+  // queue, so kStats and the dump right behind it read the same cells.
+  auto stats_frame = client.Call(EncodeStatsRequest());
+  ASSERT_TRUE(stats_frame.ok() && stats_frame->ok());
+  auto stats = DecodeStatsResponse(stats_frame->payload);
+  ASSERT_TRUE(stats.ok());
+
   // Wire-side scrape.
   auto dump = client.Call(EncodeMetricsDumpRequest());
   ASSERT_TRUE(dump.ok() && dump->ok());
   const std::string text = dump->payload;
+  EXPECT_EQ(PromValue(text, "rpe_sessions_opened_total"), 1.0);
+  EXPECT_EQ(PromValue(text, "rpe_sessions_completed_total"), 1.0);
+  EXPECT_EQ(PromValue(text, "rpe_ingest_pushed_total"),
+            static_cast<double>(accepted));
+
+  // Every integer kStats field is its exposition series. The four frame
+  // and byte counters also count the kStats response and the dump
+  // request that came between the two reads.
+  const auto series = [&text](const char* name) {
+    return static_cast<uint64_t>(PromValue(text, name));
+  };
+  const WireStats& w = *stats;
+  EXPECT_EQ(w.sessions_opened, series("rpe_sessions_opened_total"));
+  EXPECT_EQ(w.sessions_completed, series("rpe_sessions_completed_total"));
+  EXPECT_EQ(w.decisions, series("rpe_decisions_total"));
+  EXPECT_EQ(w.observations_scored, series("rpe_observations_scored_total"));
+  EXPECT_EQ(w.model_generation, series("rpe_model_generation"));
+  EXPECT_EQ(w.connections_accepted,
+            series("rpe_server_connections_accepted_total"));
+  EXPECT_EQ(w.connections_closed,
+            series("rpe_server_connections_closed_total"));
+  EXPECT_EQ(w.frames_received + 1,
+            series("rpe_server_frames_received_total"));
+  EXPECT_EQ(w.frames_sent + 1, series("rpe_server_frames_sent_total"));
+  EXPECT_EQ(w.bytes_received + EncodeMetricsDumpRequest().size(),
+            series("rpe_server_bytes_received_total"));
+  EXPECT_EQ(w.bytes_sent + EncodeStatsResponse(w).size(),
+            series("rpe_server_bytes_sent_total"));
+  EXPECT_EQ(w.protocol_errors, series("rpe_server_protocol_errors_total"));
+  EXPECT_EQ(w.io_errors, series("rpe_server_io_errors_total"));
+  EXPECT_EQ(w.wire_sessions_opened,
+            series("rpe_server_wire_sessions_opened_total"));
+  EXPECT_EQ(w.wire_sessions_closed,
+            series("rpe_server_wire_sessions_closed_total"));
+  EXPECT_EQ(w.advance_steps, series("rpe_server_advance_steps_total"));
+  EXPECT_EQ(w.records_ingested, series("rpe_server_records_ingested_total"));
+  EXPECT_EQ(w.records_ingest_dropped,
+            series("rpe_server_records_ingest_dropped_total"));
+  EXPECT_EQ(w.records_ingest_shed,
+            series("rpe_server_records_ingest_shed_total"));
+  EXPECT_EQ(w.requests_shed, series("rpe_server_requests_shed_total"));
+  EXPECT_EQ(w.ingest_pushed, series("rpe_ingest_pushed_total"));
+  EXPECT_EQ(w.ingest_dropped, series("rpe_ingest_dropped_total"));
+  EXPECT_EQ(w.ingest_drained, series("rpe_ingest_drained_total"));
+  EXPECT_EQ(w.ingest_queue_size, series("rpe_ingest_queue_depth"));
+  EXPECT_EQ(w.retrains, series("rpe_retrains_total"));
+  // The percentiles are the same histogram quantiles, rendered %.9g.
+  EXPECT_NEAR(w.p50_replay_ms, PromValue(text, "rpe_replay_latency_p50_ms"),
+              1e-6 * w.p50_replay_ms);
+  EXPECT_NEAR(w.p95_replay_ms, PromValue(text, "rpe_replay_latency_p95_ms"),
+              1e-6 * w.p95_replay_ms);
   EXPECT_EQ(PromValue(text, "rpe_server_wire_sessions_opened_total"), 1.0);
   EXPECT_EQ(PromValue(text, "rpe_server_wire_sessions_closed_total"), 1.0);
   EXPECT_EQ(PromValue(text, "rpe_server_records_ingested_total"),
@@ -548,11 +643,14 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
   EXPECT_FALSE(bad->ok());
 
   server.Stop();
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_EQ(stats.records_ingested + stats.records_ingest_dropped +
-                stats.records_ingest_shed,
-            offered);
-  EXPECT_EQ(stats.protocol_errors, 1u);
+  const uint64_t ingested =
+      CounterValue(metrics, "rpe_server_records_ingested_total");
+  const uint64_t ingest_dropped =
+      CounterValue(metrics, "rpe_server_records_ingest_dropped_total");
+  const uint64_t ingest_shed =
+      CounterValue(metrics, "rpe_server_records_ingest_shed_total");
+  EXPECT_EQ(ingested + ingest_dropped + ingest_shed, offered);
+  EXPECT_EQ(CounterValue(metrics, "rpe_server_protocol_errors_total"), 1u);
 }
 
 TEST_F(ObsScrapeTest, AdvanceRootSpanCarriesItsStepCountInTheChromeTrace) {
@@ -609,8 +707,12 @@ TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {
   auto stats = client.Call(EncodeStatsRequest());
   ASSERT_TRUE(stats.ok() && stats->ok());
   a.Stop();
-  EXPECT_EQ(a.GetStats().frames_received, 1u);
-  EXPECT_EQ(b.GetStats().frames_received, 0u);
+  EXPECT_EQ(CounterValue(a.metrics_registry(),
+                         "rpe_server_frames_received_total"),
+            1u);
+  EXPECT_EQ(CounterValue(b.metrics_registry(),
+                         "rpe_server_frames_received_total"),
+            0u);
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -210,16 +211,23 @@ std::shared_ptr<const SelectorStack> ServerOnlineTest::stack_;
 std::vector<PipelineRecord>* ServerOnlineTest::records_ = nullptr;
 
 TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
+  // One registry for the whole tier, as rpe_cli wires it: kStats reads
+  // the service, queue and trainer cells through it.
+  obs::MetricsRegistry metrics;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 2;
+  service_options.metrics = &metrics;
   ShardedMonitorService service(stack_, service_options);
-  RecordIngestQueue queue(256);
-  TrainerLoop trainer(&queue, &service, FastTrainerOptions());
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
+  RecordIngestQueue queue(256, &metrics);
+  TrainerLoop::Options trainer_options = FastTrainerOptions();
+  trainer_options.metrics = &metrics;
+  TrainerLoop trainer(&queue, &service, trainer_options);
   FailPoints::Observe("trainer.retrain.done");
   trainer.Start();
 
-  TcpServer server(&service, RunPtrs(), &queue, TcpServer::Options{});
+  TcpServer::Options server_options;
+  server_options.metrics = &metrics;
+  TcpServer server(&service, RunPtrs(), &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
 
   // Reference series with the *initial* stack — the session opened before
@@ -303,10 +311,9 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   trainer.Stop();
   FailPoints::DisarmAll();
 
-  const IngestStats stats = trainer.GetStats();
-  EXPECT_EQ(stats.pushed, 48u);
-  EXPECT_EQ(stats.drained, stats.pushed);
-  EXPECT_EQ(stats.queue_size, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"), 48u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"), 48u);
+  EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
 }
 
 TEST_F(ServerOnlineTest, WatermarkShedsAreBusyWholeFrameAndExact) {
@@ -446,13 +453,16 @@ TEST_F(ServerOnlineTest, AbruptDisconnectLeavesNoPartialRecords) {
   }
   // Wait for the server to observe the hangup (counter poll: there is no
   // failpoint on the close edge).
-  for (int i = 0; i < 2000 && server.GetStats().connections_closed < 1;
+  obs::MetricsRegistry& m = server.metrics_registry();
+  for (int i = 0;
+       i < 2000 &&
+       CounterValue(m, "rpe_server_connections_closed_total") < 1;
        ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server.GetStats().connections_closed, 1u);
+  ASSERT_EQ(CounterValue(m, "rpe_server_connections_closed_total"), 1u);
   EXPECT_EQ(queue.pushed(), 0u);
-  EXPECT_EQ(server.GetStats().records_ingested, 0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_records_ingested_total"), 0u);
   EXPECT_EQ(FailPoints::Hits("server.ingest"), 0u);
 
   {
@@ -474,7 +484,7 @@ TEST_F(ServerOnlineTest, AbruptDisconnectLeavesNoPartialRecords) {
 
   FailPoints::DisarmAll();
   server.Stop();
-  EXPECT_EQ(server.GetStats().records_ingested, 5u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_records_ingested_total"), 5u);
   EXPECT_EQ(service.num_open_sessions(), 0u);
 }
 
@@ -492,19 +502,22 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
                   .ok());
   FailPoints::Observe("server.shed");
 
+  obs::MetricsRegistry metrics;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 2;
+  service_options.metrics = &metrics;
   ShardedMonitorService service(stack_, service_options);
-  RecordIngestQueue queue(128);
+  RecordIngestQueue queue(128, &metrics);
   TrainerLoop::Options trainer_options = FastTrainerOptions();
   trainer_options.retrain_min_records = 48;
+  trainer_options.metrics = &metrics;
   TrainerLoop trainer(&queue, &service, trainer_options);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   TcpServer::Options server_options;
   server_options.max_inflight_per_conn = 4;
   server_options.ingest_shed_watermark = 64;
+  server_options.metrics = &metrics;
   TcpServer server(&service, RunPtrs(), &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -663,16 +676,18 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
   EXPECT_LE(FailPoints::Trips("server.ingest"), ingest_dropped.load());
 
   // The wire is the queue's only producer, and Stop drained it dry.
-  const IngestStats ingest = trainer.GetStats();
-  EXPECT_EQ(ingest.pushed, ingest_accepted.load());
-  EXPECT_EQ(ingest.drained, ingest.pushed);
-  EXPECT_EQ(ingest.queue_size, 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_pushed_total"),
+            ingest_accepted.load());
+  EXPECT_EQ(CounterValue(metrics, "rpe_ingest_drained_total"),
+            ingest_accepted.load());
+  EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
 
-  const TcpServerStats tcp = server.GetStats();
-  EXPECT_EQ(tcp.connections_accepted, tcp.connections_closed);
-  EXPECT_EQ(tcp.wire_sessions_opened, tcp.wire_sessions_closed);
+  EXPECT_EQ(CounterValue(metrics, "rpe_server_connections_accepted_total"),
+            CounterValue(metrics, "rpe_server_connections_closed_total"));
+  EXPECT_EQ(CounterValue(metrics, "rpe_server_wire_sessions_opened_total"),
+            CounterValue(metrics, "rpe_server_wire_sessions_closed_total"));
   EXPECT_EQ(service.num_open_sessions(), 0u);
-  EXPECT_EQ(service.model_generation(), ingest.last_swap_generation);
+  EXPECT_EQ(service.model_generation(), trainer.last_swap_generation());
 
   FailPoints::DisarmAll();
 }

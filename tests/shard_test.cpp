@@ -11,7 +11,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/shard_router.h"
@@ -21,8 +20,10 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::SampleValue;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -131,16 +132,22 @@ TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
     ASSERT_EQ(series[s], expected[s]) << "session " << s;
   }
 
-  const auto stats = sharded.GetStats();
-  const auto base = unsharded.GetStats();
-  EXPECT_EQ(stats.shards, 16u);
-  EXPECT_EQ(stats.total.sessions_opened, kSessions);
-  EXPECT_EQ(stats.total.sessions_completed, kSessions);
-  EXPECT_EQ(stats.total.decisions, base.decisions);
-  EXPECT_EQ(stats.total.observations_scored, base.observations_scored);
-  EXPECT_EQ(stats.min_model_generation, 0u);
-  EXPECT_EQ(stats.max_model_generation, 0u);
-  EXPECT_GE(stats.total.p95_replay_ms, stats.total.p50_replay_ms);
+  // Every shard accrues into the router's registry: one cell per counter.
+  obs::MetricsRegistry& m = sharded.metrics();
+  obs::MetricsRegistry& base = unsharded.metrics();
+  EXPECT_EQ(SampleValue(m, "rpe_shards"), 16.0);
+  EXPECT_EQ(CounterValue(m, "rpe_sessions_opened_total"), kSessions);
+  EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"), kSessions);
+  EXPECT_EQ(CounterValue(m, "rpe_decisions_total"),
+            CounterValue(base, "rpe_decisions_total"));
+  EXPECT_EQ(CounterValue(m, "rpe_observations_scored_total"),
+            CounterValue(base, "rpe_observations_scored_total"));
+  EXPECT_EQ(SampleValue(m, "rpe_model_generation"), 0.0);
+  const obs::Histogram::Snapshot latency =
+      m.GetHistogram("rpe_replay_latency_seconds")->Snap();
+  EXPECT_EQ(latency.count, kSessions);
+  EXPECT_GE(SampleValue(m, "rpe_replay_latency_p95_ms"),
+            SampleValue(m, "rpe_replay_latency_p50_ms"));
 }
 
 TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
@@ -281,25 +288,19 @@ TEST_F(ShardedMonitorServiceTest, ConcurrentAdvanceCountsEveryStepExactly) {
     }
   }
   EXPECT_EQ(total, expected);
-  const ShardedMonitorService::Stats stats = service.GetStats();
-  EXPECT_EQ(stats.total.observations_scored, total);
-  EXPECT_EQ(stats.total.sessions_completed, kThreads * kSessionsPerThread);
-
-  // Shards hand back their reservoirs sorted; the one-sort percentiles
-  // (per shard and merged) equal Percentile over the raw samples.
-  std::vector<double> pooled;
-  for (size_t sh = 0; sh < service.num_shards(); ++sh) {
-    std::vector<double> samples;
-    const MonitorService::Stats shard_stats =
-        service.shard(sh).GetStats(&samples);
-    EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
-    EXPECT_EQ(shard_stats.p50_replay_ms, Percentile(samples, 50.0));
-    EXPECT_EQ(shard_stats.p95_replay_ms, Percentile(samples, 95.0));
-    pooled.insert(pooled.end(), samples.begin(), samples.end());
-  }
-  EXPECT_EQ(pooled.size(), kThreads * kSessionsPerThread);
-  EXPECT_EQ(stats.total.p50_replay_ms, Percentile(pooled, 50.0));
-  EXPECT_EQ(stats.total.p95_replay_ms, Percentile(pooled, 95.0));
+  obs::MetricsRegistry& m = service.metrics();
+  EXPECT_EQ(CounterValue(m, "rpe_observations_scored_total"), total);
+  EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"),
+            kThreads * kSessionsPerThread);
+  // One latency sample per completed session, pooled across shards in
+  // the one histogram; the quantiles derive from that histogram.
+  const obs::Histogram::Snapshot latency =
+      m.GetHistogram("rpe_replay_latency_seconds")->Snap();
+  EXPECT_EQ(latency.count, kThreads * kSessionsPerThread);
+  EXPECT_EQ(SampleValue(m, "rpe_replay_latency_p50_ms"),
+            latency.Quantile(0.50) / 1e6);
+  EXPECT_EQ(SampleValue(m, "rpe_replay_latency_p95_ms"),
+            latency.Quantile(0.95) / 1e6);
 }
 
 TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {
@@ -321,9 +322,11 @@ TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {
   for (size_t s = 0; s < kSessions; ++s) {
     ASSERT_TRUE(one_by_one.OpenSession(session_runs[s]).ok());
   }
-  want_decisions = one_by_one.GetStats().decisions;
-  EXPECT_EQ(service.GetStats().decisions, want_decisions);
-  EXPECT_EQ(service.GetStats().sessions_opened, kSessions);
+  want_decisions = CounterValue(one_by_one.metrics(), "rpe_decisions_total");
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_decisions_total"),
+            want_decisions);
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_opened_total"),
+            kSessions);
 
   for (size_t s = 0; s < kSessions; ++s) {
     const auto& expected = reference[s % runs_->size()];
@@ -368,8 +371,9 @@ TEST_F(ShardedMonitorServiceTest, BudgetedTickDrivesAllShardsToCompletion) {
       while (service.Tick(budget) > 0) {
         ASSERT_LT(++guard, 100000u) << "tick loop did not converge";
       }
-      const auto stats = service.GetStats();
-      EXPECT_EQ(stats.total.observations_scored, total_obs)
+      EXPECT_EQ(
+          CounterValue(service.metrics(), "rpe_observations_scored_total"),
+          total_obs)
           << shards << " shards, budget " << budget;
       for (size_t s = 0; s < kSessions; ++s) {
         EXPECT_TRUE(*service.Done(ids[s]));
@@ -389,8 +393,8 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   ShardedMonitorService service(stack_, options);
 
   // Openers hammer every shard while swaps land; a reader asserts that
-  // every stats cut sees all shards at one generation (GetStats excludes
-  // publishes while scanning, so the spread must be exactly zero).
+  // the generation gauge never runs ahead of any shard (it is written
+  // once per fan-out, after every shard stepped) and never goes back.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> opened{0};
   std::thread opener([&] {
@@ -401,10 +405,17 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
       ASSERT_TRUE(service.CloseSession(*id).ok());
     }
   });
+  obs::Gauge* gauge = service.metrics().GetGauge("rpe_model_generation");
   std::thread reader([&] {
+    int64_t last = 0;
     while (!stop.load()) {
-      const auto stats = service.GetStats();
-      ASSERT_EQ(stats.max_model_generation, stats.min_model_generation);
+      const int64_t published = gauge->Value();
+      ASSERT_GE(published, last);
+      for (size_t sh = 0; sh < service.num_shards(); ++sh) {
+        ASSERT_GE(service.shard(sh).model_generation(),
+                  static_cast<uint64_t>(published));
+      }
+      last = published;
     }
   });
 
@@ -422,9 +433,10 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   reader.join();
 
   // After the last swap returns, every shard reports the same generation.
-  const auto stats = service.GetStats();
-  EXPECT_EQ(stats.min_model_generation, kSwaps);
-  EXPECT_EQ(stats.max_model_generation, kSwaps);
+  for (size_t sh = 0; sh < service.num_shards(); ++sh) {
+    EXPECT_EQ(service.shard(sh).model_generation(), kSwaps);
+  }
+  EXPECT_EQ(gauge->Value(), static_cast<int64_t>(kSwaps));
   EXPECT_EQ(service.model_generation(), kSwaps);
   EXPECT_GT(opened.load(), 0u);
 

@@ -19,6 +19,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -387,10 +388,14 @@ TEST_F(MonitorServiceTest, ConcurrentReplayIsBitIdenticalAtAnyThreadCount) {
       EXPECT_EQ(series[s], expected[s])
           << "session " << s << " at " << threads << " threads";
     }
-    const auto stats = service.GetStats();
-    EXPECT_EQ(stats.sessions_completed, session_runs.size());
-    EXPECT_GT(stats.decisions, 0u);
-    EXPECT_GE(stats.p95_replay_ms, stats.p50_replay_ms);
+    obs::MetricsRegistry& m = service.metrics();
+    EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"),
+              session_runs.size());
+    EXPECT_GT(CounterValue(m, "rpe_decisions_total"), 0u);
+    const obs::Histogram::Snapshot latency =
+        m.GetHistogram("rpe_replay_latency_seconds")->Snap();
+    EXPECT_EQ(latency.count, session_runs.size());
+    EXPECT_GE(latency.Quantile(0.95), latency.Quantile(0.50));
   }
 }
 
@@ -418,9 +423,10 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
   ASSERT_TRUE(service.CloseSession(*id).ok());
   EXPECT_EQ(service.num_open_sessions(), 0u);
   EXPECT_FALSE(service.Progress(*id).ok());  // closed sessions are gone
-  const auto stats = service.GetStats();
-  EXPECT_EQ(stats.sessions_completed, 1u);
-  EXPECT_EQ(stats.observations_scored, expected.size());
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_completed_total"),
+            1u);
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
+            expected.size());
 }
 
 TEST_F(MonitorServiceTest, TickAdvancesEverySessionOncePerCall) {
@@ -441,7 +447,8 @@ TEST_F(MonitorServiceTest, TickAdvancesEverySessionOncePerCall) {
     longest = std::max(longest, run.observations.size());
   }
   EXPECT_EQ(ticks, longest - 1);
-  EXPECT_EQ(service.GetStats().observations_scored, total_obs);
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
+            total_obs);
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_TRUE(*service.Done(ids[i]));
     const auto expected = SequentialSeries({&(*runs_)[i]});

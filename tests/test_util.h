@@ -4,8 +4,10 @@
 
 #include <memory>
 #include <set>
+#include <string_view>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
@@ -72,6 +74,24 @@ inline std::unique_ptr<Catalog> MakeSmallCatalog(uint64_t seed = 5) {
   RPE_CHECK_OK(catalog->CreateIndex("t_dim", "d_id"));
   RPE_CHECK_OK(catalog->CreateIndex("t_fact", "f_fk"));
   return catalog;
+}
+
+/// Current value of the counter `name` in `registry` (0 if nothing has
+/// accrued into it yet).
+inline uint64_t CounterValue(obs::MetricsRegistry& registry,
+                             std::string_view name) {
+  return registry.GetCounter(name)->Value();
+}
+
+/// Value of the first sample named `name` in a full Collect() — gauges
+/// and scrape-time collector samples included. Aborts when absent.
+inline double SampleValue(const obs::MetricsRegistry& registry,
+                          std::string_view name) {
+  for (const obs::Sample& s : registry.Collect()) {
+    if (s.name == name) return s.value;
+  }
+  RPE_CHECK(false) << "no sample named " << name;
+  return 0.0;
 }
 
 }  // namespace rpe::testing

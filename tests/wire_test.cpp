@@ -29,6 +29,7 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::CounterValue;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 
@@ -640,10 +641,15 @@ TEST_F(WireLoopbackTest, AdvanceOverTheWireIsBitIdenticalToInProcess) {
 }
 
 TEST_F(WireLoopbackTest, BatchedAdvanceMatchesSingleStepsAndReconciles) {
+  // kStats reads the service's cells through the registry it shares with
+  // the server.
+  obs::MetricsRegistry metrics;
   ShardedMonitorService::Options options;
   options.num_shards = 4;
+  options.metrics = &metrics;
   ShardedMonitorService service(stack_, options);
   TcpServer::Options server_options;
+  server_options.metrics = &metrics;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -766,10 +772,12 @@ TEST_F(WireLoopbackTest, ConcurrentClientsAcrossShardsStayIsolated) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_EQ(stats.wire_sessions_opened, kClients * kSessionsPerClient);
-  EXPECT_EQ(stats.wire_sessions_closed, kClients * kSessionsPerClient);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_opened_total"),
+            kClients * kSessionsPerClient);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_closed_total"),
+            kClients * kSessionsPerClient);
+  EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 0u);
   server.Stop();
 }
 
@@ -843,12 +851,14 @@ TEST_F(WireLoopbackTest, PipelinedAdvanceSplitAcrossReadsAnswersInOrder) {
         << "frame " << i;
   }
   server.Stop();
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_EQ(stats.frames_received, sessions.size() + kFrames);
-  EXPECT_EQ(stats.frames_sent, sessions.size() + kFrames);
-  EXPECT_EQ(stats.advance_steps, steps);
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.io_errors, 0u);
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_received_total"),
+            sessions.size() + kFrames);
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_sent_total"),
+            sessions.size() + kFrames);
+  EXPECT_EQ(CounterValue(m, "rpe_server_advance_steps_total"), steps);
+  EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_io_errors_total"), 0u);
 }
 
 TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
@@ -880,12 +890,15 @@ TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
   EXPECT_EQ(queue.size(), kMaxIngestBatchRecords);
   server.Stop();
 
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_EQ(stats.frames_received, 1u);
-  EXPECT_EQ(stats.bytes_received, frame.size());
-  EXPECT_EQ(stats.records_ingested, kMaxIngestBatchRecords);
-  EXPECT_EQ(stats.records_ingest_dropped + stats.records_ingest_shed, 0u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_received_total"), 1u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_bytes_received_total"), frame.size());
+  EXPECT_EQ(CounterValue(m, "rpe_server_records_ingested_total"),
+            kMaxIngestBatchRecords);
+  EXPECT_EQ(CounterValue(m, "rpe_server_records_ingest_dropped_total") +
+            CounterValue(m, "rpe_server_records_ingest_shed_total"),
+            0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 0u);
 
   // The queue holds exactly the records sent, in order.
   std::vector<PipelineRecord> drained;
@@ -933,8 +946,8 @@ TEST_F(WireLoopbackTest, GarbageStreamsAreRejectedWithoutKillingTheServer) {
     auto closed = client.Call(EncodeCloseRequest({opened->session_id}));
     ASSERT_TRUE(closed.ok() && closed->ok());
   }
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_GE(stats.protocol_errors, 1u);
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_GE(CounterValue(m, "rpe_server_protocol_errors_total"), 1u);
   server.Stop();
 }
 
@@ -959,9 +972,9 @@ TEST_F(WireLoopbackTest, AbruptDisconnectClosesTheSessionsServerSide) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(service.num_open_sessions(), 0u);
-  const TcpServerStats stats = server.GetStats();
-  EXPECT_EQ(stats.wire_sessions_opened, 1u);
-  EXPECT_EQ(stats.wire_sessions_closed, 1u);
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_opened_total"), 1u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_closed_total"), 1u);
   server.Stop();
 }
 

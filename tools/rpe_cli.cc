@@ -508,8 +508,12 @@ int CmdServeReplay(const std::map<std::string, std::string>& flags) {
     session_runs.push_back(&runs[s % runs.size()].result);
   }
 
+  // The exit table is registry-driven (one formatter for every serve-*
+  // command): the rows ARE the samples a /metrics scrape would export.
+  obs::MetricsRegistry registry;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = *shards;
+  service_options.metrics = &registry;
   ShardedMonitorService service(stack, service_options);
   const auto series = service.ReplayAll(session_runs);
 
@@ -529,10 +533,6 @@ int CmdServeReplay(const std::map<std::string, std::string>& flags) {
               << " concurrent sessions bit-identical to sequential replay\n";
   }
 
-  // The exit table is registry-driven (one formatter for every serve-*
-  // command): the rows ARE the samples a /metrics scrape would export.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
   RegisterSimdCollector(&registry);
   TablePrinter table = MetricsTable(registry.Collect());
   table.AddRow({"simd", simd::KernelReport()});
@@ -608,14 +608,20 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   std::shared_ptr<const SelectorStack> stack =
       InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
 
+  // One registry is the only store of every counter — the service, the
+  // queue, the trainer and the server accrue into it — and backs every
+  // operator surface: kStats, the /metrics endpoint, kMetricsDump frames,
+  // and the exit table below.
+  obs::MetricsRegistry registry;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = *shards;
+  service_options.metrics = &registry;
   ShardedMonitorService service(stack, service_options);
 
   // The full online loop rides behind the wire: ingest frames land in
   // this queue, the TrainerLoop drains/retrains/hot-swaps, and kStats
   // responses expose the generation bumps mid-connection.
-  RecordIngestQueue queue(*queue_cap);
+  RecordIngestQueue queue(*queue_cap, &registry);
   TrainerLoop::Options trainer_options;
   trainer_options.retrain_min_records = *retrain_every;
   trainer_options.max_corpus = *corpus_cap;
@@ -626,9 +632,9 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   trainer_options.params.num_trees =
       std::stoi(FlagOr(flags, "trees", "50"));
   trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
+  trainer_options.metrics = &registry;
   TrainerLoop trainer(&queue, &service, trainer_options);
   trainer.SeedCorpus(records);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   // The replay corpus OpenRequest.run_index indexes into (modulo).
@@ -636,11 +642,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   run_ptrs.reserve(runs.size());
   for (const OwnedRun& run : runs) run_ptrs.push_back(&run.result);
 
-  // One registry backs every operator surface — the /metrics endpoint,
-  // kMetricsDump frames, and the exit table below. The server registers
-  // its own counters into it; everything else exports via collectors.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
   RegisterFailPointCollector(&registry);
   RegisterSimdCollector(&registry);
   RegisterTracerCollector(&registry);
@@ -698,11 +699,12 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
     }
   }
 
-  // The exit table is the scrape, rendered: server-owned counters first
-  // (registration order), then the service/failpoint/simd/tracer
-  // collector samples. Scripts regex-match row labels first-hit-wins,
-  // which is why the wire-session counters carry no table label (the
-  // "sessions opened" row must be the service's).
+  // The exit table is the scrape, rendered: registry cells first
+  // (registration order: service, queue, trainer, server), then the
+  // service/failpoint/simd/tracer collector samples. Scripts regex-match
+  // row labels first-hit-wins, which is why the wire-session counters
+  // carry no table label (the "sessions opened" row must be the
+  // service's).
   TablePrinter table = MetricsTable(registry.Collect());
   table.AddRow({"simd", simd::KernelReport()});
   table.Print();
@@ -763,10 +765,14 @@ int CmdServeOnline(const std::map<std::string, std::string>& flags) {
   std::shared_ptr<const SelectorStack> initial =
       InitialStack(flags, *preloaded, seed, /*default_trees=*/"20");
 
+  // The registry is the only store of the service, queue and trainer
+  // counters, and the exit table renders it.
+  obs::MetricsRegistry registry;
   ShardedMonitorService::Options service_options;
   service_options.num_shards = *shards;
+  service_options.metrics = &registry;
   ShardedMonitorService service(initial, service_options);
-  RecordIngestQueue queue(*queue_cap);
+  RecordIngestQueue queue(*queue_cap, &registry);
   TrainerLoop::Options trainer_options;
   trainer_options.retrain_min_records = *retrain_every;
   trainer_options.max_corpus = *corpus_cap;
@@ -777,9 +783,9 @@ int CmdServeOnline(const std::map<std::string, std::string>& flags) {
   trainer_options.params.num_trees =
       std::stoi(FlagOr(flags, "trees", "20"));
   trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
+  trainer_options.metrics = &registry;
   TrainerLoop trainer(&queue, &service, trainer_options);
   trainer.SeedCorpus(seed);
-  service.SetIngestStatsProvider([&trainer] { return trainer.GetStats(); });
   trainer.Start();
 
   // Sessions opened now pin generation 0, so their replay must stay
@@ -847,17 +853,14 @@ int CmdServeOnline(const std::map<std::string, std::string>& flags) {
     if (!closed.ok()) std::cerr << closed.ToString() << "\n";
   }
 
-  const ShardedMonitorService::Stats stats = service.GetStats();
   // Registry-driven exit table (same formatter as serve-replay /
   // serve-tcp); "simd" and "ticks" are CLI-local rows, not metrics.
-  obs::MetricsRegistry registry;
-  RegisterServiceCollector(&registry, &service);
   TablePrinter table = MetricsTable(registry.Collect());
   table.AddRow({"simd", simd::KernelReport()});
   table.AddRow({"ticks", std::to_string(ticks)});
   table.Print();
 
-  if (stats.total.ingest.retrains == 0) {
+  if (trainer.retrains() == 0) {
     std::cerr << "no retrain was published (lower --retrain-every or raise "
                  "--ingest-per-tick)\n";
     return 1;
