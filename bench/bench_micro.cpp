@@ -29,7 +29,6 @@
 #include "selection/features.h"
 #include "serving/mmap_arena.h"
 #include "serving/monitor_service.h"
-#include "serving/shard_router.h"
 #include "serving/snapshot.h"
 #include "serving/trainer_loop.h"
 #include "tests/test_util.h"
@@ -614,42 +613,6 @@ void BM_SnapshotMmapLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotMmapLoad);
-
-// Sharded session routing: 256 open sessions driven to completion with
-// budgeted ticks across 1/4/16 shards. Session setup (open/decide) is
-// excluded; items = observations scored per full drain, so the rate is
-// the tick-path serving throughput at each shard count.
-void BM_ShardedTick(benchmark::State& state) {
-  auto& fx = Serving();
-  const size_t num_shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kSessions = 256;
-  int64_t observations = 0;
-  for (size_t s = 0; s < kSessions; ++s) {
-    observations += static_cast<int64_t>(
-        fx.session_runs[s % fx.session_runs.size()]->observations.size());
-  }
-  for (auto _ : state) {
-    state.PauseTiming();
-    ShardedMonitorService::Options options;
-    options.num_shards = num_shards;
-    auto service =
-        std::make_unique<ShardedMonitorService>(fx.stack, options);
-    for (size_t s = 0; s < kSessions; ++s) {
-      RPE_CHECK(
-          service->OpenSession(fx.session_runs[s % fx.session_runs.size()])
-              .ok());
-    }
-    state.ResumeTiming();
-    while (service->Tick(/*max_steps=*/64) > 0) {
-    }
-    benchmark::DoNotOptimize(service->num_open_sessions());
-    state.PauseTiming();
-    service.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * observations);
-}
-BENCHMARK(BM_ShardedTick)->Arg(1)->Arg(4)->Arg(16);
 
 // Concurrent monitor serving: 64 sessions replayed through the service
 // (sharded on the global pool); items = observations scored.

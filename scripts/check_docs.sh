@@ -2,8 +2,10 @@
 # Docs gate (run by the CI docs job, usable locally):
 #   1. every relative markdown link in docs/*.md and README.md resolves
 #      to an existing file,
-#   2. every `rpe_cli <subcommand>` documented in docs/CLI.md exists in
-#      the built binary's --help output, and
+#   2. the `rpe_cli <subcommand>` headings of docs/CLI.md and the built
+#      binary's --help list name the same commands, and README.md and
+#      docs/*.md name no `rpe_cli <subcommand>` that --help does not list
+#      (a retired command leaves no stale example behind),
 #   3. every code symbol docs/TRAINING.md, docs/SERVING.md,
 #      docs/ROBUSTNESS.md, docs/NETWORK.md and docs/CLI.md reference in
 #      backticks still exists somewhere under src/ (or bench/, tests/,
@@ -36,7 +38,7 @@ for doc in README.md docs/*.md; do
   done < <(grep -oE '\[[^]]+\]\([^)]+\)' "$doc" | sed -E 's/^\[[^]]+\]\(([^)]+)\)$/\1/')
 done
 
-# --- 2. documented subcommands exist ---------------------------------------
+# --- 2. documented subcommands match --help --------------------------------
 if [ ! -x "$RPE_CLI" ]; then
   echo "rpe_cli binary not found/executable at $RPE_CLI"
   exit 1
@@ -58,6 +60,33 @@ while IFS= read -r cmd; do
 done <<EOF
 $commands
 EOF
+help_commands=$(printf '%s\n' "$help_output" | grep -oE '^  [a-z][a-z-]*' |
+  sed 's/^  //')
+if [ -z "$help_commands" ]; then
+  echo "NO SUBCOMMANDS EXTRACTED from rpe_cli --help (expected '  <cmd>  <summary>' lines)"
+  failures=$((failures + 1))
+fi
+while IFS= read -r cmd; do
+  [ -z "$cmd" ] && continue
+  if ! printf '%s\n' "$commands" | grep -qxF "$cmd"; then
+    echo "UNDOCUMENTED-IN-CLI.md: rpe_cli --help lists '$cmd' but docs/CLI.md has no '### \`rpe_cli $cmd\`' heading"
+    failures=$((failures + 1))
+  fi
+done <<EOF
+$help_commands
+EOF
+# Command mentions: inline code (`rpe_cli x`), paths (build/rpe_cli x) and
+# code lines that start with the bare binary name.
+for doc in README.md docs/*.md; do
+  while IFS= read -r hit; do
+    [ -z "$hit" ] && continue
+    cmd="${hit##* }"
+    if ! printf '%s\n' "$help_commands" | grep -qxF "$cmd"; then
+      echo "RETIRED COMMAND: $doc:${hit%%:*} names 'rpe_cli $cmd' but rpe_cli --help does not list it"
+      failures=$((failures + 1))
+    fi
+  done < <(grep -noE '(^|[`/])rpe_cli [a-z][a-z-]*' "$doc")
+done
 
 # --- 3. guide symbols still exist ------------------------------------------
 # Backticked tokens that look like code symbols — qualified names
@@ -123,4 +152,4 @@ if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures failure(s)"
   exit 1
 fi
-echo "check_docs: links resolve, documented subcommands exist, guide symbols are live, metric catalog is complete"
+echo "check_docs: links resolve, documented subcommands match --help, guide symbols are live, metric catalog is complete"

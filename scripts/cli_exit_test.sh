@@ -1,21 +1,31 @@
 #!/usr/bin/env bash
 # CLI exit-code contract tests (wired into ctest as `cli_exit_codes`):
 #
-#   1. snapshot-load / serve-replay --mmap / serve-online --mmap on a
-#      corrupt, truncated, or missing .rpsn must exit nonzero with the
-#      Status on stderr — and must fail fast, before any workload runs.
-#   2. serve-online with the snapshot-write failpoint armed at 100% via
-#      RPE_FAILPOINTS must still exit zero, keep serving on the published
-#      generations, and report exact nonzero failure/retry counts.
-#   3. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
+#   1. snapshot-load / serve-tcp [--mmap] on a corrupt, truncated, or
+#      missing .rpsn must exit nonzero with the Status on stderr — and
+#      must fail fast, before any workload runs.
+#   2. A malformed or out-of-range flag value exits 2 with a pointer at
+#      the docs, before any workload runs.
+#   3. serve-tcp with the snapshot-write failpoint armed at 100% via
+#      RPE_FAILPOINTS, fed records by rpe_loadgen until a retrain is
+#      published, must still drain to exit zero, keep serving on the
+#      published generations, and report exact nonzero failure/retry
+#      counts.
+#   4. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
 #      not turn into silent fault injection.
 #
-# Usage: cli_exit_test.sh <path-to-rpe_cli>
+# Usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>
 set -u
 
-CLI="${1:?usage: cli_exit_test.sh <path-to-rpe_cli>}"
+CLI="${1:?usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>}"
+LOADGEN="${2:?usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>}"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/rpe_cli_exit.XXXXXX")"
-trap 'rm -rf "$WORK"' EXIT
+SRV_PID=""
+cleanup() {
+  [ -n "$SRV_PID" ] && kill -9 "$SRV_PID" 2>/dev/null
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
 
 fails=0
 note() { printf '%s\n' "$*"; }
@@ -47,25 +57,20 @@ for f in "$CORRUPT" "$TRUNC"; do
 done
 expect_err "IOError" "$CLI" snapshot-load --in "$MISSING"
 
-# The serve commands must reject a bad --model up front (fail-fast: these
-# return within the preload, so a tiny workload config keeps them honest).
-# serve-tcp is included: a corrupt model must fail before the socket ever
-# binds, so nothing is listening when the Status lands on stderr.
-for cmd in serve-replay serve-online serve-tcp; do
-  expect_err "InvalidArgument" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
-  expect_err "IOError" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$MISSING" --mmap
-  expect_err "InvalidArgument" \
-    "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --model "$CORRUPT"
-done
+# serve-tcp must reject a bad --model up front (fail-fast: it returns
+# within the preload, so a tiny workload config keeps it honest), before
+# the socket ever binds, so nothing is listening when the Status lands on
+# stderr.
+expect_err "InvalidArgument" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
+expect_err "IOError" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$MISSING" --mmap
+expect_err "InvalidArgument" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT"
 
 # --mmap without --model is a flag error (exit 2), also pre-workload.
-for cmd in serve-replay serve-tcp; do
-  "$CLI" "$cmd" --kind tpch --queries 2 --scale 1 --mmap \
-    >/dev/null 2>&1
-  [ $? -eq 2 ] || fail "$cmd: --mmap without --model did not exit 2"
-done
+"$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --mmap >/dev/null 2>&1
+[ $? -eq 2 ] || fail "serve-tcp: --mmap without --model did not exit 2"
 
 # serve-tcp flag contract: malformed or out-of-range values exit 2 with a
 # pointer at the docs, before any workload work starts.
@@ -81,16 +86,59 @@ expect_err "invalid --shards" \
   >/dev/null 2>&1
 [ $? -eq 2 ] || fail "serve-tcp bad --port did not exit 2"
 
-# --- serve-online under a 100% snapshot-write fault -----------------------
-OUT="$WORK/serve_online.txt"
-ERR="$WORK/serve_online_err.txt"
-if ! RPE_FAILPOINTS="snapshot.write=always" \
-    "$CLI" serve-online --kind tpch --queries 8 --scale 2 --sessions 8 \
-    --retrain-every 8 --ingest-per-tick 8 --trees 5 \
-    --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR"; then
-  fail "serve-online exited nonzero under snapshot.write=always:
-$(cat "$ERR")"
+# expect_flag_err <flag> <cmd...>: exit 2 naming the flag and the docs.
+# Every numeric flag goes through the same strict parse, so a value that
+# is not a number fails here instead of aborting on an uncaught exception
+# (after the workload already ran, in the --trees case).
+expect_flag_err() {
+  local flag="$1"; shift
+  local err="$WORK/stderr.txt"
+  "$@" >"$WORK/stdout.txt" 2>"$err"
+  local rc=$?
+  [ "$rc" -eq 2 ] || fail "exit $rc (expected 2) from: $*"
+  grep -q "invalid --$flag value" "$err" && grep -q "docs/CLI.md" "$err" \
+    || fail "stderr of '$*' lacks the --$flag hint: $(cat "$err")"
+}
+expect_flag_err trees \
+  "$CLI" serve-tcp --queries 4 --scale 1 --trees banana
+expect_flag_err queries "$CLI" serve-tcp --queries banana
+expect_flag_err scale "$CLI" serve-tcp --queries 4 --scale x
+# One past the cap: the pool would start one OS thread per unit.
+expect_flag_err threads "$CLI" serve-tcp --queries 4 --scale 1 --threads 257
+
+# --- serve-tcp under a 100% snapshot-write fault --------------------------
+OUT="$WORK/serve_tcp.txt"
+ERR="$WORK/serve_tcp_err.txt"
+RPE_FAILPOINTS="snapshot.write=always" \
+  "$CLI" serve-tcp --kind tpch --queries 8 --scale 2 --trees 5 \
+  --retrain-every 8 --snapshot-out "$WORK/snap.rpsn" >"$OUT" 2>"$ERR" &
+SRV_PID=$!
+PORT=""
+for _ in $(seq 1 600); do
+  kill -0 "$SRV_PID" 2>/dev/null || break
+  PORT="$(sed -n 's/^listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+          "$OUT" | head -n 1)"
+  [ -n "$PORT" ] && break
+  sleep 0.2
+done
+if [ -z "$PORT" ]; then
+  fail "serve-tcp never listened under snapshot.write=always: $(cat "$ERR")"
 else
+  # Stream records until the trainer publishes a retrain; every publish
+  # tries (and fails) to write the snapshot.
+  "$LOADGEN" --port "$PORT" --sessions 0 --connections 1 \
+    --ingest-rate 400 --ingest-batch 8 --ingest-until-swap --check \
+    >"$WORK/loadgen.json" 2>"$WORK/loadgen_err.txt" \
+    || fail "loadgen failed against the faulted server:
+$(cat "$WORK/loadgen_err.txt")"
+  kill -TERM "$SRV_PID"
+  SRV_RC=0
+  wait "$SRV_PID" || SRV_RC=$?
+  SRV_PID=""
+  if [ "$SRV_RC" -ne 0 ]; then
+    fail "serve-tcp exited $SRV_RC under snapshot.write=always:
+$(cat "$ERR")"
+  fi
   grep -q "failpoints armed: snapshot.write" "$ERR" \
     || fail "armed-failpoint banner missing from stderr"
   # The summary must carry exact, nonzero failure and retry counts, and

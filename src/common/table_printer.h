@@ -33,12 +33,11 @@ class TablePrinter {
 
 /// \brief The registry-driven CLI stats table: one {"Metric", "Value"}
 /// row per Sample with a non-empty table_label, in sample order. This is
-/// the single formatter behind the serve-replay / serve-tcp /
-/// serve-online exit tables — the row set IS the metrics scrape, so the
-/// table and /metrics can never disagree. Integral values print exactly
-/// (scripts compare them as integers); non-integral values print with 3
-/// decimals. Callers may AddRow extra non-metric rows (e.g. the SIMD
-/// kernel report) before Print.
+/// the formatter behind the serve-tcp exit table — the row set IS the
+/// metrics scrape, so the table and /metrics can never disagree.
+/// Integral values print exactly (scripts compare them as integers);
+/// non-integral values print with 3 decimals. Callers may AddRow extra
+/// non-metric rows (e.g. the SIMD kernel report) before Print.
 TablePrinter MetricsTable(const std::vector<obs::Sample>& samples);
 
 }  // namespace rpe

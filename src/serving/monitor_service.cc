@@ -1,6 +1,5 @@
 #include "serving/monitor_service.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -151,12 +150,6 @@ MonitorService::Session* MonitorService::LockSession(
   return it->second.get();
 }
 
-void MonitorService::StepLocked(Session* s) {
-  s->last_progress =
-      s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
-  ++s->next_obs;
-}
-
 Result<double> MonitorService::Advance(SessionId id, bool* done) {
   // Parents to the wire request being advanced when the TCP front-end
   // set a TraceContext; one relaxed load when tracing is off.
@@ -171,8 +164,9 @@ Result<double> MonitorService::Advance(SessionId id, bool* done) {
       return Status::OutOfRange("session " + std::to_string(id) +
                                 " replay complete");
     }
-    StepLocked(s);
-    progress = s->last_progress;
+    progress = s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
+    s->last_progress = progress;
+    ++s->next_obs;
     if (done != nullptr) *done = s->next_obs >= total;
   }
   observations_scored_->Inc();
@@ -217,96 +211,6 @@ Status MonitorService::CloseSession(SessionId id) {
 size_t MonitorService::num_open_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   return sessions_.size();
-}
-
-size_t MonitorService::Tick(size_t max_steps) {
-  // One serialized scheduling pass: snapshot the active set in session-id
-  // order (deterministic regardless of hash-map iteration order), pick the
-  // sessions to advance, then shard the per-observation scoring. Each
-  // stepped session writes only its own state, so the tick is
-  // deterministic at any thread count.
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
-  std::vector<std::pair<SessionId, std::shared_ptr<Session>>> active;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    active.reserve(sessions_.size());
-    for (auto& [id, s] : sessions_) active.emplace_back(id, s);
-  }
-  std::sort(active.begin(), active.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // `selected` is the set the parallel pass steps; skipped eligible
-  // sessions are unfinished by definition and enter the remaining count
-  // directly, so no post-pass lock round is needed.
-  std::vector<size_t> selected;  // indices into `active`
-  size_t skipped_unfinished = 0;
-  if (max_steps == 0) {
-    // Unbudgeted: step every session (finished ones no-op inside the
-    // parallel pass) — no scheduling pass, exactly the pre-budget path.
-    selected.resize(active.size());
-    for (size_t i = 0; i < active.size(); ++i) selected[i] = i;
-  } else {
-    std::vector<size_t> eligible;  // indices into `active`, id order
-    eligible.reserve(active.size());
-    for (size_t i = 0; i < active.size(); ++i) {
-      Session* s = active[i].second.get();
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (s->next_obs < s->run->observations.size()) eligible.push_back(i);
-    }
-    if (max_steps >= eligible.size()) {
-      selected = eligible;
-    } else {
-      // Deficit round-robin: every unfinished session earns one credit,
-      // the max_steps highest-credit sessions (ties by session id)
-      // advance and reset. Skipped sessions keep accumulating, so the
-      // serviced set rotates and no session waits more than
-      // ceil(eligible / max_steps) ticks.
-      for (size_t i : eligible) ++active[i].second->deficit;
-      selected = eligible;
-      std::stable_sort(selected.begin(), selected.end(),
-                       [&](size_t a, size_t b) {
-                         return active[a].second->deficit >
-                                active[b].second->deficit;
-                       });
-      selected.resize(max_steps);
-      skipped_unfinished = eligible.size() - selected.size();
-    }
-  }
-
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  std::vector<uint8_t> stepped(selected.size(), 0);
-  std::vector<uint8_t> unfinished(selected.size(), 0);
-  std::vector<uint64_t> step_ns(selected.size(), 0);
-  pool->ParallelFor(selected.size(), [&](size_t si) {
-    Session* s = active[selected[si]].second.get();
-    std::lock_guard<std::mutex> lock(s->mu);
-    // Re-check under the session lock: a concurrent Advance may have
-    // finished the session since the scheduling pass.
-    if (s->next_obs < s->run->observations.size()) {
-      const auto start = Clock::now();
-      StepLocked(s);
-      step_ns[si] = NanosSince(start);
-      s->elapsed_ns += step_ns[si];
-      stepped[si] = 1;
-    }
-    unfinished[si] = s->next_obs < s->run->observations.size() ? 1 : 0;
-    // Serviced sessions clear their fairness credit (each worker writes
-    // only its own session; tick_mu_ excludes competing schedulers).
-    s->deficit = 0;
-  });
-
-  size_t scored = 0;
-  size_t remaining = skipped_unfinished;
-  uint64_t elapsed = 0;
-  for (size_t si = 0; si < selected.size(); ++si) {
-    scored += stepped[si];
-    remaining += unfinished[si];
-    elapsed += step_ns[si];
-  }
-  observations_scored_->Inc(scored);
-  scoring_ns_->Inc(elapsed);
-  return remaining;
 }
 
 std::vector<std::vector<double>> MonitorService::ReplayAll(

@@ -65,7 +65,7 @@ class MonitorService : public ModelPublisher {
   struct Options {
     /// Driver-consumption marker at which choices are revised (§4.4).
     double revision_marker_pct = 20.0;
-    /// Worker pool for sharded replay; nullptr = the global pool.
+    /// Worker pool for ReplayAll; nullptr = the global pool.
     ThreadPool* pool = nullptr;
     /// Registry the service's counters and replay-latency histogram live
     /// in. nullptr = a service-private registry, so tests that assert
@@ -90,7 +90,7 @@ class MonitorService : public ModelPublisher {
 
   /// Open a monitoring session over a recorded run. The per-pipeline
   /// estimator decisions (initial + revision) are made here, against the
-  /// current snapshot — per-observation Advance/Tick work replays against
+  /// current snapshot — per-observation Advance work replays against
   /// these precomputed decisions and never scores a selector. `run` must
   /// outlive the session.
   Result<SessionId> OpenSession(const QueryRunResult* run);
@@ -104,7 +104,7 @@ class MonitorService : public ModelPublisher {
   Result<std::vector<SessionId>> OpenSessions(
       std::span<const QueryRunResult* const> runs);
 
-  /// Advance the session by one observation tick; returns the query
+  /// Advance the session by one observation; returns the query
   /// progress reported at the new observation. OutOfRange once the run's
   /// observation stream is exhausted. When `done` is non-null it receives
   /// what Done() would return right after this step, read under the same
@@ -126,18 +126,6 @@ class MonitorService : public ModelPublisher {
 
   size_t num_open_sessions() const;
 
-  /// Advance unfinished sessions by one observation each in a single
-  /// sharded pass. `max_steps` bounds the per-call work when the pool is
-  /// saturated: 0 (the default) advances every unfinished session; a
-  /// positive budget advances at most that many, chosen by per-session
-  /// deficit counters (deficit round-robin). Every unfinished session
-  /// earns one credit per budgeted tick and the highest-credit sessions
-  /// go first (ties by session id, credits reset on service), so any
-  /// session waits at most ceil(active / max_steps) ticks — long-running
-  /// replays cannot starve short ones. Returns the number of sessions
-  /// still unfinished afterwards.
-  size_t Tick(size_t max_steps = 0);
-
   /// Replay whole runs concurrently, one session per entry; out[i] is
   /// bit-identical to ProgressMonitor::ReplayQueryProgress(*runs[i]) run
   /// sequentially against the same snapshot.
@@ -156,12 +144,9 @@ class MonitorService : public ModelPublisher {
     std::vector<ProgressMonitor::PipelineDecision> decisions;
     size_t next_obs = 0;
     double last_progress = 0.0;
-    uint64_t elapsed_ns = 0;  ///< decide time + timed Tick steps
-    /// Fairness credit for budgeted Tick (guarded by the service's
-    /// tick_mu_: only the serialized scheduling pass touches it).
-    uint64_t deficit = 0;
-    /// Serializes Advance/Tick on the same session; distinct sessions
-    /// never contend.
+    uint64_t elapsed_ns = 0;  ///< decide time at open (steps are untimed)
+    /// Serializes calls on the same session; distinct sessions never
+    /// contend.
     mutable std::mutex mu;
     Session(std::shared_ptr<const SelectorStack> stack,
             const QueryRunResult* r, double marker_pct);
@@ -173,8 +158,6 @@ class MonitorService : public ModelPublisher {
   /// takes the session lock, so the session outlives `lock`. Returns
   /// nullptr, `lock` untouched, when no such session is open.
   Session* LockSession(SessionId id, std::unique_lock<std::mutex>* lock) const;
-  /// One observation tick of one session (caller holds s->mu).
-  static void StepLocked(Session* s);
   void RecordCompletion(const Session& s);
 
   const Options options_;
@@ -187,8 +170,8 @@ class MonitorService : public ModelPublisher {
   /// Estimator selections (initial + revised).
   obs::Counter* decisions_ = nullptr;
   obs::Counter* observations_scored_ = nullptr;
-  /// Cumulative scoring time (decide passes, Tick steps and ReplayAll;
-  /// Advance steps are untimed), the denominator of the rates.
+  /// Cumulative scoring time (decide passes and ReplayAll; Advance steps
+  /// are untimed), the denominator of the rates.
   obs::Counter* scoring_ns_ = nullptr;
   /// Per-session full-replay latency, recorded at completion.
   obs::Histogram* replay_latency_ = nullptr;
@@ -200,10 +183,6 @@ class MonitorService : public ModelPublisher {
   mutable std::mutex sessions_mu_;
   SessionId next_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
-
-  /// Serializes Tick passes (the deficit scheduling state is
-  /// single-ticker); Advance/ReplayAll do not take it.
-  std::mutex tick_mu_;
 };
 
 }  // namespace rpe

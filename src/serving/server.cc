@@ -140,7 +140,6 @@ struct TcpServer::AdvanceWork {
   uint32_t taken = 0;
   double progress = 0.0;
   bool done = false;
-  bool retired = false;
   Status error;  ///< non-OK: answered as an error frame
 };
 
@@ -827,28 +826,19 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
 }
 
 void TcpServer::RunAdvanceBatch(IoThread* io) {
-  // Deficit round-robin over the batch: one observation step per pending
-  // request per round, so budgets interleave fairly (the front-end mirror
-  // of MonitorService::Tick's discipline). Bounded by the per-request
-  // kMaxAdvanceSteps cap the decoder enforces.
+  // Each request steps its session up to its budget (bounded by the
+  // kMaxAdvanceSteps cap the decoder enforces), stopping early when the
+  // replay is exhausted or the step fails.
   std::vector<AdvanceWork>& batch = io->batch;
-  size_t active = batch.size();
-  while (active > 0) {
-    for (AdvanceWork& w : batch) {
-      if (w.retired) continue;
-      // Each step's "advance.step" span (opened inside the service)
-      // parents to the request whose budget it came from, even though the
-      // batch interleaves requests deficit-fairly.
-      obs::TraceContext::Scope scope(w.trace_id);
+  for (AdvanceWork& w : batch) {
+    // Each step's "advance.step" span (opened inside the service) parents
+    // to the request whose budget it came from.
+    obs::TraceContext::Scope scope(w.trace_id);
+    while (w.taken < w.budget) {
       const auto step = service_->Advance(w.session, &w.done);
       if (step.ok()) {
         w.progress = *step;
         ++w.taken;
-        c_.advance_steps->Inc();
-        if (w.taken >= w.budget) {
-          w.retired = true;
-          --active;
-        }
         continue;
       }
       if (step.status().code() == StatusCode::kOutOfRange) {
@@ -862,9 +852,9 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
       } else {
         w.error = step.status();
       }
-      w.retired = true;
-      --active;
+      break;
     }
+    c_.advance_steps->Inc(w.taken);
   }
   // Every request of the batch is answered at once: one clock read
   // closes all their latencies.
@@ -1030,8 +1020,8 @@ void TcpServer::IoLoop(IoThread* io) {
       if ((ev & EPOLLIN) != 0 && !ReadInto(io, conn)) continue;
     }
     // Batched dispatch: every readable connection has decoded its frames;
-    // answer cheap requests inline and interleave the Advance work
-    // deficit-fairly, repeating until all frames decoded this iteration
+    // answer cheap requests inline and run the deferred Advance work as
+    // one batch, repeating until all frames decoded this iteration
     // are answered (each pass consumes at least one frame). Flushing can
     // lift a backpressure pause, which re-enables dispatch for frames the
     // pause was holding — hence the outer loop.

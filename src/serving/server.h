@@ -12,17 +12,17 @@
 // num_shards (the default) the event loops align 1:1 with shards and a
 // request never crosses a shard lock it didn't need — the only
 // contention on a session's shard comes from the one IO thread that owns
-// the session, plus the service-level Tick/publish machinery.
+// the session, plus the model-publish fan-out.
 //
-// Batched decode → deficit-fair advance: an IO thread drains every
-// readable connection first, decoding all complete frames, answering
-// cheap requests inline and deferring Advance work into a per-iteration
-// batch. The batch then runs as a deficit round-robin — one observation
-// step per pending request per round, exactly the service Tick's
-// fairness discipline — so a connection asking for 4096 steps cannot
-// starve one asking for 1. Per-connection FIFO response order is
-// preserved: a connection's later frames are not dispatched until its
-// deferred Advance has been answered.
+// Batched decode → batched advance: an IO thread drains every readable
+// connection first, decoding all complete frames, answering cheap
+// requests inline and deferring Advance work into a per-iteration batch.
+// The batch then runs as one loop in arrival order, each request stepping
+// its session up to its budget. A batch holds at most one Advance per
+// connection and every request in it is answered at the same clock read,
+// so the order is invisible to a client driving its own sessions.
+// Per-connection FIFO response order is preserved: a connection's later
+// frames are not dispatched until its deferred Advance has been answered.
 //
 // Backpressure: a connection's pending responses accumulate in a bounded
 // write buffer. When it exceeds Options::max_write_buffer the server
@@ -163,7 +163,7 @@ class TcpServer {
   /// Dispatch queued frames in FIFO order until an Advance defers or the
   /// write buffer fills. Appends deferred Advance work to io->batch.
   void DispatchInbox(IoThread* io, Connection* conn);
-  /// Run the deferred Advance batch deficit-fairly, answer each request.
+  /// Run the deferred Advance batch in arrival order, answer each request.
   void RunAdvanceBatch(IoThread* io);
   /// Flush the write buffer; arms EPOLLOUT on partial writes, resumes
   /// paused reads once drained. False = the connection died.

@@ -1,7 +1,5 @@
 #include "serving/shard_router.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -51,10 +49,6 @@ ShardedMonitorService::ShardedMonitorService(
 
 ShardedMonitorService::~ShardedMonitorService() {
   metrics_->RemoveCollector(collector_id_);
-}
-
-ThreadPool* ShardedMonitorService::Pool() const {
-  return options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
 }
 
 uint64_t ShardedMonitorService::SwapModels(
@@ -126,28 +120,6 @@ size_t ShardedMonitorService::num_open_sessions() const {
   return n;
 }
 
-size_t ShardedMonitorService::Tick(size_t max_steps) {
-  const size_t n = shards_.size();
-  // Split the budget across shards; remainder to the lowest indices. A
-  // positive budget smaller than the shard count rounds up to one step
-  // per shard — a shard can never be handed "0 = unbudgeted" by accident,
-  // and the returned remaining count always covers every shard.
-  std::vector<size_t> budget(n, 0);
-  if (max_steps > 0) {
-    for (size_t s = 0; s < n; ++s) {
-      const size_t share = max_steps / n + (s < max_steps % n ? 1 : 0);
-      budget[s] = std::max<size_t>(1, share);
-    }
-  }
-  std::vector<size_t> remaining(n, 0);
-  Pool()->ParallelFor(n, [&](size_t s) {
-    remaining[s] = shards_[s]->Tick(budget[s]);
-  });
-  size_t total = 0;
-  for (size_t r : remaining) total += r;
-  return total;
-}
-
 std::vector<std::vector<double>> ShardedMonitorService::ReplayAll(
     std::span<const QueryRunResult* const> runs) {
   const size_t n = shards_.size();
@@ -161,7 +133,9 @@ std::vector<std::vector<double>> ShardedMonitorService::ReplayAll(
     shard_indices[i % n].push_back(i);
   }
   std::vector<std::vector<double>> out(runs.size());
-  Pool()->ParallelFor(n, [&](size_t s) {
+  ThreadPool* pool =
+      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
+  pool->ParallelFor(n, [&](size_t s) {
     auto series = shards_[s]->ReplayAll(shard_runs[s]);
     for (size_t k = 0; k < series.size(); ++k) {
       out[shard_indices[s][k]] = std::move(series[k]);

@@ -3,9 +3,8 @@
 // at tens of thousands of open sessions every OpenSession/Advance/Close
 // serializes on the same two locks. The router hash-partitions sessions
 // across N fully independent MonitorService shards — each with its own
-// session map, locks, and deficit-fair tick budget — so unrelated
-// sessions never contend and the data-path cost of routing
-// is two arithmetic ops on the session id.
+// session map and locks — so unrelated sessions never contend and the
+// data-path cost of routing is two arithmetic ops on the session id.
 //
 // Routing: OpenSession picks a shard by hashing a monotone open ticket
 // (splitmix64 — uniform spread without coordination) and returns a global
@@ -20,12 +19,6 @@
 // lock, after every shard has stepped. The router is the TrainerLoop's
 // ModelPublisher, so the online-learning loop drives all shards with one
 // call.
-//
-// Ticks: Tick(max_steps) splits the budget across shards (remainder to
-// the lowest shard indices) and runs the per-shard deficit-fair ticks
-// concurrently on the ThreadPool. Fairness is per shard — the guarantee
-// "served at least once per ceil(active/budget) ticks" holds within each
-// shard for its share of the budget.
 //
 // Determinism: shards only partition sessions; each session's replay is
 // the same deterministic observation walk MonitorService performs, so a
@@ -63,7 +56,7 @@ class ShardedMonitorService : public ModelPublisher {
     size_t num_shards = 4;
     /// Driver-consumption marker at which choices are revised (§4.4).
     double revision_marker_pct = 20.0;
-    /// Worker pool for per-shard tick/replay batches; nullptr = global.
+    /// Worker pool for per-shard ReplayAll batches; nullptr = global.
     ThreadPool* pool = nullptr;
     /// Registry every shard's counters live in (see file comment).
     /// nullptr = a router-private registry, for test isolation.
@@ -105,11 +98,6 @@ class ShardedMonitorService : public ModelPublisher {
   Status CloseSession(SessionId id);
   size_t num_open_sessions() const;  ///< sum over shards
 
-  /// One sharded tick pass: the budget is divided across shards (0 =
-  /// unbudgeted everywhere) and shard ticks run concurrently. Returns the
-  /// total number of sessions still unfinished.
-  size_t Tick(size_t max_steps = 0);
-
   /// Replay whole runs concurrently; out[i] is bit-identical to
   /// ProgressMonitor::ReplayQueryProgress(*runs[i]) against the current
   /// snapshot, regardless of shard count. Runs are spread round-robin
@@ -129,7 +117,6 @@ class ShardedMonitorService : public ModelPublisher {
  private:
   size_t ShardOf(SessionId id) const { return id % shards_.size(); }
   SessionId LocalId(SessionId id) const { return id / shards_.size(); }
-  ThreadPool* Pool() const;
   /// The scrape-time samples (see file comment).
   void AppendDerivedSamples(std::vector<obs::Sample>* out) const;
 

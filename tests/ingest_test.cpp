@@ -1,7 +1,6 @@
 // Online-learning loop tests: exact drop accounting on the bounded ingest
 // queue, deterministic retrain-threshold triggering, swap-generation
-// monotonicity through MonitorService, the record-emission hooks, and a
-// starvation regression for the deficit-fair budgeted Tick().
+// monotonicity through MonitorService, and the record-emission hooks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -330,172 +329,6 @@ TEST(EmissionHookTest, RunWorkloadStreamsEveryRecordThroughOnRecord) {
     EXPECT_EQ(streamed[i], (*records)[i].query + "/" +
                                std::to_string((*records)[i].pipeline_id));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Budgeted fair Tick: starvation regression
-
-class FairTickTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    catalog_ = MakeSmallCatalog().release();
-    plans_ = new std::vector<std::unique_ptr<PhysicalPlan>>();
-    runs_ = new std::vector<QueryRunResult>();
-    // A long run (dense observation stream) and a short one (sparse).
-    ExecOptions long_options;
-    long_options.target_observations = 220;
-    AddRun(MakeHashJoin(MakeTableScan("t_dim"), MakeTableScan("t_fact"), 0,
-                        1),
-           long_options);
-    ExecOptions short_options;
-    short_options.target_observations = 12;
-    short_options.max_observations = 40;
-    AddRun(MakeTableScan("t_fact"), short_options);
-    stack_ = TinyStack(11, 7);
-  }
-  static void TearDownTestSuite() {
-    delete runs_;
-    delete plans_;
-    delete catalog_;
-    stack_.reset();
-    runs_ = nullptr;
-    plans_ = nullptr;
-    catalog_ = nullptr;
-  }
-
-  static void AnnotateEstimates(PlanNode* node, double est) {
-    node->est_rows = est;
-    for (auto& c : node->children) AnnotateEstimates(c.get(), est * 0.8);
-  }
-
-  static void AddRun(std::unique_ptr<PlanNode> root,
-                     const ExecOptions& options) {
-    AnnotateEstimates(root.get(), 1000.0);
-    auto plan = FinalizePlan(std::move(root), *catalog_);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    plans_->push_back(std::move(plan).ValueOrDie());
-    auto result = ExecutePlan(*plans_->back(), *catalog_, options);
-    ASSERT_TRUE(result.ok());
-    runs_->push_back(std::move(result).ValueOrDie());
-  }
-
-  static Catalog* catalog_;
-  static std::vector<std::unique_ptr<PhysicalPlan>>* plans_;
-  static std::vector<QueryRunResult>* runs_;
-  static std::shared_ptr<const SelectorStack> stack_;
-};
-
-Catalog* FairTickTest::catalog_ = nullptr;
-std::vector<std::unique_ptr<PhysicalPlan>>* FairTickTest::plans_ = nullptr;
-std::vector<QueryRunResult>* FairTickTest::runs_ = nullptr;
-std::shared_ptr<const SelectorStack> FairTickTest::stack_;
-
-TEST_F(FairTickTest, BudgetedTickDoesNotStarveShortSessions) {
-  const QueryRunResult& long_run = (*runs_)[0];
-  const QueryRunResult& short_run = (*runs_)[1];
-  const size_t long_len = long_run.observations.size();
-  const size_t short_len = short_run.observations.size();
-  ASSERT_GT(long_len, 3 * short_len)
-      << "fixture must produce runs of very different lengths";
-
-  // Four long-running sessions ahead of two short ones, with a budget of
-  // two steps per tick: a scheduler that served sessions in id order
-  // would not advance the short sessions at all until the long ones
-  // finished (completion around tick 2 * long_len); deficit round-robin
-  // guarantees every session one step per ceil(6/2) = 3 ticks.
-  MonitorService service(stack_);
-  constexpr size_t kLong = 4, kShort = 2, kBudget = 2;
-  std::vector<MonitorService::SessionId> ids;
-  for (size_t i = 0; i < kLong; ++i) {
-    ids.push_back(*service.OpenSession(&long_run));
-  }
-  for (size_t i = 0; i < kShort; ++i) {
-    ids.push_back(*service.OpenSession(&short_run));
-  }
-  const size_t n = ids.size();
-
-  std::vector<size_t> completion_tick(n, 0);
-  size_t tick = 0;
-  while (service.Tick(kBudget) > 0) {
-    ++tick;
-    for (size_t i = 0; i < n; ++i) {
-      if (completion_tick[i] == 0 && *service.Done(ids[i])) {
-        completion_tick[i] = tick;
-      }
-    }
-  }
-  ++tick;  // the final tick that returned 0
-  for (size_t i = 0; i < n; ++i) {
-    if (completion_tick[i] == 0) completion_tick[i] = tick;
-  }
-
-  const size_t rounds = (n + kBudget - 1) / kBudget;  // 3
-  for (size_t i = kLong; i < n; ++i) {
-    // Fairness bound: a short session advances at least once per `rounds`
-    // ticks, so it finishes by rounds * short_len (+ slack for the tick
-    // on which doneness is observed). Under id-ordered starvation this
-    // would be ~2 * long_len.
-    EXPECT_LE(completion_tick[i], rounds * short_len + rounds)
-        << "short session " << i << " was starved";
-  }
-  // Total work is conserved: every session fully replays and the scores
-  // match the sequential monitor bit for bit.
-  ProgressMonitor sequential(&stack_->static_selector,
-                             &stack_->dynamic_selector);
-  const auto expected_long = sequential.ReplayQueryProgress(long_run);
-  const auto expected_short = sequential.ReplayQueryProgress(short_run);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(*service.Done(ids[i]));
-    EXPECT_EQ(*service.Progress(ids[i]),
-              i < kLong ? expected_long.back() : expected_short.back());
-    ASSERT_TRUE(service.CloseSession(ids[i]).ok());
-  }
-}
-
-TEST_F(FairTickTest, EqualSessionsCompleteWithinOneRoundOfEachOther) {
-  const QueryRunResult& run = (*runs_)[1];
-  const size_t len = run.observations.size();
-  MonitorService service(stack_);
-  constexpr size_t kSessions = 4, kBudget = 2;
-  std::vector<MonitorService::SessionId> ids;
-  for (size_t i = 0; i < kSessions; ++i) {
-    ids.push_back(*service.OpenSession(&run));
-  }
-  std::vector<size_t> completion_tick(kSessions, 0);
-  size_t tick = 0;
-  while (service.Tick(kBudget) > 0) {
-    ++tick;
-    for (size_t i = 0; i < kSessions; ++i) {
-      if (completion_tick[i] == 0 && *service.Done(ids[i])) {
-        completion_tick[i] = tick;
-      }
-    }
-  }
-  ++tick;
-  for (size_t i = 0; i < kSessions; ++i) {
-    if (completion_tick[i] == 0) completion_tick[i] = tick;
-  }
-  // Strict alternation: with identical lengths, no session finishes more
-  // than one tick before any other (an unfair scheduler would finish its
-  // favorites a whole replay earlier). Total ticks = steps / budget.
-  const auto [min_it, max_it] =
-      std::minmax_element(completion_tick.begin(), completion_tick.end());
-  EXPECT_LE(*max_it - *min_it, 1u);
-  EXPECT_EQ(tick, kSessions * len / kBudget);
-  for (auto id : ids) ASSERT_TRUE(service.CloseSession(id).ok());
-}
-
-// Unbudgeted Tick (the default) must behave exactly as before: every
-// unfinished session advances once per call.
-TEST_F(FairTickTest, UnbudgetedTickAdvancesEverySession) {
-  const QueryRunResult& run = (*runs_)[1];
-  MonitorService service(stack_);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.OpenSession(&run).ok());
-  size_t ticks = 0;
-  while (service.Tick() > 0) ++ticks;
-  EXPECT_EQ(ticks, run.observations.size() - 1);
-  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
-            3 * run.observations.size());
 }
 
 }  // namespace

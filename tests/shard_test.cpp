@@ -171,43 +171,53 @@ TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
 }
 
 TEST_F(ShardedMonitorServiceTest, RoutedSessionsMatchSequentialReplay) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 8;
-  ShardedMonitorService service(stack_, options);
   const auto reference = ReferencePerRun();
+  for (size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
+    ShardedMonitorService::Options options;
+    options.num_shards = shards;
+    ShardedMonitorService service(stack_, options);
 
-  const size_t kSessions = 96;
-  std::vector<ShardedMonitorService::SessionId> ids;
-  for (size_t s = 0; s < kSessions; ++s) {
-    auto id = service.OpenSession(&(*runs_)[s % runs_->size()]);
-    ASSERT_TRUE(id.ok()) << id.status().ToString();
-    ids.push_back(*id);
-  }
-  EXPECT_EQ(service.num_open_sessions(), kSessions);
-  // Ids are globally unique even though every shard numbers locally.
-  std::set<ShardedMonitorService::SessionId> unique(ids.begin(), ids.end());
-  EXPECT_EQ(unique.size(), kSessions);
-
-  // Advance each session one observation at a time through the router;
-  // the progress trajectory must match the sequential monitor bit for bit.
-  for (size_t s = 0; s < kSessions; ++s) {
-    const auto& expected = reference[s % runs_->size()];
-    for (size_t oi = 0; oi < expected.size(); ++oi) {
-      auto progress = service.Advance(ids[s]);
-      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
-      ASSERT_EQ(*progress, expected[oi]) << "session " << s << " obs " << oi;
+    const size_t kSessions = 96;
+    std::vector<ShardedMonitorService::SessionId> ids;
+    size_t total_obs = 0;
+    for (size_t s = 0; s < kSessions; ++s) {
+      auto id = service.OpenSession(&(*runs_)[s % runs_->size()]);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ids.push_back(*id);
+      total_obs += reference[s % runs_->size()].size();
     }
-    EXPECT_TRUE(*service.Done(ids[s]));
-    EXPECT_FALSE(service.Advance(ids[s]).ok());  // stream exhausted
-    EXPECT_EQ(*service.Progress(ids[s]), expected.back());
-    ASSERT_TRUE(service.CloseSession(ids[s]).ok());
-  }
-  EXPECT_EQ(service.num_open_sessions(), 0u);
+    EXPECT_EQ(service.num_open_sessions(), kSessions);
+    // Ids are globally unique even though every shard numbers locally.
+    std::set<ShardedMonitorService::SessionId> unique(ids.begin(), ids.end());
+    EXPECT_EQ(unique.size(), kSessions);
 
-  // Unknown / stale ids are routed errors, not crashes.
-  EXPECT_FALSE(service.Advance(ids[0]).ok());
-  EXPECT_FALSE(service.Progress(12345678).ok());
-  EXPECT_FALSE(service.CloseSession(0).ok());
+    // Advance each session one observation at a time through the router;
+    // the progress trajectory must match the sequential monitor bit for
+    // bit.
+    for (size_t s = 0; s < kSessions; ++s) {
+      const auto& expected = reference[s % runs_->size()];
+      for (size_t oi = 0; oi < expected.size(); ++oi) {
+        auto progress = service.Advance(ids[s]);
+        ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+        ASSERT_EQ(*progress, expected[oi])
+            << shards << " shards, session " << s << " obs " << oi;
+      }
+      EXPECT_TRUE(*service.Done(ids[s]));
+      EXPECT_FALSE(service.Advance(ids[s]).ok());  // stream exhausted
+      EXPECT_EQ(*service.Progress(ids[s]), expected.back());
+      ASSERT_TRUE(service.CloseSession(ids[s]).ok());
+    }
+    EXPECT_EQ(service.num_open_sessions(), 0u);
+    EXPECT_EQ(
+        CounterValue(service.metrics(), "rpe_observations_scored_total"),
+        total_obs)
+        << shards << " shards";
+
+    // Unknown / stale ids are routed errors, not crashes.
+    EXPECT_FALSE(service.Advance(ids[0]).ok());
+    EXPECT_FALSE(service.Progress(12345678).ok());
+    EXPECT_FALSE(service.CloseSession(0).ok());
+  }
 }
 
 TEST_F(ShardedMonitorServiceTest, AdvanceDoneFlagMatchesDoneAfterEveryStep) {
@@ -349,40 +359,6 @@ TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {
   auto empty = service.OpenSessions({});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
-}
-
-TEST_F(ShardedMonitorServiceTest, BudgetedTickDrivesAllShardsToCompletion) {
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (size_t budget : {size_t{0}, size_t{2}, size_t{32}}) {
-      ShardedMonitorService::Options options;
-      options.num_shards = shards;
-      ShardedMonitorService service(stack_, options);
-      const auto reference = ReferencePerRun();
-      const size_t kSessions = 64;
-      std::vector<ShardedMonitorService::SessionId> ids;
-      size_t total_obs = 0;
-      for (size_t s = 0; s < kSessions; ++s) {
-        auto id = service.OpenSession(&(*runs_)[s % runs_->size()]);
-        ASSERT_TRUE(id.ok());
-        ids.push_back(*id);
-        total_obs += (*runs_)[s % runs_->size()].observations.size();
-      }
-      size_t guard = 0;
-      while (service.Tick(budget) > 0) {
-        ASSERT_LT(++guard, 100000u) << "tick loop did not converge";
-      }
-      EXPECT_EQ(
-          CounterValue(service.metrics(), "rpe_observations_scored_total"),
-          total_obs)
-          << shards << " shards, budget " << budget;
-      for (size_t s = 0; s < kSessions; ++s) {
-        EXPECT_TRUE(*service.Done(ids[s]));
-        EXPECT_EQ(*service.Progress(ids[s]),
-                  reference[s % runs_->size()].back());
-        ASSERT_TRUE(service.CloseSession(ids[s]).ok());
-      }
-    }
-  }
 }
 
 TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {

@@ -429,34 +429,6 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
             expected.size());
 }
 
-TEST_F(MonitorServiceTest, TickAdvancesEverySessionOncePerCall) {
-  MonitorService service(stack_);
-  std::vector<MonitorService::SessionId> ids;
-  size_t total_obs = 0;
-  for (const QueryRunResult& run : *runs_) {
-    auto id = service.OpenSession(&run);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-    total_obs += run.observations.size();
-  }
-  size_t ticks = 0;
-  while (service.Tick() > 0) ++ticks;
-  // The longest run bounds the tick count (its last tick returns 0 left).
-  size_t longest = 0;
-  for (const QueryRunResult& run : *runs_) {
-    longest = std::max(longest, run.observations.size());
-  }
-  EXPECT_EQ(ticks, longest - 1);
-  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
-            total_obs);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_TRUE(*service.Done(ids[i]));
-    const auto expected = SequentialSeries({&(*runs_)[i]});
-    EXPECT_EQ(*service.Progress(ids[i]), expected[0].back());
-    ASSERT_TRUE(service.CloseSession(ids[i]).ok());
-  }
-}
-
 TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {
   auto other = std::make_shared<const SelectorStack>(
       TrainSmallStack(RandomRecords(80, 23), 41));

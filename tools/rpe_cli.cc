@@ -23,14 +23,6 @@
 //       Verify + describe a snapshot (either kind); optionally convert a
 //       record snapshot back to CSV.
 //
-//   rpe_cli serve-replay --kind tpch --queries 60 [--sessions 64]
-//                        [--shards 4] [--model stack.rpsn] [--mmap]
-//                        [--trees 50] [--verify]
-//       Run a workload, then replay every query concurrently through the
-//       (optionally sharded) monitor tier and print the serving stats
-//       (p50/p95 replay latency, decisions/sec). --mmap loads --model
-//       zero-copy through the snapshot arena.
-//
 //   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
 //                     [--io-threads 0] [--model stack.rpsn] [--mmap]
 //                     [--trees 50] [--metrics-port 0] [--trace-out t.json]
@@ -47,32 +39,24 @@
 //       exit; --slow-ms logs any request slower than the threshold with a
 //       per-span breakdown (see docs/OBSERVABILITY.md).
 //
-//   rpe_cli serve-online --kind tpch --queries 40 [--sessions 64]
-//                        [--shards 4] [--model stack.rpsn] [--mmap]
-//                        [--retrain-every 48] [--queue-cap 1024]
-//                        [--tick-budget 16] [--snapshot-out stack.rpsn]
-//                        [--verify]
-//       The full online-learning loop: replay sessions tick concurrently
-//       while completed records stream into the ingest queue; a
-//       background TrainerLoop retrains the selector stack and hot-swaps
-//       it into every shard mid-replay. Prints serving + ingest stats;
-//       fails if no retrain was published.
-//
 // See docs/CLI.md for the full flag reference. All commands accept
-// --threads N to size the training/selection worker pool (default:
-// RPE_NUM_THREADS env var, else hardware concurrency). Trained models are
-// identical at any thread count.
+// --threads N (0..256) to size the training/selection worker pool
+// (default: RPE_NUM_THREADS env var, else hardware concurrency). Trained
+// models are identical at any thread count. A malformed or out-of-range
+// numeric flag exits 2 before any workload runs.
 #include <algorithm>
-#include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -85,7 +69,6 @@
 #include "obs/trace.h"
 #include "serving/metrics_export.h"
 #include "serving/mmap_arena.h"
-#include "serving/monitor_service.h"
 #include "serving/server.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -137,6 +120,53 @@ std::vector<size_t> ParsePool(const std::string& s) {
   return PoolSix();
 }
 
+/// Strictly-parsed numeric flag in [min, max]: a typo'd or out-of-range
+/// value must fail loudly with a hint, not std::sto* its way into a
+/// nonsense configuration (or an uncaught exception).
+template <typename T>
+Result<T> ParseNumberFlag(const std::map<std::string, std::string>& flags,
+                          const std::string& key, const std::string& fallback,
+                          T min, T max) {
+  const std::string raw = FlagOr(flags, key, fallback);
+  T value{};
+  size_t consumed = 0;
+  try {
+    // std::sto* would skip a leading space and wrap a leading '-'.
+    if (!raw.empty() && std::isdigit(static_cast<unsigned char>(raw[0]))) {
+      if constexpr (std::is_integral_v<T>) {
+        value = std::stoul(raw, &consumed);
+      } else {
+        value = std::stod(raw, &consumed);
+      }
+    }
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  // The negated range test also rejects NaN.
+  if (raw.empty() || consumed != raw.size() ||
+      !(value >= min && value <= max)) {
+    std::ostringstream msg;
+    msg << "invalid --" << key << " value '" << raw << "' (expected "
+        << (std::is_integral_v<T> ? "an integer" : "a number") << " in ["
+        << min << ", " << max << "]); see docs/CLI.md or rpe_cli --help";
+    return Status::InvalidArgument(msg.str());
+  }
+  return value;
+}
+
+Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
+                             const std::string& key,
+                             const std::string& fallback, size_t min,
+                             size_t max) {
+  return ParseNumberFlag<size_t>(flags, key, fallback, min, max);
+}
+
+/// Boosting iterations per candidate model (--trees).
+Result<size_t> ParseTrees(const std::map<std::string, std::string>& flags,
+                          const std::string& fallback) {
+  return ParseSizeFlag(flags, "trees", fallback, 1, 1 << 16);
+}
+
 /// Shared workload flags (kind/name/scale/zipf/tuning/queries/seed);
 /// per-command defaults differ only in scale and query count.
 Result<WorkloadConfig> ParseWorkloadFlags(
@@ -145,38 +175,19 @@ Result<WorkloadConfig> ParseWorkloadFlags(
   WorkloadConfig config;
   RPE_ASSIGN_OR_RETURN(config.kind, ParseKind(FlagOr(flags, "kind", "tpch")));
   config.name = FlagOr(flags, "name", FlagOr(flags, "kind", "tpch"));
-  config.scale = std::stod(FlagOr(flags, "scale", default_scale));
-  config.zipf = std::stod(FlagOr(flags, "zipf", "1.0"));
+  RPE_ASSIGN_OR_RETURN(
+      config.scale,
+      ParseNumberFlag(flags, "scale", default_scale, 0.001, 1000.0));
+  RPE_ASSIGN_OR_RETURN(config.zipf,
+                       ParseNumberFlag(flags, "zipf", "1.0", 0.0, 10.0));
   RPE_ASSIGN_OR_RETURN(config.tuning,
                        ParseTuning(FlagOr(flags, "tuning", "partial")));
-  config.num_queries = static_cast<size_t>(
-      std::stoul(FlagOr(flags, "queries", default_queries)));
-  config.seed = std::stoull(FlagOr(flags, "seed", "1"));
+  RPE_ASSIGN_OR_RETURN(
+      config.num_queries,
+      ParseSizeFlag(flags, "queries", default_queries, 1, 1 << 20));
+  RPE_ASSIGN_OR_RETURN(config.seed,
+                       ParseSizeFlag(flags, "seed", "1", 0, SIZE_MAX));
   return config;
-}
-
-/// Strictly-parsed integer flag in [min, max]: a typo'd or out-of-range
-/// value must fail loudly with a hint, not std::stoul its way into a
-/// nonsense server configuration.
-Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
-                             const std::string& key,
-                             const std::string& fallback, size_t min,
-                             size_t max) {
-  const std::string raw = FlagOr(flags, key, fallback);
-  size_t value = 0;
-  size_t consumed = 0;
-  try {
-    value = std::stoul(raw, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != raw.size() || raw.empty() || value < min || value > max) {
-    return Status::InvalidArgument(
-        "invalid --" + key + " value '" + raw + "' (expected an integer in [" +
-        std::to_string(min) + ", " + std::to_string(max) +
-        "]); see docs/CLI.md or rpe_cli --help");
-  }
-  return value;
 }
 
 bool IsSnapshotPath(const std::string& path) {
@@ -196,7 +207,7 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
                                    /*default_queries=*/"200");
   if (!config.ok()) {
     std::cerr << config.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
 
   RunOptions options;
@@ -222,13 +233,18 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdTrain(const std::map<std::string, std::string>& flags) {
+  auto trees = ParseTrees(flags, "200");
+  if (!trees.ok()) {
+    std::cerr << trees.status().ToString() << "\n";
+    return 2;
+  }
   auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
   }
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", "200"));
+  params.num_trees = static_cast<int>(*trees);
   const SelectorStack stack = SelectorStack::Train(
       *records, ParsePool(FlagOr(flags, "pool", "six")), params);
 
@@ -246,6 +262,11 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdEvaluate(const std::map<std::string, std::string>& flags) {
+  auto trees = ParseTrees(flags, "100");
+  if (!trees.ok()) {
+    std::cerr << trees.status().ToString() << "\n";
+    return 2;
+  }
   auto train = LoadRecordsAuto(FlagOr(flags, "train", "train.csv"));
   auto test = LoadRecordsAuto(FlagOr(flags, "test", "test.csv"));
   if (!train.ok() || !test.ok()) {
@@ -255,7 +276,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   const auto pool = ParsePool(FlagOr(flags, "pool", "six"));
   const bool dynamic = flags.count("dynamic") > 0;
   MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", "100"));
+  params.num_trees = static_cast<int>(*trees);
   const auto eval = TrainAndEvaluate(*train, *test, pool, dynamic, params);
 
   TablePrinter table({"Policy", "avg L1", "avg L2", "% optimal", ">5x"});
@@ -375,8 +396,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 /// Build + execute a serving workload, keeping every successful run alive
-/// (sessions replay against them) and its featurized records. Shared by
-/// the serve-* commands.
+/// (sessions replay against them) and its featurized records.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
                               std::vector<OwnedRun>* runs,
                               std::vector<PipelineRecord>* records) {
@@ -427,32 +447,22 @@ Result<std::shared_ptr<const SelectorStack>> PreloadModel(
 }
 
 /// Initial serving stack: the preloaded --model when given, else trained
-/// on `records` with --trees trees.
+/// on `records`.
 std::shared_ptr<const SelectorStack> InitialStack(
-    const std::map<std::string, std::string>& flags,
     std::shared_ptr<const SelectorStack> preloaded,
     const std::vector<PipelineRecord>& records,
-    const std::string& default_trees) {
+    const std::vector<size_t>& pool, const MartParams& params) {
   if (preloaded != nullptr) return preloaded;
-  MartParams params = EstimatorSelector::DefaultParams();
-  params.num_trees = std::stoi(FlagOr(flags, "trees", default_trees));
   const auto train_start = std::chrono::steady_clock::now();
-  auto stack = std::make_shared<const SelectorStack>(SelectorStack::Train(
-      records, ParsePool(FlagOr(flags, "pool", "six")), params));
+  auto stack = std::make_shared<const SelectorStack>(
+      SelectorStack::Train(records, pool, params));
   RPE_LOG_INFO << std::fixed << std::setprecision(3)
                << "train selector stack on " << records.size()
                << " records " << SecondsSince(train_start) << " s";
   return stack;
 }
 
-/// Shared --shards parsing for the serve commands (1..1024; powers of two
-/// route cheapest but are not required).
-Result<size_t> ParseShards(const std::map<std::string, std::string>& flags) {
-  return ParseSizeFlag(flags, "shards", "1", 1, 1024);
-}
-
-/// The single definition of the --mmap flag contract, shared by both
-/// serve commands.
+/// The --mmap flag contract.
 Status CheckMmapFlags(const std::map<std::string, std::string>& flags) {
   if (flags.count("mmap") > 0 && flags.count("model") == 0) {
     return Status::InvalidArgument(
@@ -460,84 +470,6 @@ Status CheckMmapFlags(const std::map<std::string, std::string>& flags) {
         "the stack is trained in-process); see docs/CLI.md");
   }
   return Status::OK();
-}
-
-int CmdServeReplay(const std::map<std::string, std::string>& flags) {
-  auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
-                                   /*default_queries=*/"60");
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 1;
-  }
-  const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
-  auto sessions_flag = ParseSizeFlag(flags, "sessions", "64", 1, 1 << 20);
-  const Status mmap_ok = CheckMmapFlags(flags);
-  for (const Status& st :
-       {shards.status(), sessions_flag.status(), mmap_ok}) {
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 2;
-    }
-  }
-  auto preloaded = PreloadModel(flags);
-  if (!preloaded.ok()) {
-    std::cerr << preloaded.status().ToString() << "\n";
-    return 1;
-  }
-
-  std::vector<OwnedRun> runs;
-  std::vector<PipelineRecord> records;
-  const Status executed = ExecuteServingWorkload(config, &runs, &records);
-  if (!executed.ok()) {
-    std::cerr << executed.ToString() << "\n";
-    return 1;
-  }
-
-  std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
-
-  // One session per requested slot, cycling the executed runs.
-  const size_t num_sessions = *sessions_flag;
-  std::vector<const QueryRunResult*> session_runs;
-  session_runs.reserve(num_sessions);
-  for (size_t s = 0; s < num_sessions; ++s) {
-    session_runs.push_back(&runs[s % runs.size()].result);
-  }
-
-  // The exit table is registry-driven (one formatter for every serve-*
-  // command): the rows ARE the samples a /metrics scrape would export.
-  obs::MetricsRegistry registry;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  service_options.metrics = &registry;
-  ShardedMonitorService service(stack, service_options);
-  const auto series = service.ReplayAll(session_runs);
-
-  if (flags.count("verify") > 0) {
-    // Every replica of a run must match the sequential monitor bit for bit.
-    ProgressMonitor sequential(&stack->static_selector,
-                               &stack->dynamic_selector);
-    for (size_t s = 0; s < session_runs.size(); ++s) {
-      const auto expected = sequential.ReplayQueryProgress(*session_runs[s]);
-      if (series[s] != expected) {
-        std::cerr << "VERIFY FAILED: session " << s
-                  << " diverges from the sequential replay\n";
-        return 1;
-      }
-    }
-    std::cout << "verify: " << session_runs.size()
-              << " concurrent sessions bit-identical to sequential replay\n";
-  }
-
-  RegisterSimdCollector(&registry);
-  TablePrinter table = MetricsTable(registry.Collect());
-  table.AddRow({"simd", simd::KernelReport()});
-  table.Print();
-  return 0;
 }
 
 /// SIGTERM/SIGINT land here; the serve-tcp main loop polls the flag and
@@ -551,13 +483,15 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
                                    /*default_queries=*/"40");
   if (!parsed.ok()) {
     std::cerr << parsed.status().ToString() << "\n";
-    return 1;
+    return 2;
   }
   const WorkloadConfig& config = *parsed;
 
   // Flag validation happens before the (expensive) workload run: a typo'd
   // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
+  // Powers of two route cheapest but are not required.
+  auto shards = ParseSizeFlag(flags, "shards", "1", 1, 1024);
+  auto trees = ParseTrees(flags, "50");
   auto port = ParseSizeFlag(flags, "port", "0", 0, 65535);
   auto io_threads = ParseSizeFlag(flags, "io-threads", "0", 0, 256);
   auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
@@ -581,7 +515,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   auto slow_ms = ParseSizeFlag(flags, "slow-ms", "0", 0, 1 << 24);
   const Status mmap_ok = CheckMmapFlags(flags);
   for (const Status& st :
-       {shards.status(), port.status(), io_threads.status(),
+       {shards.status(), trees.status(), port.status(), io_threads.status(),
         queue_cap.status(), retrain_every.status(), corpus_cap.status(),
         max_inflight.status(), conn_inflight.status(),
         ingest_watermark.status(), metrics_port.status(),
@@ -605,8 +539,11 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
+  MartParams params = EstimatorSelector::DefaultParams();
+  params.num_trees = static_cast<int>(*trees);
+  const std::vector<size_t> pool = ParsePool(FlagOr(flags, "pool", "six"));
   std::shared_ptr<const SelectorStack> stack =
-      InitialStack(flags, *preloaded, records, /*default_trees=*/"50");
+      InitialStack(*preloaded, records, pool, params);
 
   // One registry is the only store of every counter — the service, the
   // queue, the trainer and the server accrue into it — and backs every
@@ -627,10 +564,8 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   trainer_options.max_corpus = *corpus_cap;
   trainer_options.min_corpus = std::min<size_t>(
       trainer_options.min_corpus, std::max<size_t>(records.size(), 1));
-  trainer_options.pool = ParsePool(FlagOr(flags, "pool", "six"));
-  trainer_options.params = EstimatorSelector::DefaultParams();
-  trainer_options.params.num_trees =
-      std::stoi(FlagOr(flags, "trees", "50"));
+  trainer_options.pool = pool;
+  trainer_options.params = params;
   trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
   trainer_options.metrics = &registry;
   TrainerLoop trainer(&queue, &service, trainer_options);
@@ -711,163 +646,6 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdServeOnline(const std::map<std::string, std::string>& flags) {
-  auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
-                                   /*default_queries=*/"40");
-  if (!parsed.ok()) {
-    std::cerr << parsed.status().ToString() << "\n";
-    return 1;
-  }
-  const WorkloadConfig& config = *parsed;
-
-  // Flag validation happens before the (expensive) workload run: a typo'd
-  // serve configuration must fail in milliseconds.
-  auto shards = ParseShards(flags);
-  auto sessions_flag = ParseSizeFlag(flags, "sessions", "64", 1, 1 << 20);
-  auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
-  auto retrain_every =
-      ParseSizeFlag(flags, "retrain-every", "48", 0, 1 << 24);
-  // TrainerLoop requires max_corpus >= min_corpus (at most 16 here).
-  auto corpus_cap = ParseSizeFlag(flags, "corpus-cap", "4096", 16, 1 << 24);
-  auto tick_budget = ParseSizeFlag(flags, "tick-budget", "0", 0, 1 << 24);
-  auto ingest_per_tick =
-      ParseSizeFlag(flags, "ingest-per-tick", "4", 0, 1 << 20);
-  const Status mmap_ok = CheckMmapFlags(flags);
-  for (const Status& st :
-       {shards.status(), sessions_flag.status(), queue_cap.status(),
-        retrain_every.status(), corpus_cap.status(), tick_budget.status(),
-        ingest_per_tick.status(), mmap_ok}) {
-    if (!st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 2;
-    }
-  }
-  auto preloaded = PreloadModel(flags);
-  if (!preloaded.ok()) {
-    std::cerr << preloaded.status().ToString() << "\n";
-    return 1;
-  }
-
-  std::vector<OwnedRun> runs;
-  std::vector<PipelineRecord> records;
-  const Status executed = ExecuteServingWorkload(config, &runs, &records);
-  if (!executed.ok()) {
-    std::cerr << executed.ToString() << "\n";
-    return 1;
-  }
-
-  // The first half of the records seeds the initial stack + corpus; the
-  // whole set then cycles through the ingest queue during replay,
-  // standing in for the record stream a live system would emit.
-  std::vector<PipelineRecord> seed(records.begin(),
-                                   records.begin() + records.size() / 2);
-  if (seed.empty()) seed = records;
-  std::shared_ptr<const SelectorStack> initial =
-      InitialStack(flags, *preloaded, seed, /*default_trees=*/"20");
-
-  // The registry is the only store of the service, queue and trainer
-  // counters, and the exit table renders it.
-  obs::MetricsRegistry registry;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  service_options.metrics = &registry;
-  ShardedMonitorService service(initial, service_options);
-  RecordIngestQueue queue(*queue_cap, &registry);
-  TrainerLoop::Options trainer_options;
-  trainer_options.retrain_min_records = *retrain_every;
-  trainer_options.max_corpus = *corpus_cap;
-  trainer_options.min_corpus = std::min<size_t>(
-      trainer_options.min_corpus, std::max<size_t>(seed.size(), 1));
-  trainer_options.pool = ParsePool(FlagOr(flags, "pool", "six"));
-  trainer_options.params = EstimatorSelector::DefaultParams();
-  trainer_options.params.num_trees =
-      std::stoi(FlagOr(flags, "trees", "20"));
-  trainer_options.snapshot_path = FlagOr(flags, "snapshot-out", "");
-  trainer_options.metrics = &registry;
-  TrainerLoop trainer(&queue, &service, trainer_options);
-  trainer.SeedCorpus(seed);
-  trainer.Start();
-
-  // Sessions opened now pin generation 0, so their replay must stay
-  // bit-identical to a sequential replay of the initial stack no matter
-  // how many swaps land mid-replay.
-  const size_t num_sessions = *sessions_flag;
-  std::vector<ShardedMonitorService::SessionId> sessions;
-  std::vector<const QueryRunResult*> session_runs;
-  for (size_t s = 0; s < num_sessions; ++s) {
-    const QueryRunResult* run = &runs[s % runs.size()].result;
-    auto id = service.OpenSession(run);
-    if (!id.ok()) {
-      std::cerr << id.status().ToString() << "\n";
-      return 1;
-    }
-    sessions.push_back(*id);
-    session_runs.push_back(run);
-  }
-
-  // Replay + ingest run concurrently with the trainer: each budgeted tick
-  // advances sessions fairly while fresh records stream into the queue.
-  size_t stream_next = 0;
-  size_t ticks = 0;
-  size_t remaining = sessions.size();
-  while (remaining > 0) {
-    remaining = service.Tick(*tick_budget);
-    ++ticks;
-    for (size_t i = 0; i < *ingest_per_tick; ++i) {
-      queue.Push(records[stream_next++ % records.size()]);
-    }
-  }
-  queue.Close();
-  trainer.Stop();  // drains the tail of the queue; may publish once more
-
-  int rc = 0;
-  if (flags.count("verify") > 0) {
-    ProgressMonitor sequential(&initial->static_selector,
-                               &initial->dynamic_selector);
-    // Sessions cycle a small run set: replay each distinct run once.
-    std::map<const QueryRunResult*, double> expected_final;
-    for (const QueryRunResult* run : session_runs) {
-      if (expected_final.count(run) == 0) {
-        expected_final[run] = sequential.ReplayQueryProgress(*run).back();
-      }
-    }
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      const double expected = expected_final.at(session_runs[s]);
-      const auto progress = service.Progress(sessions[s]);
-      if (!progress.ok() || *progress != expected) {
-        std::cerr << "VERIFY FAILED: session " << s
-                  << " final progress diverges from the pinned-snapshot "
-                     "sequential replay\n";
-        rc = 1;
-      }
-    }
-    if (rc == 0) {
-      std::cout << "verify: " << sessions.size()
-                << " sessions bit-identical to their pinned generation-0 "
-                   "snapshot across "
-                << service.model_generation() << " hot swaps\n";
-    }
-  }
-  for (ShardedMonitorService::SessionId id : sessions) {
-    const Status closed = service.CloseSession(id);
-    if (!closed.ok()) std::cerr << closed.ToString() << "\n";
-  }
-
-  // Registry-driven exit table (same formatter as serve-replay /
-  // serve-tcp); "simd" and "ticks" are CLI-local rows, not metrics.
-  TablePrinter table = MetricsTable(registry.Collect());
-  table.AddRow({"simd", simd::KernelReport()});
-  table.AddRow({"ticks", std::to_string(ticks)});
-  table.Print();
-
-  if (trainer.retrains() == 0) {
-    std::cerr << "no retrain was published (lower --retrain-every or raise "
-                 "--ingest-per-tick)\n";
-    return 1;
-  }
-  return rc;
-}
-
 void PrintUsage(std::ostream& out) {
   out << "usage: rpe_cli <command> [--flags]   (see docs/CLI.md)\n"
          "commands:\n"
@@ -877,11 +655,9 @@ void PrintUsage(std::ostream& out) {
          "  inspect        summarize a record set\n"
          "  snapshot-save  convert CSV records to a binary snapshot\n"
          "  snapshot-load  verify + describe a snapshot\n"
-         "  serve-replay   concurrent MonitorService replay of a workload\n"
          "  serve-tcp      epoll TCP front-end over the monitor tier\n"
-         "  serve-online   replay + async ingest + background retraining\n"
          "  version        build + SIMD dispatch report (also --version)\n"
-         "common flags: --threads N; serve commands also take --shards N\n"
+         "common flags: --threads N (0..256); serve-tcp also takes --shards N\n"
          "(sharded session routing) and --model x.rpsn --mmap (zero-copy\n"
          "snapshot load)\n";
 }
@@ -910,7 +686,13 @@ int Main(int argc, char** argv) {
   if (cmd == "version" || cmd == "--version") return CmdVersion();
   const auto flags = ParseFlags(argc, argv, 2);
   if (flags.count("threads") > 0) {
-    ThreadPool::SetGlobalThreads(std::stoi(flags.at("threads")));
+    // Capped like --io-threads: every pool thread is an OS thread.
+    auto threads = ParseSizeFlag(flags, "threads", "0", 0, 256);
+    if (!threads.ok()) {
+      std::cerr << threads.status().ToString() << "\n";
+      return 2;
+    }
+    ThreadPool::SetGlobalThreads(static_cast<int>(*threads));
   }
   // Make fault-injection runs self-announcing: RPE_FAILPOINTS armed sites
   // are listed up front so a chaos run is never mistaken for a clean one.
@@ -927,9 +709,7 @@ int Main(int argc, char** argv) {
   if (cmd == "inspect") return CmdInspect(flags);
   if (cmd == "snapshot-save") return CmdSnapshotSave(flags);
   if (cmd == "snapshot-load") return CmdSnapshotLoad(flags);
-  if (cmd == "serve-replay") return CmdServeReplay(flags);
   if (cmd == "serve-tcp") return CmdServeTcp(flags);
-  if (cmd == "serve-online") return CmdServeOnline(flags);
   std::cerr << "unknown command: " << cmd << "\n";
   return 2;
 }
