@@ -137,7 +137,9 @@ Result<std::vector<PipelineRecord>> CachedRecords(const std::string& name,
                                                   const WorkloadConfig& config,
                                                   const RunOptions& options,
                                                   const std::string& tag) {
-  const std::string path = RecordCacheDir() + "/" + name + ".csv";
+  // ".v2": older cache files hold 12-digit, rounded records and are not
+  // read.
+  const std::string path = RecordCacheDir() + "/" + name + ".v2.csv";
   if (std::filesystem::exists(path)) {
     auto loaded = LoadRecords(path);
     if (loaded.ok()) return loaded;

@@ -78,7 +78,7 @@ Result<std::vector<PipelineRecord>> BuildAndRun(
     const WorkloadConfig& config, const RunOptions& options = {},
     const std::string& tag = "");
 
-/// Disk-cached variant: loads `<cache_dir>/<name>.csv` when present,
+/// Disk-cached variant: loads `<cache_dir>/<name>.v2.csv` when present,
 /// otherwise builds + runs + saves. cache_dir defaults to $RPE_CACHE_DIR or
 /// "rpe_record_cache" under the current directory.
 Result<std::vector<PipelineRecord>> CachedRecords(

@@ -1,6 +1,7 @@
 #include "selection/features.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
@@ -8,14 +9,6 @@
 namespace rpe {
 
 namespace {
-
-/// Estimators used in the pairwise-divergence features.
-constexpr EstimatorKind kDivergencePairs[][2] = {
-    {EstimatorKind::kDne, EstimatorKind::kTgn},
-    {EstimatorKind::kDne, EstimatorKind::kTgnInt},
-    {EstimatorKind::kTgn, EstimatorKind::kTgnInt},
-};
-constexpr size_t kNumPairs = 3;
 
 /// Estimators used in the time-correlation features (§6, "Dynamic
 /// Features": Cor for DNE, TGN, LUO, BATCHDNE, DNESEEK, TGNINT).
@@ -26,13 +19,67 @@ constexpr EstimatorKind kCorEstimators[] = {
 };
 constexpr size_t kNumCorEstimators = 6;
 
+/// Position of `kind` in kCorEstimators (a kind missing there fails to
+/// compile: the scan runs off the array in a constant expression).
+constexpr size_t CorIndex(EstimatorKind kind) {
+  size_t e = 0;
+  while (kCorEstimators[e] != kind) ++e;
+  return e;
+}
+
+/// Estimators used in the pairwise-divergence features, as kCorEstimators
+/// positions so both feature families read one estimate table.
+constexpr size_t kDivergencePairs[][2] = {
+    {CorIndex(EstimatorKind::kDne), CorIndex(EstimatorKind::kTgn)},
+    {CorIndex(EstimatorKind::kDne), CorIndex(EstimatorKind::kTgnInt)},
+    {CorIndex(EstimatorKind::kTgn), CorIndex(EstimatorKind::kTgnInt)},
+};
+constexpr size_t kNumPairs = 3;
+
+/// Consumed driver fraction at one observation (the t{x} test of §4.4.2).
+double DriverFraction(const Observation& obs, const std::vector<int>& drivers) {
+  const double k = SumK(obs, drivers);
+  const double e = SumE(obs, drivers);
+  return e > 0.0 ? k / e : (k > 0.0 ? 1.0 : 0.0);
+}
+
+/// One MarkerTable entry's threshold: the driver fraction
+/// MarkerObservation(view, x * i / kCorSteps) compares against.
+struct Threshold {
+  double fraction;
+  size_t marker;
+  size_t step;  ///< i - 1
+};
+constexpr size_t kNumThresholds = kNumMarkers * kCorSteps;
+
+/// Every MarkerTable threshold in ascending order. Equal thresholds (x * i
+/// / k coincides for different x, i) stay separate entries; they resolve
+/// to the same observation.
+const std::array<Threshold, kNumThresholds>& SortedThresholds() {
+  static const std::array<Threshold, kNumThresholds> sorted = [] {
+    std::array<Threshold, kNumThresholds> t{};
+    size_t n = 0;
+    for (size_t m = 0; m < kNumMarkers; ++m) {
+      const double x = static_cast<double>(kMarkerPercents[m]);
+      for (size_t i = 1; i <= kCorSteps; ++i) {
+        const double pct =
+            x * static_cast<double>(i) / static_cast<double>(kCorSteps);
+        t[n++] = {pct / 100.0, m, i - 1};
+      }
+    }
+    std::sort(t.begin(), t.end(), [](const auto& a, const auto& b) {
+      return a.fraction < b.fraction;
+    });
+    return t;
+  }();
+  return sorted;
+}
+
 /// Descendant subtree span per node: in preorder, node i's subtree occupies
 /// ids [i, i + size_i).
 std::vector<int> SubtreeSizes(const PhysicalPlan& plan) {
   std::vector<int> sizes(plan.num_nodes(), 1);
-  // Children have larger ids; iterate descending and add into parent.
-  // Parent of a node is the nearest smaller id whose subtree would contain
-  // it — easier: recompute via recursion over the tree.
+  // Plan nodes link only to their children, so sizes sum bottom-up.
   struct Rec {
     std::vector<int>* sizes;
     int Visit(const PlanNode* n) {
@@ -100,13 +147,35 @@ int MarkerObservation(const PipelineView& view, double pct) {
   const double target = pct / 100.0;
   for (int oi = view.pipeline->first_obs; oi <= view.pipeline->last_obs;
        ++oi) {
-    const Observation& obs = view.obs(static_cast<size_t>(oi));
-    const double k = SumK(obs, view.pipeline->driver_nodes);
-    const double e = SumE(obs, view.pipeline->driver_nodes);
-    const double fraction = e > 0.0 ? k / e : (k > 0.0 ? 1.0 : 0.0);
-    if (fraction >= target) return oi;
+    if (DriverFraction(view.obs(static_cast<size_t>(oi)),
+                       view.pipeline->driver_nodes) >= target) {
+      return oi;
+    }
   }
   return -1;
+}
+
+MarkerTable ResolveMarkers(const PipelineView& view) {
+  MarkerTable table;
+  for (auto& row : table.at) std::fill(std::begin(row), std::end(row), -1);
+  const Pipeline& p = *view.pipeline;
+  if (p.first_obs < 0) return table;
+  // The driver fraction may dip (E revised upward); a threshold still takes
+  // the first observation that reaches it, as in MarkerObservation. That
+  // observation reaches every lower threshold too, so walking the sorted
+  // thresholds with one pointer never resolves one late.
+  const auto& thresholds = SortedThresholds();
+  size_t next = 0;
+  for (int oi = p.first_obs; oi <= p.last_obs && next < kNumThresholds;
+       ++oi) {
+    const double fraction =
+        DriverFraction(view.obs(static_cast<size_t>(oi)), p.driver_nodes);
+    for (; next < kNumThresholds && fraction >= thresholds[next].fraction;
+         ++next) {
+      table.at[thresholds[next].marker][thresholds[next].step] = oi;
+    }
+  }
+  return table;
 }
 
 std::vector<double> ExtractStaticFeatures(const PipelineView& view) {
@@ -133,7 +202,8 @@ std::vector<double> ExtractStaticFeatures(const PipelineView& view) {
   };
 
   std::vector<double> features;
-  features.reserve(FeatureSchema::Get().num_static_features());
+  // Room for the dynamic block, which AppendDynamicFeatures may add.
+  features.reserve(FeatureSchema::Get().num_features());
   for (size_t op_i = 0; op_i < kNumOpTypes; ++op_i) {
     const OpType op = static_cast<OpType>(op_i);
     double count = 0.0, card = 0.0, above = 0.0, below = 0.0;
@@ -187,65 +257,65 @@ std::vector<double> ExtractStaticFeatures(const PipelineView& view) {
 
 std::vector<double> ExtractAllFeatures(const PipelineView& view) {
   std::vector<double> features = ExtractStaticFeatures(view);
-  const FeatureSchema& schema = FeatureSchema::Get();
+  AppendDynamicFeatures(view, ResolveMarkers(view), &features);
+  return features;
+}
 
-  // Marker observations t{x}.
-  int marker_obs[kNumMarkers];
-  for (size_t m = 0; m < kNumMarkers; ++m) {
-    marker_obs[m] =
-        MarkerObservation(view, static_cast<double>(kMarkerPercents[m]));
+void AppendDynamicFeatures(const PipelineView& view, const MarkerTable& markers,
+                           std::vector<double>* features) {
+  const FeatureSchema& schema = FeatureSchema::Get();
+  RPE_CHECK_EQ(features->size(), schema.num_static_features());
+
+  // Each correlation estimator at each marker t{x}; 0 where the marker is
+  // never reached. The divergence pairs read the same table.
+  double est_at[kNumCorEstimators][kNumMarkers] = {};
+  for (size_t e = 0; e < kNumCorEstimators; ++e) {
+    const ProgressEstimator& est = GetEstimator(kCorEstimators[e]);
+    for (size_t m = 0; m < kNumMarkers; ++m) {
+      if (markers.marker(m) >= 0) {
+        est_at[e][m] =
+            est.Estimate(view, static_cast<size_t>(markers.marker(m)));
+      }
+    }
   }
 
   // Pairwise divergences at each marker.
-  const ProgressEstimator* pair_ests[kNumPairs][2];
-  for (size_t pi = 0; pi < kNumPairs; ++pi) {
-    pair_ests[pi][0] = &GetEstimator(kDivergencePairs[pi][0]);
-    pair_ests[pi][1] = &GetEstimator(kDivergencePairs[pi][1]);
-  }
   for (size_t pi = 0; pi < kNumPairs; ++pi) {
     for (size_t m = 0; m < kNumMarkers; ++m) {
       double value = 0.0;
-      if (marker_obs[m] >= 0) {
-        const size_t oi = static_cast<size_t>(marker_obs[m]);
-        value = std::abs(pair_ests[pi][0]->Estimate(view, oi) -
-                         pair_ests[pi][1]->Estimate(view, oi));
+      if (markers.marker(m) >= 0) {
+        value = std::abs(est_at[kDivergencePairs[pi][0]][m] -
+                         est_at[kDivergencePairs[pi][1]][m]);
       }
-      features.push_back(value);
+      features->push_back(value);
     }
   }
 
   // Time-correlation features Cor_{e,i,x}, i = 1..k (k = 4): how the time
   // elapsed at sub-markers i*x/k relates to the estimator's value at t{x}.
+  // Reaching t{x} implies reaching every sub-marker below it.
   const double start = view.pipeline->start_time;
   for (size_t e = 0; e < kNumCorEstimators; ++e) {
-    const ProgressEstimator& est = GetEstimator(kCorEstimators[e]);
     for (size_t i = 1; i <= kCorSteps; ++i) {
       for (size_t m = 0; m < kNumMarkers; ++m) {
         double value = 0.0;
-        const double x = static_cast<double>(kMarkerPercents[m]);
-        const int t_first =
-            MarkerObservation(view, x / static_cast<double>(kCorSteps));
-        const int t_i = MarkerObservation(
-            view, x * static_cast<double>(i) / static_cast<double>(kCorSteps));
-        const int t_x = marker_obs[m];
-        if (t_first >= 0 && t_i >= 0 && t_x >= 0) {
+        if (markers.marker(m) >= 0) {
           const double denom_time =
-              view.obs(static_cast<size_t>(t_first)).vtime - start;
-          const double est_at_x =
-              est.Estimate(view, static_cast<size_t>(t_x));
+              view.obs(static_cast<size_t>(markers.at[m][0])).vtime - start;
+          const double est_at_x = est_at[e][m];
           if (denom_time > 0.0 && est_at_x > 1e-6) {
             const double num_time =
-                view.obs(static_cast<size_t>(t_i)).vtime - start;
+                view.obs(static_cast<size_t>(markers.at[m][i - 1])).vtime -
+                start;
             value = (num_time / denom_time) * (1.0 / est_at_x);
             value = std::min(value, 1e4);  // keep outliers bounded
           }
         }
-        features.push_back(value);
+        features->push_back(value);
       }
     }
   }
-  RPE_CHECK_EQ(features.size(), schema.num_features());
-  return features;
+  RPE_CHECK_EQ(features->size(), schema.num_features());
 }
 
 }  // namespace rpe

@@ -45,10 +45,33 @@ std::vector<double> ExtractStaticFeatures(const PipelineView& view);
 
 /// Full feature vector: static prefix followed by dynamic features computed
 /// from observations up to the 20% driver marker. Missing markers yield 0.
+/// Equal to ExtractStaticFeatures + AppendDynamicFeatures(ResolveMarkers).
 std::vector<double> ExtractAllFeatures(const PipelineView& view);
 
 /// Observation index of the first observation where the consumed driver
 /// fraction reaches pct/100 (t{x} of §4.4.2), or -1 if never reached.
 int MarkerObservation(const PipelineView& view, double pct);
+
+/// \brief Every observation the dynamic features read: at[m][i - 1] is
+/// MarkerObservation(view, x * i / kCorSteps) for x = kMarkerPercents[m]
+/// and i = 1..kCorSteps, or -1 where the fraction is never reached.
+struct MarkerTable {
+  int at[kNumMarkers][kCorSteps];
+
+  /// t{x} of marker m (i = kCorSteps).
+  int marker(size_t m) const { return at[m][kCorSteps - 1]; }
+  /// t{20}, the last marker: where the monitor revises its static choice
+  /// (§4.4), since the dynamic features are complete only there.
+  int revision() const { return marker(kNumMarkers - 1); }
+};
+
+/// Resolves the whole table in one forward pass over the pipeline's
+/// observations, stopping once the last threshold is reached.
+MarkerTable ResolveMarkers(const PipelineView& view);
+
+/// Appends the dynamic block (§4.4) to `features`, which must hold exactly
+/// the static prefix; `markers` must be ResolveMarkers(view).
+void AppendDynamicFeatures(const PipelineView& view, const MarkerTable& markers,
+                           std::vector<double>* features);
 
 }  // namespace rpe

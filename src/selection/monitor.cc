@@ -9,11 +9,8 @@
 namespace rpe {
 
 ProgressMonitor::ProgressMonitor(const EstimatorSelector* static_selector,
-                                 const EstimatorSelector* dynamic_selector,
-                                 double revision_marker_pct)
-    : static_selector_(static_selector),
-      dynamic_selector_(dynamic_selector),
-      revision_marker_pct_(revision_marker_pct) {
+                                 const EstimatorSelector* dynamic_selector)
+    : static_selector_(static_selector), dynamic_selector_(dynamic_selector) {
   RPE_CHECK(static_selector_ != nullptr);
   RPE_CHECK(dynamic_selector_ != nullptr);
   RPE_CHECK(!static_selector_->uses_dynamic_features());
@@ -22,58 +19,25 @@ ProgressMonitor::ProgressMonitor(const EstimatorSelector* static_selector,
 
 std::vector<ProgressMonitor::PipelineDecision> ProgressMonitor::DecideForRun(
     const QueryRunResult& run) const {
-  std::vector<PipelineDecision> decisions;
-  decisions.reserve(run.pipelines.size());
-  for (const Pipeline& pipeline : run.pipelines) {
-    PipelineDecision d;
-    d.pipeline_id = pipeline.id;
-    PipelineView view{&run, &pipeline};
-    if (pipeline.first_obs < 0) {
-      decisions.push_back(d);
-      continue;
-    }
-    // Static choice: available before the pipeline starts. The static
-    // selector reads only the static prefix, so no padding is needed.
-    d.initial_choice = static_selector_->Select(ExtractStaticFeatures(view));
-    // Dynamic revision at the driver marker, if the pipeline gets there.
-    d.revision_obs = MarkerObservation(view, revision_marker_pct_);
-    if (d.revision_obs >= 0) {
-      d.revised_choice = dynamic_selector_->Select(ExtractAllFeatures(view));
-    }
-    decisions.push_back(d);
-  }
-  return decisions;
+  const QueryRunResult* runs[] = {&run};
+  return std::move(DecideForRuns(runs).front());
 }
-
-namespace {
-
-/// Score `rows` through sel.SelectBatch into `out` (resized to match).
-void SelectRowsInto(const EstimatorSelector& sel,
-                    const std::vector<std::vector<double>>& rows,
-                    std::vector<size_t>* out) {
-  std::vector<const std::vector<double>*> ptrs(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) ptrs[i] = &rows[i];
-  out->resize(rows.size());
-  sel.SelectBatch(ptrs, *out);
-}
-
-}  // namespace
 
 std::vector<std::vector<ProgressMonitor::PipelineDecision>>
 ProgressMonitor::DecideForRuns(
     std::span<const QueryRunResult* const> runs) const {
   std::vector<std::vector<PipelineDecision>> all(runs.size());
-  // Gather pass: the decision skeletons plus the rows to score — static
-  // features for every started pipeline, the full vector for every
-  // pipeline that reaches the revision marker.
+  // Gather pass: the decision skeletons plus one feature row per started
+  // pipeline. The static choice is available before the pipeline starts
+  // and reads only the static prefix; the row is completed with the
+  // dynamic block when the pipeline reaches the revision marker (t{20}).
   struct Slot {
     size_t run;
     size_t pipe;
   };
-  std::vector<std::vector<double>> static_rows;
-  std::vector<std::vector<double>> dynamic_rows;
-  std::vector<Slot> static_slots;
-  std::vector<Slot> dynamic_slots;
+  std::vector<std::vector<double>> rows;
+  std::vector<Slot> slots;
+  std::vector<size_t> revised_rows;  ///< indices into rows
   for (size_t r = 0; r < runs.size(); ++r) {
     const QueryRunResult& run = *runs[r];
     all[r].reserve(run.pipelines.size());
@@ -82,28 +46,36 @@ ProgressMonitor::DecideForRuns(
       d.pipeline_id = pipeline.id;
       if (pipeline.first_obs >= 0) {
         PipelineView view{&run, &pipeline};
-        static_slots.push_back({r, all[r].size()});
-        static_rows.push_back(ExtractStaticFeatures(view));
-        d.revision_obs = MarkerObservation(view, revision_marker_pct_);
+        slots.push_back({r, all[r].size()});
+        rows.push_back(ExtractStaticFeatures(view));
+        const MarkerTable markers = ResolveMarkers(view);
+        d.revision_obs = markers.revision();
         if (d.revision_obs >= 0) {
-          dynamic_slots.push_back({r, all[r].size()});
-          dynamic_rows.push_back(ExtractAllFeatures(view));
+          revised_rows.push_back(rows.size() - 1);
+          AppendDynamicFeatures(view, markers, &rows.back());
         }
       }
       all[r].push_back(d);
     }
   }
   // Scatter pass: two batched scoring calls, choices back to their slots.
-  std::vector<size_t> choices;
-  SelectRowsInto(*static_selector_, static_rows, &choices);
-  for (size_t i = 0; i < static_slots.size(); ++i) {
-    all[static_slots[i].run][static_slots[i].pipe].initial_choice =
-        choices[i];
+  // The static selector reads only each row's static prefix.
+  std::vector<const std::vector<double>*> batch(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) batch[i] = &rows[i];
+  std::vector<size_t> choices(batch.size());
+  static_selector_->SelectBatch(batch, choices);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    all[slots[i].run][slots[i].pipe].initial_choice = choices[i];
   }
-  SelectRowsInto(*dynamic_selector_, dynamic_rows, &choices);
-  for (size_t i = 0; i < dynamic_slots.size(); ++i) {
-    all[dynamic_slots[i].run][dynamic_slots[i].pipe].revised_choice =
-        choices[i];
+  batch.resize(revised_rows.size());
+  for (size_t i = 0; i < revised_rows.size(); ++i) {
+    batch[i] = &rows[revised_rows[i]];
+  }
+  choices.resize(batch.size());
+  dynamic_selector_->SelectBatch(batch, choices);
+  for (size_t i = 0; i < revised_rows.size(); ++i) {
+    const Slot& slot = slots[revised_rows[i]];
+    all[slot.run][slot.pipe].revised_choice = choices[i];
   }
   return all;
 }

@@ -24,10 +24,10 @@ namespace rpe {
 class ProgressMonitor {
  public:
   /// Both selectors must be trained on the same estimator pool. The static
-  /// selector is used before the revision marker; the dynamic one after.
+  /// selector is used before the revision marker (t{20}, the last of
+  /// kMarkerPercents); the dynamic one after.
   ProgressMonitor(const EstimatorSelector* static_selector,
-                  const EstimatorSelector* dynamic_selector,
-                  double revision_marker_pct = 20.0);
+                  const EstimatorSelector* dynamic_selector);
 
   /// Per-pipeline estimator decisions for one run.
   struct PipelineDecision {
@@ -37,17 +37,19 @@ class ProgressMonitor {
     int revision_obs = -1;      ///< observation index of the revision
   };
 
-  /// Decide (and record) the estimator choices for every pipeline of `run`.
+  /// Decide (and record) the estimator choices for every pipeline of `run`:
+  /// DecideForRuns over this one run.
   std::vector<PipelineDecision> DecideForRun(const QueryRunResult& run) const;
 
-  /// Batched DecideForRun over many runs: decisions are bit-identical to
-  /// calling DecideForRun per run (same selectors, same first-on-ties
-  /// argmin), but every static choice scores through one
-  /// EstimatorSelector::SelectBatch call and every dynamic revision
-  /// through another, so the SIMD tile kernel (common/simd.h) sees full
-  /// batches even when each run has only a few pipelines. The serving
-  /// tier's session-open and replay paths feed this
-  /// (serving/monitor_service.h).
+  /// Decisions for every pipeline of every run. Each pipeline's features
+  /// are extracted once: the static prefix for the initial choice,
+  /// completed with the dynamic block for the revision. Every static
+  /// choice scores through one EstimatorSelector::SelectBatch call and
+  /// every dynamic revision through another, so the SIMD tile kernel
+  /// (common/simd.h) sees full batches even when each run has only a few
+  /// pipelines; SelectBatch equals per-row Select (same first-on-ties
+  /// argmin), so batching never changes a decision. The serving tier's
+  /// session-open and replay paths feed this (serving/monitor_service.h).
   std::vector<std::vector<PipelineDecision>> DecideForRuns(
       std::span<const QueryRunResult* const> runs) const;
 
@@ -73,7 +75,6 @@ class ProgressMonitor {
  private:
   const EstimatorSelector* static_selector_;
   const EstimatorSelector* dynamic_selector_;
-  double revision_marker_pct_;
 };
 
 }  // namespace rpe

@@ -52,7 +52,8 @@ bool MakeRecord(const PipelineView& view, const std::string& workload,
 
 std::string RecordsToCsv(const std::vector<PipelineRecord>& records) {
   std::ostringstream out;
-  out.precision(12);
+  // max_digits10 significant digits read back as the identical double.
+  out.precision(std::numeric_limits<double>::max_digits10);
   const FeatureSchema& schema = FeatureSchema::Get();
   out << "workload,query,pipeline,tag,total_n";
   for (size_t f = 0; f < schema.num_features(); ++f) {

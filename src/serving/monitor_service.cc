@@ -34,9 +34,9 @@ Status NoSession(uint64_t id) {
 }  // namespace
 
 MonitorService::Session::Session(std::shared_ptr<const SelectorStack> stack,
-                                 const QueryRunResult* r, double marker_pct)
+                                 const QueryRunResult* r)
     : pinned(std::move(stack)),
-      monitor(&pinned->static_selector, &pinned->dynamic_selector, marker_pct),
+      monitor(&pinned->static_selector, &pinned->dynamic_selector),
       run(r) {}
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
@@ -87,8 +87,7 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
     return Status::InvalidArgument("OpenSession: null run");
   }
   const auto start = Clock::now();
-  auto session = std::make_shared<Session>(models(), run,
-                                           options_.revision_marker_pct);
+  auto session = std::make_shared<Session>(models(), run);
   // The estimator decisions — the selector scoring — happen at open, once,
   // exactly as a live monitor decides when the query is admitted.
   session->decisions = session->monitor.DecideForRun(*run);
@@ -116,8 +115,7 @@ Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
   std::vector<std::shared_ptr<Session>> opened;
   opened.reserve(runs.size());
   for (const QueryRunResult* run : runs) {
-    opened.push_back(
-        std::make_shared<Session>(stack, run, options_.revision_marker_pct));
+    opened.push_back(std::make_shared<Session>(stack, run));
   }
   // One batched decision pass across every pipeline of every run — the
   // same choices OpenSession makes per run, scored in full SIMD tiles.
@@ -226,8 +224,7 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
   // series stays bit-identical to the sequential
   // ProgressMonitor::ReplayQueryProgress regardless of sharding.
   const auto decide_start = Clock::now();
-  ProgressMonitor monitor(&stack->static_selector, &stack->dynamic_selector,
-                          options_.revision_marker_pct);
+  ProgressMonitor monitor(&stack->static_selector, &stack->dynamic_selector);
   const auto decided = monitor.DecideForRuns(runs);
   const uint64_t decide_ns_per_run = NanosSince(decide_start) / runs.size();
   sessions_opened_->Inc(runs.size());

@@ -63,8 +63,6 @@ class ModelPublisher {
 class MonitorService : public ModelPublisher {
  public:
   struct Options {
-    /// Driver-consumption marker at which choices are revised (§4.4).
-    double revision_marker_pct = 20.0;
     /// Worker pool for ReplayAll; nullptr = the global pool.
     ThreadPool* pool = nullptr;
     /// Registry the service's counters and replay-latency histogram live
@@ -149,7 +147,7 @@ class MonitorService : public ModelPublisher {
     /// contend.
     mutable std::mutex mu;
     Session(std::shared_ptr<const SelectorStack> stack,
-            const QueryRunResult* r, double marker_pct);
+            const QueryRunResult* r);
   };
 
   /// Find `id` and take its session lock. The map lock is held only until

@@ -27,7 +27,6 @@ ShardedMonitorService::ShardedMonitorService(
     metrics_ = own_metrics_.get();
   }
   MonitorService::Options shard_options;
-  shard_options.revision_marker_pct = options_.revision_marker_pct;
   shard_options.pool = options_.pool;
   shard_options.metrics = metrics_;
   shards_.reserve(options_.num_shards);

@@ -54,8 +54,6 @@ class ShardedMonitorService : public ModelPublisher {
     /// Number of independent shards; must be >= 1. Powers of two give the
     /// cheapest routing but any count works.
     size_t num_shards = 4;
-    /// Driver-consumption marker at which choices are revised (§4.4).
-    double revision_marker_pct = 20.0;
     /// Worker pool for per-shard ReplayAll batches; nullptr = global.
     ThreadPool* pool = nullptr;
     /// Registry every shard's counters live in (see file comment).

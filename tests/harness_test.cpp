@@ -2,6 +2,7 @@
 // planning, execution, featurization, selector training and evaluation.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <set>
 
@@ -87,16 +88,32 @@ TEST_F(HarnessTest, RunQuerySingle) {
   EXPECT_GT(run->result.total_time, 0.0);
 }
 
+/// Every field of `got` equals `want`, the doubles bit for bit.
+void ExpectRecordsIdentical(const std::vector<PipelineRecord>& got,
+                            const std::vector<PipelineRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto same_bits = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].workload, want[i].workload) << i;
+    EXPECT_EQ(got[i].query, want[i].query) << i;
+    EXPECT_EQ(got[i].pipeline_id, want[i].pipeline_id) << i;
+    EXPECT_EQ(got[i].tag, want[i].tag) << i;
+    EXPECT_TRUE(same_bits({got[i].total_n}, {want[i].total_n})) << i;
+    EXPECT_TRUE(same_bits(got[i].features, want[i].features)) << i;
+    EXPECT_TRUE(same_bits(got[i].l1, want[i].l1)) << i;
+    EXPECT_TRUE(same_bits(got[i].l2, want[i].l2)) << i;
+  }
+}
+
 TEST_F(HarnessTest, CsvRoundTrip) {
   const std::string csv = RecordsToCsv(*records_);
   auto loaded = RecordsFromCsv(csv);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), records_->size());
-  for (size_t i = 0; i < records_->size(); ++i) {
-    EXPECT_EQ((*loaded)[i].workload, (*records_)[i].workload);
-    EXPECT_EQ((*loaded)[i].features.size(), (*records_)[i].features.size());
-    EXPECT_NEAR((*loaded)[i].l1[0], (*records_)[i].l1[0], 1e-9);
-  }
+  ExpectRecordsIdentical(*loaded, *records_);
 }
 
 TEST_F(HarnessTest, SelectorTrainsAndBeatsWorstEstimator) {
@@ -153,7 +170,7 @@ TEST_F(HarnessTest, CachedRecordsRoundTrip) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   auto second = CachedRecords("harness_test_tiny", config);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->size(), second->size());
+  ExpectRecordsIdentical(*second, *first);
   unsetenv("RPE_CACHE_DIR");
   std::filesystem::remove_all("harness_test_cache");
 }
