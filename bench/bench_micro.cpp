@@ -3,10 +3,11 @@
 // one-pass vs. rescan, sibling subtraction, tree fit) and prediction,
 // Zipf sampling, histogram construction, and the serving layer (binary
 // snapshots vs. the CSV/text persistence path, zero-copy mmap model load
-// vs. the read+decode path, concurrent MonitorService replay, sharded
-// tick routing, ingest push throughput and TrainerLoop retrain+publish
-// latency) — the building blocks whose cost determines the (low)
-// overhead the paper requires of progress estimation.
+// vs. the read+decode path, concurrent MonitorService replay, the
+// session Open/Advance/Close step path, ingest push throughput and
+// TrainerLoop retrain+publish latency) — the building blocks whose cost
+// determines the (low) overhead the paper requires of progress
+// estimation.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -29,8 +30,10 @@
 #include "selection/features.h"
 #include "serving/mmap_arena.h"
 #include "serving/monitor_service.h"
+#include "serving/shard_router.h"
 #include "serving/snapshot.h"
 #include "serving/trainer_loop.h"
+#include "serving/wire.h"
 #include "tests/test_util.h"
 
 namespace rpe {
@@ -631,6 +634,40 @@ void BM_MonitorServiceReplayAll64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * observations);
 }
 BENCHMARK(BM_MonitorServiceReplayAll64);
+
+// The session step path in the replay-open call pattern: 128 sessions of
+// the fixture's runs open at once, each stepped to its end by one
+// Advance(kMaxAdvanceSteps), then all closed. time_per_step divides the
+// whole cycle (decide at open included) by the steps taken.
+void BM_SessionOpenAdvanceClose128(benchmark::State& state) {
+  auto& fx = Serving();
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(fx.stack, options);
+  constexpr size_t kSessions = 128;
+  std::vector<ShardedMonitorService::SessionId> ids(kSessions);
+  int64_t steps = 0;
+  for (auto _ : state) {
+    for (size_t s = 0; s < kSessions; ++s) {
+      ids[s] = *service.OpenSessionOnShard(&fx.runs[s % fx.runs.size()],
+                                           s % options.num_shards);
+    }
+    steps = 0;
+    for (const auto id : ids) {
+      uint32_t taken = 0;
+      bool done = false;
+      benchmark::DoNotOptimize(
+          *service.Advance(id, kMaxAdvanceSteps, &taken, &done));
+      steps += taken;
+    }
+    for (const auto id : ids) RPE_CHECK_OK(service.CloseSession(id));
+  }
+  state.counters["time_per_step"] = benchmark::Counter(
+      static_cast<double>(steps),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SessionOpenAdvanceClose128);
 
 // Online-learning loop: producer-side ingest throughput (Push with a
 // consumer keeping the queue drained) — the per-record overhead a running

@@ -2,6 +2,12 @@
 """Bench regression guard: diff a google-benchmark JSON run against the
 committed baseline (bench/baseline_ci.json).
 
+Each row is compared by the median of its repetitions: both files come
+from the bench_micro command below, whose 5 repetitions per row are
+interleaved at random over the whole run, so neither one slow repetition
+nor one noisy stretch of a shared host moves a row. A file without
+median aggregates has no rows to compare; produce it with that command.
+
 Raw times are machine-dependent — a CI runner is not the laptop that
 committed the baseline — so the comparison is *normalized*: compute each
 common row's current/baseline ratio, take the geometric mean of those
@@ -19,8 +25,11 @@ Usage:
   check_bench.py CURRENT.json [--baseline bench/baseline_ci.json]
                  [--tolerance 0.30] [--allowlist name-substr ...]
 
-Refreshing the baseline after an intentional perf change:
-  ./build/bench_micro --benchmark_min_time=0.05 \
+Producing CURRENT.json, and refreshing the baseline after an intentional
+perf change (the same command, written to bench/baseline_ci.json):
+  ./build/bench_micro --benchmark_min_time=0.5 \
+      --benchmark_repetitions=5 --benchmark_enable_random_interleaving=true \
+      --benchmark_report_aggregates_only=true \
       --benchmark_format=json > bench/baseline_ci.json
 """
 
@@ -31,18 +40,16 @@ import sys
 
 
 def load_rows(path):
-    """name -> cpu_time (ns) for aggregate-free benchmark rows."""
+    """run name -> cpu_time (ns) of each row's median aggregate."""
     with open(path) as f:
         doc = json.load(f)
     rows = {}
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) from repeated runs.
-        if bench.get("run_type") == "aggregate":
+        if bench.get("aggregate_name") != "median":
             continue
-        name = bench["name"]
         time = float(bench.get("cpu_time", bench.get("real_time", 0.0)))
         if time > 0.0:
-            rows[name] = time
+            rows[bench["run_name"]] = time
     return rows
 
 
@@ -62,7 +69,8 @@ def fmt_table(header, rows):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Normalized bench regression guard"
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("current", help="freshly produced benchmark JSON")
     parser.add_argument(
@@ -104,12 +112,11 @@ def main():
 
     current = load_rows(args.current)
     baseline = load_rows(args.baseline)
-    if not baseline:
-        print(f"error: baseline {args.baseline} has no benchmark rows")
-        return 1
-    if not current:
-        print(f"error: {args.current} has no benchmark rows")
-        return 1
+    for path, rows in ((args.baseline, baseline), (args.current, current)):
+        if not rows:
+            print(f"error: {path} has no benchmark rows (median aggregates); "
+                  "produce it with the bench_micro command in --help")
+            return 1
 
     def allowlisted(name):
         return any(

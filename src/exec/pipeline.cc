@@ -91,6 +91,17 @@ std::vector<Pipeline> DecomposePipelines(const PhysicalPlan& plan) {
     std::sort(p.nodes.begin(), p.nodes.end());
     std::sort(p.driver_nodes.begin(), p.driver_nodes.end());
     RPE_CHECK(!p.nodes.empty());
+    const auto drivers_plus = [&](OpType extra) {
+      std::vector<int> nodes = p.driver_nodes;
+      for (int id : p.nodes) {
+        if (plan.node(id)->op == extra && !p.IsDriver(id)) {
+          nodes.push_back(id);
+        }
+      }
+      return nodes;
+    };
+    p.batch_sort_drivers = drivers_plus(OpType::kBatchSort);
+    p.index_seek_drivers = drivers_plus(OpType::kIndexSeek);
   }
   return out;
 }

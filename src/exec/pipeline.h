@@ -19,6 +19,12 @@ struct Pipeline {
   std::vector<int> nodes;         ///< all member node ids
   std::vector<int> driver_nodes;  ///< DNodes(P) — see Eq. 4
   int sink = -1;                  ///< topmost node id of the pipeline
+  /// Extended driver sets of Eq. 6 (BATCHDNE: plus BatchSort nodes) and
+  /// Eq. 7 (DNESEEK: plus IndexSeek nodes): driver_nodes, then the member
+  /// nodes of that operator type that are not drivers, in `nodes` order.
+  /// Filled once by DecomposePipelines, so estimates never rebuild them.
+  std::vector<int> batch_sort_drivers;
+  std::vector<int> index_seek_drivers;
 
   /// Filled post-execution from the observation stream: the half-open range
   /// of observation indices during which the pipeline was active, and the
@@ -33,7 +39,8 @@ struct Pipeline {
 };
 
 /// Decompose a plan into pipelines. Pipelines are returned in discovery
-/// (preorder) order; the pipeline containing the plan root is first.
+/// (preorder) order; the pipeline containing the plan root is first. Node
+/// and driver lists are sorted and the extended driver sets filled.
 std::vector<Pipeline> DecomposePipelines(const PhysicalPlan& plan);
 
 /// Debug rendering: "P0{nodes=[...] drivers=[...]}".

@@ -59,16 +59,6 @@ double SumUb(const Observation& obs, const std::vector<int>& nodes) {
   return s;
 }
 
-std::vector<int> DriversPlus(const PipelineView& view, OpType extra) {
-  std::vector<int> nodes = view.pipeline->driver_nodes;
-  for (int id : view.pipeline->nodes) {
-    if (view.node(id)->op == extra && !view.pipeline->IsDriver(id)) {
-      nodes.push_back(id);
-    }
-  }
-  return nodes;
-}
-
 namespace {
 
 double Clamp01(double v) {
@@ -104,8 +94,7 @@ class BatchDneEstimator : public ProgressEstimator {
  public:
   EstimatorKind kind() const override { return EstimatorKind::kBatchDne; }
   double Estimate(const PipelineView& view, size_t oi) const override {
-    return CounterFraction(view.obs(oi),
-                           DriversPlus(view, OpType::kBatchSort));
+    return CounterFraction(view.obs(oi), view.pipeline->batch_sort_drivers);
   }
 };
 
@@ -113,8 +102,7 @@ class DneSeekEstimator : public ProgressEstimator {
  public:
   EstimatorKind kind() const override { return EstimatorKind::kDneSeek; }
   double Estimate(const PipelineView& view, size_t oi) const override {
-    return CounterFraction(view.obs(oi),
-                           DriversPlus(view, OpType::kIndexSeek));
+    return CounterFraction(view.obs(oi), view.pipeline->index_seek_drivers);
   }
 };
 
@@ -272,33 +260,36 @@ class OracleBytesEstimator : public ProgressEstimator {
   }
 };
 
+// Namespace-scope and constant-initialized, so GetEstimator checks no
+// function-local static guards per call.
+constinit const DneEstimator kDneEstimator;
+constinit const TgnEstimator kTgnEstimator;
+constinit const LuoEstimator kLuoEstimator;
+constinit const SafeEstimator kSafeEstimator;
+constinit const PmaxEstimator kPmaxEstimator;
+constinit const BatchDneEstimator kBatchDneEstimator;
+constinit const DneSeekEstimator kDneSeekEstimator;
+constinit const TgnIntEstimator kTgnIntEstimator;
+constinit const OracleGetNextEstimator kOracleGetNextEstimator;
+constinit const OracleBytesEstimator kOracleBytesEstimator;
+
 }  // namespace
 
 const ProgressEstimator& GetEstimator(EstimatorKind kind) {
-  static const DneEstimator dne;
-  static const TgnEstimator tgn;
-  static const LuoEstimator luo;
-  static const SafeEstimator safe;
-  static const PmaxEstimator pmax;
-  static const BatchDneEstimator batch_dne;
-  static const DneSeekEstimator dne_seek;
-  static const TgnIntEstimator tgn_int;
-  static const OracleGetNextEstimator oracle_gn;
-  static const OracleBytesEstimator oracle_bytes;
   switch (kind) {
-    case EstimatorKind::kDne: return dne;
-    case EstimatorKind::kTgn: return tgn;
-    case EstimatorKind::kLuo: return luo;
-    case EstimatorKind::kSafe: return safe;
-    case EstimatorKind::kPmax: return pmax;
-    case EstimatorKind::kBatchDne: return batch_dne;
-    case EstimatorKind::kDneSeek: return dne_seek;
-    case EstimatorKind::kTgnInt: return tgn_int;
-    case EstimatorKind::kOracleGetNext: return oracle_gn;
-    case EstimatorKind::kOracleBytes: return oracle_bytes;
+    case EstimatorKind::kDne: return kDneEstimator;
+    case EstimatorKind::kTgn: return kTgnEstimator;
+    case EstimatorKind::kLuo: return kLuoEstimator;
+    case EstimatorKind::kSafe: return kSafeEstimator;
+    case EstimatorKind::kPmax: return kPmaxEstimator;
+    case EstimatorKind::kBatchDne: return kBatchDneEstimator;
+    case EstimatorKind::kDneSeek: return kDneSeekEstimator;
+    case EstimatorKind::kTgnInt: return kTgnIntEstimator;
+    case EstimatorKind::kOracleGetNext: return kOracleGetNextEstimator;
+    case EstimatorKind::kOracleBytes: return kOracleBytesEstimator;
   }
   RPE_CHECK(false) << "unknown estimator kind";
-  return dne;
+  return kDneEstimator;
 }
 
 const std::vector<const ProgressEstimator*>& SelectableEstimators() {

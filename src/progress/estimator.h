@@ -73,8 +73,4 @@ double SumE(const Observation& obs, const std::vector<int>& nodes);
 double SumLb(const Observation& obs, const std::vector<int>& nodes);
 double SumUb(const Observation& obs, const std::vector<int>& nodes);
 
-/// Driver set of Eq. 6 / Eq. 7: pipeline drivers plus all pipeline nodes of
-/// the given extra operator type.
-std::vector<int> DriversPlus(const PipelineView& view, OpType extra);
-
 }  // namespace rpe

@@ -80,60 +80,78 @@ ProgressMonitor::DecideForRuns(
   return all;
 }
 
-double ProgressMonitor::PipelineProgress(const QueryRunResult& run,
-                                         const PipelineDecision& decision,
-                                         size_t oi) const {
-  const Pipeline& pipeline =
-      run.pipelines[static_cast<size_t>(decision.pipeline_id)];
-  if (pipeline.first_obs < 0) return 0.0;
-  PipelineView view{&run, &pipeline};
-  const bool revised = decision.revised_choice.has_value() &&
-                       static_cast<int>(oi) >= decision.revision_obs;
-  const size_t choice =
-      revised ? *decision.revised_choice : decision.initial_choice;
-  return GetEstimator(static_cast<EstimatorKind>(choice)).Estimate(view, oi);
+ProgressMonitor::Stepper::Stepper(const QueryRunResult& run,
+                                  std::span<const PipelineDecision> decisions) {
+  Reset(run, decisions);
+}
+
+void ProgressMonitor::Stepper::Reset(
+    const QueryRunResult& run, std::span<const PipelineDecision> decisions) {
+  RPE_CHECK_EQ(decisions.size(), run.pipelines.size());
+  run_ = &run;
+  steps_.resize(run.pipelines.size());
+  for (size_t p = 0; p < steps_.size(); ++p) {
+    const Pipeline& pipeline = run.pipelines[p];
+    const PipelineDecision& d = decisions[p];
+    RPE_CHECK_EQ(d.pipeline_id, pipeline.id);
+    Step& step = steps_[p];
+    step.view = PipelineView{&run, &pipeline};
+    step.first_obs = pipeline.first_obs;
+    step.last_obs = pipeline.last_obs;
+    step.before = &GetEstimator(static_cast<EstimatorKind>(d.initial_choice));
+    step.after = step.before;
+    if (d.revised_choice.has_value()) {
+      step.after = &GetEstimator(static_cast<EstimatorKind>(*d.revised_choice));
+    }
+    step.revision_obs = d.revision_obs;
+  }
+}
+
+double ProgressMonitor::Stepper::ProgressAt(size_t oi) {
+  const Observation& obs = run_->observations[oi];
+  const int o = static_cast<int>(oi);
+  double total_e = 0.0;
+  for (Step& step : steps_) {
+    double e = 0.0;
+    for (int id : step.view.pipeline->nodes) {
+      e += obs.e[static_cast<size_t>(id)];
+    }
+    step.weight = e;
+    total_e += e;
+  }
+  if (total_e <= 0.0) return 0.0;
+  double progress = 0.0;
+  for (const Step& step : steps_) {
+    double value;
+    if (step.first_obs < 0 || o < step.first_obs) {
+      value = 0.0;
+    } else if (o > step.last_obs) {
+      value = 1.0;
+    } else {
+      const ProgressEstimator* estimator =
+          o >= step.revision_obs ? step.after : step.before;
+      value = estimator->Estimate(step.view, oi);
+    }
+    progress += value * (step.weight / total_e);
+  }
+  return std::clamp(progress, 0.0, 1.0);
 }
 
 double ProgressMonitor::QueryProgressAt(
     const QueryRunResult& run,
     const std::vector<PipelineDecision>& decisions, size_t oi) const {
-  RPE_CHECK_EQ(decisions.size(), run.pipelines.size());
-  const Observation& obs = run.observations[oi];
-  double total_e = 0.0;
-  std::vector<double> weights(run.pipelines.size(), 0.0);
-  for (size_t p = 0; p < run.pipelines.size(); ++p) {
-    double e = 0.0;
-    for (int id : run.pipelines[p].nodes) {
-      e += obs.e[static_cast<size_t>(id)];
-    }
-    weights[p] = e;
-    total_e += e;
-  }
-  if (total_e <= 0.0) return 0.0;
-  double progress = 0.0;
-  for (size_t p = 0; p < run.pipelines.size(); ++p) {
-    const Pipeline& pipeline = run.pipelines[p];
-    double value;
-    if (pipeline.first_obs < 0 ||
-        static_cast<int>(oi) < pipeline.first_obs) {
-      value = 0.0;
-    } else if (static_cast<int>(oi) > pipeline.last_obs) {
-      value = 1.0;
-    } else {
-      value = PipelineProgress(run, decisions[p], oi);
-    }
-    progress += value * (weights[p] / total_e);
-  }
-  return std::clamp(progress, 0.0, 1.0);
+  thread_local Stepper stepper;
+  stepper.Reset(run, decisions);
+  return stepper.ProgressAt(oi);
 }
 
 std::vector<double> ProgressMonitor::ReplayQueryProgress(
     const QueryRunResult& run) const {
-  const auto decisions = DecideForRun(run);
+  Stepper stepper(run, DecideForRun(run));
   std::vector<double> series;
   series.reserve(run.observations.size());
   for (size_t oi = 0; oi < run.observations.size(); ++oi) {
-    series.push_back(QueryProgressAt(run, decisions, oi));
+    series.push_back(stepper.ProgressAt(oi));
   }
   return series;
 }

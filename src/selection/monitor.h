@@ -10,9 +10,15 @@
 // stream: ReplayQueryProgress(oi) returns exactly what a live monitor
 // would have reported at observation oi using only information available
 // at that time.
+//
+// Every per-observation report runs one kernel, ProgressMonitor::Stepper:
+// a run's decisions compiled once into per-pipeline steps (activity
+// window, revision observation, the before/after estimators resolved to
+// pointers) plus the Eq. 5 weight scratch, so a step allocates nothing.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "selection/selector.h"
@@ -53,14 +59,46 @@ class ProgressMonitor {
   std::vector<std::vector<PipelineDecision>> DecideForRuns(
       std::span<const QueryRunResult* const> runs) const;
 
-  /// Progress of one pipeline at observation oi as reported live: the
-  /// static choice's estimate before the revision point, the revised
-  /// choice's estimate afterwards.
-  double PipelineProgress(const QueryRunResult& run,
-                          const PipelineDecision& decision, size_t oi) const;
+  /// \brief A run's decisions compiled into a replay plan: the Eq. 5
+  /// step kernel every progress report runs. Built once per run (one
+  /// allocation, sized to the run's pipelines); ProgressAt then steps
+  /// without allocating. `run` must outlive the stepper.
+  class Stepper {
+   public:
+    Stepper() = default;
+    /// `decisions` as DecideForRun returns them: one per pipeline, in
+    /// pipeline order.
+    Stepper(const QueryRunResult& run,
+            std::span<const PipelineDecision> decisions);
 
-  /// Query-level progress at observation oi (estimate-weighted pipeline
-  /// combination; completed pipelines report 1, unstarted ones 0).
+    /// Recompile for another run in place; storage only grows, so a warm
+    /// stepper reset to a run no larger than before allocates nothing.
+    void Reset(const QueryRunResult& run,
+               std::span<const PipelineDecision> decisions);
+
+    /// Query-level progress at observation oi (estimate-weighted pipeline
+    /// combination; completed pipelines report 1, unstarted ones 0).
+    double ProgressAt(size_t oi);
+
+   private:
+    struct Step {
+      PipelineView view;  ///< the pipeline the estimators read
+      int first_obs = -1;
+      int last_obs = -1;
+      /// From this observation on `after` reports; equal to `before` when
+      /// the choice is never revised.
+      int revision_obs = -1;
+      const ProgressEstimator* before = nullptr;
+      const ProgressEstimator* after = nullptr;
+      double weight = 0.0;  ///< Eq. 5 scratch: ΣE_i at the current step
+    };
+    const QueryRunResult* run_ = nullptr;
+    std::vector<Step> steps_;
+  };
+
+  /// Query-level progress at observation oi: Stepper::ProgressAt through
+  /// a per-thread stepper recompiled in place, so a warm call allocates
+  /// nothing. Replaying a whole run is cheaper through one Stepper.
   double QueryProgressAt(const QueryRunResult& run,
                          const std::vector<PipelineDecision>& decisions,
                          size_t oi) const;

@@ -16,9 +16,10 @@
 //
 // Ownership and lifetime: the returned shared_ptr<const SelectorStack>
 // aliases a holder that co-owns the MmapArena, so the mapping lives
-// exactly as long as any reference to the stack — sessions that pin the
-// stack (MonitorService) transitively pin the mapping, and the file is
-// unmapped when the last session lets go. The mapping is private and
+// exactly as long as any reference to the stack — a MonitorService that
+// holds the stack (published, or being decided against at open)
+// transitively holds the mapping, and the file is unmapped when the last
+// reference lets go. The mapping is private and
 // read-only; mutating the file on disk while mapped is the caller's
 // responsibility to avoid (publish by writing a new file + atomic rename,
 // never by rewriting in place).

@@ -1,5 +1,6 @@
 #include "serving/monitor_service.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.h"
@@ -33,11 +34,10 @@ Status NoSession(uint64_t id) {
 
 }  // namespace
 
-MonitorService::Session::Session(std::shared_ptr<const SelectorStack> stack,
-                                 const QueryRunResult* r)
-    : pinned(std::move(stack)),
-      monitor(&pinned->static_selector, &pinned->dynamic_selector),
-      run(r) {}
+MonitorService::Session::Session(
+    const QueryRunResult* r,
+    std::span<const ProgressMonitor::PipelineDecision> decisions)
+    : run(r), stepper(*r, decisions) {}
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
     : MonitorService(std::move(models), Options()) {}
@@ -87,13 +87,16 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
     return Status::InvalidArgument("OpenSession: null run");
   }
   const auto start = Clock::now();
-  auto session = std::make_shared<Session>(models(), run);
+  const std::shared_ptr<const SelectorStack> stack = models();
   // The estimator decisions — the selector scoring — happen at open, once,
   // exactly as a live monitor decides when the query is admitted.
-  session->decisions = session->monitor.DecideForRun(*run);
+  const ProgressMonitor monitor(&stack->static_selector,
+                                &stack->dynamic_selector);
+  const auto decisions = monitor.DecideForRun(*run);
+  auto session = std::make_shared<Session>(run, decisions);
   session->elapsed_ns = NanosSince(start);
   sessions_opened_->Inc();
-  decisions_->Inc(CountDecisions(session->decisions));
+  decisions_->Inc(CountDecisions(decisions));
   scoring_ns_->Inc(session->elapsed_ns);
   std::lock_guard<std::mutex> lock(sessions_mu_);
   const SessionId id = next_id_++;
@@ -112,22 +115,21 @@ Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
   if (runs.empty()) return ids;
   const auto start = Clock::now();
   const std::shared_ptr<const SelectorStack> stack = models();
-  std::vector<std::shared_ptr<Session>> opened;
-  opened.reserve(runs.size());
-  for (const QueryRunResult* run : runs) {
-    opened.push_back(std::make_shared<Session>(stack, run));
-  }
   // One batched decision pass across every pipeline of every run — the
   // same choices OpenSession makes per run, scored in full SIMD tiles.
-  auto decided = opened.front()->monitor.DecideForRuns(runs);
-  const uint64_t elapsed = NanosSince(start);
-  const uint64_t per_session = elapsed / runs.size();
+  const ProgressMonitor monitor(&stack->static_selector,
+                                &stack->dynamic_selector);
+  const auto decided = monitor.DecideForRuns(runs);
+  std::vector<std::shared_ptr<Session>> opened;
+  opened.reserve(runs.size());
   uint64_t total_decisions = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     total_decisions += CountDecisions(decided[i]);
-    opened[i]->decisions = std::move(decided[i]);
-    opened[i]->elapsed_ns = per_session;
+    opened.push_back(std::make_shared<Session>(runs[i], decided[i]));
   }
+  const uint64_t elapsed = NanosSince(start);
+  const uint64_t per_session = elapsed / runs.size();
+  for (auto& session : opened) session->elapsed_ns = per_session;
   sessions_opened_->Inc(runs.size());
   decisions_->Inc(total_decisions);
   scoring_ns_->Inc(elapsed);
@@ -148,11 +150,14 @@ MonitorService::Session* MonitorService::LockSession(
   return it->second.get();
 }
 
-Result<double> MonitorService::Advance(SessionId id, bool* done) {
-  // Parents to the wire request being advanced when the TCP front-end
-  // set a TraceContext; one relaxed load when tracing is off.
-  obs::TraceSpan span("advance.step", /*arg=*/id);
+Result<double> MonitorService::Advance(SessionId id, uint32_t max_steps,
+                                       uint32_t* taken, bool* done) {
+  if (taken != nullptr) *taken = 0;
+  if (max_steps == 0) {
+    return Status::InvalidArgument("Advance: max_steps must be >= 1");
+  }
   double progress = 0.0;
+  size_t steps = 0;
   {
     std::unique_lock<std::mutex> lock;
     Session* s = LockSession(id, &lock);
@@ -162,13 +167,26 @@ Result<double> MonitorService::Advance(SessionId id, bool* done) {
       return Status::OutOfRange("session " + std::to_string(id) +
                                 " replay complete");
     }
-    progress = s->monitor.QueryProgressAt(*s->run, s->decisions, s->next_obs);
+    steps = std::min<size_t>(max_steps, total - s->next_obs);
+    const size_t end = s->next_obs + steps;
+    for (size_t oi = s->next_obs; oi < end; ++oi) {
+      // Parents to the wire request being advanced when the TCP
+      // front-end set a TraceContext; one relaxed load when tracing is
+      // off.
+      obs::TraceSpan span("advance.step", /*arg=*/id);
+      progress = s->stepper.ProgressAt(oi);
+    }
+    s->next_obs = end;
     s->last_progress = progress;
-    ++s->next_obs;
-    if (done != nullptr) *done = s->next_obs >= total;
+    if (done != nullptr) *done = end >= total;
   }
-  observations_scored_->Inc();
+  observations_scored_->Inc(steps);
+  if (taken != nullptr) *taken = static_cast<uint32_t>(steps);
   return progress;
+}
+
+Result<double> MonitorService::Advance(SessionId id, bool* done) {
+  return Advance(id, 1, nullptr, done);
 }
 
 Result<double> MonitorService::Progress(SessionId id, bool* done) const {
@@ -233,10 +251,11 @@ std::vector<std::vector<double>> MonitorService::ReplayAll(
   pool->ParallelFor(runs.size(), [&](size_t i) {
     const QueryRunResult& run = *runs[i];
     const auto start = Clock::now();
+    ProgressMonitor::Stepper stepper(run, decided[i]);
     std::vector<double>& series = out[i];
     series.reserve(run.observations.size());
     for (size_t oi = 0; oi < run.observations.size(); ++oi) {
-      series.push_back(monitor.QueryProgressAt(run, decided[i], oi));
+      series.push_back(stepper.ProgressAt(oi));
     }
     const uint64_t latency_ns = decide_ns_per_run + NanosSince(start);
     decisions_->Inc(CountDecisions(decided[i]));

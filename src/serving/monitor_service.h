@@ -5,16 +5,17 @@
 // across the shared ThreadPool.
 //
 // Model ownership is an immutable-snapshot hot swap: the service holds a
-// std::shared_ptr<const SelectorStack>, every session pins the snapshot
-// that was current when it opened, and SwapModels atomically publishes a
-// new stack for future sessions without stopping in-flight traffic —
-// nothing is ever mutated after publication, so no scoring path takes a
-// lock.
+// std::shared_ptr<const SelectorStack>, every session makes its estimator
+// decisions against the snapshot that was current when it opened, and
+// SwapModels atomically publishes a new stack for future sessions without
+// stopping in-flight traffic — nothing is ever mutated after publication,
+// so no scoring path takes a lock.
 //
-// Replay is deterministic: each session advances through the same
-// QueryProgressAt evaluations as the sequential
-// ProgressMonitor::ReplayQueryProgress, and every session writes only its
-// own state, so the progress series is bit-identical at any thread count.
+// Replay is deterministic: each session compiles its decisions at open
+// into a ProgressMonitor::Stepper — the step kernel the sequential
+// ProgressMonitor::ReplayQueryProgress runs — and every session writes
+// only its own state, so the progress series is bit-identical at any
+// thread count.
 //
 // The service is also the publish point of the online-learning loop
 // (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
@@ -78,9 +79,10 @@ class MonitorService : public ModelPublisher {
                  Options options);
 
   /// Atomically publish a new model snapshot. Sessions opened before the
-  /// swap keep scoring against the snapshot they pinned at open; only new
-  /// sessions see the replacement. Returns the new model generation
-  /// (strictly increasing; the construction-time snapshot is generation 0).
+  /// swap keep the decisions they made at open (steps never read the
+  /// models); only new sessions see the replacement. Returns the new
+  /// model generation (strictly increasing; the construction-time
+  /// snapshot is generation 0).
   uint64_t SwapModels(std::shared_ptr<const SelectorStack> models) override;
   std::shared_ptr<const SelectorStack> models() const;
   /// Generation of the currently published snapshot (number of swaps).
@@ -102,13 +104,20 @@ class MonitorService : public ModelPublisher {
   Result<std::vector<SessionId>> OpenSessions(
       std::span<const QueryRunResult* const> runs);
 
-  /// Advance the session by one observation; returns the query
-  /// progress reported at the new observation. OutOfRange once the run's
-  /// observation stream is exhausted. When `done` is non-null it receives
-  /// what Done() would return right after this step, read under the same
-  /// lookup and session lock. The step reads no clock: a session driven
-  /// by Advance accrues scoring time and replay latency for its decide
-  /// pass at open only.
+  /// Advance the session by up to `max_steps` (>= 1) observations under
+  /// one session lookup and one session lock, stopping early at the end
+  /// of the run; returns the query progress reported at the last
+  /// observation stepped. `taken`, when non-null, receives the number of
+  /// steps; `done`, when non-null, what Done() would return right after
+  /// them. OutOfRange, with no step taken, when the run's observation
+  /// stream is already exhausted. Each step is its own "advance.step"
+  /// span; rpe_observations_scored_total grows once, by the steps taken.
+  /// Steps read no clock: a session driven by Advance accrues scoring
+  /// time and replay latency for its decide pass at open only.
+  Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
+                         bool* done);
+
+  /// Advance by one observation: Advance(id, 1, nullptr, done).
   Result<double> Advance(SessionId id, bool* done = nullptr);
 
   /// Last reported progress (0 before the first Advance); `done`, when
@@ -136,18 +145,17 @@ class MonitorService : public ModelPublisher {
 
  private:
   struct Session {
-    std::shared_ptr<const SelectorStack> pinned;  ///< keeps monitor valid
-    ProgressMonitor monitor;
     const QueryRunResult* run = nullptr;
-    std::vector<ProgressMonitor::PipelineDecision> decisions;
+    /// The decisions made at open, compiled for stepping.
+    ProgressMonitor::Stepper stepper;
     size_t next_obs = 0;
     double last_progress = 0.0;
     uint64_t elapsed_ns = 0;  ///< decide time at open (steps are untimed)
     /// Serializes calls on the same session; distinct sessions never
     /// contend.
     mutable std::mutex mu;
-    Session(std::shared_ptr<const SelectorStack> stack,
-            const QueryRunResult* r);
+    Session(const QueryRunResult* r,
+            std::span<const ProgressMonitor::PipelineDecision> decisions);
   };
 
   /// Find `id` and take its session lock. The map lock is held only until

@@ -827,32 +827,26 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
 
 void TcpServer::RunAdvanceBatch(IoThread* io) {
   // Each request steps its session up to its budget (bounded by the
-  // kMaxAdvanceSteps cap the decoder enforces), stopping early when the
-  // replay is exhausted or the step fails.
+  // kMaxAdvanceSteps cap the decoder enforces) in one service call: one
+  // session lookup and lock per request, stopping early when the replay
+  // is exhausted.
   std::vector<AdvanceWork>& batch = io->batch;
   for (AdvanceWork& w : batch) {
     // Each step's "advance.step" span (opened inside the service) parents
     // to the request whose budget it came from.
     obs::TraceContext::Scope scope(w.trace_id);
-    while (w.taken < w.budget) {
-      const auto step = service_->Advance(w.session, &w.done);
-      if (step.ok()) {
-        w.progress = *step;
-        ++w.taken;
-        continue;
-      }
-      if (step.status().code() == StatusCode::kOutOfRange) {
-        // Replay exhausted. If no step was taken this request, report the
-        // resting progress so the response is still well-formed.
-        if (w.taken == 0) {
-          const auto progress = service_->Progress(w.session);
-          if (progress.ok()) w.progress = *progress;
-        }
-        w.done = true;
-      } else {
-        w.error = step.status();
-      }
-      break;
+    const auto step =
+        service_->Advance(w.session, w.budget, &w.taken, &w.done);
+    if (step.ok()) {
+      w.progress = *step;
+    } else if (step.status().code() == StatusCode::kOutOfRange) {
+      // Replay already exhausted: report the resting progress so the
+      // response is still well-formed.
+      const auto progress = service_->Progress(w.session);
+      if (progress.ok()) w.progress = *progress;
+      w.done = true;
+    } else {
+      w.error = step.status();
     }
     c_.advance_steps->Inc(w.taken);
   }

@@ -18,9 +18,11 @@
 // connection first, decoding all complete frames, answering cheap
 // requests inline and deferring Advance work into a per-iteration batch.
 // The batch then runs as one loop in arrival order, each request stepping
-// its session up to its budget. A batch holds at most one Advance per
-// connection and every request in it is answered at the same clock read,
-// so the order is invisible to a client driving its own sessions.
+// its session up to its budget in one ShardedMonitorService::Advance call
+// (one session lookup and lock per request). A batch holds at most one
+// Advance per connection and every request in it is answered at the same
+// clock read, so the order is invisible to a client driving its own
+// sessions.
 // Per-connection FIFO response order is preserved: a connection's later
 // frames are not dispatched until its deferred Advance has been answered.
 //

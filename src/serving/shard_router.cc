@@ -97,6 +97,11 @@ ShardedMonitorService::OpenSessionOnShard(const QueryRunResult* run,
   return local * shards_.size() + shard;
 }
 
+Result<double> ShardedMonitorService::Advance(SessionId id, uint32_t max_steps,
+                                              uint32_t* taken, bool* done) {
+  return shards_[ShardOf(id)]->Advance(LocalId(id), max_steps, taken, done);
+}
+
 Result<double> ShardedMonitorService::Advance(SessionId id, bool* done) {
   return shards_[ShardOf(id)]->Advance(LocalId(id), done);
 }

@@ -90,6 +90,8 @@ class ShardedMonitorService : public ModelPublisher {
   /// normal Advance/Progress/Close/Done calls.
   Result<SessionId> OpenSessionOnShard(const QueryRunResult* run,
                                        size_t shard);
+  Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
+                         bool* done);
   Result<double> Advance(SessionId id, bool* done = nullptr);
   Result<double> Progress(SessionId id, bool* done = nullptr) const;
   Result<bool> Done(SessionId id) const;

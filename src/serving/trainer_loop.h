@@ -4,7 +4,7 @@
 // and when the retrain thresholds trip it retrains the full SelectorStack
 // on the ThreadPool, optionally writes an .rpsn snapshot, and publishes
 // the new stack through MonitorService::SwapModels. In-flight sessions
-// keep the snapshot they pinned at open; only new sessions see the fresh
+// keep the decisions they made at open; only new sessions see the fresh
 // models — the loop never stops traffic.
 //
 // Retrain triggers (checked after every drained batch):

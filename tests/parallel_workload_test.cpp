@@ -4,6 +4,7 @@
 // records byte for byte through SaveRecords, kept runs observation for
 // observation, and on_record in query order on the calling thread.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -18,8 +19,10 @@ namespace {
 
 std::string SavedBytes(const std::vector<PipelineRecord>& records,
                        const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / name).string();
+  // Per-process path: ctest runs each test of the suite in its own
+  // process, concurrently under -j, so a shared name races its siblings.
+  const std::string path = ::testing::TempDir() + "/" +
+                           std::to_string(::getpid()) + "_" + name;
   EXPECT_TRUE(SaveRecords(records, path).ok());
   std::ifstream in(path);
   std::ostringstream bytes;

@@ -103,8 +103,23 @@ TEST_F(ProgressTest, BatchDneIncludesBatchSortNodes) {
       MakeIndexSeek("t_dim", "d_id"), 1);
   auto run = Run(std::move(root));
   PipelineView view = View(run);
-  const auto drivers_plus = DriversPlus(view, OpType::kBatchSort);
-  EXPECT_GT(drivers_plus.size(), view.pipeline->driver_nodes.size());
+  EXPECT_GT(view.pipeline->batch_sort_drivers.size(),
+            view.pipeline->driver_nodes.size());
+  // The sets DecomposePipelines fills hold exactly the drivers, then the
+  // extra-type members in node order (Eq. 6 / Eq. 7), for every pipeline.
+  const auto drivers_plus = [&](const Pipeline& p, OpType extra) {
+    std::vector<int> nodes = p.driver_nodes;
+    for (int id : p.nodes) {
+      if (run.plan->node(id)->op == extra && !p.IsDriver(id)) {
+        nodes.push_back(id);
+      }
+    }
+    return nodes;
+  };
+  for (const Pipeline& p : run.pipelines) {
+    EXPECT_EQ(p.batch_sort_drivers, drivers_plus(p, OpType::kBatchSort));
+    EXPECT_EQ(p.index_seek_drivers, drivers_plus(p, OpType::kIndexSeek));
+  }
 }
 
 TEST_F(ProgressTest, DneSeekDivergesFromDneOnSeekPlans) {

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
+#include "serving/wire.h"
 #include "tests/test_util.h"
 
 namespace rpe {
@@ -250,6 +252,74 @@ TEST_F(ShardedMonitorServiceTest, AdvanceDoneFlagMatchesDoneAfterEveryStep) {
     EXPECT_TRUE(*service.Done(*id));
     ASSERT_TRUE(service.CloseSession(*id).ok());
   }
+}
+
+TEST_F(ShardedMonitorServiceTest, MultiStepAdvanceMatchesSingleSteps) {
+  // Advance(id, k) is one lookup for up to k steps; it must answer what
+  // k single steps answer: the same value bits, step count, done flag and
+  // exhausted error, and the same counter totals.
+  const auto reference = ReferencePerRun();
+  for (const uint32_t k : {1u, 7u, kMaxAdvanceSteps}) {
+    ShardedMonitorService::Options options;
+    options.num_shards = 2;
+    ShardedMonitorService single(stack_, options);
+    ShardedMonitorService multi(stack_, options);
+    for (size_t r = 0; r < runs_->size(); ++r) {
+      const auto a = single.OpenSession(&(*runs_)[r]);
+      const auto b = multi.OpenSession(&(*runs_)[r]);
+      ASSERT_TRUE(a.ok() && b.ok());
+      for (size_t request = 0;; ++request) {
+        // k single steps, stopping at the first error.
+        uint32_t want_taken = 0;
+        bool want_done = false;
+        double want = 0.0;
+        Status want_status;
+        while (want_taken < k) {
+          const auto step = single.Advance(*a, &want_done);
+          if (!step.ok()) {
+            if (want_taken == 0) want_status = step.status();
+            break;
+          }
+          want = *step;
+          ++want_taken;
+        }
+        uint32_t taken = 12345;
+        bool done = !want_done;
+        const auto got = multi.Advance(*b, k, &taken, &done);
+        const std::string at = "k " + std::to_string(k) + " run " +
+                               std::to_string(r) + " request " +
+                               std::to_string(request);
+        ASSERT_EQ(got.status().code(), want_status.code()) << at;
+        ASSERT_EQ(taken, want_taken) << at;
+        if (!got.ok()) break;
+        ASSERT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0) << at;
+        ASSERT_EQ(done, want_done) << at;
+        ASSERT_EQ(done, *multi.Done(*b)) << at;
+        ASSERT_EQ(*multi.Progress(*b), want) << at;
+        const size_t end = std::min(reference[r].size(), (request + 1) * k);
+        ASSERT_EQ(want, reference[r][end - 1]) << at;
+      }
+      ASSERT_TRUE(single.CloseSession(*a).ok());
+      ASSERT_TRUE(multi.CloseSession(*b).ok());
+    }
+    const auto expect_same = [&](const char* name) {
+      EXPECT_EQ(CounterValue(multi.metrics(), name),
+                CounterValue(single.metrics(), name))
+          << name << " k " << k;
+    };
+    expect_same("rpe_observations_scored_total");
+    expect_same("rpe_sessions_opened_total");
+    expect_same("rpe_sessions_completed_total");
+    expect_same("rpe_decisions_total");
+  }
+  ShardedMonitorService service(stack_, {});
+  const auto id = service.OpenSession(&(*runs_)[0]);
+  uint32_t taken = 1;
+  EXPECT_EQ(service.Advance(*id, 0, &taken, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(taken, 0u);
+  EXPECT_EQ(service.Advance(*id + 1, 3, &taken, nullptr).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(ShardedMonitorServiceTest, ConcurrentAdvanceCountsEveryStepExactly) {
