@@ -480,9 +480,11 @@ struct ServingFixture {
                  "/rpe_bench_micro_stack." + std::to_string(::getpid()) +
                  ".rpsn";
     RPE_CHECK_OK(SaveSelectorStack(*stack, stack_path));
-    for (const EstimatorSelector* sel :
-         {&stack->static_selector, &stack->dynamic_selector}) {
-      for (const MartModel& m : sel->models()) {
+    // The text form of the same per-candidate models (a selector keeps
+    // only their compiled tables).
+    for (const bool dynamic : {false, true}) {
+      for (const MartModel& m : rpe::testing::TrainSelectorModels(
+               records, PoolOriginalThree(), dynamic, params)) {
         model_texts.push_back(m.Serialize());
       }
     }
@@ -568,8 +570,8 @@ void BM_RecordsSnapshotDecode(benchmark::State& state) {
 BENCHMARK(BM_RecordsSnapshotDecode);
 
 // Model (re)load for warm restarts: text Deserialize of every model of the
-// stack vs. one binary snapshot decode (which includes recompiling the
-// flat scoring buffers).
+// stack (trees only, no scoring tables) vs. one binary snapshot decode
+// (owned copy + borrowing the compiled tables in place).
 void BM_SelectorStackTextDecode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {
@@ -587,32 +589,21 @@ void BM_SelectorStackSnapshotDecode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {
     auto stack = DecodeSelectorStack(fx.stack_snapshot);
-    benchmark::DoNotOptimize(stack->static_selector.models().size());
+    RPE_CHECK(stack.ok());
+    benchmark::DoNotOptimize((*stack)->static_selector.pool().size());
   }
 }
 BENCHMARK(BM_SelectorStackSnapshotDecode);
 
-// Model load for warm restarts, full-file paths: the ordinary read
-// (file read + model decode + flat recompilation) vs. the zero-copy mmap
-// arena (map + CRC + alias the compiled slabs — no tree decode, no slab
-// memcpy). Same file, bit-identical scores; the delta is the per-publish
-// load cost the serving tier pays.
-void BM_SnapshotReadLoad(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    auto stack = LoadSelectorStack(fx.stack_path);
-    RPE_CHECK(stack.ok());
-    benchmark::DoNotOptimize(stack->static_selector.models().size());
-  }
-}
-BENCHMARK(BM_SnapshotReadLoad);
-
+// Model load for warm restarts from a file: map + CRC + schema check +
+// borrowing the compiled tables in place — the per-publish load cost the
+// serving tier pays.
 void BM_SnapshotMmapLoad(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {
-    auto loaded = LoadSelectorStackMmap(fx.stack_path);
+    auto loaded = LoadSelectorStack(fx.stack_path);
     RPE_CHECK(loaded.ok());
-    benchmark::DoNotOptimize(loaded->stack->static_selector.pool().size());
+    benchmark::DoNotOptimize((*loaded)->static_selector.pool().size());
   }
 }
 BENCHMARK(BM_SnapshotMmapLoad);

@@ -1,8 +1,8 @@
 // Ad-hoc generalization (the paper's central robustness claim): train the
 // selector on one benchmark family (TPC-H) and apply it to a completely
 // different database and workload (the Real-1 sales schema). Prints the
-// per-policy average errors plus the selector model round-tripped through
-// its text serialization (as a deployment would).
+// per-policy average errors plus the selector stack round-tripped through
+// its binary snapshot (as a deployment would persist it).
 //
 //   $ ./examples/adhoc_model
 #include <iostream>
@@ -10,6 +10,7 @@
 #include "common/table_printer.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "serving/snapshot.h"
 
 using namespace rpe;
 
@@ -52,17 +53,22 @@ int main() {
 
   MartParams params;
   params.num_trees = 80;
-  EstimatorSelector selector = EstimatorSelector::Train(
-      *train, PoolSix(), /*use_dynamic=*/true, params);
+  const SelectorStack stack = SelectorStack::Train(*train, PoolSix(), params);
+  const EstimatorSelector& selector = stack.dynamic_selector;
 
-  // Round-trip one of the per-estimator models through serialization to
-  // show the persistence path a deployment would use.
-  const std::string blob = selector.models()[0].Serialize();
-  auto restored = MartModel::Deserialize(blob);
-  std::cout << "Serialized model for " << SelectableEstimators()[0]->name()
-            << ": " << blob.size() << " bytes, "
-            << (restored.ok() ? "round-trip OK" : "round-trip FAILED")
-            << "\n\n";
+  // Round-trip a selector stack through the binary snapshot format to
+  // show the persistence path a deployment would use: the compiled
+  // scoring tables are stored, and the decoded stack chooses exactly as
+  // the trained one.
+  const std::string blob = EncodeSelectorStack(stack);
+  auto restored = DecodeSelectorStack(blob);
+  bool same = restored.ok();
+  for (size_t i = 0; same && i < test->size(); ++i) {
+    same = (*restored)->dynamic_selector.SelectForRecord((*test)[i]) ==
+           selector.SelectForRecord((*test)[i]);
+  }
+  std::cout << "Selector stack snapshot: " << blob.size() << " bytes, "
+            << (same ? "round-trip OK" : "round-trip FAILED") << "\n\n";
 
   // Evaluate: each single estimator vs. the cross-schema selector.
   std::vector<size_t> choices;

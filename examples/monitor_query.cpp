@@ -53,8 +53,8 @@ int main() {
       *train_records, PoolSix(), /*use_dynamic=*/false, params);
   EstimatorSelector dynamic_selector = EstimatorSelector::Train(
       *train_records, PoolSix(), /*use_dynamic=*/true, params);
-  std::cout << "Trained " << static_selector.models().size()
-            << " static + " << dynamic_selector.models().size()
+  std::cout << "Trained " << static_selector.pool().size()
+            << " static + " << dynamic_selector.pool().size()
             << " dynamic error regressors on " << train_records->size()
             << " pipeline examples.\n\n";
 

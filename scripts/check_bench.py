@@ -89,7 +89,7 @@ def main():
         "--allowlist",
         nargs="*",
         # Sub-microsecond rows jitter with frequency scaling; the snapshot
-        # loads are page-cache-bound rather than CPU-bound. The SIMD rows
+        # load is page-cache-bound rather than CPU-bound. The SIMD rows
         # (BM_PredictAllBatch, BM_AccumulateColumnDense, BM_Crc32HW)
         # depend on the *detected* instruction-set tier, which differs
         # between the baseline host and CI runners — their ratio measures
@@ -99,7 +99,6 @@ def main():
             "BM_IngestQueuePush",
             "BM_MartPredict",
             "BM_SnapshotMmapLoad",
-            "BM_SnapshotReadLoad",
             "BM_PredictAllBatch",
             "BM_AccumulateColumnDense",
             "BM_Crc32HW",

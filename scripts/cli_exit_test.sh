@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CLI exit-code contract tests (wired into ctest as `cli_exit_codes`):
 #
-#   1. snapshot-load / serve-tcp [--mmap] on a corrupt, truncated, or
+#   1. snapshot-load / serve-tcp --model on a corrupt, truncated, or
 #      missing .rpsn must exit nonzero with the Status on stderr — and
 #      must fail fast, before any workload runs.
 #   2. A malformed or out-of-range flag value exits 2 with a pointer at
@@ -60,17 +60,13 @@ expect_err "IOError" "$CLI" snapshot-load --in "$MISSING"
 # serve-tcp must reject a bad --model up front (fail-fast: it returns
 # within the preload, so a tiny workload config keeps it honest), before
 # the socket ever binds, so nothing is listening when the Status lands on
-# stderr.
-expect_err "InvalidArgument" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT" --mmap
+# stderr. --model always maps the file.
+for f in "$CORRUPT" "$TRUNC"; do
+  expect_err "InvalidArgument" \
+    "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$f"
+done
 expect_err "IOError" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$MISSING" --mmap
-expect_err "InvalidArgument" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$CORRUPT"
-
-# --mmap without --model is a flag error (exit 2), also pre-workload.
-"$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --mmap >/dev/null 2>&1
-[ $? -eq 2 ] || fail "serve-tcp: --mmap without --model did not exit 2"
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --model "$MISSING"
 
 # serve-tcp flag contract: malformed or out-of-range values exit 2 with a
 # pointer at the docs, before any workload work starts.
@@ -152,7 +148,10 @@ $(cat "$ERR")"
   awk -F'|' '/retrains published/ {gsub(/ /,"",$3); print $3}' "$OUT" \
     | grep -qE '^[1-9][0-9]*$' \
     || fail "no retrain published under snapshot-write fault"
-  [ -e "$WORK/snap.rpsn" ] && fail "failed snapshot write left a file"
+  # Neither the target nor a temp file beside it.
+  for f in "$WORK"/snap.rpsn*; do
+    [ -e "$f" ] && fail "failed snapshot write left a file: $f"
+  done
 fi
 
 # --- malformed RPE_FAILPOINTS is diagnosed and ignored --------------------

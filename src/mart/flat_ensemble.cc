@@ -339,6 +339,7 @@ FlatEnsembleSet FlatEnsembleSet::Compile(const std::vector<MartModel>& models) {
     qs.model_tree_begin.vec().push_back(
         static_cast<int32_t>(qs.init_mask.size()));
   }
+  qs.leaf_value.vec().resize(qs.leaf_value.size() + kQsLeafGuard, 0.0);
   flat_internal::FillEntryTables(&entries, &qs);
   return set;
 }
@@ -405,7 +406,7 @@ Result<FlatEnsembleSet> FlatEnsembleSet::FromParts(
       }
     }
   }
-  // leaf_value must carry the writer's 64-slot guard tail: a hostile mask
+  // leaf_value must carry the kQsLeafGuard tail: a hostile mask
   // set can clear a tree's whole bitvector, and countr_zero(0) == 64 then
   // indexes leaf_base + 64 — inside the guard, never past the slab.
   for (int32_t tr = 0; tr < num_trees; ++tr) {

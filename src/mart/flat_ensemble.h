@@ -20,12 +20,13 @@
 // capped at kMaxTreeLeaves (64) leaves (mart/tree.h).
 //
 // Storage: every table is a Slab — owned when compiled in memory
-// (Compile), borrowed when rebuilt over a zero-copy snapshot mapping
-// (FromParts, fed by serving/mmap_arena.h). Scoring reads only through
-// the slab views, so both forms score bit-identically. FromParts is the
-// untrusted-input gate for borrowed tables: every index scoring can
-// follow is bounds-checked there, so a hostile snapshot yields a Status,
-// never UB.
+// (Compile), borrowed when rebuilt over snapshot bytes (FromParts, fed by
+// serving/snapshot.h). Scoring reads only through the slab views, so both
+// forms score bit-identically, and both carry the same tables: Compile
+// appends the leaf table's kQsLeafGuard tail too, so a compiled set is
+// persisted as is. FromParts is the untrusted-input gate for borrowed
+// tables: every index scoring can follow is bounds-checked there, so a
+// hostile snapshot yields a Status, never UB.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +38,11 @@
 #include "mart/mart.h"
 
 namespace rpe {
+
+/// Zero doubles appended after every QuickScorer leaf-value table so a
+/// fully-cleared (hostile) leaf bitvector indexes the guard, not past the
+/// table: countr_zero(0) == 64.
+inline constexpr size_t kQsLeafGuard = 64;
 
 namespace flat_internal {
 
@@ -86,8 +92,8 @@ struct MergedQuickScorer {
 
   Slab<uint64_t> init_mask;  ///< per tree: one bit per leaf
   Slab<int32_t> leaf_base;   ///< per tree, into leaf_value
-  /// lr * leaf, left-to-right per tree, trees concatenated. A persisted
-  /// table carries a 64-slot zero guard tail (see FromParts).
+  /// lr * leaf, left-to-right per tree, trees concatenated, then the
+  /// kQsLeafGuard zero tail (see FromParts).
   Slab<double> leaf_value;
   Slab<int32_t> model_tree_begin;  ///< per model + 1, global tree ids
   Slab<double> bias;               ///< per model
@@ -102,13 +108,13 @@ class FlatEnsembleSet {
   FlatEnsembleSet() = default;
 
   /// Compile `models`; every tree must have at most kMaxTreeLeaves leaves
-  /// (MartModel::Train and EstimatorSelector::FromModels guarantee it).
+  /// (MartModel::Train guarantees it).
   static FlatEnsembleSet Compile(const std::vector<MartModel>& models);
 
-  /// Rebuild a set from persisted tables (zero-copy snapshot load path).
+  /// Rebuild a set from persisted tables (the snapshot load path).
   /// This is the untrusted-input gate: the slabs may alias raw file bytes,
   /// so every index scoring can reach — model tree ranges, entry tree ids,
-  /// leaf bases (leaf_value must carry the writer's 64-slot guard tail) —
+  /// leaf bases (leaf_value must carry the kQsLeafGuard tail) —
   /// is bounds-checked against `num_inputs` (the feature-vector width
   /// scoring will be called with) before anything is scored. Returns
   /// InvalidArgument instead of invoking UB on a hostile or truncated

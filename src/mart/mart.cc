@@ -93,17 +93,6 @@ double MartModel::MeanSquaredError(const Dataset& data) const {
   return mse / static_cast<double>(data.num_examples());
 }
 
-MartModel MartModel::FromParts(double bias, double learning_rate,
-                               std::vector<RegressionTree> trees,
-                               std::vector<double> feature_gains) {
-  MartModel model;
-  model.bias_ = bias;
-  model.learning_rate_ = learning_rate;
-  model.trees_ = std::move(trees);
-  model.feature_gains_ = std::move(feature_gains);
-  return model;
-}
-
 std::string MartModel::Serialize() const {
   std::ostringstream out;
   out.precision(17);

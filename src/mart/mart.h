@@ -44,13 +44,6 @@ class MartModel {
   /// Train on `data` with squared loss.
   static MartModel Train(const Dataset& data, const MartParams& params = {});
 
-  /// Reassemble a trained model from its parts (binary snapshot load path).
-  /// The training curve is not persisted; the rebuilt model predicts and
-  /// re-serializes identically to the original.
-  static MartModel FromParts(double bias, double learning_rate,
-                             std::vector<RegressionTree> trees,
-                             std::vector<double> feature_gains);
-
   double Predict(std::span<const double> features) const;
   double Predict(const std::vector<double>& features) const {
     return Predict(std::span<const double>(features));

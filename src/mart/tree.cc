@@ -652,38 +652,6 @@ size_t RegressionTree::num_leaves() const {
   return leaves;
 }
 
-Result<RegressionTree> RegressionTree::FromNodes(std::vector<Node> nodes) {
-  if (nodes.empty()) return Status::InvalidArgument("tree without nodes");
-  const int count = static_cast<int>(nodes.size());
-  // The array must encode a proper tree rooted at slot 0: tree growth
-  // appends children after their parent (child indices strictly greater)
-  // and every non-root node is the child of exactly one split. Anything
-  // looser — cycles, self-references, DAGs with shared children — would
-  // send Predict or the flat-ensemble compiler into unbounded (or
-  // exponential) recursion, so hostile node arrays are rejected here.
-  std::vector<uint8_t> referenced(nodes.size(), 0);
-  for (int i = 0; i < count; ++i) {
-    const Node& n = nodes[static_cast<size_t>(i)];
-    if (n.feature < 0) continue;
-    if (n.left <= i || n.left >= count || n.right <= i || n.right >= count) {
-      return Status::InvalidArgument("tree node child index out of order");
-    }
-    for (int child : {n.left, n.right}) {
-      if (referenced[static_cast<size_t>(child)]++ != 0) {
-        return Status::InvalidArgument("tree node referenced twice");
-      }
-    }
-  }
-  for (int i = 1; i < count; ++i) {
-    if (referenced[static_cast<size_t>(i)] == 0) {
-      return Status::InvalidArgument("unreachable tree node");
-    }
-  }
-  RegressionTree tree;
-  tree.nodes_ = std::move(nodes);
-  return tree;
-}
-
 std::string RegressionTree::Serialize() const {
   std::ostringstream out;
   out.precision(17);

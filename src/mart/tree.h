@@ -145,10 +145,6 @@ class RegressionTree {
                             std::vector<double>* feature_gains,
                             ThreadPool* pool = nullptr);
 
-  /// Reassemble a tree from its node array (binary snapshot load path).
-  /// `nodes[0]` must be the root; child indices must be in range.
-  static Result<RegressionTree> FromNodes(std::vector<Node> nodes);
-
   double Predict(std::span<const double> features) const;
   double Predict(const std::vector<double>& features) const {
     return Predict(std::span<const double>(features));

@@ -171,14 +171,18 @@ class LuoEstimator : public ProgressEstimator {
     const double elapsed = view.Elapsed(oi);
     if (elapsed <= 0.0) return byte_fraction;
     const double lookback_start = obs.vtime - std::max(elapsed * 0.25, 1.0);
-    size_t j = oi;
-    while (j > 0 &&
-           static_cast<int>(j) > view.pipeline->first_obs &&
-           view.obs(j - 1).vtime >= lookback_start) {
-      --j;
-    }
-    const double dt = obs.vtime - view.obs(j).vtime;
-    const double db = done - DoneBytes(view, view.obs(j));
+    // vtime never decreases within a run, so the lookback point is the
+    // first observation of the window at or after lookback_start.
+    const auto& all = view.run->observations;
+    const auto at = all.begin() + static_cast<std::ptrdiff_t>(oi);
+    const auto from =
+        std::min(all.begin() + std::max(view.pipeline->first_obs, 0), at);
+    const Observation& back =
+        *std::partition_point(from, at, [&](const Observation& o) {
+          return o.vtime < lookback_start;
+        });
+    const double dt = obs.vtime - back.vtime;
+    const double db = done - DoneBytes(view, back);
     if (dt <= 0.0 || db <= 0.0) return byte_fraction;
     const double speed = db / dt;
     const double remaining = std::max(0.0, total - done) / speed;

@@ -46,10 +46,11 @@ EstimatorSelector EstimatorSelector::Train(
   // The per-candidate error regressors are independent (same features,
   // different labels), so they train concurrently; each lands in its own
   // slot and MartModel::Train is itself deterministic, so the result is
-  // identical to the sequential loop.
+  // identical to the sequential loop. Only the compiled tables and the
+  // gains outlive this call.
   ThreadPool* workers =
       params.pool != nullptr ? params.pool : &ThreadPool::Global();
-  selector.models_.resize(selector.pool_.size());
+  std::vector<MartModel> models(selector.pool_.size());
   workers->ParallelFor(selector.pool_.size(), [&](size_t k) {
     const size_t est = selector.pool_[k];
     Dataset data(selector.num_inputs_);
@@ -58,54 +59,12 @@ EstimatorSelector EstimatorSelector::Train(
       RPE_CHECK_OK(
           data.AddExample(selector.ProjectFeatures(r.features), r.l1[est]));
     }
-    selector.models_[k] = MartModel::Train(data, params);
+    models[k] = MartModel::Train(data, params);
   });
-  selector.flat_ = FlatEnsembleSet::Compile(selector.models_);
-  return selector;
-}
-
-Result<EstimatorSelector> EstimatorSelector::FromModels(
-    std::vector<size_t> pool, bool use_dynamic_features,
-    std::vector<MartModel> models) {
-  if (pool.empty()) return Status::InvalidArgument("empty selector pool");
-  if (models.size() != pool.size()) {
-    return Status::InvalidArgument("selector pool/model count mismatch");
-  }
-  const FeatureSchema& schema = FeatureSchema::Get();
-  for (size_t est : pool) {
-    if (est >= static_cast<size_t>(kNumEstimatorKinds)) {
-      return Status::InvalidArgument("selector pool entry out of range");
-    }
-  }
-  EstimatorSelector selector;
-  selector.pool_ = std::move(pool);
-  selector.use_dynamic_ = use_dynamic_features;
-  selector.num_inputs_ = use_dynamic_features ? schema.num_features()
-                                              : schema.num_static_features();
-  // The models come from persisted bytes: a split on a feature beyond the
-  // selector's input width would read past the feature vector at scoring
-  // time, and a tree wider than the compiled scorer's leaf bitvector
-  // cannot be compiled, so both must be errors here, not crashes later.
+  selector.flat_ = FlatEnsembleSet::Compile(models);
   for (const MartModel& model : models) {
-    for (const RegressionTree& tree : model.trees()) {
-      if (tree.num_leaves() > kMaxTreeLeaves) {
-        return Status::InvalidArgument(
-            "selector model has a tree with " +
-            std::to_string(tree.num_leaves()) + " leaves, beyond the " +
-            std::to_string(kMaxTreeLeaves) + "-leaf cap");
-      }
-      for (const RegressionTree::Node& n : tree.nodes()) {
-        if (n.feature >= static_cast<int>(selector.num_inputs_)) {
-          return Status::InvalidArgument(
-              "selector model splits on feature " +
-              std::to_string(n.feature) + ", beyond its " +
-              std::to_string(selector.num_inputs_) + " inputs");
-        }
-      }
-    }
+    selector.gains_.push_back(model.feature_gains());
   }
-  selector.models_ = std::move(models);
-  selector.flat_ = FlatEnsembleSet::Compile(selector.models_);
   return selector;
 }
 
@@ -117,7 +76,7 @@ Result<EstimatorSelector> EstimatorSelector::FromFlat(
     return Status::InvalidArgument(
         "selector pool/compiled-model count mismatch");
   }
-  if (!feature_gains.empty() && feature_gains.size() != pool.size()) {
+  if (feature_gains.size() != pool.size()) {
     return Status::InvalidArgument("selector pool/feature-gain mismatch");
   }
   for (size_t est : pool) {
@@ -132,7 +91,7 @@ Result<EstimatorSelector> EstimatorSelector::FromFlat(
   selector.num_inputs_ = use_dynamic_features ? schema.num_features()
                                               : schema.num_static_features();
   selector.flat_ = std::move(flat);
-  selector.flat_gains_ = std::move(feature_gains);
+  selector.gains_ = std::move(feature_gains);
   return selector;
 }
 
@@ -172,17 +131,7 @@ void EstimatorSelector::SelectBatch(
 
 std::vector<double> EstimatorSelector::FeatureImportance() const {
   std::vector<double> gains(num_inputs_, 0.0);
-  if (models_.empty()) {
-    // FromFlat selectors carry the persisted gains instead of models.
-    for (const auto& g : flat_gains_) {
-      for (size_t i = 0; i < g.size() && i < gains.size(); ++i) {
-        gains[i] += g[i];
-      }
-    }
-    return gains;
-  }
-  for (const auto& model : models_) {
-    const auto& g = model.feature_gains();
+  for (const auto& g : gains_) {
     for (size_t i = 0; i < g.size() && i < gains.size(); ++i) {
       gains[i] += g[i];
     }

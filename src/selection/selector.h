@@ -5,16 +5,18 @@
 // marker), and arbitrary candidate pools (e.g. {DNE, TGN, LUO} vs. the full
 // six of Figure 5).
 //
-// Scoring runs on a FlatEnsembleSet compiled from the per-candidate models
-// at training time: one contiguous buffer scores the whole pool per
-// decision with no allocation, which is what the continuous-monitoring
-// path (ProgressMonitor replay: selector × pipeline × observation) leans
-// on. The candidate regressors themselves train concurrently on the
-// ThreadPool; training is deterministic, so the serialized models are
-// identical at any thread count.
+// A selector holds one form of its models: the FlatEnsembleSet compiled
+// from the per-candidate regressors at training time, plus each model's
+// training gains. One contiguous buffer scores the whole pool per decision
+// with no allocation, which is what the continuous-monitoring path
+// (ProgressMonitor replay: selector × pipeline × observation) leans on.
+// The trees themselves are dropped once compiled; the snapshot layer
+// (serving/snapshot.h) persists the compiled tables. The candidate
+// regressors train concurrently on the ThreadPool; training is
+// deterministic, so the compiled tables are identical at any thread count.
 //
 // Threading contract: an EstimatorSelector is immutable once built
-// (Train/FromModels are the only constructors-of-state), so all const
+// (Train/FromFlat are the only constructors-of-state), so all const
 // methods — Select / PredictErrors / SelectForRecord / accessors — are
 // safe to call concurrently from any number of threads without locking.
 // This is what lets the serving layer share one selector stack across
@@ -24,11 +26,9 @@
 //
 // Error behavior: Train and the Select/Predict paths RPE_CHECK their
 // invariants (feature-vector arity must match the schema) — violations
-// are programming errors and abort. FromModels is the untrusted-input
-// gate (snapshot loading): malformed persisted models (wrong pool/model
-// count, split features beyond the input width, trees over
-// kMaxTreeLeaves leaves, hostile node graphs) return Status instead of
-// aborting.
+// are programming errors and abort. FromFlat is the untrusted-input gate
+// (snapshot loading), behind FlatEnsembleSet::FromParts: a wrong pool or
+// gain-table shape returns Status instead of aborting.
 #pragma once
 
 #include <span>
@@ -55,29 +55,13 @@ class EstimatorSelector {
   /// Paper training setup: M = 200 boosting iterations, 30-leaf trees.
   static MartParams DefaultParams();
 
-  /// Reassemble a trained selector from persisted models (binary snapshot
-  /// load path). The flat scoring buffers are recompiled — compilation is
-  /// deterministic from the models, so the rebuilt selector scores
-  /// bit-identically to the one that was saved.
-  static Result<EstimatorSelector> FromModels(std::vector<size_t> pool,
-                                              bool use_dynamic_features,
-                                              std::vector<MartModel> models);
-
-  /// Reassemble a selector directly from persisted compiled scoring
-  /// buffers (zero-copy snapshot load path, serving/mmap_arena.h): no
-  /// MartModels are materialized, so `models()` is empty and the selector
-  /// cannot be re-encoded — it can only score. `flat` must already have
-  /// passed FlatEnsembleSet::FromParts validation against this feature
-  /// mode's input width; `feature_gains` (one vector per pool entry, may
-  /// be empty) keeps FeatureImportance working without the models.
+  /// Reassemble a selector from persisted compiled tables (the snapshot
+  /// load path). `flat` must already have passed FlatEnsembleSet::FromParts
+  /// validation against this feature mode's input width; `feature_gains`
+  /// holds one vector per pool entry (FeatureImportance sums them).
   static Result<EstimatorSelector> FromFlat(
       std::vector<size_t> pool, bool use_dynamic_features,
       FlatEnsembleSet flat, std::vector<std::vector<double>> feature_gains);
-
-  /// False for selectors rebuilt via FromFlat: scoring works, but paths
-  /// that need the tree structure (EncodeSelectorStack, text Serialize)
-  /// do not.
-  bool has_models() const { return !models_.empty() || pool_.empty(); }
 
   /// Predicted L1 error per pool candidate (pool order).
   std::vector<double> PredictErrors(std::span<const double> features) const;
@@ -108,8 +92,11 @@ class EstimatorSelector {
 
   const std::vector<size_t>& pool() const { return pool_; }
   bool uses_dynamic_features() const { return use_dynamic_; }
-  const std::vector<MartModel>& models() const { return models_; }
   const FlatEnsembleSet& flat() const { return flat_; }
+  /// Per-model training split gains, pool order.
+  const std::vector<std::vector<double>>& feature_gains() const {
+    return gains_;
+  }
 
   /// Aggregate split-gain importance across the per-estimator models,
   /// indexed by feature (full schema indices).
@@ -125,11 +112,8 @@ class EstimatorSelector {
   std::vector<size_t> pool_;
   bool use_dynamic_ = false;
   size_t num_inputs_ = 0;
-  std::vector<MartModel> models_;  // one per pool entry; empty via FromFlat
-  FlatEnsembleSet flat_;           // compiled from models_, scoring path
-  /// Per-model training gains for FromFlat selectors (models_ is empty
-  /// there); FeatureImportance falls back to these.
-  std::vector<std::vector<double>> flat_gains_;
+  FlatEnsembleSet flat_;  // one model per pool entry
+  std::vector<std::vector<double>> gains_;  // one per pool entry
 };
 
 /// Convenience pools.

@@ -1,37 +1,16 @@
-// Zero-copy snapshot loading: MmapArena maps an .rpsn selector-stack file
-// read-only and LoadSelectorStackMmap rebuilds the SelectorStack with the
-// compiled scoring tables (FlatEnsembleSet) pointing straight into the
-// mapping — no tree decode, no slab memcpy, no recompilation. This is the
-// warm-restart / hot-publish path the serving tier uses when model slabs
-// are large enough that copying them through the heap dominates load time.
+// MmapArena: a read-only private mapping of a whole snapshot file, the
+// backing LoadSelectorStack (serving/snapshot.h) decodes in place. The
+// decoded stack's compiled scoring tables are slab views into the mapping
+// (no slab memcpy, no recompilation), and the stack co-owns the arena, so
+// the mapping lives exactly as long as any reference to the stack — a
+// MonitorService that holds the stack (published, or being decided
+// against at open) transitively holds the mapping, and the file is
+// unmapped when the last reference lets go.
 //
-// How it works: every selector-stack snapshot carries an aux section with
-// each selector's merged QuickScorer tables as 8-aligned slabs (see
-// serving/snapshot.h for the layout). The loader CRC-validates the
-// container, checks the feature schema, then constructs
-// Slab<T>::Borrow views over the mapped bytes and passes them through the
-// untrusted-input gates (FlatEnsembleSet::FromParts,
-// EstimatorSelector::FromFlat) — a truncated, corrupt, or hostile file
-// yields a Status, never UB.
-//
-// Ownership and lifetime: the returned shared_ptr<const SelectorStack>
-// aliases a holder that co-owns the MmapArena, so the mapping lives
-// exactly as long as any reference to the stack — a MonitorService that
-// holds the stack (published, or being decided against at open)
-// transitively holds the mapping, and the file is unmapped when the last
-// reference lets go. The mapping is private and
-// read-only; mutating the file on disk while mapped is the caller's
-// responsibility to avoid (publish by writing a new file + atomic rename,
-// never by rewriting in place).
-//
-// No fallback: this loader always aliases the mapping. Any other format
-// version, a missing or misaligned aux section, and structural damage (bad
-// magic, CRC mismatch, truncation, out-of-range tables) are errors.
-//
-// Model-free stacks: an mmap-loaded selector has no MartModels
-// (EstimatorSelector::has_models() == false). It scores bit-identically
-// to the heap-loaded stack, but it cannot be re-encoded or re-trained
-// from; treat it as a scoring artifact.
+// The mapping is private and read-only, but it still shows the file's
+// current bytes: a file must never be rewritten in place while mapped.
+// The snapshot writer enforces this by writing a temp file and renaming
+// it over the target, so a mapped reader keeps the old inode.
 #pragma once
 
 #include <memory>
@@ -39,7 +18,6 @@
 #include <string_view>
 
 #include "common/status.h"
-#include "serving/snapshot.h"
 
 namespace rpe {
 
@@ -63,7 +41,6 @@ class MmapArena {
   std::string_view bytes() const {
     return {static_cast<const char*>(addr_), size_};
   }
-  size_t size() const { return size_; }
   /// True when the MADV_WILLNEED advice was accepted at Map time.
   bool prefaulted() const { return prefaulted_; }
 
@@ -75,17 +52,5 @@ class MmapArena {
   size_t size_;
   bool prefaulted_;
 };
-
-/// \brief Result of LoadSelectorStackMmap.
-struct ArenaStackLoad {
-  /// The loaded stack; it transitively owns the mapping.
-  std::shared_ptr<const SelectorStack> stack;
-  size_t mapped_bytes = 0;
-};
-
-/// Map an .rpsn selector-stack snapshot and rebuild it zero-copy. All
-/// validation is performed before the stack is returned; the result
-/// scores bit-identically to LoadSelectorStack on the same file.
-Result<ArenaStackLoad> LoadSelectorStackMmap(const std::string& path);
 
 }  // namespace rpe

@@ -1,7 +1,12 @@
 #include "serving/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -11,6 +16,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "selection/features.h"
+#include "serving/mmap_arena.h"
 
 namespace rpe {
 namespace {
@@ -20,11 +26,17 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr size_t kHeaderSize = 32;
 
+constexpr size_t kMaxSlabElems = size_t{1} << 28;
+
 // ---------------------------------------------------------------------------
 // Byte-level writer/reader. The writer appends POD scalars and slabs to a
 // growing string; the reader is bounds-checked and returns Status on any
 // out-of-range access, so a truncated or hostile payload can never read
-// past the buffer.
+// past the buffer. Scalars may sit unaligned (both sides memcpy them);
+// the aligned slabs of the compiled tables are padded to 8 bytes relative
+// to the payload start, which itself sits 8-aligned in memory (file
+// offset 32 of a page-aligned mapping or of an 8-aligned owned copy), so
+// the reader can borrow them in place on their natural alignment.
 
 class Writer {
  public:
@@ -34,17 +46,28 @@ class Writer {
   void U64(uint64_t v) { Raw(&v, sizeof v); }
   void I32(int32_t v) { Raw(&v, sizeof v); }
   void F64(double v) { Raw(&v, sizeof v); }
+  void Pad8() { out_->append((8 - out_->size() % 8) % 8, '\0'); }
 
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
     Raw(s.data(), s.size());
   }
 
+  /// u32 count, then the raw elements (read back by copy).
   template <typename T>
   void Slab(const std::vector<T>& xs) {
     static_assert(std::is_trivially_copyable_v<T>);
     U32(static_cast<uint32_t>(xs.size()));
     Raw(xs.data(), xs.size() * sizeof(T));
+  }
+
+  /// u64 count, padding to 8, then the raw elements (read back in place).
+  template <typename T>
+  void AlignedSlab(const rpe::Slab<T>& s) {
+    static_assert(alignof(T) <= 8);
+    U64(s.size());
+    Pad8();
+    Raw(s.data(), s.size() * sizeof(T));
   }
 
  private:
@@ -63,6 +86,13 @@ class Reader {
   Status I32(int32_t* v) { return Raw(v, sizeof *v); }
   Status F64(double* v) { return Raw(v, sizeof *v); }
 
+  Status Align8() {
+    const size_t aligned = (pos_ + 7) & ~size_t{7};
+    if (aligned > bytes_.size()) return Truncated();
+    pos_ = aligned;
+    return Status::OK();
+  }
+
   Status Str(std::string* s) {
     uint32_t size = 0;
     RPE_RETURN_NOT_OK(U32(&size));
@@ -73,18 +103,38 @@ class Reader {
   }
 
   template <typename T>
-  Status Slab(std::vector<T>* xs, size_t max_count = 1u << 28) {
+  Status Slab(std::vector<T>* xs) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint32_t count = 0;
     RPE_RETURN_NOT_OK(U32(&count));
-    if (count > max_count || count * sizeof(T) > Remaining()) {
+    if (count > kMaxSlabElems || count * sizeof(T) > Remaining()) {
       return Truncated();
     }
     xs->resize(count);
     return Raw(xs->data(), count * sizeof(T));
   }
 
+  /// An AlignedSlab, viewed in place: the result borrows the bytes, which
+  /// the caller keeps alive.
+  template <typename T>
+  Status BorrowSlab(rpe::Slab<T>* out) {
+    static_assert(alignof(T) <= 8);
+    uint64_t count = 0;
+    RPE_RETURN_NOT_OK(U64(&count));
+    RPE_RETURN_NOT_OK(Align8());
+    if (count > kMaxSlabElems || count * sizeof(T) > Remaining()) {
+      return Truncated();
+    }
+    const char* p = bytes_.data() + pos_;
+    RPE_DCHECK(reinterpret_cast<uintptr_t>(p) % alignof(T) == 0);
+    *out = rpe::Slab<T>::Borrow(reinterpret_cast<const T*>(p),
+                                static_cast<size_t>(count));
+    pos_ += static_cast<size_t>(count) * sizeof(T);
+    return Status::OK();
+  }
+
   size_t Remaining() const { return bytes_.size() - pos_; }
+  size_t pos() const { return pos_; }
 
  private:
   Status Raw(void* v, size_t size) {
@@ -107,7 +157,7 @@ class Reader {
 // Container framing.
 
 /// Container CRC: the aux-offset header field, then the payload. The
-/// offset steers both loaders, so a bit flip there must read as
+/// offset steers the decode, so a bit flip there must read as
 /// corruption, not as a confusing structural error deep in the aux parser.
 uint32_t FrameCrc(uint32_t aux_offset, std::string_view payload) {
   return Crc32(payload.data(), payload.size(),
@@ -136,104 +186,6 @@ Result<std::string_view> UnframeAs(SnapshotKind want, std::string_view bytes) {
     return Status::InvalidArgument("snapshot holds a different payload kind");
   }
   return frame.payload;
-}
-
-// ---------------------------------------------------------------------------
-// MART model payloads. Trees are stored as parallel per-field slabs
-// (structure of arrays) so a loader — or a future zero-copy reader — gets
-// each field as one contiguous run.
-
-void EncodeModel(const MartModel& model, Writer* w) {
-  w->F64(model.bias());
-  w->F64(model.learning_rate());
-  w->Slab(model.feature_gains());
-  w->U32(static_cast<uint32_t>(model.trees().size()));
-  for (const RegressionTree& tree : model.trees()) {
-    const auto& nodes = tree.nodes();
-    std::vector<int32_t> feature(nodes.size()), left(nodes.size()),
-        right(nodes.size());
-    std::vector<double> threshold(nodes.size()), value(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      feature[i] = nodes[i].feature;
-      threshold[i] = nodes[i].threshold;
-      left[i] = nodes[i].left;
-      right[i] = nodes[i].right;
-      value[i] = nodes[i].value;
-    }
-    w->Slab(feature);
-    w->Slab(threshold);
-    w->Slab(left);
-    w->Slab(right);
-    w->Slab(value);
-  }
-}
-
-Result<MartModel> DecodeModel(Reader* r) {
-  double bias = 0.0, learning_rate = 0.0;
-  std::vector<double> gains;
-  uint32_t num_trees = 0;
-  RPE_RETURN_NOT_OK(r->F64(&bias));
-  RPE_RETURN_NOT_OK(r->F64(&learning_rate));
-  RPE_RETURN_NOT_OK(r->Slab(&gains));
-  RPE_RETURN_NOT_OK(r->U32(&num_trees));
-  std::vector<RegressionTree> trees;
-  // Cap the speculative reserve: the count is untrusted (CRC only proves
-  // integrity, not sanity), and a truncated body fails fast below anyway.
-  trees.reserve(std::min<uint32_t>(num_trees, 4096));
-  for (uint32_t t = 0; t < num_trees; ++t) {
-    std::vector<int32_t> feature, left, right;
-    std::vector<double> threshold, value;
-    RPE_RETURN_NOT_OK(r->Slab(&feature));
-    RPE_RETURN_NOT_OK(r->Slab(&threshold));
-    RPE_RETURN_NOT_OK(r->Slab(&left));
-    RPE_RETURN_NOT_OK(r->Slab(&right));
-    RPE_RETURN_NOT_OK(r->Slab(&value));
-    if (threshold.size() != feature.size() || left.size() != feature.size() ||
-        right.size() != feature.size() || value.size() != feature.size()) {
-      return Status::InvalidArgument("snapshot tree slab length mismatch");
-    }
-    std::vector<RegressionTree::Node> nodes(feature.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      nodes[i].feature = feature[i];
-      nodes[i].threshold = threshold[i];
-      nodes[i].left = left[i];
-      nodes[i].right = right[i];
-      nodes[i].value = value[i];
-    }
-    RPE_ASSIGN_OR_RETURN(RegressionTree tree,
-                         RegressionTree::FromNodes(std::move(nodes)));
-    trees.push_back(std::move(tree));
-  }
-  return MartModel::FromParts(bias, learning_rate, std::move(trees),
-                              std::move(gains));
-}
-
-void EncodeSelector(const EstimatorSelector& selector, Writer* w) {
-  w->U32(selector.uses_dynamic_features() ? 1 : 0);
-  std::vector<uint64_t> pool(selector.pool().begin(), selector.pool().end());
-  w->Slab(pool);
-  w->U32(static_cast<uint32_t>(selector.models().size()));
-  for (const MartModel& model : selector.models()) EncodeModel(model, w);
-}
-
-Result<EstimatorSelector> DecodeSelector(Reader* r) {
-  uint32_t use_dynamic = 0, num_models = 0;
-  std::vector<uint64_t> pool64;
-  RPE_RETURN_NOT_OK(r->U32(&use_dynamic));
-  RPE_RETURN_NOT_OK(r->Slab(&pool64));
-  RPE_RETURN_NOT_OK(r->U32(&num_models));
-  if (num_models != pool64.size()) {
-    return Status::InvalidArgument("snapshot selector pool/model mismatch");
-  }
-  std::vector<MartModel> models;
-  models.reserve(num_models);
-  for (uint32_t m = 0; m < num_models; ++m) {
-    RPE_ASSIGN_OR_RETURN(MartModel model, DecodeModel(r));
-    models.push_back(std::move(model));
-  }
-  std::vector<size_t> pool(pool64.begin(), pool64.end());
-  return EstimatorSelector::FromModels(std::move(pool), use_dynamic != 0,
-                                       std::move(models));
 }
 
 // Feature metadata: the snapshot pins the schema it was trained under; a
@@ -272,108 +224,191 @@ Status DecodeAndCheckSchema(Reader* r) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-flat aux section: the FlatEnsembleSet tables of both
-// selectors, every slab 8-aligned relative to the payload start so the
-// zero-copy loader (serving/mmap_arena.cc, which mirrors this layout) can
-// point Slab views straight into the mapping. Scalars are written
-// unaligned (readers memcpy them); only slab data is padded.
+// Compiled tables ("RPFL" section, one per selector): header, pool,
+// per-model training gains, then the FlatEnsembleSet's merged QuickScorer
+// tables, every slab 8-aligned so the reader borrows them in place.
 
-class AuxWriter {
- public:
-  explicit AuxWriter(std::string* out) : out_(out) {}
-
-  void Pad8() { out_->append((8 - out_->size() % 8) % 8, '\0'); }
-  void U32(uint32_t v) { Raw(&v, sizeof v); }
-  void U64(uint64_t v) { Raw(&v, sizeof v); }
-  void I32(int32_t v) { Raw(&v, sizeof v); }
-  void F64(double v) { Raw(&v, sizeof v); }
-
-  /// 8-aligned slab: u64 count (guard slots included), padding, raw data,
-  /// then `guard` zeroed elements.
-  template <typename T>
-  void AlignedSlab(const Slab<T>& s, size_t guard = 0) {
-    static_assert(alignof(T) <= 8);
-    U64(s.size() + guard);
-    Pad8();
-    Raw(s.data(), s.size() * sizeof(T));
-    out_->append(guard * sizeof(T), '\0');
-  }
-
- private:
-  void Raw(const void* data, size_t size) {
-    out_->append(static_cast<const char*>(data), size);
-  }
-  std::string* out_;
-};
-
-void EncodeFlatSet(const EstimatorSelector& selector, std::string* payload) {
+void EncodeFlatSet(const EstimatorSelector& selector, Writer* w) {
   const FlatEnsembleSet& flat = selector.flat();
-  AuxWriter w(payload);
-  w.Pad8();
-  w.U32(kFlatSectionMagic);
-  w.U32(selector.uses_dynamic_features() ? 1 : 0);
-  w.U64(flat.num_models());
-  w.U64(selector.uses_dynamic_features()
-            ? FeatureSchema::Get().num_features()
-            : FeatureSchema::Get().num_static_features());
-  {
-    std::vector<uint64_t> pool(selector.pool().begin(),
-                               selector.pool().end());
-    w.AlignedSlab(Slab<uint64_t>(std::move(pool)));
-  }
-  // Per-model training gains (small, copied at load) so FeatureImportance
-  // survives the model-free rebuild: per-model lengths, then the
-  // concatenation.
+  w->Pad8();
+  w->U32(kFlatSectionMagic);
+  w->U32(selector.uses_dynamic_features() ? 1 : 0);
+  w->U64(flat.num_models());
+  w->U64(selector.uses_dynamic_features()
+             ? FeatureSchema::Get().num_features()
+             : FeatureSchema::Get().num_static_features());
+  w->AlignedSlab(Slab<uint64_t>(
+      std::vector<uint64_t>(selector.pool().begin(), selector.pool().end())));
+  // Per-model training gains (small, copied at load) for
+  // FeatureImportance: per-model lengths, then the concatenation.
   {
     std::vector<uint64_t> lens;
     std::vector<double> concat;
-    for (const MartModel& model : selector.models()) {
-      lens.push_back(model.feature_gains().size());
-      concat.insert(concat.end(), model.feature_gains().begin(),
-                    model.feature_gains().end());
+    for (const std::vector<double>& gains : selector.feature_gains()) {
+      lens.push_back(gains.size());
+      concat.insert(concat.end(), gains.begin(), gains.end());
     }
-    w.AlignedSlab(Slab<uint64_t>(std::move(lens)));
-    w.AlignedSlab(Slab<double>(std::move(concat)));
+    w->AlignedSlab(Slab<uint64_t>(std::move(lens)));
+    w->AlignedSlab(Slab<double>(std::move(concat)));
   }
   const flat_internal::MergedQuickScorer& merged = flat.merged();
-  w.I32(merged.num_features);
-  w.AlignedSlab(merged.feat_begin);
-  w.AlignedSlab(merged.threshold);
-  w.AlignedSlab(merged.entry_tree);
-  w.AlignedSlab(merged.entry_mask);
-  w.AlignedSlab(merged.init_mask);
-  w.AlignedSlab(merged.leaf_base);
-  w.AlignedSlab(merged.leaf_value, kQsLeafGuard);
-  w.AlignedSlab(merged.model_tree_begin);
-  w.AlignedSlab(merged.bias);
+  w->I32(merged.num_features);
+  w->AlignedSlab(merged.feat_begin);
+  w->AlignedSlab(merged.threshold);
+  w->AlignedSlab(merged.entry_tree);
+  w->AlignedSlab(merged.entry_mask);
+  w->AlignedSlab(merged.init_mask);
+  w->AlignedSlab(merged.leaf_base);
+  w->AlignedSlab(merged.leaf_value);  // guard tail included
+  w->AlignedSlab(merged.model_tree_begin);
+  w->AlignedSlab(merged.bias);
 }
 
-/// The model payload: schema metadata, then the static and dynamic
-/// selectors.
-std::string EncodeStackModelPayload(const SelectorStack& stack) {
-  RPE_CHECK(!stack.static_selector.uses_dynamic_features());
-  RPE_CHECK(stack.dynamic_selector.uses_dynamic_features());
-  // An arena-backed stack (EstimatorSelector::FromFlat) has no models to
-  // persist; re-encoding it would silently write an empty model section.
-  RPE_CHECK(stack.static_selector.has_models() &&
-            stack.dynamic_selector.has_models())
-      << "cannot encode a model-free (mmap-loaded) selector stack";
-  std::string payload;
-  Writer w(&payload);
-  EncodeSchema(&w);
-  EncodeSelector(stack.static_selector, &w);
-  EncodeSelector(stack.dynamic_selector, &w);
-  return payload;
+/// One selector's RPFL section -> an EstimatorSelector whose scoring slabs
+/// borrow the reader's bytes. Structural validation happens in
+/// FlatEnsembleSet::FromParts / EstimatorSelector::FromFlat.
+Result<EstimatorSelector> DecodeFlatSelector(Reader* r, bool expect_dynamic) {
+  RPE_RETURN_NOT_OK(r->Align8());
+  uint32_t magic = 0, use_dynamic = 0;
+  uint64_t num_models = 0, num_inputs = 0;
+  RPE_RETURN_NOT_OK(r->U32(&magic));
+  if (magic != kFlatSectionMagic) {
+    return Status::InvalidArgument("flat snapshot section has bad magic");
+  }
+  RPE_RETURN_NOT_OK(r->U32(&use_dynamic));
+  if ((use_dynamic != 0) != expect_dynamic) {
+    return Status::InvalidArgument(
+        "flat snapshot section has the wrong feature mode");
+  }
+  RPE_RETURN_NOT_OK(r->U64(&num_models));
+  RPE_RETURN_NOT_OK(r->U64(&num_inputs));
+  const FeatureSchema& schema = FeatureSchema::Get();
+  const size_t expected_inputs = expect_dynamic
+                                     ? schema.num_features()
+                                     : schema.num_static_features();
+  if (num_models > 4096 || num_inputs != expected_inputs) {
+    return Status::InvalidArgument(
+        "flat snapshot section model count or input width out of range");
+  }
+
+  Slab<uint64_t> pool_slab;
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&pool_slab));
+  if (pool_slab.size() != num_models) {
+    return Status::InvalidArgument("flat snapshot pool size mismatch");
+  }
+
+  Slab<uint64_t> gain_lens;
+  Slab<double> gain_concat;
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&gain_lens));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&gain_concat));
+
+  flat_internal::MergedQuickScorer tables;
+  RPE_RETURN_NOT_OK(r->I32(&tables.num_features));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.feat_begin));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.threshold));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.entry_tree));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.entry_mask));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.init_mask));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.leaf_base));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.leaf_value));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.model_tree_begin));
+  RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.bias));
+
+  // Gains are tiny (one double per feature per model): copy them out so
+  // FeatureImportance needs no backing bookkeeping.
+  if (gain_lens.size() != num_models) {
+    return Status::InvalidArgument("flat snapshot gain table mismatch");
+  }
+  std::vector<std::vector<double>> gains;
+  size_t gain_pos = 0;
+  for (uint64_t m = 0; m < num_models; ++m) {
+    const uint64_t len = gain_lens[m];
+    if (len > gain_concat.size() - gain_pos) {
+      return Status::InvalidArgument("flat snapshot gain table mismatch");
+    }
+    gains.emplace_back(gain_concat.begin() + gain_pos,
+                       gain_concat.begin() + gain_pos + len);
+    gain_pos += len;
+  }
+  if (gain_pos != gain_concat.size()) {
+    return Status::InvalidArgument("flat snapshot gain table mismatch");
+  }
+
+  RPE_ASSIGN_OR_RETURN(
+      FlatEnsembleSet flat,
+      FlatEnsembleSet::FromParts(std::move(tables), expected_inputs));
+  std::vector<size_t> pool(pool_slab.begin(), pool_slab.end());
+  return EstimatorSelector::FromFlat(std::move(pool), expect_dynamic,
+                                     std::move(flat), std::move(gains));
 }
 
+/// Keeps the decoded bytes alive exactly as long as the stack that
+/// borrows them: the public shared_ptr<const SelectorStack> aliases
+/// `stack` while owning this holder.
+struct BackedStack {
+  std::shared_ptr<const void> backing;
+  SelectorStack stack;
+};
+
+/// The one selector-stack decode. `bytes` must be 8-aligned and live in
+/// `backing`, which the returned stack co-owns.
+Result<std::shared_ptr<const SelectorStack>> DecodeStackOver(
+    std::shared_ptr<const void> backing, std::string_view bytes) {
+  RPE_ASSIGN_OR_RETURN(SnapshotFrame frame, UnframeSnapshot(bytes));
+  if (frame.kind != SnapshotKind::kSelectorStack) {
+    return Status::InvalidArgument("snapshot holds a different payload kind");
+  }
+  Reader r(frame.payload);
+  RPE_RETURN_NOT_OK(DecodeAndCheckSchema(&r));
+  RPE_RETURN_NOT_OK(r.Align8());
+  if (r.pos() != frame.aux_offset) {
+    return Status::InvalidArgument(
+        "snapshot aux section does not follow the schema block");
+  }
+  auto holder = std::make_shared<BackedStack>();
+  holder->backing = std::move(backing);
+  RPE_ASSIGN_OR_RETURN(holder->stack.static_selector,
+                       DecodeFlatSelector(&r, /*expect_dynamic=*/false));
+  RPE_ASSIGN_OR_RETURN(holder->stack.dynamic_selector,
+                       DecodeFlatSelector(&r, /*expect_dynamic=*/true));
+  if (r.Remaining() != 0) {
+    return Status::InvalidArgument("flat snapshot section has trailing bytes");
+  }
+  return std::shared_ptr<const SelectorStack>(holder, &holder->stack);
+}
+
+/// Publish `bytes` at `path` by writing a temp file in the same directory
+/// and renaming it over `path`. A stack loaded from `path` maps the file,
+/// so rewriting it in place would change or cut the bytes under a live
+/// mapping (torn scores, SIGBUS); after a rename the old inode lives on
+/// until its last mapping goes. Any failure leaves no temp file behind.
 Status WriteFile(const std::string& path, const std::string& bytes) {
   if (RPE_INJECT_FAULT("snapshot.write")) {
     return Status::IOError("injected failure: snapshot.write (" + path + ")");
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out ? Status::OK() : Status::IOError("write failed: " + path);
+  static std::atomic<uint64_t> next_tmp{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1));
+  // open(2) rather than mkstemp(3): the file gets the usual 0666 & ~umask
+  // mode, as the file it replaces did.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return Status::IOError("cannot open for write: " + path);
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<size_t>(n);
+  }
+  const bool closed = ::close(fd) == 0;
+  if (written != bytes.size() || !closed ||
+      ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return Status::IOError("write failed: " + path);
+  }
+  return Status::OK();
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -455,15 +490,6 @@ Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes) {
   return frame;
 }
 
-namespace snapshot_internal {
-
-Status CheckSchemaPrefix(std::string_view payload) {
-  Reader r(payload);
-  return DecodeAndCheckSchema(&r);
-}
-
-}  // namespace snapshot_internal
-
 SelectorStack SelectorStack::Train(const std::vector<PipelineRecord>& records,
                                    std::vector<size_t> pool,
                                    const MartParams& params) {
@@ -476,52 +502,29 @@ SelectorStack SelectorStack::Train(const std::vector<PipelineRecord>& records,
 }
 
 std::string EncodeSelectorStack(const SelectorStack& stack) {
-  std::string payload = EncodeStackModelPayload(stack);
-  // Aux section: the compiled scoring tables, 8-aligned, for the
-  // zero-copy loader. The model payload above stays the source of truth
-  // for the heap decoder.
-  AuxWriter aux(&payload);
-  aux.Pad8();
+  RPE_CHECK(!stack.static_selector.uses_dynamic_features());
+  RPE_CHECK(stack.dynamic_selector.uses_dynamic_features());
+  std::string payload;
+  Writer w(&payload);
+  EncodeSchema(&w);
+  w.Pad8();
   const uint64_t aux_offset = payload.size();
   RPE_CHECK_LE(aux_offset, std::numeric_limits<uint32_t>::max());
-  EncodeFlatSet(stack.static_selector, &payload);
-  EncodeFlatSet(stack.dynamic_selector, &payload);
+  EncodeFlatSet(stack.static_selector, &w);
+  EncodeFlatSet(stack.dynamic_selector, &w);
   return Frame(SnapshotKind::kSelectorStack, std::move(payload),
                static_cast<uint32_t>(aux_offset));
 }
 
-Result<SelectorStack> DecodeSelectorStack(std::string_view bytes) {
-  RPE_ASSIGN_OR_RETURN(SnapshotFrame frame, UnframeSnapshot(bytes));
-  if (frame.kind != SnapshotKind::kSelectorStack) {
-    return Status::InvalidArgument("snapshot holds a different payload kind");
-  }
-  const std::string_view payload = frame.payload;
-  Reader r(payload);
-  RPE_RETURN_NOT_OK(DecodeAndCheckSchema(&r));
-  SelectorStack stack;
-  RPE_ASSIGN_OR_RETURN(stack.static_selector, DecodeSelector(&r));
-  RPE_ASSIGN_OR_RETURN(stack.dynamic_selector, DecodeSelector(&r));
-  if (stack.static_selector.uses_dynamic_features() ||
-      !stack.dynamic_selector.uses_dynamic_features()) {
-    return Status::InvalidArgument(
-        "snapshot selector stack has wrong feature modes");
-  }
-  // Exact-consumption discipline: the only bytes allowed between the
-  // model payload and the aux section are a short run of zero alignment
-  // padding (ours is < 8; tolerate foreign writers up to a 64-byte unit).
-  // Anything else is smuggled or misframed data.
-  const size_t consumed = payload.size() - r.Remaining();
-  if (consumed > frame.aux_offset || frame.aux_offset - consumed >= 64) {
-    return Status::InvalidArgument(
-        "snapshot aux section does not abut the model payload");
-  }
-  for (size_t i = consumed; i < frame.aux_offset; ++i) {
-    if (payload[i] != '\0') {
-      return Status::InvalidArgument(
-          "snapshot has non-padding bytes before the aux section");
-    }
-  }
-  return stack;
+Result<std::shared_ptr<const SelectorStack>> DecodeSelectorStack(
+    std::string_view bytes) {
+  // An owned copy at 8-byte alignment, so the slabs can be borrowed in
+  // place exactly as from a mapping.
+  auto buffer = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
+  if (!bytes.empty()) std::memcpy(buffer->data(), bytes.data(), bytes.size());
+  const std::string_view owned(reinterpret_cast<const char*>(buffer->data()),
+                               bytes.size());
+  return DecodeStackOver(std::move(buffer), owned);
 }
 
 std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records) {
@@ -614,9 +617,17 @@ Status SaveSelectorStack(const SelectorStack& stack, const std::string& path) {
   return WriteFile(path, EncodeSelectorStack(stack));
 }
 
-Result<SelectorStack> LoadSelectorStack(const std::string& path) {
-  RPE_ASSIGN_OR_RETURN(std::string bytes, ReadFile(path));
-  return DecodeSelectorStack(bytes);
+Result<std::shared_ptr<const SelectorStack>> LoadSelectorStack(
+    const std::string& path) {
+  RPE_ASSIGN_OR_RETURN(std::shared_ptr<MmapArena> arena, MmapArena::Map(path));
+  std::string_view bytes = arena->bytes();
+  // "arena.short_map": the mapping comes up shorter than the file (disk
+  // shrank underneath us, or a short read on a copying filesystem). The
+  // frame's payload-size check must reject it before anything decodes.
+  if (RPE_INJECT_FAULT("arena.short_map")) {
+    bytes = bytes.substr(0, bytes.size() / 2);
+  }
+  return DecodeStackOver(std::move(arena), bytes);
 }
 
 Status SaveRecordBatch(const std::vector<PipelineRecord>& records,

@@ -1,69 +1,70 @@
 // Binary snapshot layer for the serving stack: a versioned, checksummed
 // container for (a) trained selector stacks — the static + dynamic
 // EstimatorSelector pair a ProgressMonitor runs on — and (b) batches of
-// PipelineRecord training data. Snapshots replace the text/CSV persistence
-// path on the hot load path: doubles are stored as raw IEEE-754 bits (so
-// round-trips are bit-exact by construction, not by printf precision), all
-// numeric arrays are contiguous little-endian slabs (mmap-friendly: the
-// zero-copy loader points straight into them), and the payload is
-// guarded by a CRC-32 so corruption or truncation is rejected before any
-// field is decoded.
+// PipelineRecord training data. Doubles are stored as raw IEEE-754 bits
+// (so round-trips are bit-exact by construction, not by printf
+// precision), the compiled scoring tables are 8-aligned little-endian
+// slabs the loader points straight into, and the payload is guarded by a
+// CRC-32 so corruption or truncation is rejected before any field is
+// decoded.
 //
 // Container layout (all integers little-endian):
 //
 //   offset  size  field
 //   0       4     magic  "RPSN" (0x4E535052)
-//   4       4     format version (3; no other version is readable)
+//   4       4     format version (4; no other version is readable)
 //   8       4     payload kind (SnapshotKind)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
 //   24      4     CRC-32 over the 4-byte aux-offset field, then the
-//                 payload (the offset steers both loaders, so header
+//                 payload (the offset steers the decode, so header
 //                 corruption must be caught as corruption)
 //   28      4     aux-section offset into the payload — required and
 //                 8-aligned for a selector stack, 0 for a record batch;
 //                 header is 32 bytes, payload 8-aligned
 //   32      ...   payload
 //
-// Selector-stack payload: feature-schema metadata (count, static count,
-// names — validated against the running binary's FeatureSchema at load),
-// then the static and dynamic selectors back to back; each selector is its
-// pool, feature mode, and per-candidate MART models with trees stored as
-// structure-of-arrays node slabs. The heap loader (DecodeSelectorStack)
-// decodes these models and recompiles the scoring tables
-// (FlatEnsembleSet) — compilation is deterministic from the models, so the
-// rebuilt stack scores bit-identically to the one saved.
+// Selector-stack payload (v4): the feature-schema block (count, static
+// count, names — validated against the running binary's FeatureSchema at
+// load), zero padding to 8 bytes, then the aux section, which starts at
+// the header's aux offset, just past the schema block. The aux section is
+// one "RPFL" block per selector, static then dynamic: a header (magic,
+// feature mode, model count, input width), the pool, the per-model
+// training gains, and the FlatEnsembleSet's merged QuickScorer tables,
+// every slab padded to 8-byte alignment relative to the payload start
+// (the payload starts at file offset 32, so payload alignment == file
+// alignment). These compiled tables are the only stored form of a
+// selector — no trees are persisted — and leaf-value slabs carry the
+// kQsLeafGuard zero tail so a hostile mask table cannot index past the
+// slab (see FlatEnsembleSet::FromParts).
 //
-// The aux section ("RPFL" per selector, static then dynamic) starts at the
-// header's aux offset and holds each selector's compiled tables: a header
-// (magic, feature mode, model count, input width), the pool, the
-// per-model training gains, and the FlatEnsembleSet's merged QuickScorer
-// tables, every slab padded to 8-byte alignment relative to the payload
-// start (the payload itself starts at file offset 32, so payload
-// alignment == file alignment). This is what the zero-copy loader
-// consumes: MmapArena (see serving/mmap_arena.h) maps the file and
-// rebuilds the stack with slab views pointing straight into the mapping —
-// no tree decode, no slab memcpy. The heap loader only checks that the
-// section abuts the model payload; both representations come from the
-// same deterministic compiler, so the two loaders agree about an honestly
-// written file's scores. Leaf-value slabs carry a 64-slot zero guard tail
-// so a hostile mask table cannot index past the slab (see
-// FlatEnsembleSet::FromParts).
+// One decode: LoadSelectorStack maps the file (serving/mmap_arena.h) and
+// DecodeSelectorStack copies a byte buffer to an owned 8-aligned buffer;
+// both then run the same decode, whose tables borrow those bytes in place
+// (no slab memcpy, no recompilation), and the returned stack co-owns them.
+// Encode(Decode(bytes)) reproduces `bytes`.
+//
+// Publishing: a loaded stack keeps its file mapped, so a file must never
+// be rewritten in place. Save* functions write a temp file in the target's
+// directory and rename it over the target; a mapped reader keeps the old
+// inode, a new load sees the new file.
 //
 // Record-batch payload: feature/estimator arity header (validated against
 // the schema at load) followed by the records.
 //
 // Threading contract: all functions here are stateless and thread-safe;
 // encode/decode touch only their arguments. A decoded SelectorStack is
-// immutable and safe to share across threads (the serving layer wraps it
-// in shared_ptr<const SelectorStack>).
+// immutable and safe to share across threads (the serving layer holds it
+// as shared_ptr<const SelectorStack>). Do not copy a decoded stack out of
+// its shared_ptr: the copy's tables borrow bytes the holder owns.
 //
 // Error behavior: snapshots are untrusted input. Decode/Load functions
 // never abort on malformed bytes — bad magic, version or kind skew, CRC
-// mismatch, truncation, schema mismatch, and hostile model payloads all
+// mismatch, truncation, schema mismatch, and hostile compiled tables all
 // return a descriptive Status before any decoded field is used.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,13 +77,9 @@ namespace rpe {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535052;  // "RPSN"
 /// The one format version this build writes and reads.
-inline constexpr uint32_t kSnapshotVersion = 3;
-/// Magic opening each selector's compiled-flat aux section.
+inline constexpr uint32_t kSnapshotVersion = 4;
+/// Magic opening each selector's compiled-table (RPFL) section.
 inline constexpr uint32_t kFlatSectionMagic = 0x4C465052;  // "RPFL"
-/// Zero doubles appended after each QuickScorer leaf-value slab so a
-/// fully-cleared (hostile) leaf bitvector indexes the guard, not past the
-/// slab: countr_zero(0) == 64.
-inline constexpr size_t kQsLeafGuard = 64;
 
 enum class SnapshotKind : uint32_t {
   kSelectorStack = 1,
@@ -116,9 +113,11 @@ struct SelectorStack {
       const MartParams& params = EstimatorSelector::DefaultParams());
 };
 
-/// In-memory encode/decode (the file functions below wrap these).
+/// In-memory encode/decode. DecodeSelectorStack copies `bytes`; the
+/// returned stack owns that copy.
 std::string EncodeSelectorStack(const SelectorStack& stack);
-Result<SelectorStack> DecodeSelectorStack(std::string_view bytes);
+Result<std::shared_ptr<const SelectorStack>> DecodeSelectorStack(
+    std::string_view bytes);
 std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records);
 Result<std::vector<PipelineRecord>> DecodeRecordBatch(std::string_view bytes);
 
@@ -131,19 +130,13 @@ Result<SnapshotKind> PeekSnapshotFileKind(const std::string& path);
 /// buffer without reading (and CRC-checking) the file twice.
 Result<std::string> ReadSnapshotFile(const std::string& path);
 
+/// Write by temp file + rename (see "Publishing" above).
 Status SaveSelectorStack(const SelectorStack& stack, const std::string& path);
-Result<SelectorStack> LoadSelectorStack(const std::string& path);
+/// Map `path` and decode it in place; the stack keeps the mapping alive.
+Result<std::shared_ptr<const SelectorStack>> LoadSelectorStack(
+    const std::string& path);
 Status SaveRecordBatch(const std::vector<PipelineRecord>& records,
                        const std::string& path);
 Result<std::vector<PipelineRecord>> LoadRecordBatch(const std::string& path);
-
-namespace snapshot_internal {
-
-/// Validate the feature-schema block that opens a selector-stack payload
-/// against this binary's FeatureSchema (the zero-copy loader runs this
-/// before trusting the aux section; the heap decoder does it inline).
-Status CheckSchemaPrefix(std::string_view payload);
-
-}  // namespace snapshot_internal
 
 }  // namespace rpe

@@ -440,14 +440,14 @@ std::string* MmapFaultTest::path_ = nullptr;
 
 TEST_F(MmapFaultTest, InjectedOpenFailureIsACleanStatus) {
   const ScopedFailPoint fp("arena.open", FailPointSpec::Always());
-  auto loaded = LoadSelectorStackMmap(*path_);
+  auto loaded = LoadSelectorStack(*path_);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
 TEST_F(MmapFaultTest, InjectedMmapFailureIsACleanStatus) {
   const ScopedFailPoint fp("arena.mmap", FailPointSpec::Always());
-  auto loaded = LoadSelectorStackMmap(*path_);
+  auto loaded = LoadSelectorStack(*path_);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
@@ -460,10 +460,9 @@ TEST_F(MmapFaultTest, InjectedMadviseFailureDegradesToUnprefaultedLoad) {
   auto arena = MmapArena::Map(*path_);
   ASSERT_TRUE(arena.ok()) << arena.status().ToString();
   EXPECT_FALSE(arena.ValueOrDie()->prefaulted());
-  auto loaded = LoadSelectorStackMmap(*path_);
+  auto loaded = LoadSelectorStack(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE(loaded->stack->static_selector.has_models());
-  ExpectScoresMatchOriginal(*loaded->stack);
+  ExpectScoresMatchOriginal(**loaded);
 }
 
 TEST_F(MmapFaultTest, MadviseHintIsAppliedOnTheCleanPath) {
@@ -476,27 +475,35 @@ TEST_F(MmapFaultTest, InjectedShortMapIsRejectedNeverPartiallyLoaded) {
   // A mapping that comes up half-length (torn truncation under the
   // reader) must fail container validation — not decode half a stack.
   const ScopedFailPoint fp("arena.short_map", FailPointSpec::Always());
-  auto loaded = LoadSelectorStackMmap(*path_);
+  auto loaded = LoadSelectorStack(*path_);
   EXPECT_FALSE(loaded.ok());
 }
 
 TEST_F(MmapFaultTest, InjectedReadFailuresFailTheHeapLoaderCleanly) {
+  // The heap path: the file read into memory (ReadSnapshotFile), then the
+  // owned-buffer decode.
   {
     const ScopedFailPoint fp("snapshot.read", FailPointSpec::Always());
-    auto loaded = LoadSelectorStack(*path_);
-    EXPECT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    auto bytes = ReadSnapshotFile(*path_);
+    EXPECT_FALSE(bytes.ok());
+    EXPECT_EQ(bytes.status().code(), StatusCode::kIOError);
   }
   {
     // A short read surfaces as corruption (size/CRC), not as IOError and
     // never as a partially-decoded stack.
     const ScopedFailPoint fp("snapshot.read.short", FailPointSpec::Always());
-    EXPECT_FALSE(LoadSelectorStack(*path_).ok());
+    auto bytes = ReadSnapshotFile(*path_);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    auto decoded = DecodeSelectorStack(*bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
   {
     const ScopedFailPoint fp("snapshot.crc", FailPointSpec::Always());
+    auto bytes = ReadSnapshotFile(*path_);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_FALSE(DecodeSelectorStack(*bytes).ok());
     EXPECT_FALSE(LoadSelectorStack(*path_).ok());
-    EXPECT_FALSE(LoadSelectorStackMmap(*path_).ok());
   }
 }
 
@@ -505,11 +512,10 @@ TEST_F(MmapFaultTest, TransientFaultThenRetryLoadsBitIdentically) {
   // must return the exact same scores as an untouched load — transient
   // faults leave no residue.
   const ScopedFailPoint fp("arena.open", FailPointSpec::Nth(1));
-  EXPECT_FALSE(LoadSelectorStackMmap(*path_).ok());
-  auto retried = LoadSelectorStackMmap(*path_);
+  EXPECT_FALSE(LoadSelectorStack(*path_).ok());
+  auto retried = LoadSelectorStack(*path_);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-  EXPECT_FALSE(retried->stack->static_selector.has_models());
-  ExpectScoresMatchOriginal(*retried->stack);
+  ExpectScoresMatchOriginal(**retried);
 }
 
 }  // namespace

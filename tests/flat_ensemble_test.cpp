@@ -1,7 +1,7 @@
 // FlatEnsembleSet tests: bit-exact equivalence with MartModel::Predict
 // across random models and inputs, the serialize → deserialize → flatten
 // round trip, batch and multi-model scoring, the 64-leaf cap (a full
-// 64-leaf bitvector scores exactly, a wider tree is refused), and
+// 64-leaf bitvector scores exactly, a wider tree cannot be trained), and
 // thread-count invariance of training (parallel training must serialize
 // byte-identically).
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "mart/flat_ensemble.h"
-#include "serving/mmap_arena.h"
 #include "serving/snapshot.h"
 #include "tests/test_util.h"
 
@@ -146,54 +145,6 @@ TEST(FlatEnsembleSetTest, EmptySetOfModelsCompiles) {
   EXPECT_EQ(set.num_models(), 0u);
 }
 
-/// A hand-built chain of `leaves` leaves: interior node 2i splits feature 0
-/// at i, its right child (2i + 1) is a leaf and its left child continues
-/// the chain; the last interior node's left child is the final leaf.
-RegressionTree ChainTree(size_t leaves) {
-  std::vector<RegressionTree::Node> nodes(2 * leaves - 1);
-  for (size_t i = 0; i + 1 < leaves; ++i) {
-    RegressionTree::Node& n = nodes[2 * i];
-    n.feature = 0;
-    n.threshold = static_cast<double>(i);
-    n.left = static_cast<int>(2 * i + 2);
-    n.right = static_cast<int>(2 * i + 1);
-    nodes[2 * i + 1].value = static_cast<double>(i);
-  }
-  nodes.back().value = -1.0;
-  auto tree = RegressionTree::FromNodes(std::move(nodes));
-  RPE_CHECK_OK(tree.status());
-  return std::move(tree).ValueOrDie();
-}
-
-TEST(FlatEnsembleSetTest, FromModelsRejectsTreesBeyondTheLeafCap) {
-  // Persisted models are untrusted: a tree wider than the scorer's 64-bit
-  // leaf bitvector is an InvalidArgument from the snapshot decoder's gate,
-  // never a compile-time abort. Exactly 64 leaves is accepted.
-  for (const size_t leaves : {kMaxTreeLeaves, kMaxTreeLeaves + 1}) {
-    const RegressionTree tree = ChainTree(leaves);
-    ASSERT_EQ(tree.num_leaves(), leaves);
-    std::vector<MartModel> models;
-    for (int m = 0; m < 3; ++m) {
-      models.push_back(MartModel::FromParts(0.5, 0.1, {tree}, {}));
-    }
-    auto selector = EstimatorSelector::FromModels(
-        PoolOriginalThree(), /*use_dynamic_features=*/false,
-        std::move(models));
-    if (leaves <= kMaxTreeLeaves) {
-      ASSERT_TRUE(selector.ok()) << selector.status().ToString();
-      const std::vector<double> x(FeatureSchema::Get().num_features(), 3.5);
-      EXPECT_EQ(selector->PredictErrors(x)[0],
-                selector->models()[0].Predict(x));
-    } else {
-      ASSERT_FALSE(selector.ok());
-      EXPECT_EQ(selector.status().code(), StatusCode::kInvalidArgument);
-      EXPECT_NE(selector.status().message().find("65 leaves"),
-                std::string::npos)
-          << selector.status().ToString();
-    }
-  }
-}
-
 TEST(FlatEnsembleSetDeathTest, TrainingBeyondTheLeafCapDies) {
   // No flag or wire field sets max_leaves, so a value past the cap is a
   // programming error.
@@ -276,7 +227,7 @@ void ExpectScoresMatchModels(const std::vector<MartModel>& models,
 TEST(FlatEnsembleSetTest, SixtyFourLeafTreesScoreBitExactly) {
   // Trees that fill all 64 bits of the leaf bitvector take the all-ones
   // init_mask branch of the compiler; they must score exactly like the
-  // tree walk on every path, including after a snapshot mmap round trip.
+  // tree walk on every path, including after a snapshot round trip.
   const auto records = ::rpe::testing::RandomRecords(600, 71);
   MartParams params;
   params.num_trees = 6;
@@ -290,29 +241,30 @@ TEST(FlatEnsembleSetTest, SixtyFourLeafTreesScoreBitExactly) {
   rows[3][0] = std::numeric_limits<double>::quiet_NaN();
   rows[5][1] = -std::numeric_limits<double>::infinity();
 
-  for (const EstimatorSelector* selector :
-       {&stack.static_selector, &stack.dynamic_selector}) {
+  const std::string path = std::filesystem::temp_directory_path().string() +
+                           "/" + std::to_string(::getpid()) +
+                           "_rpe_flat_64_leaves.rpsn";
+  ASSERT_TRUE(SaveSelectorStack(stack, path).ok());
+  auto loaded = LoadSelectorStack(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  for (const auto& [trained, persisted] :
+       {std::make_pair(&stack.static_selector, &(*loaded)->static_selector),
+        std::make_pair(&stack.dynamic_selector,
+                       &(*loaded)->dynamic_selector)}) {
+    const std::vector<MartModel> models = ::rpe::testing::TrainSelectorModels(
+        records, trained->pool(), trained->uses_dynamic_features(), params);
     size_t widest = 0;
-    for (const MartModel& model : selector->models()) {
+    for (const MartModel& model : models) {
       for (const RegressionTree& tree : model.trees()) {
         widest = std::max(widest, tree.num_leaves());
       }
     }
     ASSERT_EQ(widest, kMaxTreeLeaves) << "fixture no longer fills 64 leaves";
-    ExpectScoresMatchModels(selector->models(), selector->flat(), rows);
+    ExpectScoresMatchModels(models, trained->flat(), rows);
+    ExpectScoresMatchModels(models, persisted->flat(), rows);
   }
-
-  const std::string path = std::filesystem::temp_directory_path().string() +
-                           "/" + std::to_string(::getpid()) +
-                           "_rpe_flat_64_leaves.rpsn";
-  ASSERT_TRUE(SaveSelectorStack(stack, path).ok());
-  auto mapped = LoadSelectorStackMmap(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectScoresMatchModels(stack.static_selector.models(),
-                          mapped->stack->static_selector.flat(), rows);
-  ExpectScoresMatchModels(stack.dynamic_selector.models(),
-                          mapped->stack->dynamic_selector.flat(), rows);
 }
 
 /// The serving corpus's column mix at its size (about 320 records × 200

@@ -1,7 +1,9 @@
-// Zero-copy snapshot arena tests: mmap-loaded stacks must score
-// bit-identically to heap-loaded ones, and every flavor of damage — a
-// missing or misaligned aux section, truncation, corruption, hostile
-// compiled tables — must be rejected with a Status, never UB.
+// Mapped snapshot loading tests: a mapped stack must score
+// bit-identically to the trained one and to the owned-buffer decode,
+// re-encode to the file's bytes, survive a publish over its own path, and
+// every flavor of damage — a missing or misaligned aux section,
+// truncation, corruption, hostile compiled tables — must be rejected with
+// a Status, never UB.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -103,47 +105,106 @@ SelectorStack* MmapArenaTest::stack_ = nullptr;
 std::string* MmapArenaTest::path_ = nullptr;
 
 TEST_F(MmapArenaTest, ZeroCopyLoadScoresBitIdentically) {
-  auto loaded = LoadSelectorStackMmap(*path_);
+  auto loaded = LoadSelectorStack(*path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_GT(loaded->mapped_bytes, 0u);
-  // Model-free: the arena stack is a scoring artifact.
-  EXPECT_FALSE(loaded->stack->static_selector.has_models());
-  EXPECT_FALSE(loaded->stack->dynamic_selector.has_models());
-  ExpectScoresMatchOriginal(*loaded->stack);
+  ExpectScoresMatchOriginal(**loaded);
 
-  // The heap loader over the same file agrees bit for bit too.
-  auto heap = LoadSelectorStack(*path_);
-  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-  for (const PipelineRecord& r : *records_) {
-    ASSERT_EQ(heap->static_selector.PredictErrors(r.features),
-              loaded->stack->static_selector.PredictErrors(r.features));
-    ASSERT_EQ(heap->dynamic_selector.PredictErrors(r.features),
-              loaded->stack->dynamic_selector.PredictErrors(r.features));
-  }
+  // The owned-buffer decode of the same bytes agrees bit for bit too.
+  auto decoded = DecodeSelectorStack(EncodeSelectorStack(*stack_));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectScoresMatchOriginal(**decoded);
 
-  // FeatureImportance survives the model-free rebuild via persisted gains.
+  // FeatureImportance survives the round trip via the persisted gains.
   EXPECT_EQ(stack_->static_selector.FeatureImportance(),
-            loaded->stack->static_selector.FeatureImportance());
+            (*loaded)->static_selector.FeatureImportance());
   EXPECT_EQ(stack_->dynamic_selector.FeatureImportance(),
-            loaded->stack->dynamic_selector.FeatureImportance());
+            (*loaded)->dynamic_selector.FeatureImportance());
 }
 
 TEST_F(MmapArenaTest, ArenaOutlivesLoaderScope) {
   std::shared_ptr<const SelectorStack> stack;
   {
-    auto loaded = LoadSelectorStackMmap(*path_);
+    auto loaded = LoadSelectorStack(*path_);
     ASSERT_TRUE(loaded.ok());
-    stack = loaded->stack;
+    stack = *loaded;
   }
-  // The ArenaStackLoad is gone; the aliased shared_ptr must keep the
-  // mapping alive (scoring reads mapped bytes).
+  // The Result is gone; the aliased shared_ptr must keep the mapping
+  // alive (scoring reads mapped bytes).
   ExpectScoresMatchOriginal(*stack);
+}
+
+TEST_F(MmapArenaTest, LoadedStackReEncodesByteIdentically) {
+  // The compiled tables are the only stored form, so a loaded stack
+  // persists again exactly as it was read: Encode(Decode(bytes)) == bytes.
+  const std::string bytes = EncodeSelectorStack(*stack_);
+  auto loaded = LoadSelectorStack(*path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(EncodeSelectorStack(**loaded), bytes);
+  auto decoded = DecodeSelectorStack(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(EncodeSelectorStack(**decoded), bytes);
+}
+
+TEST_F(MmapArenaTest, SavingOverAMappedFileKeepsItsStackScoring) {
+  // A serving stack maps its file while the trainer saves new stacks over
+  // the same path. The save must publish a new file (temp + rename), not
+  // rewrite the mapped one: a shorter rewrite would SIGBUS the next score,
+  // a longer one would change the tables under the live stack.
+  const std::string path = TempPath("rpe_mmap_arena_republish.rpsn");
+  ASSERT_TRUE(SaveSelectorStack(*stack_, path).ok());
+  auto mapped = LoadSelectorStack(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::vector<std::vector<double>> want;
+  for (const PipelineRecord& r : *records_) {
+    want.push_back((*mapped)->static_selector.PredictErrors(r.features));
+    want.push_back((*mapped)->dynamic_selector.PredictErrors(r.features));
+  }
+  const size_t mapped_size = EncodeSelectorStack(*stack_).size();
+
+  for (const int trees : {40, 2}) {
+    MartParams params;
+    params.num_trees = trees;
+    params.tree.max_leaves = 8;
+    params.seed = 9;
+    const SelectorStack other =
+        SelectorStack::Train(*records_, PoolOriginalThree(), params);
+    const std::string other_bytes = EncodeSelectorStack(other);
+    // One larger and one smaller file than the mapped one.
+    EXPECT_EQ(other_bytes.size() > mapped_size, trees == 40);
+    ASSERT_TRUE(SaveSelectorStack(other, path).ok());
+
+    size_t i = 0;
+    for (const PipelineRecord& r : *records_) {
+      const std::vector<double> s =
+          (*mapped)->static_selector.PredictErrors(r.features);
+      const std::vector<double> d =
+          (*mapped)->dynamic_selector.PredictErrors(r.features);
+      ASSERT_EQ(std::memcmp(s.data(), want[i].data(),
+                            s.size() * sizeof(double)),
+                0);
+      ASSERT_EQ(std::memcmp(d.data(), want[i + 1].data(),
+                            d.size() * sizeof(double)),
+                0);
+      i += 2;
+    }
+    // A new load sees the new file; no temp file is left beside it.
+    auto reloaded = LoadSelectorStack(path);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(EncodeSelectorStack(**reloaded), other_bytes);
+  }
+  size_t siblings = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path())) {
+    if (entry.path().string().rfind(path, 0) == 0) ++siblings;
+  }
+  EXPECT_EQ(siblings, 1u);
+  std::remove(path.c_str());
 }
 
 TEST_F(MmapArenaTest, MisalignedAuxSectionIsRejected) {
   // Shift the aux section by 4 bytes: every 8-aligned slab is now
-  // misaligned. The model payload is untouched, yet both loaders must
-  // refuse the file — there is no copy fallback.
+  // misaligned. The schema block is untouched, yet both the mapped load
+  // and the owned-buffer decode must refuse the file.
   std::string bytes = EncodeSelectorStack(*stack_);
   const uint32_t aux = ReadAuxOffset(bytes);
   ASSERT_GT(aux, 0u);
@@ -152,14 +213,14 @@ TEST_F(MmapArenaTest, MisalignedAuxSectionIsRejected) {
   const std::string path = TempPath("rpe_mmap_arena_misaligned.rpsn");
   WriteBytes(path, bytes);
 
-  auto loaded = LoadSelectorStackMmap(path);
+  auto loaded = LoadSelectorStack(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("misaligned"), std::string::npos)
       << loaded.status().ToString();
-  auto heap = LoadSelectorStack(path);
-  ASSERT_FALSE(heap.ok());
-  EXPECT_EQ(heap.status().message(), loaded.status().message());
+  auto decoded = DecodeSelectorStack(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().message(), loaded.status().message());
   std::remove(path.c_str());
 }
 
@@ -169,7 +230,7 @@ TEST_F(MmapArenaTest, TruncatedFilesAreRejected) {
   for (size_t keep : {size_t{0}, size_t{16}, size_t{32}, bytes.size() / 2,
                       bytes.size() - 1}) {
     WriteBytes(path, bytes.substr(0, keep));
-    auto loaded = LoadSelectorStackMmap(path);
+    auto loaded = LoadSelectorStack(path);
     EXPECT_FALSE(loaded.ok()) << "prefix of " << keep << " bytes loaded";
   }
   std::remove(path.c_str());
@@ -180,7 +241,7 @@ TEST_F(MmapArenaTest, CorruptedAuxPayloadIsRejected) {
   bytes[bytes.size() - 5] ^= 0x5A;  // inside the aux section
   const std::string path = TempPath("rpe_mmap_arena_crc.rpsn");
   WriteBytes(path, bytes);
-  auto loaded = LoadSelectorStackMmap(path);
+  auto loaded = LoadSelectorStack(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("CRC"), std::string::npos)
       << loaded.status().ToString();
@@ -198,7 +259,7 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
     std::string bad = bytes;
     bad[28] ^= 0x01;
     WriteBytes(path, bad);
-    auto loaded = LoadSelectorStackMmap(path);
+    auto loaded = LoadSelectorStack(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("CRC"), std::string::npos)
         << loaded.status().ToString();
@@ -209,15 +270,15 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
     // 8-aligned, so the bound (not the alignment check) is what trips.
     ReframeHeader(&bad, static_cast<uint32_t>(bad.size() + 7) & ~7u);
     WriteBytes(path, bad);
-    EXPECT_FALSE(LoadSelectorStackMmap(path).ok());
+    EXPECT_FALSE(LoadSelectorStack(path).ok());
   }
   // Consistently re-framed without an aux section: every selector stack
-  // carries one, so both loaders refuse it at unframe time.
+  // carries one, so it is refused at unframe time.
   {
     std::string bad = bytes;
     ReframeHeader(&bad, 0);
     WriteBytes(path, bad);
-    auto loaded = LoadSelectorStackMmap(path);
+    auto loaded = LoadSelectorStack(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("without an aux section"),
               std::string::npos)
@@ -225,31 +286,24 @@ TEST_F(MmapArenaTest, BogusAuxOffsetIsRejected) {
     EXPECT_FALSE(DecodeSelectorStack(bad).ok());
   }
   // Consistently re-framed but pointing mid-section (8-aligned, so it
-  // gets past the alignment check): the flat magic check trips.
+  // gets past the alignment check): the aux section must start just past
+  // the schema block.
   {
     std::string bad = bytes;
     ReframeHeader(&bad, aux + 8);
     WriteBytes(path, bad);
-    auto loaded = LoadSelectorStackMmap(path);
+    auto loaded = LoadSelectorStack(path);
     EXPECT_FALSE(loaded.ok());
   }
   std::remove(path.c_str());
 }
 
 TEST_F(MmapArenaTest, MissingAndEmptyFilesAreErrors) {
-  EXPECT_FALSE(LoadSelectorStackMmap(TempPath("rpe_no_such_file.rpsn")).ok());
+  EXPECT_FALSE(LoadSelectorStack(TempPath("rpe_no_such_file.rpsn")).ok());
   const std::string path = TempPath("rpe_mmap_arena_empty.rpsn");
   WriteBytes(path, "");
-  EXPECT_FALSE(LoadSelectorStackMmap(path).ok());
+  EXPECT_FALSE(LoadSelectorStack(path).ok());
   std::remove(path.c_str());
-}
-
-TEST_F(MmapArenaTest, EncodingModelFreeStackDies) {
-  auto loaded = LoadSelectorStackMmap(*path_);
-  ASSERT_TRUE(loaded.ok());
-  // A zero-copy stack has nothing to persist; re-encoding it must be a
-  // loud programming error, not a silent empty model section.
-  EXPECT_DEATH(EncodeSelectorStack(*loaded->stack), "model-free");
 }
 
 // ---------------------------------------------------------------------------
@@ -261,12 +315,9 @@ class FromPartsTest : public ::testing::Test {
  protected:
   static flat_internal::MergedQuickScorer CloneParts(
       const FlatEnsembleSet& set) {
-    flat_internal::MergedQuickScorer parts = set.merged();
-    // FromParts expects a persisted leaf table, which carries the 64-slot
-    // guard tail the snapshot writer appends.
-    parts.leaf_value.vec().resize(parts.leaf_value.size() + kQsLeafGuard,
-                                  0.0);
-    return parts;
+    // A compiled leaf table already carries the kQsLeafGuard tail that
+    // FromParts requires.
+    return set.merged();
   }
 
   static void SetUpTestSuite() {

@@ -2,8 +2,13 @@
 // invariants on executed queries, and error-metric semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "exec/executor.h"
 #include "common/stats.h"
+#include "harness/runner.h"
 #include "progress/error.h"
 #include "tests/test_util.h"
 
@@ -253,6 +258,114 @@ TEST_F(ProgressTest, SpilledJoinDegradesTgn) {
   EXPECT_GE(spill_err.l1, 0.0);
   EXPECT_GE(ok_err.l1, 0.0);
 }
+
+// LUO's lookback point by binary search must equal the linear walk it
+// replaced. The reference below is that earlier Estimate, verbatim.
+
+double ReferenceClamp01(double v) {
+  if (std::isnan(v)) return 0.0;
+  return std::clamp(v, 0.0, 1.0);
+}
+
+double ReferenceLuoDoneBytes(const PipelineView& view,
+                             const Observation& obs) {
+  double done = 0.0;
+  for (int id : view.pipeline->driver_nodes) {
+    done += obs.bytes_read[static_cast<size_t>(id)];
+  }
+  const size_t sink = static_cast<size_t>(view.pipeline->sink);
+  if (!view.pipeline->IsDriver(view.pipeline->sink)) {
+    done += obs.bytes_read[sink];
+  }
+  done += obs.bytes_written[sink];
+  return done;
+}
+
+double ReferenceLuoTotalBytes(const PipelineView& view,
+                              const Observation& obs) {
+  double total = 0.0;
+  for (int id : view.pipeline->driver_nodes) {
+    const double width = static_cast<double>(
+        view.node(id)->output_schema.row_width_bytes());
+    total += obs.e[static_cast<size_t>(id)] * width;
+  }
+  if (!view.pipeline->IsDriver(view.pipeline->sink)) {
+    const double width = static_cast<double>(
+        view.node(view.pipeline->sink)->output_schema.row_width_bytes());
+    total += obs.e[static_cast<size_t>(view.pipeline->sink)] * width;
+  }
+  total += obs.bytes_written[static_cast<size_t>(view.pipeline->sink)];
+  return total;
+}
+
+double ReferenceLuoEstimate(const PipelineView& view, size_t oi) {
+  const Observation& obs = view.obs(oi);
+  const double done = ReferenceLuoDoneBytes(view, obs);
+  const double total = ReferenceLuoTotalBytes(view, obs);
+  if (total <= 0.0) return 0.0;
+  const double byte_fraction = ReferenceClamp01(done / total);
+  const double elapsed = view.Elapsed(oi);
+  if (elapsed <= 0.0) return byte_fraction;
+  const double lookback_start = obs.vtime - std::max(elapsed * 0.25, 1.0);
+  size_t j = oi;
+  while (j > 0 &&
+         static_cast<int>(j) > view.pipeline->first_obs &&
+         view.obs(j - 1).vtime >= lookback_start) {
+    --j;
+  }
+  const double dt = obs.vtime - view.obs(j).vtime;
+  const double db = done - ReferenceLuoDoneBytes(view, view.obs(j));
+  if (dt <= 0.0 || db <= 0.0) return byte_fraction;
+  const double speed = db / dt;
+  const double remaining = std::max(0.0, total - done) / speed;
+  return ReferenceClamp01(elapsed / (elapsed + remaining));
+}
+
+class LuoLookbackTest : public ::testing::TestWithParam<WorkloadKind> {};
+
+TEST_P(LuoLookbackTest, BinarySearchMatchesLinearReference) {
+  WorkloadConfig config;
+  config.kind = GetParam();
+  config.name = WorkloadKindName(GetParam());
+  config.scale = 2.0;
+  config.num_queries = 40;
+  config.seed = 11;
+  auto workload = BuildWorkload(config);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const WorkloadRun runs =
+      PlanAndExecuteWorkload(*workload, RunOptions{}, "", /*keep_runs=*/true);
+  ASSERT_GT(runs.runs.size(), 10u);
+
+  const ProgressEstimator& luo = GetEstimator(EstimatorKind::kLuo);
+  size_t compared = 0;
+  for (size_t r = 0; r < runs.runs.size(); ++r) {
+    const QueryRunResult& run = runs.runs[r].result;
+    // The binary search relies on this.
+    for (size_t oi = 1; oi < run.observations.size(); ++oi) {
+      ASSERT_GE(run.observations[oi].vtime, run.observations[oi - 1].vtime)
+          << "run " << r << " obs " << oi;
+    }
+    for (const Pipeline& pipeline : run.pipelines) {
+      if (pipeline.first_obs < 0) continue;
+      const PipelineView view{&run, &pipeline};
+      for (int oi = pipeline.first_obs; oi <= pipeline.last_obs; ++oi) {
+        const double got = luo.Estimate(view, static_cast<size_t>(oi));
+        const double want = ReferenceLuoEstimate(view, static_cast<size_t>(oi));
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "run " << r << " obs " << oi << ": " << got << " vs " << want;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Generated, LuoLookbackTest,
+                         ::testing::Values(WorkloadKind::kTpch,
+                                           WorkloadKind::kTpcds),
+                         [](const auto& info) {
+                           return std::string(WorkloadKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace rpe

@@ -11,6 +11,7 @@
 #include "harness/runner.h"
 #include "selection/monitor.h"
 #include "selection/selector.h"
+#include "serving/snapshot.h"
 #include "tests/test_util.h"
 
 namespace rpe {
@@ -576,20 +577,20 @@ TEST_F(SelectionTest, ParallelTrainingIsByteIdenticalToSequential) {
   ThreadPool parallel(4);
 
   params.pool = &sequential;
-  const EstimatorSelector a = EstimatorSelector::Train(
-      train, PoolOriginalThree(), /*use_dynamic=*/false, params);
+  const SelectorStack a =
+      SelectorStack::Train(train, PoolOriginalThree(), params);
   params.pool = &parallel;
-  const EstimatorSelector b = EstimatorSelector::Train(
-      train, PoolOriginalThree(), /*use_dynamic=*/false, params);
+  const SelectorStack b =
+      SelectorStack::Train(train, PoolOriginalThree(), params);
 
-  ASSERT_EQ(a.models().size(), b.models().size());
-  for (size_t i = 0; i < a.models().size(); ++i) {
-    EXPECT_EQ(a.models()[i].Serialize(), b.models()[i].Serialize());
-  }
+  // The persisted form — compiled tables and gains — is byte-identical.
+  EXPECT_EQ(EncodeSelectorStack(a), EncodeSelectorStack(b));
   // And the compiled scoring path agrees decision-for-decision.
   for (const auto& r : train) {
-    EXPECT_EQ(a.SelectForRecord(r), b.SelectForRecord(r));
-    EXPECT_EQ(a.PredictErrors(r.features), b.PredictErrors(r.features));
+    EXPECT_EQ(a.static_selector.SelectForRecord(r),
+              b.static_selector.SelectForRecord(r));
+    EXPECT_EQ(a.static_selector.PredictErrors(r.features),
+              b.static_selector.PredictErrors(r.features));
   }
 }
 

@@ -504,7 +504,7 @@ TEST(SimdEndToEnd, TrainedStackEncodesIdenticallyOnEveryTier) {
 
 /// Snapshot round trip pinned to each tier: a stack saved under one CRC
 /// implementation must load (CRC-verify) under every other, through both
-/// the heap decoder and the zero-copy mmap arena, and score identically.
+/// the mapped load and the owned-buffer decode, and score identically.
 TEST(SimdEndToEnd, SnapshotRoundTripsAcrossTiers) {
   const auto records = RandomRecords(30, 99);
   MartParams params = EstimatorSelector::DefaultParams();
@@ -519,24 +519,22 @@ TEST(SimdEndToEnd, SnapshotRoundTripsAcrossTiers) {
       stack.dynamic_selector.PredictErrors(probe);
 
   for (simd::Tier save_tier : kAllTiers) {
+    std::string bytes;
     {
       TierGuard guard(save_tier);
       ASSERT_TRUE(SaveSelectorStack(stack, path).ok());
+      bytes = EncodeSelectorStack(stack);
     }
     for (simd::Tier load_tier : kAllTiers) {
       TierGuard guard(load_tier);
       auto loaded = LoadSelectorStack(path);
       ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
       EXPECT_TRUE(
-          BitEq(loaded.ValueOrDie().dynamic_selector.PredictErrors(probe),
-                want));
-      auto mapped = LoadSelectorStackMmap(path);
-      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-      EXPECT_FALSE(
-          mapped.ValueOrDie().stack->dynamic_selector.has_models());
-      EXPECT_TRUE(BitEq(
-          mapped.ValueOrDie().stack->dynamic_selector.PredictErrors(probe),
-          want));
+          BitEq((*loaded)->dynamic_selector.PredictErrors(probe), want));
+      auto decoded = DecodeSelectorStack(bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      EXPECT_TRUE(
+          BitEq((*decoded)->dynamic_selector.PredictErrors(probe), want));
     }
   }
   std::filesystem::remove(path);

@@ -2,15 +2,13 @@
 // selector-stack snapshot — header-field flips, CRC-repaired payload and
 // aux-offset tampering (so corruption gets past the checksum gate and
 // reaches the deep parsers), random byte flips, truncation, extension —
-// asserting that the heap decoder and the mmap loader each either succeed
-// or return a Status, never crash (run under ASan/UBSan in CI). When the
-// mutation did not forge the checksum — i.e. anything a storage fault
-// could actually produce — the two loaders must additionally agree bit
-// for bit whenever both succeed; CRC-forging mutations model a hostile
-// writer, where only the no-UB guarantee applies (the redundant model and
-// aux sections are bound to each other by the writer, not the reader —
-// see docs/ROBUSTNESS.md). Every assertion prints the failing case seed;
-// rerun one case with
+// asserting that the one selector-stack decode, run both over an owned
+// copy of the bytes (DecodeSelectorStack) and over a mapping of the file
+// (LoadSelectorStack), either succeeds or returns a Status, never crashes
+// (run under ASan/UBSan in CI). The two backings must reach the same
+// verdict — the same Status message, or stacks that score bit for bit
+// alike — for every mutation, CRC-forged or not. Every assertion prints
+// the failing case seed; rerun one case with
 //   RPE_FUZZ_SEED=<seed> RPE_FUZZ_CASES=1 ./rpe_tests --gtest_filter='SnapshotFuzz*'
 // Case count scales with RPE_FUZZ_CASES (default 300 locally, 10000 in
 // the CI fuzz job).
@@ -26,7 +24,6 @@
 #include <string>
 
 #include "common/crc32.h"
-#include "serving/mmap_arena.h"
 #include "serving/snapshot.h"
 #include "tests/test_util.h"
 
@@ -63,8 +60,8 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 }
 
 /// Bitwise equality for score vectors: "bit-identical" literally, so a
-/// NaN produced by a tampered model payload (raw IEEE bits are data, not
-/// UB) still compares equal to itself across loads.
+/// NaN produced by a tampered table (raw IEEE bits are data, not UB)
+/// still compares equal to itself across loads.
 bool BitEq(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -90,12 +87,8 @@ void RepairCrc(std::string* bytes) {
 /// checksum gate, repaired corruption tests everything behind it.
 struct Mutation {
   std::string bytes;
-  /// True when the CRC was recomputed over the tampered content. Such a
-  /// file can only come from a hostile or buggy *writer* (the checksum
-  /// binds the model and aux sections to each other only as far as the
-  /// writer is honest), so the cross-loader bit-identity invariant is out
-  /// of scope for it — only the no-UB/clean-Status invariant holds. See
-  /// docs/ROBUSTNESS.md for the threat model.
+  /// True when the CRC was recomputed over the tampered content: a file
+  /// only a hostile or buggy writer produces (docs/ROBUSTNESS.md).
   bool crc_repaired = false;
 };
 
@@ -119,7 +112,7 @@ Mutation Mutate(const std::string& valid, uint64_t seed) {
       std::memcpy(bytes.data() + field, &value, 4);
       break;
     }
-    case 2: {  // aux offset <- random, CRC repaired: steers both loaders
+    case 2: {  // aux offset <- random, CRC repaired: steers the decode
       const uint32_t aux = static_cast<uint32_t>(
           SplitMix64(&rng) % (2 * bytes.size()));
       std::memcpy(bytes.data() + 28, &aux, 4);
@@ -201,41 +194,40 @@ class SnapshotFuzzTest : public ::testing::Test {
     path_ = nullptr;
   }
 
-  /// The harness invariant for one mutated buffer: both loaders return
-  /// ok-or-Status (a crash fails the sanitizer run). With an unforged
-  /// CRC the loaders must also agree bit for bit when both succeed; with
-  /// a forged CRC (hostile-writer model) the mmap loader must still be
-  /// deterministic — two loads of the same bytes score identically.
+  /// The harness invariant for one mutated buffer: the owned-buffer
+  /// decode and the mapped load each return ok-or-Status (a crash fails
+  /// the sanitizer run), and they agree — the same error message, or
+  /// stacks that score bit-identically.
   static void CheckOneCase(const Mutation& m, uint64_t seed) {
-    const auto heap = DecodeSelectorStack(m.bytes);
+    const auto owned = DecodeSelectorStack(m.bytes);
     ASSERT_NO_FATAL_FAILURE(WriteBytes(*path_, m.bytes)) << "seed=" << seed;
-    const auto mapped = LoadSelectorStackMmap(*path_);
-    if (!mapped.ok()) return;
-    if (!m.crc_repaired && heap.ok()) {
-      for (const PipelineRecord& r : *probes_) {
-        ASSERT_TRUE(BitEq(
-            heap->static_selector.PredictErrors(r.features),
-            mapped->stack->static_selector.PredictErrors(r.features)))
-            << "loaders disagree, seed=" << seed;
-        ASSERT_TRUE(BitEq(
-            heap->dynamic_selector.PredictErrors(r.features),
-            mapped->stack->dynamic_selector.PredictErrors(r.features)))
-            << "loaders disagree, seed=" << seed;
+    const auto mapped = LoadSelectorStack(*path_);
+    ASSERT_EQ(owned.ok(), mapped.ok())
+        << "backings disagree on the verdict, seed=" << seed
+        << " crc_repaired=" << m.crc_repaired;
+    if (!mapped.ok()) {
+      // An empty file fails to map before any decode runs.
+      if (!m.bytes.empty()) {
+        ASSERT_EQ(owned.status().message(), mapped.status().message())
+            << "seed=" << seed;
       }
+      return;
     }
-    const auto again = LoadSelectorStackMmap(*path_);
-    ASSERT_TRUE(again.ok()) << "mmap load not deterministic, seed=" << seed;
     for (const PipelineRecord& r : *probes_) {
-      ASSERT_TRUE(BitEq(
-          again->stack->static_selector.PredictErrors(r.features),
-          mapped->stack->static_selector.PredictErrors(r.features)))
-          << "mmap load not deterministic, seed=" << seed;
+      ASSERT_TRUE(
+          BitEq((*owned)->static_selector.PredictErrors(r.features),
+                (*mapped)->static_selector.PredictErrors(r.features)))
+          << "backings disagree, seed=" << seed;
+      ASSERT_TRUE(
+          BitEq((*owned)->dynamic_selector.PredictErrors(r.features),
+                (*mapped)->dynamic_selector.PredictErrors(r.features)))
+          << "backings disagree, seed=" << seed;
     }
   }
 
   static std::vector<PipelineRecord>* probes_;
   static std::string* valid_;   ///< encoded valid stack, mutation base
-  static std::string* path_;    ///< scratch file for the mmap loader
+  static std::string* path_;    ///< scratch file for the mapped load
 };
 
 std::vector<PipelineRecord>* SnapshotFuzzTest::probes_ = nullptr;
@@ -247,9 +239,8 @@ TEST_F(SnapshotFuzzTest, UnmutatedBaselineLoadsThroughBothPaths) {
   // every mutated case would pass vacuously.
   ASSERT_TRUE(DecodeSelectorStack(*valid_).ok());
   WriteBytes(*path_, *valid_);
-  auto mapped = LoadSelectorStackMmap(*path_);
+  auto mapped = LoadSelectorStack(*path_);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped->stack->static_selector.has_models());
   CheckOneCase({*valid_, false}, 0);
 }
 

@@ -1,5 +1,5 @@
-// Serving-layer tests: binary snapshot round-trips (bit-exact vs. the text
-// serialization path), corruption/truncation rejection, and MonitorService
+// Serving-layer tests: binary snapshot round-trips (bit-exact scores and
+// byte-exact re-encodes), corruption/truncation rejection, and MonitorService
 // concurrency — replayed progress series must be bit-identical to the
 // sequential ProgressMonitor at any thread count.
 #include <gtest/gtest.h>
@@ -84,24 +84,18 @@ TEST_F(SnapshotTest, SelectorStackRoundTripIsBitExact) {
   const std::string bytes = EncodeSelectorStack(*stack_);
   auto decoded = DecodeSelectorStack(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const SelectorStack& stack = **decoded;
 
   for (const auto& pair :
-       {std::make_pair(&stack_->static_selector, &decoded->static_selector),
-        std::make_pair(&stack_->dynamic_selector,
-                       &decoded->dynamic_selector)}) {
+       {std::make_pair(&stack_->static_selector, &stack.static_selector),
+        std::make_pair(&stack_->dynamic_selector, &stack.dynamic_selector)}) {
     const EstimatorSelector& original = *pair.first;
     const EstimatorSelector& loaded = *pair.second;
     EXPECT_EQ(original.pool(), loaded.pool());
     EXPECT_EQ(original.uses_dynamic_features(),
               loaded.uses_dynamic_features());
-    ASSERT_EQ(original.models().size(), loaded.models().size());
-    for (size_t m = 0; m < original.models().size(); ++m) {
-      // The text serialization is the reference persistence path; the
-      // binary round-trip must agree with it exactly.
-      EXPECT_EQ(original.models()[m].Serialize(),
-                loaded.models()[m].Serialize());
-    }
-    // Scoring is bit-exact too (same models, deterministic recompile).
+    EXPECT_EQ(original.feature_gains(), loaded.feature_gains());
+    // Scoring is bit-exact: the loaded tables are the compiled ones.
     for (const PipelineRecord& r : *records_) {
       EXPECT_EQ(original.PredictErrors(r.features),
                 loaded.PredictErrors(r.features));
@@ -109,7 +103,7 @@ TEST_F(SnapshotTest, SelectorStackRoundTripIsBitExact) {
     }
   }
   // Re-encode reproduces the snapshot byte for byte.
-  EXPECT_EQ(EncodeSelectorStack(*decoded), bytes);
+  EXPECT_EQ(EncodeSelectorStack(stack), bytes);
 }
 
 TEST_F(SnapshotTest, CorruptedPayloadIsRejected) {
@@ -155,13 +149,13 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
   }
   // Earlier formats with a valid CRC under their own rule (v1 over the
-  // payload only, v2 over the aux offset, then the payload): no longer
-  // readable, and the error names both versions.
+  // payload only, v2 and v3 over the aux offset, then the payload): no
+  // longer readable, and the error names both versions.
   const std::string stack_bytes = EncodeSelectorStack(*stack_);
-  for (const uint32_t version : {1u, 2u}) {
+  for (const uint32_t version : {1u, 2u, 3u}) {
     std::string old = stack_bytes;
     uint32_t aux_offset = 0;
-    if (version == 2) std::memcpy(&aux_offset, old.data() + 28, 4);
+    if (version >= 2) std::memcpy(&aux_offset, old.data() + 28, 4);
     std::memcpy(old.data() + 28, &aux_offset, 4);
     const uint32_t seed =
         version == 1 ? 0 : Crc32(&aux_offset, sizeof aux_offset);
@@ -172,7 +166,7 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().message(),
               "unsupported snapshot version " + std::to_string(version) +
-                  " (this build reads 3)");
+                  " (this build reads 4)");
   }
 }
 
@@ -184,94 +178,6 @@ TEST_F(SnapshotTest, MismatchedKindIsRejected) {
   auto kind = PeekSnapshotKind(stack_bytes);
   ASSERT_TRUE(kind.ok());
   EXPECT_EQ(*kind, SnapshotKind::kSelectorStack);
-}
-
-TEST_F(SnapshotTest, HostileNodeGraphsAreRejected) {
-  // Self-loop at the root: valid indices, but cyclic — must be rejected
-  // (FromNodes is the gate that keeps a crafted snapshot from driving
-  // Predict or the flat-ensemble compiler into unbounded recursion).
-  std::vector<RegressionTree::Node> self_loop(1);
-  self_loop[0].feature = 0;
-  self_loop[0].threshold = 0.5;
-  self_loop[0].left = 0;
-  self_loop[0].right = 0;
-  EXPECT_FALSE(RegressionTree::FromNodes(self_loop).ok());
-
-  // Back edge deeper in the array.
-  std::vector<RegressionTree::Node> back_edge(3);
-  back_edge[0].feature = 0;
-  back_edge[0].threshold = 0.5;
-  back_edge[0].left = 1;
-  back_edge[0].right = 2;
-  back_edge[1].value = 1.0;  // leaf
-  back_edge[2].feature = 1;
-  back_edge[2].threshold = 0.5;
-  back_edge[2].left = 0;  // cycle back to the root
-  back_edge[2].right = 1;
-  EXPECT_FALSE(RegressionTree::FromNodes(back_edge).ok());
-
-  // Out-of-range child.
-  std::vector<RegressionTree::Node> oob = back_edge;
-  oob[2].left = 7;
-  EXPECT_FALSE(RegressionTree::FromNodes(oob).ok());
-
-  // DAG chain (left == right == i+1): indices are in order, but the
-  // shared children would make the flat-ensemble compiler expand 2^n
-  // paths — must be rejected as not-a-tree.
-  std::vector<RegressionTree::Node> dag(26);
-  for (size_t i = 0; i + 1 < dag.size(); ++i) {
-    dag[i].feature = 0;
-    dag[i].threshold = 0.5;
-    dag[i].left = static_cast<int>(i) + 1;
-    dag[i].right = static_cast<int>(i) + 1;
-  }
-  dag.back().value = 1.0;
-  EXPECT_FALSE(RegressionTree::FromNodes(dag).ok());
-
-  // Dead (unreachable) nodes are likewise malformed.
-  std::vector<RegressionTree::Node> dead(4);
-  dead[0].feature = 0;
-  dead[0].threshold = 0.5;
-  dead[0].left = 1;
-  dead[0].right = 2;
-  dead[1].value = 1.0;
-  dead[2].value = 2.0;
-  dead[3].value = 3.0;  // referenced by nothing
-  EXPECT_FALSE(RegressionTree::FromNodes(dead).ok());
-
-  // The well-formed variant is accepted and predicts.
-  std::vector<RegressionTree::Node> ok_nodes(3);
-  ok_nodes[0].feature = 0;
-  ok_nodes[0].threshold = 0.5;
-  ok_nodes[0].left = 1;
-  ok_nodes[0].right = 2;
-  ok_nodes[1].value = 1.0;
-  ok_nodes[2].value = 2.0;
-  auto tree = RegressionTree::FromNodes(ok_nodes);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_EQ(tree->Predict(std::vector<double>{0.0}), 1.0);
-  EXPECT_EQ(tree->Predict(std::vector<double>{1.0}), 2.0);
-}
-
-TEST_F(SnapshotTest, OutOfRangeSplitFeatureIsRejected) {
-  // A persisted model splitting beyond the selector's input width would
-  // read past the feature vector at scoring time; FromModels is the gate.
-  std::vector<RegressionTree::Node> nodes(3);
-  nodes[0].feature = 100000;  // far beyond any schema width
-  nodes[0].threshold = 0.5;
-  nodes[0].left = 1;
-  nodes[0].right = 2;
-  nodes[1].value = 1.0;
-  nodes[2].value = 2.0;
-  auto tree = RegressionTree::FromNodes(nodes);
-  ASSERT_TRUE(tree.ok());
-  MartModel model = MartModel::FromParts(
-      0.0, 0.1, {std::move(tree).ValueOrDie()}, {});
-  auto selector = EstimatorSelector::FromModels(
-      {0}, /*use_dynamic_features=*/false, {std::move(model)});
-  ASSERT_FALSE(selector.ok());
-  EXPECT_NE(selector.status().message().find("feature"), std::string::npos)
-      << selector.status().ToString();
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
@@ -287,7 +193,7 @@ TEST_F(SnapshotTest, FileRoundTrip) {
   ASSERT_TRUE(SaveSelectorStack(*stack_, stack_path).ok());
   auto stack = LoadSelectorStack(stack_path);
   ASSERT_TRUE(stack.ok()) << stack.status().ToString();
-  EXPECT_EQ(EncodeSelectorStack(*stack), EncodeSelectorStack(*stack_));
+  EXPECT_EQ(EncodeSelectorStack(**stack), EncodeSelectorStack(*stack_));
 
   auto kind = PeekSnapshotFileKind(record_path);
   ASSERT_TRUE(kind.ok());

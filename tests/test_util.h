@@ -7,6 +7,8 @@
 #include <string_view>
 
 #include "common/logging.h"
+#include "mart/dataset.h"
+#include "mart/mart.h"
 #include "obs/metrics.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
@@ -41,6 +43,31 @@ inline std::vector<PipelineRecord> RandomRecords(size_t n, uint64_t seed) {
     records.push_back(std::move(r));
   }
   return records;
+}
+
+/// The per-candidate models EstimatorSelector::Train compiles for `pool`
+/// in one feature mode. Training is deterministic, so these are exactly
+/// the trees behind a selector's tables (a selector keeps no trees).
+inline std::vector<MartModel> TrainSelectorModels(
+    const std::vector<PipelineRecord>& records,
+    const std::vector<size_t>& pool, bool use_dynamic,
+    const MartParams& params) {
+  const FeatureSchema& schema = FeatureSchema::Get();
+  const size_t inputs =
+      use_dynamic ? schema.num_features() : schema.num_static_features();
+  std::vector<MartModel> models;
+  for (const size_t est : pool) {
+    Dataset data(inputs);
+    for (const PipelineRecord& r : records) {
+      RPE_CHECK_OK(data.AddExample(
+          std::vector<double>(r.features.begin(),
+                              r.features.begin() +
+                                  static_cast<std::ptrdiff_t>(inputs)),
+          r.l1[est]));
+    }
+    models.push_back(MartModel::Train(data, params));
+  }
+  return models;
 }
 
 /// Build a catalog with two small tables:

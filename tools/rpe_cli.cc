@@ -24,7 +24,7 @@
 //       record snapshot back to CSV.
 //
 //   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
-//                     [--io-threads 0] [--model stack.rpsn] [--mmap]
+//                     [--io-threads 0] [--model stack.rpsn]
 //                     [--trees 50] [--metrics-port 0] [--trace-out t.json]
 //                     [--slow-ms 50]
 //       Run a workload, then serve it over TCP (loopback) with the epoll
@@ -68,7 +68,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/metrics_export.h"
-#include "serving/mmap_arena.h"
 #include "serving/server.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -255,7 +254,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   std::cout << "trained static+dynamic selectors ("
-            << stack.static_selector.models().size()
+            << stack.static_selector.pool().size()
             << " candidate models each) on " << records->size()
             << " records -> " << out << "\n";
   return 0;
@@ -374,12 +373,12 @@ int CmdSnapshotLoad(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   std::cout << in << ": selector stack (CRC ok)\n";
-  for (const auto* sel : {&stack->static_selector, &stack->dynamic_selector}) {
-    size_t trees = 0;
-    for (const auto& m : sel->models()) trees += m.num_trees();
+  for (const auto* sel :
+       {&(*stack)->static_selector, &(*stack)->dynamic_selector}) {
     std::cout << "  " << (sel->uses_dynamic_features() ? "dynamic" : "static")
-              << ": " << sel->models().size() << " candidate models, "
-              << trees << " trees total, pool {";
+              << ": " << sel->pool().size() << " candidate models, "
+              << sel->flat().merged().init_mask.size()
+              << " trees total, pool {";
     for (size_t i = 0; i < sel->pool().size(); ++i) {
       std::cout << (i > 0 ? " " : "")
                 << EstimatorName(static_cast<EstimatorKind>(sel->pool()[i]));
@@ -435,15 +434,10 @@ Result<std::shared_ptr<const SelectorStack>> PreloadModel(
     return std::shared_ptr<const SelectorStack>(nullptr);
   }
   const std::string& path = flags.at("model");
-  if (flags.count("mmap") > 0) {
-    RPE_ASSIGN_OR_RETURN(ArenaStackLoad loaded, LoadSelectorStackMmap(path));
-    std::cerr << "mmap-loaded selector stack from " << path << " ("
-              << loaded.mapped_bytes << " bytes mapped)\n";
-    return loaded.stack;
-  }
-  RPE_ASSIGN_OR_RETURN(SelectorStack loaded, LoadSelectorStack(path));
+  RPE_ASSIGN_OR_RETURN(std::shared_ptr<const SelectorStack> loaded,
+                       LoadSelectorStack(path));
   std::cerr << "loaded selector stack from " << path << "\n";
-  return std::make_shared<const SelectorStack>(std::move(loaded));
+  return loaded;
 }
 
 /// Initial serving stack: the preloaded --model when given, else trained
@@ -460,16 +454,6 @@ std::shared_ptr<const SelectorStack> InitialStack(
                << "train selector stack on " << records.size()
                << " records " << SecondsSince(train_start) << " s";
   return stack;
-}
-
-/// The --mmap flag contract.
-Status CheckMmapFlags(const std::map<std::string, std::string>& flags) {
-  if (flags.count("mmap") > 0 && flags.count("model") == 0) {
-    return Status::InvalidArgument(
-        "--mmap requires --model <stack.rpsn> (there is nothing to map when "
-        "the stack is trained in-process); see docs/CLI.md");
-  }
-  return Status::OK();
 }
 
 /// SIGTERM/SIGINT land here; the serve-tcp main loop polls the flag and
@@ -513,13 +497,12 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   auto metrics_port = ParseSizeFlag(flags, "metrics-port", "0", 0, 65535);
   const std::string trace_out = FlagOr(flags, "trace-out", "");
   auto slow_ms = ParseSizeFlag(flags, "slow-ms", "0", 0, 1 << 24);
-  const Status mmap_ok = CheckMmapFlags(flags);
   for (const Status& st :
        {shards.status(), trees.status(), port.status(), io_threads.status(),
         queue_cap.status(), retrain_every.status(), corpus_cap.status(),
         max_inflight.status(), conn_inflight.status(),
         ingest_watermark.status(), metrics_port.status(),
-        slow_ms.status(), mmap_ok}) {
+        slow_ms.status()}) {
     if (!st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 2;
@@ -658,8 +641,8 @@ void PrintUsage(std::ostream& out) {
          "  serve-tcp      epoll TCP front-end over the monitor tier\n"
          "  version        build + SIMD dispatch report (also --version)\n"
          "common flags: --threads N (0..256); serve-tcp also takes --shards N\n"
-         "(sharded session routing) and --model x.rpsn --mmap (zero-copy\n"
-         "snapshot load)\n";
+         "(sharded session routing) and --model x.rpsn (mapped snapshot\n"
+         "load)\n";
 }
 
 /// `version` / `--version`: which SIMD tier was detected, what RPE_SIMD
