@@ -3,11 +3,10 @@
 // one-pass vs. rescan, sibling subtraction, tree fit) and prediction,
 // Zipf sampling, histogram construction, and the serving layer (binary
 // snapshots vs. the CSV/text persistence path, zero-copy mmap model load
-// vs. the read+decode path, concurrent MonitorService replay, the
-// session Open/Advance/Close step path, ingest push throughput and
-// TrainerLoop retrain+publish latency) — the building blocks whose cost
-// determines the (low) overhead the paper requires of progress
-// estimation.
+// vs. the read+decode path, the session Open/Advance/Close step path,
+// ingest push throughput and TrainerLoop retrain+publish latency) — the
+// building blocks whose cost determines the (low) overhead the paper
+// requires of progress estimation.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -501,9 +500,6 @@ struct ServingFixture {
                          1));
     add_run(MakeNestedLoopJoin(MakeTableScan("t_fact"),
                                MakeIndexSeek("t_dim", "d_id"), 1));
-    for (size_t s = 0; s < 64; ++s) {
-      session_runs.push_back(&runs[s % runs.size()]);
-    }
   }
 
   ~ServingFixture() { std::remove(stack_path.c_str()); }
@@ -517,7 +513,6 @@ struct ServingFixture {
   std::vector<std::string> model_texts;
   std::vector<std::unique_ptr<PhysicalPlan>> plans;
   std::vector<QueryRunResult> runs;
-  std::vector<const QueryRunResult*> session_runs;
 };
 
 ServingFixture& Serving() {
@@ -607,24 +602,6 @@ void BM_SnapshotMmapLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotMmapLoad);
-
-// Concurrent monitor serving: 64 sessions replayed through the service
-// (sharded on the global pool); items = observations scored.
-void BM_MonitorServiceReplayAll64(benchmark::State& state) {
-  auto& fx = Serving();
-  MonitorService service(fx.stack);
-  int64_t observations = 0;
-  for (auto _ : state) {
-    const auto series = service.ReplayAll(fx.session_runs);
-    observations = 0;
-    for (const auto& s : series) {
-      observations += static_cast<int64_t>(s.size());
-    }
-    benchmark::DoNotOptimize(series.data());
-  }
-  state.SetItemsProcessed(state.iterations() * observations);
-}
-BENCHMARK(BM_MonitorServiceReplayAll64);
 
 // The session step path in the replay-open call pattern: 128 sessions of
 // the fixture's runs open at once, each stepped to its end by one

@@ -4,8 +4,9 @@
 #   1. snapshot-load / serve-tcp --model on a corrupt, truncated, or
 #      missing .rpsn must exit nonzero with the Status on stderr — and
 #      must fail fast, before any workload runs.
-#   2. A malformed or out-of-range flag value exits 2 with a pointer at
-#      the docs, before any workload runs.
+#   2. A malformed or out-of-range flag value, an unknown flag, a stray
+#      positional argument or an unknown --pool value exits 2 with a
+#      pointer at the docs, before any workload runs.
 #   3. serve-tcp with the snapshot-write failpoint armed at 100% via
 #      RPE_FAILPOINTS, fed records by rpe_loadgen until a retrain is
 #      published, must still drain to exit zero, keep serving on the
@@ -101,6 +102,31 @@ expect_flag_err queries "$CLI" serve-tcp --queries banana
 expect_flag_err scale "$CLI" serve-tcp --queries 4 --scale x
 # One past the cap: the pool would start one OS thread per unit.
 expect_flag_err threads "$CLI" serve-tcp --queries 4 --scale 1 --threads 257
+
+# expect_arg_err <arg> <cmd...>: an argument the command does not read
+# exits 2 naming it and the docs, before any workload work (which logs a
+# "workload ..." line) or record load (which would exit 1). The serve-tcp
+# cases run under `timeout`: a server that accepted the argument would
+# otherwise serve until killed.
+expect_arg_err() {
+  local arg="$1"; shift
+  local err="$WORK/stderr.txt"
+  "$@" >"$WORK/stdout.txt" 2>"$err"
+  local rc=$?
+  [ "$rc" -eq 2 ] || fail "exit $rc (expected 2) from: $*"
+  grep -qF -- "$arg" "$err" && grep -q "docs/CLI.md" "$err" \
+    || fail "stderr of '$*' does not name '$arg' and the docs: $(cat "$err")"
+  if grep -q "workload" "$err"; then
+    fail "'$*' started workload work before rejecting '$arg'"
+  fi
+}
+expect_arg_err --mmap \
+  timeout 60 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --mmap
+expect_arg_err --bogus "$CLI" train --records "$MISSING" --bogus 1
+expect_arg_err "'thre'" "$CLI" train --records "$MISSING" --pool thre
+expect_arg_err "'thre'" \
+  timeout 60 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --pool thre
+expect_arg_err "'stray'" "$CLI" inspect --records "$MISSING" stray
 
 # --- serve-tcp under a 100% snapshot-write fault --------------------------
 OUT="$WORK/serve_tcp.txt"

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
 
 namespace rpe {
@@ -44,7 +43,7 @@ MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models,
                                Options options)
-    : options_(options), metrics_(options.metrics), models_(std::move(models)) {
+    : metrics_(options.metrics), models_(std::move(models)) {
   RPE_CHECK(models_ != nullptr);
   if (metrics_ == nullptr) {
     own_metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -104,43 +103,6 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
   return id;
 }
 
-Result<std::vector<MonitorService::SessionId>> MonitorService::OpenSessions(
-    std::span<const QueryRunResult* const> runs) {
-  for (const QueryRunResult* run : runs) {
-    if (run == nullptr) {
-      return Status::InvalidArgument("OpenSessions: null run");
-    }
-  }
-  std::vector<SessionId> ids(runs.size());
-  if (runs.empty()) return ids;
-  const auto start = Clock::now();
-  const std::shared_ptr<const SelectorStack> stack = models();
-  // One batched decision pass across every pipeline of every run — the
-  // same choices OpenSession makes per run, scored in full SIMD tiles.
-  const ProgressMonitor monitor(&stack->static_selector,
-                                &stack->dynamic_selector);
-  const auto decided = monitor.DecideForRuns(runs);
-  std::vector<std::shared_ptr<Session>> opened;
-  opened.reserve(runs.size());
-  uint64_t total_decisions = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    total_decisions += CountDecisions(decided[i]);
-    opened.push_back(std::make_shared<Session>(runs[i], decided[i]));
-  }
-  const uint64_t elapsed = NanosSince(start);
-  const uint64_t per_session = elapsed / runs.size();
-  for (auto& session : opened) session->elapsed_ns = per_session;
-  sessions_opened_->Inc(runs.size());
-  decisions_->Inc(total_decisions);
-  scoring_ns_->Inc(elapsed);
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    ids[i] = next_id_++;
-    sessions_.emplace(ids[i], std::move(opened[i]));
-  }
-  return ids;
-}
-
 MonitorService::Session* MonitorService::LockSession(
     SessionId id, std::unique_lock<std::mutex>* lock) const {
   std::lock_guard<std::mutex> map_lock(sessions_mu_);
@@ -197,19 +159,6 @@ Result<double> MonitorService::Progress(SessionId id, bool* done) const {
   return s->last_progress;
 }
 
-Result<bool> MonitorService::Done(SessionId id) const {
-  bool done = false;
-  RPE_RETURN_NOT_OK(Progress(id, &done).status());
-  return done;
-}
-
-void MonitorService::RecordCompletion(const Session& s) {
-  // Scoring time already accrued live (at open and per step); only the
-  // completion latency sample and count are recorded here.
-  sessions_completed_->Inc();
-  replay_latency_->Record(s.elapsed_ns);
-}
-
 Status MonitorService::CloseSession(SessionId id) {
   std::shared_ptr<Session> s;
   {
@@ -220,51 +169,18 @@ Status MonitorService::CloseSession(SessionId id) {
     sessions_.erase(it);
   }
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->next_obs >= s->run->observations.size()) RecordCompletion(*s);
+  if (s->next_obs >= s->run->observations.size()) {
+    // Scoring time already accrued at open (steps are untimed); only the
+    // completion count and latency sample are recorded here.
+    sessions_completed_->Inc();
+    replay_latency_->Record(s->elapsed_ns);
+  }
   return Status::OK();
 }
 
 size_t MonitorService::num_open_sessions() const {
   std::lock_guard<std::mutex> lock(sessions_mu_);
   return sessions_.size();
-}
-
-std::vector<std::vector<double>> MonitorService::ReplayAll(
-    std::span<const QueryRunResult* const> runs) {
-  const std::shared_ptr<const SelectorStack> stack = models();
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  std::vector<std::vector<double>> out(runs.size());
-  if (runs.empty()) return out;
-  // Decisions for every run score in one batched pass (full SIMD tiles
-  // across runs) before the per-observation replay shards across the
-  // pool. DecideForRuns is bit-identical to per-run DecideForRun, so each
-  // series stays bit-identical to the sequential
-  // ProgressMonitor::ReplayQueryProgress regardless of sharding.
-  const auto decide_start = Clock::now();
-  ProgressMonitor monitor(&stack->static_selector, &stack->dynamic_selector);
-  const auto decided = monitor.DecideForRuns(runs);
-  const uint64_t decide_ns_per_run = NanosSince(decide_start) / runs.size();
-  sessions_opened_->Inc(runs.size());
-  // Each worker accrues its own session's counters: the cells are
-  // per-thread sharded, so the parallel pass shares no lock.
-  pool->ParallelFor(runs.size(), [&](size_t i) {
-    const QueryRunResult& run = *runs[i];
-    const auto start = Clock::now();
-    ProgressMonitor::Stepper stepper(run, decided[i]);
-    std::vector<double>& series = out[i];
-    series.reserve(run.observations.size());
-    for (size_t oi = 0; oi < run.observations.size(); ++oi) {
-      series.push_back(stepper.ProgressAt(oi));
-    }
-    const uint64_t latency_ns = decide_ns_per_run + NanosSince(start);
-    decisions_->Inc(CountDecisions(decided[i]));
-    observations_scored_->Inc(run.observations.size());
-    scoring_ns_->Inc(latency_ns);
-    replay_latency_->Record(latency_ns);
-    sessions_completed_->Inc();
-  });
-  return out;
 }
 
 }  // namespace rpe

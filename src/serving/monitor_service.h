@@ -1,8 +1,8 @@
 // MonitorService: the concurrent serving front of the deployed architecture
 // (paper Figure 3). Many queries are monitored at once; each open session
 // replays one recorded run through the online select-then-revise protocol
-// of ProgressMonitor, and the service shards the per-observation scoring
-// across the shared ThreadPool.
+// of ProgressMonitor: the estimators are chosen once at OpenSession, and
+// each Advance steps one or more observations against those choices.
 //
 // Model ownership is an immutable-snapshot hot swap: the service holds a
 // std::shared_ptr<const SelectorStack>, every session makes its estimator
@@ -34,15 +34,12 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "selection/monitor.h"
 #include "serving/snapshot.h"
 
 namespace rpe {
-
-class ThreadPool;
 
 /// \brief Publish target of the online-learning loop: anything that can
 /// atomically swap in a new immutable model snapshot. MonitorService and
@@ -64,8 +61,6 @@ class ModelPublisher {
 class MonitorService : public ModelPublisher {
  public:
   struct Options {
-    /// Worker pool for ReplayAll; nullptr = the global pool.
-    ThreadPool* pool = nullptr;
     /// Registry the service's counters and replay-latency histogram live
     /// in. nullptr = a service-private registry, so tests that assert
     /// exact per-service counters stay isolated from each other.
@@ -95,22 +90,13 @@ class MonitorService : public ModelPublisher {
   /// outlive the session.
   Result<SessionId> OpenSession(const QueryRunResult* run);
 
-  /// Open many sessions in one call; returns one SessionId per run, in
-  /// order. The estimator decisions for every pipeline of every run score
-  /// through one batched ProgressMonitor::DecideForRuns pass — full SIMD
-  /// tiles across runs (common/simd.h) — and are bit-identical to opening
-  /// each session individually against the same snapshot. A null run
-  /// fails the whole call before any session is opened.
-  Result<std::vector<SessionId>> OpenSessions(
-      std::span<const QueryRunResult* const> runs);
-
   /// Advance the session by up to `max_steps` (>= 1) observations under
   /// one session lookup and one session lock, stopping early at the end
   /// of the run; returns the query progress reported at the last
   /// observation stepped. `taken`, when non-null, receives the number of
-  /// steps; `done`, when non-null, what Done() would return right after
-  /// them. OutOfRange, with no step taken, when the run's observation
-  /// stream is already exhausted. Each step is its own "advance.step"
+  /// steps; `done`, when non-null, whether the run's observation stream
+  /// is exhausted right after them. OutOfRange, with no step taken, when
+  /// the stream is already exhausted. Each step is its own "advance.step"
   /// span; rpe_observations_scored_total grows once, by the steps taken.
   /// Steps read no clock: a session driven by Advance accrues scoring
   /// time and replay latency for its decide pass at open only.
@@ -121,23 +107,15 @@ class MonitorService : public ModelPublisher {
   Result<double> Advance(SessionId id, bool* done = nullptr);
 
   /// Last reported progress (0 before the first Advance); `done`, when
-  /// non-null, receives Done() from the same lookup.
+  /// non-null, receives from the same lookup whether every observation
+  /// of the session's run has been stepped.
   Result<double> Progress(SessionId id, bool* done = nullptr) const;
-
-  /// True once every observation of the session's run has been scored.
-  Result<bool> Done(SessionId id) const;
 
   /// Close the session; a fully replayed session counts as completed and
   /// its replay latency enters rpe_replay_latency_seconds.
   Status CloseSession(SessionId id);
 
   size_t num_open_sessions() const;
-
-  /// Replay whole runs concurrently, one session per entry; out[i] is
-  /// bit-identical to ProgressMonitor::ReplayQueryProgress(*runs[i]) run
-  /// sequentially against the same snapshot.
-  std::vector<std::vector<double>> ReplayAll(
-      std::span<const QueryRunResult* const> runs);
 
   /// The registry the service's counters live in (Options::metrics, or
   /// the service-private one).
@@ -164,20 +142,17 @@ class MonitorService : public ModelPublisher {
   /// takes the session lock, so the session outlives `lock`. Returns
   /// nullptr, `lock` untouched, when no such session is open.
   Session* LockSession(SessionId id, std::unique_lock<std::mutex>* lock) const;
-  void RecordCompletion(const Session& s);
-
-  const Options options_;
 
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* sessions_opened_ = nullptr;
-  /// Fully replayed sessions (closed after the last step, or ReplayAll).
+  /// Fully replayed sessions (closed after the last step).
   obs::Counter* sessions_completed_ = nullptr;
   /// Estimator selections (initial + revised).
   obs::Counter* decisions_ = nullptr;
   obs::Counter* observations_scored_ = nullptr;
-  /// Cumulative scoring time (decide passes and ReplayAll; Advance steps
-  /// are untimed), the denominator of the rates.
+  /// Cumulative scoring time: the decide pass at open (Advance steps are
+  /// untimed), the denominator of rpe_decisions_per_sec.
   obs::Counter* scoring_ns_ = nullptr;
   /// Per-session full-replay latency, recorded at completion.
   obs::Histogram* replay_latency_ = nullptr;

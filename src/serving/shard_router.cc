@@ -1,7 +1,6 @@
 #include "serving/shard_router.h"
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace rpe {
 namespace {
@@ -19,18 +18,17 @@ uint64_t HashTicket(uint64_t x) {
 
 ShardedMonitorService::ShardedMonitorService(
     std::shared_ptr<const SelectorStack> models, Options options)
-    : options_(options), metrics_(options.metrics) {
-  RPE_CHECK_GE(options_.num_shards, 1u);
+    : metrics_(options.metrics) {
+  RPE_CHECK_GE(options.num_shards, 1u);
   RPE_CHECK(models != nullptr);
   if (metrics_ == nullptr) {
     own_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics_ = own_metrics_.get();
   }
   MonitorService::Options shard_options;
-  shard_options.pool = options_.pool;
   shard_options.metrics = metrics_;
-  shards_.reserve(options_.num_shards);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
+  shards_.reserve(options.num_shards);
+  for (size_t s = 0; s < options.num_shards; ++s) {
     shards_.push_back(
         std::make_unique<MonitorService>(models, shard_options));
   }
@@ -39,7 +37,6 @@ ShardedMonitorService::ShardedMonitorService(
   generation_ = metrics_->GetGauge("rpe_model_generation", "model generation");
   generation_->Set(0);
   decisions_ = metrics_->GetCounter("rpe_decisions_total");
-  observations_ = metrics_->GetCounter("rpe_observations_scored_total");
   scoring_ns_ = metrics_->GetCounter("rpe_scoring_time_nanoseconds_total");
   replay_latency_ = metrics_->GetHistogram("rpe_replay_latency_seconds");
   collector_id_ = metrics_->AddCollector(
@@ -110,10 +107,6 @@ Result<double> ShardedMonitorService::Progress(SessionId id, bool* done) const {
   return shards_[ShardOf(id)]->Progress(LocalId(id), done);
 }
 
-Result<bool> ShardedMonitorService::Done(SessionId id) const {
-  return shards_[ShardOf(id)]->Done(LocalId(id));
-}
-
 Status ShardedMonitorService::CloseSession(SessionId id) {
   return shards_[ShardOf(id)]->CloseSession(LocalId(id));
 }
@@ -124,42 +117,17 @@ size_t ShardedMonitorService::num_open_sessions() const {
   return n;
 }
 
-std::vector<std::vector<double>> ShardedMonitorService::ReplayAll(
-    std::span<const QueryRunResult* const> runs) {
-  const size_t n = shards_.size();
-  // Round-robin partition; each shard replays its share concurrently and
-  // results scatter back to the caller's order. Each series depends only
-  // on its own run + snapshot, so the partition never changes a result.
-  std::vector<std::vector<const QueryRunResult*>> shard_runs(n);
-  std::vector<std::vector<size_t>> shard_indices(n);
-  for (size_t i = 0; i < runs.size(); ++i) {
-    shard_runs[i % n].push_back(runs[i]);
-    shard_indices[i % n].push_back(i);
-  }
-  std::vector<std::vector<double>> out(runs.size());
-  ThreadPool* pool =
-      options_.pool != nullptr ? options_.pool : &ThreadPool::Global();
-  pool->ParallelFor(n, [&](size_t s) {
-    auto series = shards_[s]->ReplayAll(shard_runs[s]);
-    for (size_t k = 0; k < series.size(); ++k) {
-      out[shard_indices[s][k]] = std::move(series[k]);
-    }
-  });
-  return out;
-}
-
 void ShardedMonitorService::AppendDerivedSamples(
     std::vector<obs::Sample>* out) const {
   // Runs under the registry mutex: read the cells through pointers taken
   // at construction, never through Get* (which takes that mutex).
-  const obs::Histogram::Snapshot latency =
-      replay_latency_->Snap();
-  const double scoring_sec =
-      static_cast<double>(scoring_ns_->Value()) / 1e9;
-  const auto per_sec = [scoring_sec](const obs::Counter* c) {
-    return scoring_sec > 0.0 ? static_cast<double>(c->Value()) / scoring_sec
-                             : 0.0;
-  };
+  const obs::Histogram::Snapshot latency = replay_latency_->Snap();
+  // Scoring time is the decide pass at open (steps read no clock), so
+  // only decisions have a rate over it.
+  const double scoring_sec = static_cast<double>(scoring_ns_->Value()) / 1e9;
+  const double decisions_per_sec =
+      scoring_sec > 0.0 ? static_cast<double>(decisions_->Value()) / scoring_sec
+                        : 0.0;
   // table_value() in the smoke/exit scripts takes the FIRST row whose
   // label matches, so "decisions/sec" must render after the registered
   // "decisions" row, which every collector does.
@@ -172,11 +140,7 @@ void ShardedMonitorService::AppendDerivedSamples(
                                           latency.Quantile(0.95) / 1e6,
                                           "p95 replay latency (ms)"));
   out->push_back(obs::Sample::GaugeSample(
-      "rpe_decisions_per_sec", per_sec(decisions_),
-      "decisions/sec"));
-  out->push_back(obs::Sample::GaugeSample(
-      "rpe_observations_per_sec", per_sec(observations_),
-      "observations/sec"));
+      "rpe_decisions_per_sec", decisions_per_sec, "decisions/sec"));
   for (size_t i = 0; i < shards_.size(); ++i) {
     out->push_back(obs::Sample::GaugeSample(
         "rpe_shard_sessions_open",

@@ -30,21 +30,18 @@
 // and the replay-latency histogram pools every session. The router adds
 // one scrape-time collector for the values derived only when scraped:
 // rpe_shards, rpe_shard_sessions_open{shard}, p50/p95 replay latency and
-// the decisions/observations per-second rates.
+// the decisions-per-second rate.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "serving/monitor_service.h"
 
 namespace rpe {
-
-class ThreadPool;
 
 /// \brief Hash-partitioned MonitorService pool behind one service
 /// interface. All public methods are thread-safe.
@@ -54,8 +51,6 @@ class ShardedMonitorService : public ModelPublisher {
     /// Number of independent shards; must be >= 1. Powers of two give the
     /// cheapest routing but any count works.
     size_t num_shards = 4;
-    /// Worker pool for per-shard ReplayAll batches; nullptr = global.
-    ThreadPool* pool = nullptr;
     /// Registry every shard's counters live in (see file comment).
     /// nullptr = a router-private registry, for test isolation.
     obs::MetricsRegistry* metrics = nullptr;
@@ -87,23 +82,15 @@ class ShardedMonitorService : public ModelPublisher {
   /// and opens that connection's sessions on the aligned shard, so every
   /// later Advance/Progress/Close from the connection touches only locks
   /// its own IO thread already owns. The returned id routes through the
-  /// normal Advance/Progress/Close/Done calls.
+  /// normal Advance/Progress/Close calls.
   Result<SessionId> OpenSessionOnShard(const QueryRunResult* run,
                                        size_t shard);
   Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
                          bool* done);
   Result<double> Advance(SessionId id, bool* done = nullptr);
   Result<double> Progress(SessionId id, bool* done = nullptr) const;
-  Result<bool> Done(SessionId id) const;
   Status CloseSession(SessionId id);
   size_t num_open_sessions() const;  ///< sum over shards
-
-  /// Replay whole runs concurrently; out[i] is bit-identical to
-  /// ProgressMonitor::ReplayQueryProgress(*runs[i]) against the current
-  /// snapshot, regardless of shard count. Runs are spread round-robin
-  /// across shards.
-  std::vector<std::vector<double>> ReplayAll(
-      std::span<const QueryRunResult* const> runs);
 
   /// The registry every shard's counters live in (Options::metrics, or
   /// the router-private one).
@@ -120,14 +107,12 @@ class ShardedMonitorService : public ModelPublisher {
   /// The scrape-time samples (see file comment).
   void AppendDerivedSamples(std::vector<obs::Sample>* out) const;
 
-  const Options options_;
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::vector<std::unique_ptr<MonitorService>> shards_;
   obs::Gauge* generation_ = nullptr;  ///< set under swap_mu_
   /// The shards' shared cells the collector derives its samples from.
   obs::Counter* decisions_ = nullptr;
-  obs::Counter* observations_ = nullptr;
   obs::Counter* scoring_ns_ = nullptr;
   obs::Histogram* replay_latency_ = nullptr;
   int collector_id_ = 0;

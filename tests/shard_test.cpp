@@ -1,9 +1,9 @@
-// ShardedMonitorService tests: sharded replay must be bit-identical to a
-// single unsharded MonitorService at any shard/thread count (50k-session
-// stress), counter aggregation must be exact sums, routing must keep
-// per-session semantics intact, and a SwapModels publish must land on
-// every shard as one generation step even while sessions open
-// concurrently. Advance reports the done flag from its own lookup, and
+// ShardedMonitorService tests: sessions stepped through Open/Advance/Close
+// must be bit-identical to the sequential ProgressMonitor at any
+// shard/caller-thread count (50k-session stress), counter aggregation
+// must be exact sums, routing must keep per-session semantics intact, and
+// a SwapModels publish must land on every shard as one generation step
+// even while sessions open concurrently. Advance reports the done flag from its own lookup, and
 // the lock-free observation counter stays exact under concurrent steps.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/shard_router.h"
 #include "serving/snapshot.h"
@@ -23,8 +22,11 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::CounterValue;
+using ::rpe::testing::DriveSessions;
+using ::rpe::testing::ExpectedSessionCounts;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::ReadSessionCounts;
 using ::rpe::testing::SampleValue;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
@@ -86,14 +88,26 @@ class ShardedMonitorServiceTest : public ::testing::Test {
   /// Sequential reference series per distinct run (sessions cycle a small
   /// run set, so the reference is computed once per run, not per session).
   static std::vector<std::vector<double>> ReferencePerRun() {
-    ProgressMonitor monitor(&stack_->static_selector,
-                            &stack_->dynamic_selector);
+    const ProgressMonitor monitor = Monitor();
     std::vector<std::vector<double>> out;
     out.reserve(runs_->size());
     for (const QueryRunResult& run : *runs_) {
       out.push_back(monitor.ReplayQueryProgress(run));
     }
     return out;
+  }
+
+  /// Session s of SessionRuns replays run s % runs_->size().
+  static std::function<const std::vector<double>&(size_t)> Cycling(
+      const std::vector<std::vector<double>>& reference) {
+    return [&reference](size_t s) -> const std::vector<double>& {
+      return reference[s % reference.size()];
+    };
+  }
+
+  static ProgressMonitor Monitor() {
+    return ProgressMonitor(&stack_->static_selector,
+                           &stack_->dynamic_selector);
   }
 
   static Catalog* catalog_;
@@ -109,65 +123,48 @@ std::vector<std::unique_ptr<PhysicalPlan>>*
 std::shared_ptr<const SelectorStack> ShardedMonitorServiceTest::stack_;
 
 TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
-  // The acceptance bar: 50k sessions replayed through the sharded tier
-  // must be bit-identical to one unsharded MonitorService replaying the
-  // same slots, and the aggregated counters must be exact.
+  // The acceptance bar: 50k sessions stepped through the sharded tier by
+  // four caller threads must serve exactly the sequential monitor's
+  // values on one shard and on sixteen, and the aggregated counters must
+  // be exact.
   const size_t kSessions = 50000;
   const auto session_runs = SessionRuns(kSessions);
   const auto reference = ReferencePerRun();
-
-  MonitorService unsharded(stack_);
-  const auto expected = unsharded.ReplayAll(session_runs);
-  ASSERT_EQ(expected.size(), kSessions);
-  for (size_t s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(expected[s], reference[s % runs_->size()])
-        << "unsharded replay diverged from the sequential monitor";
+  const auto want = ExpectedSessionCounts(Monitor(), session_runs);
+  for (size_t shards : {size_t{1}, size_t{16}}) {
+    ShardedMonitorService::Options options;
+    options.num_shards = shards;
+    ShardedMonitorService service(stack_, options);
+    EXPECT_EQ(DriveSessions(service, session_runs, Cycling(reference), 4),
+              0u)
+        << shards << " shards";
+    // Every shard accrues into the router's registry: one cell per
+    // counter.
+    obs::MetricsRegistry& m = service.metrics();
+    EXPECT_EQ(ReadSessionCounts(m), want) << shards << " shards";
+    EXPECT_EQ(service.num_open_sessions(), 0u);
+    EXPECT_EQ(SampleValue(m, "rpe_shards"), static_cast<double>(shards));
+    EXPECT_EQ(SampleValue(m, "rpe_model_generation"), 0.0);
+    EXPECT_GE(SampleValue(m, "rpe_replay_latency_p95_ms"),
+              SampleValue(m, "rpe_replay_latency_p50_ms"));
   }
-
-  ShardedMonitorService::Options options;
-  options.num_shards = 16;
-  ShardedMonitorService sharded(stack_, options);
-  const auto series = sharded.ReplayAll(session_runs);
-  ASSERT_EQ(series.size(), kSessions);
-  for (size_t s = 0; s < kSessions; ++s) {
-    // Bit-identical, not approximately equal — and in caller order.
-    ASSERT_EQ(series[s], expected[s]) << "session " << s;
-  }
-
-  // Every shard accrues into the router's registry: one cell per counter.
-  obs::MetricsRegistry& m = sharded.metrics();
-  obs::MetricsRegistry& base = unsharded.metrics();
-  EXPECT_EQ(SampleValue(m, "rpe_shards"), 16.0);
-  EXPECT_EQ(CounterValue(m, "rpe_sessions_opened_total"), kSessions);
-  EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"), kSessions);
-  EXPECT_EQ(CounterValue(m, "rpe_decisions_total"),
-            CounterValue(base, "rpe_decisions_total"));
-  EXPECT_EQ(CounterValue(m, "rpe_observations_scored_total"),
-            CounterValue(base, "rpe_observations_scored_total"));
-  EXPECT_EQ(SampleValue(m, "rpe_model_generation"), 0.0);
-  const obs::Histogram::Snapshot latency =
-      m.GetHistogram("rpe_replay_latency_seconds")->Snap();
-  EXPECT_EQ(latency.count, kSessions);
-  EXPECT_GE(SampleValue(m, "rpe_replay_latency_p95_ms"),
-            SampleValue(m, "rpe_replay_latency_p50_ms"));
 }
 
 TEST_F(ShardedMonitorServiceTest, ReplayBitIdenticalAtAnyShardThreadCount) {
   const auto session_runs = SessionRuns(512);
   const auto reference = ReferencePerRun();
+  const auto want = ExpectedSessionCounts(Monitor(), session_runs);
   for (size_t shards : {size_t{1}, size_t{3}, size_t{16}}) {
     for (int threads : {1, 4}) {
-      ThreadPool pool(threads);
       ShardedMonitorService::Options options;
       options.num_shards = shards;
-      options.pool = &pool;
       ShardedMonitorService service(stack_, options);
-      const auto series = service.ReplayAll(session_runs);
-      ASSERT_EQ(series.size(), session_runs.size());
-      for (size_t s = 0; s < series.size(); ++s) {
-        ASSERT_EQ(series[s], reference[s % runs_->size()])
-            << shards << " shards, " << threads << " threads, session " << s;
-      }
+      EXPECT_EQ(
+          DriveSessions(service, session_runs, Cycling(reference), threads),
+          0u)
+          << shards << " shards, " << threads << " threads";
+      EXPECT_EQ(ReadSessionCounts(service.metrics()), want)
+          << shards << " shards, " << threads << " threads";
     }
   }
 }
@@ -204,9 +201,10 @@ TEST_F(ShardedMonitorServiceTest, RoutedSessionsMatchSequentialReplay) {
         ASSERT_EQ(*progress, expected[oi])
             << shards << " shards, session " << s << " obs " << oi;
       }
-      EXPECT_TRUE(*service.Done(ids[s]));
       EXPECT_FALSE(service.Advance(ids[s]).ok());  // stream exhausted
-      EXPECT_EQ(*service.Progress(ids[s]), expected.back());
+      bool done = false;
+      EXPECT_EQ(*service.Progress(ids[s], &done), expected.back());
+      EXPECT_TRUE(done);
       ASSERT_TRUE(service.CloseSession(ids[s]).ok());
     }
     EXPECT_EQ(service.num_open_sessions(), 0u);
@@ -233,15 +231,14 @@ TEST_F(ShardedMonitorServiceTest, AdvanceDoneFlagMatchesDoneAfterEveryStep) {
     bool done = true;
     auto resting = service.Progress(*id, &done);
     ASSERT_TRUE(resting.ok());
-    EXPECT_EQ(done, *service.Done(*id));
-    // The flag Advance hands back with each step is the one Done()
-    // reports right after it, from the same lookup.
+    EXPECT_FALSE(done);
+    // The flag Advance hands back with each step is the one Progress
+    // reports right after it.
     for (size_t oi = 0; oi < reference[r].size(); ++oi) {
       done = !done;  // poison: Advance must overwrite it
       auto progress = service.Advance(*id, &done);
       ASSERT_TRUE(progress.ok()) << progress.status().ToString();
       ASSERT_EQ(*progress, reference[r][oi]) << "run " << r << " obs " << oi;
-      ASSERT_EQ(done, *service.Done(*id)) << "run " << r << " obs " << oi;
       ASSERT_EQ(done, oi + 1 == reference[r].size());
       bool progress_done = !done;
       ASSERT_EQ(*service.Progress(*id, &progress_done), *progress);
@@ -249,7 +246,8 @@ TEST_F(ShardedMonitorServiceTest, AdvanceDoneFlagMatchesDoneAfterEveryStep) {
     }
     auto exhausted = service.Advance(*id, &done);
     EXPECT_EQ(exhausted.status().code(), StatusCode::kOutOfRange);
-    EXPECT_TRUE(*service.Done(*id));
+    ASSERT_TRUE(service.Progress(*id, &done).ok());
+    EXPECT_TRUE(done);
     ASSERT_TRUE(service.CloseSession(*id).ok());
   }
 }
@@ -294,8 +292,9 @@ TEST_F(ShardedMonitorServiceTest, MultiStepAdvanceMatchesSingleSteps) {
         if (!got.ok()) break;
         ASSERT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0) << at;
         ASSERT_EQ(done, want_done) << at;
-        ASSERT_EQ(done, *multi.Done(*b)) << at;
-        ASSERT_EQ(*multi.Progress(*b), want) << at;
+        bool progress_done = !done;
+        ASSERT_EQ(*multi.Progress(*b, &progress_done), want) << at;
+        ASSERT_EQ(progress_done, done) << at;
         const size_t end = std::min(reference[r].size(), (request + 1) * k);
         ASSERT_EQ(want, reference[r][end - 1]) << at;
       }
@@ -383,54 +382,6 @@ TEST_F(ShardedMonitorServiceTest, ConcurrentAdvanceCountsEveryStepExactly) {
             latency.Quantile(0.95) / 1e6);
 }
 
-TEST_F(ShardedMonitorServiceTest, BatchOpenSessionsMatchesPerSessionOpens) {
-  // OpenSessions makes every decision through the SIMD-batched
-  // DecideForRuns pass; the sessions it opens must replay bit-identically
-  // to sessions opened one at a time, and the counters must be exact.
-  const auto reference = ReferencePerRun();
-  const size_t kSessions = 37;  // not a tile multiple: exercises the tail
-  const auto session_runs = SessionRuns(kSessions);
-
-  MonitorService service(stack_);
-  auto ids = service.OpenSessions(session_runs);
-  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
-  ASSERT_EQ(ids->size(), kSessions);
-  EXPECT_EQ(service.num_open_sessions(), kSessions);
-
-  MonitorService one_by_one(stack_);
-  uint64_t want_decisions = 0;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ASSERT_TRUE(one_by_one.OpenSession(session_runs[s]).ok());
-  }
-  want_decisions = CounterValue(one_by_one.metrics(), "rpe_decisions_total");
-  EXPECT_EQ(CounterValue(service.metrics(), "rpe_decisions_total"),
-            want_decisions);
-  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_opened_total"),
-            kSessions);
-
-  for (size_t s = 0; s < kSessions; ++s) {
-    const auto& expected = reference[s % runs_->size()];
-    for (size_t oi = 0; oi < expected.size(); ++oi) {
-      auto progress = service.Advance((*ids)[s]);
-      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
-      ASSERT_EQ(*progress, expected[oi]) << "session " << s << " obs " << oi;
-    }
-    EXPECT_TRUE(*service.Done((*ids)[s]));
-  }
-
-  // A null run poisons the whole batch before any session is opened.
-  std::vector<const QueryRunResult*> with_null = SessionRuns(3);
-  with_null.push_back(nullptr);
-  MonitorService strict(stack_);
-  EXPECT_FALSE(strict.OpenSessions(with_null).ok());
-  EXPECT_EQ(strict.num_open_sessions(), 0u);
-
-  // An empty batch is a clean no-op.
-  auto empty = service.OpenSessions({});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
 TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   auto other = std::make_shared<const SelectorStack>(
       TrainSmallStack(RandomRecords(80, 23), 41));
@@ -486,12 +437,16 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   EXPECT_EQ(service.model_generation(), kSwaps);
   EXPECT_GT(opened.load(), 0u);
 
-  // Sessions opened after the swaps decide against the final snapshot.
-  ProgressMonitor swapped(&stack_->static_selector,
-                          &stack_->dynamic_selector);
-  const std::vector<const QueryRunResult*> one{&(*runs_)[0]};
-  EXPECT_EQ(service.ReplayAll(one)[0],
-            swapped.ReplayQueryProgress((*runs_)[0]));
+  // Sessions opened after the swaps decide against the final snapshot
+  // (generation kSwaps is even: stack_).
+  const auto reference = ReferencePerRun();
+  const auto session_runs = SessionRuns(runs_->size());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(
+        DriveSessions(service, session_runs, Cycling(reference), threads),
+        0u)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

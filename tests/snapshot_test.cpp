@@ -1,7 +1,8 @@
 // Serving-layer tests: binary snapshot round-trips (bit-exact scores and
 // byte-exact re-encodes), corruption/truncation rejection, and MonitorService
-// concurrency — replayed progress series must be bit-identical to the
-// sequential ProgressMonitor at any thread count.
+// concurrency — sessions stepped through Open/Advance/Close must serve
+// values bit-identical to the sequential ProgressMonitor at any caller
+// thread count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +11,6 @@
 
 #include "common/crc32.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "serving/monitor_service.h"
 #include "serving/snapshot.h"
@@ -20,8 +20,11 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::CounterValue;
+using ::rpe::testing::DriveSessions;
+using ::rpe::testing::ExpectedSessionCounts;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
+using ::rpe::testing::ReadSessionCounts;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -282,25 +285,25 @@ TEST_F(MonitorServiceTest, ConcurrentReplayIsBitIdenticalAtAnyThreadCount) {
   const auto session_runs = SessionRuns(64);
   const auto expected = SequentialSeries(session_runs);
 
+  const ProgressMonitor monitor(&stack_->static_selector,
+                                &stack_->dynamic_selector);
+  const auto want = ExpectedSessionCounts(monitor, session_runs);
+  EXPECT_GT(want.decisions, 0u);
+
   for (int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    MonitorService::Options options;
-    options.pool = &pool;
-    MonitorService service(stack_, options);
-    const auto series = service.ReplayAll(session_runs);
-    ASSERT_EQ(series.size(), expected.size());
-    for (size_t s = 0; s < series.size(); ++s) {
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(series[s], expected[s])
-          << "session " << s << " at " << threads << " threads";
-    }
+    MonitorService service(stack_);
+    EXPECT_EQ(DriveSessions(
+                  service, session_runs,
+                  [&](size_t s) -> const std::vector<double>& {
+                    return expected[s];
+                  },
+                  threads),
+              0u)
+        << threads << " threads";
     obs::MetricsRegistry& m = service.metrics();
-    EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"),
-              session_runs.size());
-    EXPECT_GT(CounterValue(m, "rpe_decisions_total"), 0u);
+    EXPECT_EQ(ReadSessionCounts(m), want) << threads << " threads";
     const obs::Histogram::Snapshot latency =
         m.GetHistogram("rpe_replay_latency_seconds")->Snap();
-    EXPECT_EQ(latency.count, session_runs.size());
     EXPECT_GE(latency.Quantile(0.95), latency.Quantile(0.50));
   }
 }
@@ -315,16 +318,17 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
   auto id = service.OpenSession(&run);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
   EXPECT_EQ(service.num_open_sessions(), 1u);
+  bool done = true;
   for (size_t oi = 0; oi < expected.size(); ++oi) {
-    auto done = service.Done(*id);
-    ASSERT_TRUE(done.ok());
-    EXPECT_FALSE(*done);
+    ASSERT_TRUE(service.Progress(*id, &done).ok());
+    EXPECT_FALSE(done);
     auto progress = service.Advance(*id);
     ASSERT_TRUE(progress.ok()) << progress.status().ToString();
     EXPECT_EQ(*progress, expected[oi]) << "observation " << oi;
     EXPECT_EQ(*service.Progress(*id), expected[oi]);
   }
-  EXPECT_TRUE(*service.Done(*id));
+  ASSERT_TRUE(service.Progress(*id, &done).ok());
+  EXPECT_TRUE(done);
   EXPECT_FALSE(service.Advance(*id).ok());  // stream exhausted
   ASSERT_TRUE(service.CloseSession(*id).ok());
   EXPECT_EQ(service.num_open_sessions(), 0u);
@@ -355,9 +359,17 @@ TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {
   ASSERT_TRUE(service.CloseSession(*id).ok());
 
   // New sessions decide against the swapped-in models.
-  const std::vector<const QueryRunResult*> one{&run};
+  const std::vector<const QueryRunResult*> runs(4, &run);
   ProgressMonitor swapped(&other->static_selector, &other->dynamic_selector);
-  EXPECT_EQ(service.ReplayAll(one)[0], swapped.ReplayQueryProgress(run));
+  const auto want = swapped.ReplayQueryProgress(run);
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(DriveSessions(
+                  service, runs,
+                  [&](size_t) -> const std::vector<double>& { return want; },
+                  threads),
+              0u)
+        << threads << " threads";
+  }
 }
 
 TEST_F(MonitorServiceTest, InvalidSessionsAreErrors) {
@@ -365,7 +377,6 @@ TEST_F(MonitorServiceTest, InvalidSessionsAreErrors) {
   EXPECT_FALSE(service.OpenSession(nullptr).ok());
   EXPECT_FALSE(service.Advance(99).ok());
   EXPECT_FALSE(service.Progress(99).ok());
-  EXPECT_FALSE(service.Done(99).ok());
   EXPECT_FALSE(service.CloseSession(99).ok());
 }
 

@@ -1,15 +1,24 @@
 // Shared fixtures for the test suite: a tiny deterministic catalog with
-// known contents so operator results can be checked against brute force.
+// known contents so operator results can be checked against brute force,
+// and a helper that steps serving sessions and checks them bit for bit
+// against the sequential monitor.
 #pragma once
 
+#include <atomic>
+#include <bit>
+#include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "mart/dataset.h"
 #include "mart/mart.h"
 #include "obs/metrics.h"
+#include "selection/monitor.h"
 #include "selection/record.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
@@ -119,6 +128,80 @@ inline double SampleValue(const obs::MetricsRegistry& registry,
   }
   RPE_CHECK(false) << "no sample named " << name;
   return 0.0;
+}
+
+/// The session counters a MonitorService or ShardedMonitorService
+/// accrues into its registry.
+struct SessionCounts {
+  uint64_t opened = 0;
+  uint64_t completed = 0;
+  uint64_t decisions = 0;
+  uint64_t observations = 0;
+  uint64_t latencies = 0;  ///< rpe_replay_latency_seconds sample count
+  bool operator==(const SessionCounts&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const SessionCounts& c) {
+    return os << "{opened " << c.opened << ", completed " << c.completed
+              << ", decisions " << c.decisions << ", observations "
+              << c.observations << ", latencies " << c.latencies << "}";
+  }
+};
+
+inline SessionCounts ReadSessionCounts(obs::MetricsRegistry& registry) {
+  return {CounterValue(registry, "rpe_sessions_opened_total"),
+          CounterValue(registry, "rpe_sessions_completed_total"),
+          CounterValue(registry, "rpe_decisions_total"),
+          CounterValue(registry, "rpe_observations_scored_total"),
+          registry.GetHistogram("rpe_replay_latency_seconds")->Snap().count};
+}
+
+/// What opening one session per entry of `runs`, stepping it to the end
+/// and closing it must accrue, with decisions made by `monitor`.
+inline SessionCounts ExpectedSessionCounts(
+    const ProgressMonitor& monitor,
+    std::span<const QueryRunResult* const> runs) {
+  SessionCounts c;
+  c.opened = c.completed = c.latencies = runs.size();
+  for (const QueryRunResult* run : runs) {
+    for (const auto& d : monitor.DecideForRun(*run)) {
+      c.decisions += 1 + (d.revised_choice.has_value() ? 1 : 0);
+    }
+    c.observations += run->observations.size();
+  }
+  return c;
+}
+
+/// Steps session s over *runs[s] through the one serving path —
+/// OpenSession, one Advance per observation, CloseSession — with the
+/// sessions spread over `threads` caller threads by ParallelFor. Every
+/// served value must equal expected(s) bit for bit, the done flag must
+/// turn on at the last step only, and one more Advance must report the
+/// stream exhausted. Returns the number of sessions that broke any of
+/// that (0 = all bit-identical).
+template <typename Service>
+size_t DriveSessions(
+    Service& service, std::span<const QueryRunResult* const> runs,
+    const std::function<const std::vector<double>&(size_t)>& expected,
+    int threads) {
+  ThreadPool pool(threads);
+  std::atomic<size_t> broken{0};
+  pool.ParallelFor(runs.size(), [&](size_t s) {
+    const std::vector<double>& want = expected(s);
+    const auto id = service.OpenSession(runs[s]);
+    bool same = id.ok() && want.size() == runs[s]->observations.size();
+    for (size_t oi = 0; same && oi < want.size(); ++oi) {
+      bool done = false;
+      const auto got = service.Advance(*id, &done);
+      same = got.ok() &&
+             std::bit_cast<uint64_t>(*got) ==
+                 std::bit_cast<uint64_t>(want[oi]) &&
+             done == (oi + 1 == want.size());
+    }
+    same = same &&
+           service.Advance(*id).status().code() == StatusCode::kOutOfRange &&
+           service.CloseSession(*id).ok();
+    if (!same) broken.fetch_add(1);
+  });
+  return broken.load();
 }
 
 }  // namespace rpe::testing

@@ -42,19 +42,20 @@
 // See docs/CLI.md for the full flag reference. All commands accept
 // --threads N (0..256) to size the training/selection worker pool
 // (default: RPE_NUM_THREADS env var, else hardware concurrency). Trained
-// models are identical at any thread count. A malformed or out-of-range
-// numeric flag exits 2 before any workload runs.
+// models are identical at any thread count. An unknown flag, a stray
+// positional argument, or a malformed or out-of-range value exits 2
+// before any workload runs.
 #include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 
@@ -76,24 +77,56 @@
 namespace rpe {
 namespace {
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[arg] = argv[++i];
+using Flags = std::map<std::string, std::string>;
+
+constexpr std::string_view kDocsHint = "; see docs/CLI.md or rpe_cli --help";
+
+/// One subcommand: its handler and the only flags it accepts besides the
+/// common --threads. `flags` each take a value; `switches` take none.
+struct Command {
+  std::string_view name;
+  std::string_view summary;  ///< its --help line
+  int (*run)(const Flags&);
+  std::vector<std::string_view> flags;
+  std::vector<std::string_view> switches;
+};
+
+/// Parses `--name value` pairs and `--switch`es after the command word.
+/// Anything the command does not accept — an unknown flag, a positional
+/// word, a value flag without its value — is an error naming it.
+Result<Flags> ParseFlags(const Command& command, int argc, char** argv) {
+  const auto accepts = [](const std::vector<std::string_view>& names,
+                          std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  const std::string where = " for rpe_cli " + std::string(command.name);
+  Flags flags;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      return Status::InvalidArgument("unexpected argument '" +
+                                     std::string(arg) + "'" + where +
+                                     std::string(kDocsHint));
+    }
+    const std::string name(arg.substr(2));
+    if (accepts(command.switches, name)) {
+      flags[name] = "true";
+    } else if (name == "threads" || accepts(command.flags, name)) {
+      if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        return Status::InvalidArgument("flag --" + name + " needs a value" +
+                                       std::string(kDocsHint));
+      }
+      flags[name] = argv[++i];
     } else {
-      flags[arg] = "true";
+      return Status::InvalidArgument("unknown flag --" + name + where +
+                                     std::string(kDocsHint));
     }
   }
   return flags;
 }
 
-std::string FlagOr(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
+std::string FlagOr(const Flags& flags, const std::string& key,
+                   const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
 }
@@ -113,19 +146,23 @@ Result<TuningLevel> ParseTuning(const std::string& s) {
   return Status::InvalidArgument("unknown tuning level: " + s);
 }
 
-std::vector<size_t> ParsePool(const std::string& s) {
+/// Candidate estimator pool (--pool, default six).
+Result<std::vector<size_t>> ParsePool(const Flags& flags) {
+  const std::string s = FlagOr(flags, "pool", "six");
   if (s == "three") return PoolOriginalThree();
+  if (s == "six") return PoolSix();
   if (s == "all") return PoolAll();
-  return PoolSix();
+  return Status::InvalidArgument("invalid --pool value '" + s +
+                                 "' (expected three, six or all)" +
+                                 std::string(kDocsHint));
 }
 
 /// Strictly-parsed numeric flag in [min, max]: a typo'd or out-of-range
 /// value must fail loudly with a hint, not std::sto* its way into a
 /// nonsense configuration (or an uncaught exception).
 template <typename T>
-Result<T> ParseNumberFlag(const std::map<std::string, std::string>& flags,
-                          const std::string& key, const std::string& fallback,
-                          T min, T max) {
+Result<T> ParseNumberFlag(const Flags& flags, const std::string& key,
+                          const std::string& fallback, T min, T max) {
   const std::string raw = FlagOr(flags, key, fallback);
   T value{};
   size_t consumed = 0;
@@ -147,30 +184,28 @@ Result<T> ParseNumberFlag(const std::map<std::string, std::string>& flags,
     std::ostringstream msg;
     msg << "invalid --" << key << " value '" << raw << "' (expected "
         << (std::is_integral_v<T> ? "an integer" : "a number") << " in ["
-        << min << ", " << max << "]); see docs/CLI.md or rpe_cli --help";
+        << min << ", " << max << "])" << kDocsHint;
     return Status::InvalidArgument(msg.str());
   }
   return value;
 }
 
-Result<size_t> ParseSizeFlag(const std::map<std::string, std::string>& flags,
-                             const std::string& key,
+Result<size_t> ParseSizeFlag(const Flags& flags, const std::string& key,
                              const std::string& fallback, size_t min,
                              size_t max) {
   return ParseNumberFlag<size_t>(flags, key, fallback, min, max);
 }
 
 /// Boosting iterations per candidate model (--trees).
-Result<size_t> ParseTrees(const std::map<std::string, std::string>& flags,
-                          const std::string& fallback) {
+Result<size_t> ParseTrees(const Flags& flags, const std::string& fallback) {
   return ParseSizeFlag(flags, "trees", fallback, 1, 1 << 16);
 }
 
 /// Shared workload flags (kind/name/scale/zipf/tuning/queries/seed);
 /// per-command defaults differ only in scale and query count.
-Result<WorkloadConfig> ParseWorkloadFlags(
-    const std::map<std::string, std::string>& flags,
-    const std::string& default_scale, const std::string& default_queries) {
+Result<WorkloadConfig> ParseWorkloadFlags(const Flags& flags,
+                                          const std::string& default_scale,
+                                          const std::string& default_queries) {
   WorkloadConfig config;
   RPE_ASSIGN_OR_RETURN(config.kind, ParseKind(FlagOr(flags, "kind", "tpch")));
   config.name = FlagOr(flags, "name", FlagOr(flags, "kind", "tpch"));
@@ -201,7 +236,7 @@ Result<std::vector<PipelineRecord>> LoadRecordsAuto(const std::string& path) {
   return LoadRecords(path);
 }
 
-int CmdRun(const std::map<std::string, std::string>& flags) {
+int CmdRun(const Flags& flags) {
   auto config = ParseWorkloadFlags(flags, /*default_scale=*/"10",
                                    /*default_queries=*/"200");
   if (!config.ok()) {
@@ -231,11 +266,14 @@ int CmdRun(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdTrain(const std::map<std::string, std::string>& flags) {
+int CmdTrain(const Flags& flags) {
   auto trees = ParseTrees(flags, "200");
-  if (!trees.ok()) {
-    std::cerr << trees.status().ToString() << "\n";
-    return 2;
+  auto pool = ParsePool(flags);
+  for (const Status& st : {trees.status(), pool.status()}) {
+    if (!st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 2;
+    }
   }
   auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
   if (!records.ok()) {
@@ -244,8 +282,7 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   }
   MartParams params = EstimatorSelector::DefaultParams();
   params.num_trees = static_cast<int>(*trees);
-  const SelectorStack stack = SelectorStack::Train(
-      *records, ParsePool(FlagOr(flags, "pool", "six")), params);
+  const SelectorStack stack = SelectorStack::Train(*records, *pool, params);
 
   const std::string out = FlagOr(flags, "out", "stack.rpsn");
   const Status save = SaveSelectorStack(stack, out);
@@ -260,11 +297,14 @@ int CmdTrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdEvaluate(const std::map<std::string, std::string>& flags) {
+int CmdEvaluate(const Flags& flags) {
   auto trees = ParseTrees(flags, "100");
-  if (!trees.ok()) {
-    std::cerr << trees.status().ToString() << "\n";
-    return 2;
+  auto parsed_pool = ParsePool(flags);
+  for (const Status& st : {trees.status(), parsed_pool.status()}) {
+    if (!st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 2;
+    }
   }
   auto train = LoadRecordsAuto(FlagOr(flags, "train", "train.csv"));
   auto test = LoadRecordsAuto(FlagOr(flags, "test", "test.csv"));
@@ -272,7 +312,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
     std::cerr << "failed to load records\n";
     return 1;
   }
-  const auto pool = ParsePool(FlagOr(flags, "pool", "six"));
+  const std::vector<size_t>& pool = *parsed_pool;
   const bool dynamic = flags.count("dynamic") > 0;
   MartParams params = EstimatorSelector::DefaultParams();
   params.num_trees = static_cast<int>(*trees);
@@ -295,7 +335,7 @@ int CmdEvaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdInspect(const std::map<std::string, std::string>& flags) {
+int CmdInspect(const Flags& flags) {
   auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
@@ -320,7 +360,7 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdSnapshotSave(const std::map<std::string, std::string>& flags) {
+int CmdSnapshotSave(const Flags& flags) {
   auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
@@ -337,7 +377,7 @@ int CmdSnapshotSave(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdSnapshotLoad(const std::map<std::string, std::string>& flags) {
+int CmdSnapshotLoad(const Flags& flags) {
   const std::string in = FlagOr(flags, "in", "records.rpsn");
   auto bytes = ReadSnapshotFile(in);
   if (!bytes.ok()) {
@@ -428,8 +468,7 @@ Status ExecuteServingWorkload(const WorkloadConfig& config,
 /// run — so a corrupt, truncated, or missing file fails in milliseconds
 /// with its Status on stderr and a nonzero exit. Returns nullptr when no
 /// --model flag was given (the stack is trained post-workload instead).
-Result<std::shared_ptr<const SelectorStack>> PreloadModel(
-    const std::map<std::string, std::string>& flags) {
+Result<std::shared_ptr<const SelectorStack>> PreloadModel(const Flags& flags) {
   if (flags.count("model") == 0) {
     return std::shared_ptr<const SelectorStack>(nullptr);
   }
@@ -462,7 +501,7 @@ volatile std::sig_atomic_t g_serve_tcp_stop = 0;
 
 void ServeTcpSignalHandler(int) { g_serve_tcp_stop = 1; }
 
-int CmdServeTcp(const std::map<std::string, std::string>& flags) {
+int CmdServeTcp(const Flags& flags) {
   auto parsed = ParseWorkloadFlags(flags, /*default_scale=*/"5",
                                    /*default_queries=*/"40");
   if (!parsed.ok()) {
@@ -497,12 +536,13 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   auto metrics_port = ParseSizeFlag(flags, "metrics-port", "0", 0, 65535);
   const std::string trace_out = FlagOr(flags, "trace-out", "");
   auto slow_ms = ParseSizeFlag(flags, "slow-ms", "0", 0, 1 << 24);
+  auto parsed_pool = ParsePool(flags);
   for (const Status& st :
        {shards.status(), trees.status(), port.status(), io_threads.status(),
         queue_cap.status(), retrain_every.status(), corpus_cap.status(),
         max_inflight.status(), conn_inflight.status(),
-        ingest_watermark.status(), metrics_port.status(),
-        slow_ms.status()}) {
+        ingest_watermark.status(), metrics_port.status(), slow_ms.status(),
+        parsed_pool.status()}) {
     if (!st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 2;
@@ -524,7 +564,7 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
 
   MartParams params = EstimatorSelector::DefaultParams();
   params.num_trees = static_cast<int>(*trees);
-  const std::vector<size_t> pool = ParsePool(FlagOr(flags, "pool", "six"));
+  const std::vector<size_t>& pool = *parsed_pool;
   std::shared_ptr<const SelectorStack> stack =
       InitialStack(*preloaded, records, pool, params);
 
@@ -629,31 +669,60 @@ int CmdServeTcp(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-void PrintUsage(std::ostream& out) {
-  out << "usage: rpe_cli <command> [--flags]   (see docs/CLI.md)\n"
-         "commands:\n"
-         "  run            execute a workload and write pipeline records\n"
-         "  train          train the selector stack, write a .rpsn model\n"
-         "  evaluate       train on one record set, score another\n"
-         "  inspect        summarize a record set\n"
-         "  snapshot-save  convert CSV records to a binary snapshot\n"
-         "  snapshot-load  verify + describe a snapshot\n"
-         "  serve-tcp      epoll TCP front-end over the monitor tier\n"
-         "  version        build + SIMD dispatch report (also --version)\n"
-         "common flags: --threads N (0..256); serve-tcp also takes --shards N\n"
-         "(sharded session routing) and --model x.rpsn (mapped snapshot\n"
-         "load)\n";
-}
-
 /// `version` / `--version`: which SIMD tier was detected, what RPE_SIMD
 /// resolved to, and which implementation each dispatched kernel bound —
 /// the observable surface of common/simd.h (tests/simd_test.cpp asserts
 /// on the same KernelReport string).
-int CmdVersion() {
+int CmdVersion(const Flags&) {
   std::cout << "rpe_cli (journals_pvldb_KonigDCN11 reproduction)\n"
             << "simd: detected=" << simd::TierName(simd::DetectedTier())
             << " " << simd::KernelReport() << "\n";
   return 0;
+}
+
+/// Every subcommand with the flags it accepts: the one place a flag is
+/// declared (docs/CLI.md documents each of them).
+const std::vector<Command>& Commands() {
+  static const std::vector<std::string_view> kWorkload = {
+      "kind", "name", "scale", "zipf", "tuning", "queries", "seed"};
+  const auto with_workload = [](std::vector<std::string_view> names) {
+    names.insert(names.begin(), kWorkload.begin(), kWorkload.end());
+    return names;
+  };
+  static const std::vector<Command> commands = {
+      {"run", "execute a workload and write pipeline records", CmdRun,
+       with_workload({"out", "tag"}), {"binary"}},
+      {"train", "train the selector stack, write a .rpsn model", CmdTrain,
+       {"records", "pool", "trees", "out"}, {}},
+      {"evaluate", "train on one record set, score another", CmdEvaluate,
+       {"train", "test", "pool", "trees"}, {"dynamic"}},
+      {"inspect", "summarize a record set", CmdInspect, {"records"}, {}},
+      {"snapshot-save", "convert CSV records to a binary snapshot",
+       CmdSnapshotSave, {"records", "out"}, {}},
+      {"snapshot-load", "verify + describe a snapshot", CmdSnapshotLoad,
+       {"in", "out"}, {}},
+      {"serve-tcp", "epoll TCP front-end over the monitor tier", CmdServeTcp,
+       with_workload({"port", "shards", "io-threads", "model", "trees",
+                      "pool", "queue-cap", "retrain-every", "corpus-cap",
+                      "snapshot-out", "max-inflight", "conn-inflight",
+                      "ingest-watermark", "metrics-port", "trace-out",
+                      "slow-ms"}),
+       {}},
+      {"version", "build + SIMD dispatch report (also --version)", CmdVersion,
+       {}, {}},
+  };
+  return commands;
+}
+
+void PrintUsage(std::ostream& out) {
+  out << "usage: rpe_cli <command> [--flags]   (see docs/CLI.md)\n"
+         "commands:\n";
+  for (const Command& c : Commands()) {
+    out << "  " << std::left << std::setw(15) << c.name << c.summary << "\n";
+  }
+  out << "common flags: --threads N (0..256); serve-tcp also takes --shards N\n"
+         "(sharded session routing) and --model x.rpsn (mapped snapshot\n"
+         "load)\n";
 }
 
 int Main(int argc, char** argv) {
@@ -661,16 +730,28 @@ int Main(int argc, char** argv) {
     PrintUsage(std::cerr);
     return 2;
   }
-  const std::string cmd = argv[1];
-  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+  const std::string_view word = argv[1];
+  if (word == "--help" || word == "-h" || word == "help") {
     PrintUsage(std::cout);
     return 0;
   }
-  if (cmd == "version" || cmd == "--version") return CmdVersion();
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (flags.count("threads") > 0) {
+  const std::string_view wanted = word == "--version" ? "version" : word;
+  const auto& commands = Commands();
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [wanted](const Command& c) { return c.name == wanted; });
+  if (command == commands.end()) {
+    std::cerr << "unknown command: " << word << kDocsHint << "\n";
+    return 2;
+  }
+  const auto flags = ParseFlags(*command, argc, argv);
+  if (!flags.ok()) {
+    std::cerr << flags.status().ToString() << "\n";
+    return 2;
+  }
+  if (flags->count("threads") > 0) {
     // Capped like --io-threads: every pool thread is an OS thread.
-    auto threads = ParseSizeFlag(flags, "threads", "0", 0, 256);
+    auto threads = ParseSizeFlag(*flags, "threads", "0", 0, 256);
     if (!threads.ok()) {
       std::cerr << threads.status().ToString() << "\n";
       return 2;
@@ -686,15 +767,7 @@ int Main(int argc, char** argv) {
     // prefix (timestamp/level/tid) is additive, never a replacement.
     RPE_LOG_INFO << "failpoints armed:" << names;
   }
-  if (cmd == "run") return CmdRun(flags);
-  if (cmd == "train") return CmdTrain(flags);
-  if (cmd == "evaluate") return CmdEvaluate(flags);
-  if (cmd == "inspect") return CmdInspect(flags);
-  if (cmd == "snapshot-save") return CmdSnapshotSave(flags);
-  if (cmd == "snapshot-load") return CmdSnapshotLoad(flags);
-  if (cmd == "serve-tcp") return CmdServeTcp(flags);
-  std::cerr << "unknown command: " << cmd << "\n";
-  return 2;
+  return command->run(*flags);
 }
 
 }  // namespace
