@@ -112,13 +112,14 @@ struct TcpServer::Connection {
   int fd = -1;
   size_t shard = 0;  ///< every session of this connection opens here
   FrameDecoder decoder;
-  /// Frames decoded but not yet dispatched. Dispatch stops at a deferred
-  /// Advance (response order is per-connection FIFO) and while reads are
-  /// paused by backpressure.
+  /// Frames decoded but not yet dispatched. Dispatch stops at the first
+  /// frame that cannot join this connection's Advance run (response order
+  /// is per-connection FIFO) and while reads are paused by backpressure.
   std::deque<InboxEntry> inbox;
-  /// True while this connection has an Advance in the IO thread's batch;
-  /// later frames wait so responses keep request order.
-  bool advancing = false;
+  /// Summed max_steps of this connection's Advance run in the IO thread's
+  /// batch (see JoinAdvanceRun); nonzero holds every frame that cannot
+  /// join the run until the batch has answered it.
+  uint32_t run_steps = 0;
   std::string wbuf;
   size_t woff = 0;  ///< flushed prefix of wbuf
   bool want_write = false;   ///< EPOLLOUT armed
@@ -599,21 +600,13 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       return;
     }
     case MsgType::kAdvance: {
+      // A well-formed Advance always joins its connection's run (the
+      // first request of a run always fits; see JoinAdvanceRun), so only
+      // a malformed one reaches here.
       const auto req = DecodeAdvanceRequest(frame.payload);
-      if (!req.ok()) {
-        c_.protocol_errors->Inc();
-        SendFrame(io, conn,
-                  EncodeErrorFrame(MsgType::kAdvance, req.status()));
-        return;
-      }
-      AdvanceWork work;
-      work.conn = conn;
-      work.session = req->session_id;
-      work.trace_id = entry.trace_id;
-      work.recv_ns = entry.recv_ns;
-      work.budget = req->max_steps;
-      conn->advancing = true;  // holds later frames until answered
-      io->batch.push_back(work);
+      RPE_DCHECK(!req.ok());
+      c_.protocol_errors->Inc();
+      SendFrame(io, conn, EncodeErrorFrame(MsgType::kAdvance, req.status()));
       return;
     }
     case MsgType::kProgress: {
@@ -778,9 +771,38 @@ void TcpServer::IngestRecords(IoThread* io, Connection* conn, MsgType type,
   SendFrame(io, conn, EncodeIngestResponse(type, resp));
 }
 
+bool TcpServer::JoinAdvanceRun(IoThread* io, Connection* conn,
+                               const InboxEntry& entry) {
+  if (entry.shed || entry.frame.type != MsgType::kAdvance) return false;
+  const auto req = DecodeAdvanceRequest(entry.frame.payload);
+  // A decoded max_steps is at most kMaxAdvanceSteps, so the first request
+  // of a run always fits.
+  if (!req.ok() || req->max_steps > kMaxAdvanceSteps - conn->run_steps) {
+    return false;
+  }
+  obs::TraceSpan route_span("shard.route", entry.trace_id, conn->shard);
+  AdvanceWork work;
+  work.conn = conn;
+  work.session = req->session_id;
+  work.trace_id = entry.trace_id;
+  work.recv_ns = entry.recv_ns;
+  work.budget = req->max_steps;
+  io->batch.push_back(work);
+  conn->run_steps += req->max_steps;
+  return true;
+}
+
 void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
-  while (!conn->inbox.empty() && !conn->advancing && !conn->paused_read &&
-         !conn->dead) {
+  uint64_t released = 0;  // admitted frames leaving the inbox
+  while (!conn->inbox.empty() && !conn->paused_read && !conn->dead) {
+    if (JoinAdvanceRun(io, conn, conn->inbox.front())) {
+      conn->inbox.pop_front();
+      ++released;
+      continue;
+    }
+    // Any other frame ends the run and waits until the batch has answered
+    // it, so responses keep request order.
+    if (conn->run_steps > 0) break;
     const InboxEntry entry = std::move(conn->inbox.front());
     conn->inbox.pop_front();
     if (entry.shed) {
@@ -789,8 +811,7 @@ void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
                     MonotonicNanos(), 0);
       continue;
     }
-    inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-    const MsgType type = entry.frame.type;
+    ++released;
     obs::SlowScratch::BeginRequest();
     {
       // Child spans opened while handling (shard route, service calls)
@@ -798,12 +819,11 @@ void TcpServer::DispatchInbox(IoThread* io, Connection* conn) {
       obs::TraceContext::Scope scope(entry.trace_id);
       HandleFrame(io, conn, entry);
     }
-    // A kAdvance defers into the batch; its root span and latency sample
-    // are recorded when RunAdvanceBatch answers it.
-    if (!conn->advancing) {
-      FinishRequest(SpanNameFor(type), entry.trace_id, entry.recv_ns,
-                    MonotonicNanos(), 0);
-    }
+    FinishRequest(SpanNameFor(entry.frame.type), entry.trace_id,
+                  entry.recv_ns, MonotonicNanos(), 0);
+  }
+  if (released > 0) {
+    inflight_total_.fetch_sub(released, std::memory_order_relaxed);
   }
 }
 
@@ -829,8 +849,11 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
   // Each request steps its session up to its budget (bounded by the
   // kMaxAdvanceSteps cap the decoder enforces) in one service call: one
   // session lookup and lock per request, stopping early when the replay
-  // is exhausted.
+  // is exhausted. A connection's run is contiguous and in request order,
+  // so a session it names twice is stepped twice, in that order.
   std::vector<AdvanceWork>& batch = io->batch;
+  obs::SlowScratch::BeginRequest();
+  uint64_t steps = 0;
   for (AdvanceWork& w : batch) {
     // Each step's "advance.step" span (opened inside the service) parents
     // to the request whose budget it came from.
@@ -848,8 +871,10 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
     } else {
       w.error = step.status();
     }
-    c_.advance_steps->Inc(w.taken);
+    steps += w.taken;
   }
+  // One accrual per batch, before any of its answers is flushed.
+  c_.advance_steps->Inc(steps);
   // Every request of the batch is answered at once: one clock read
   // closes all their latencies.
   const uint64_t answered_ns = MonotonicNanos();
@@ -868,7 +893,7 @@ void TcpServer::RunAdvanceBatch(IoThread* io) {
     }
     FinishRequest("request.advance", w.trace_id, w.recv_ns, answered_ns,
                   w.taken);
-    conn->advancing = false;
+    conn->run_steps = 0;
   }
   batch.clear();
 }
@@ -899,6 +924,19 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
     const uint64_t read_ns = MonotonicNanos();
     conn->decoder.Feed(chunk, static_cast<size_t>(n));
     const bool tracing = tracer.enabled();
+    // Shared bookkeeping is paid once per chunk: one load of the global
+    // in-flight count, then one fetch_add for the frames the chunk
+    // admitted and one counter accrual for the frames it decoded.
+    const uint64_t inflight_seen =
+        inflight_total_.load(std::memory_order_relaxed);
+    uint64_t admitted = 0;
+    uint64_t frames = 0;
+    const auto publish_chunk = [&] {
+      if (admitted > 0) {
+        inflight_total_.fetch_add(admitted, std::memory_order_relaxed);
+      }
+      if (frames > 0) c_.frames_received->Inc(frames);
+    };
     while (true) {
       const uint64_t decode_start = tracing ? MonotonicNanos() : 0;
       WireFrame frame;
@@ -911,7 +949,10 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
       }
       if (!next.ok()) {
         // Hostile header (or injected framing fault): the stream cannot
-        // be re-synchronized. Answer with the error, flush, drop.
+        // be re-synchronized. Answer with the error, flush, drop. The
+        // chunk's admissions are published first: CloseConnection refunds
+        // every admitted inbox entry.
+        publish_chunk();
         c_.protocol_errors->Inc(forced ? 0 : 1);
         if (forced) c_.io_errors->Inc();
         SendFrame(io, conn,
@@ -921,7 +962,7 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
         return false;
       }
       if (!*next) break;
-      c_.frames_received->Inc();
+      ++frames;
       InboxEntry entry;
       entry.frame = std::move(frame);
       entry.recv_ns = read_ns;
@@ -941,8 +982,7 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
       // in FIFO order at dispatch.
       if (Sheddable(entry.frame.type) &&
           (conn->inbox.size() >= options_.max_inflight_per_conn ||
-           inflight_total_.load(std::memory_order_relaxed) >=
-               options_.max_inflight_total)) {
+           inflight_seen + admitted >= options_.max_inflight_total)) {
         entry.shed = true;
         if (entry.frame.type == MsgType::kIngestRecord ||
             entry.frame.type == MsgType::kIngestBatch) {
@@ -951,10 +991,11 @@ bool TcpServer::ReadInto(IoThread* io, Connection* conn) {
         entry.frame.payload.clear();
         entry.frame.payload.shrink_to_fit();
       } else {
-        inflight_total_.fetch_add(1, std::memory_order_relaxed);
+        ++admitted;
       }
       conn->inbox.push_back(std::move(entry));
     }
+    publish_chunk();
     // epoll is level-triggered: a short read drained the socket, and
     // bytes arriving later raise EPOLLIN again, so the read() that would
     // only return EAGAIN is skipped.
@@ -1034,7 +1075,7 @@ void TcpServer::IoLoop(IoThread* io) {
       }
       dispatchable = false;
       for (auto& [fd, conn] : io->conns) {
-        if (!conn->inbox.empty() && !conn->advancing &&
+        if (!conn->inbox.empty() && conn->run_steps == 0 &&
             !conn->paused_read) {
           dispatchable = true;
           break;

@@ -17,14 +17,19 @@
 // Batched decode → batched advance: an IO thread drains every readable
 // connection first, decoding all complete frames, answering cheap
 // requests inline and deferring Advance work into a per-iteration batch.
-// The batch then runs as one loop in arrival order, each request stepping
-// its session up to its budget in one ShardedMonitorService::Advance call
-// (one session lookup and lock per request). A batch holds at most one
-// Advance per connection and every request in it is answered at the same
-// clock read, so the order is invisible to a client driving its own
-// sessions.
-// Per-connection FIFO response order is preserved: a connection's later
-// frames are not dispatched until its deferred Advance has been answered.
+// A connection defers a run of consecutive Advance frames: the run grows
+// while the inbox front is an unshed, well-formed Advance whose max_steps
+// keeps the run's summed max_steps at most kMaxAdvanceSteps (the first
+// request always joins), so one connection costs a batch no more than
+// one maximal request and cannot starve another connection of its IO
+// thread. The batch then runs as one loop in arrival order, each request
+// stepping its session up to its budget in one
+// ShardedMonitorService::Advance call (one session lookup and lock per
+// request; a session a run names twice is stepped twice, in request
+// order). Every request of the batch is answered at the same clock read.
+// Per-connection FIFO response order is preserved: any frame that cannot
+// join the run (malformed, shed, over the run budget, not an Advance) is
+// dispatched only after the batch has answered the run.
 //
 // Backpressure: a connection's pending responses accumulate in a bounded
 // write buffer. When it exceeds Options::max_write_buffer the server
@@ -44,7 +49,15 @@
 // rpe_server_records_ingest_shed_total). Shed decisions happen at read
 // time — the frame's payload is released immediately, so a flood costs
 // inbox slots, not payload bytes — but the busy response still goes out
-// in request order.
+// in request order. The global in-flight count is shared bookkeeping paid
+// once per read() chunk: the chunk loads it once, admits against that
+// value plus its own admissions, and publishes them in one fetch_add;
+// each dispatch pass over a connection returns its frames in one
+// fetch_sub. With one IO thread the decisions are exactly those of a
+// per-frame count. With N threads another thread's unpublished chunk is
+// invisible, so the count can overshoot max_inflight_total by at most
+// (N-1) * max_inflight_per_conn (a chunk admits no more than the
+// per-connection cap).
 //
 // Shutdown: Stop() closes the listen socket, wakes every IO thread,
 // flushes pending write buffers for up to Options::drain_timeout, closes
@@ -92,7 +105,9 @@ class TcpServer {
     /// Admission control: max undispatched frames per connection before
     /// new sheddable frames are answered kStatusBusy.
     size_t max_inflight_per_conn = 128;
-    /// Global cap on undispatched frames across all connections.
+    /// Global cap on undispatched frames across all connections, exact
+    /// with one IO thread; N threads may overshoot it by up to
+    /// (N-1) * max_inflight_per_conn (see the header comment).
     size_t max_inflight_total = 4096;
     /// Ingest-queue watermark: an ingest frame whose records would push
     /// the queue past this is answered kStatusBusy. 0 = the queue's
@@ -162,9 +177,14 @@ class TcpServer {
   /// level-triggered), decode frames into the connection inbox. False =
   /// the connection died (already cleaned up).
   bool ReadInto(IoThread* io, Connection* conn);
-  /// Dispatch queued frames in FIFO order until an Advance defers or the
-  /// write buffer fills. Appends deferred Advance work to io->batch.
+  /// Dispatch queued frames in FIFO order until a frame cannot join the
+  /// connection's Advance run or the write buffer fills. Appends the run
+  /// to io->batch.
   void DispatchInbox(IoThread* io, Connection* conn);
+  /// Defer `entry` into the connection's Advance run when it is an unshed,
+  /// well-formed Advance whose max_steps keeps the run's sum at most
+  /// kMaxAdvanceSteps. False = the frame does not join (it is not popped).
+  bool JoinAdvanceRun(IoThread* io, Connection* conn, const InboxEntry& entry);
   /// Run the deferred Advance batch in arrival order, answer each request.
   void RunAdvanceBatch(IoThread* io);
   /// Flush the write buffer; arms EPOLLOUT on partial writes, resumes
@@ -254,7 +274,8 @@ class TcpServer {
   int acceptor_wake_fd_ = -1;  ///< eventfd that interrupts the acceptor
   std::atomic<uint64_t> next_io_thread_{0};
   /// Undispatched (non-shed) frames across all connections — the global
-  /// in-flight budget admission control checks at read time.
+  /// in-flight budget admission control checks at read time. Updated once
+  /// per read() chunk and once per dispatch pass, not per frame.
   std::atomic<uint64_t> inflight_total_{0};
 };
 

@@ -430,6 +430,128 @@ TEST_F(ServerOnlineTest, InflightBudgetShedsPipelinedFramesInFifoOrder) {
   server.Stop();
 }
 
+TEST_F(ServerOnlineTest,
+       GlobalInflightBudgetShedsExactlyAndRefundsOnDisconnect) {
+  ShardedMonitorService::Options service_options;
+  service_options.num_shards = 2;
+  ShardedMonitorService service(stack_, service_options);
+  // One IO thread makes the global count exact; the per-connection cap
+  // never binds, so every busy answer below is the global budget's.
+  constexpr size_t kBudget = 4;
+  TcpServer::Options server_options;
+  server_options.io_threads = 1;
+  server_options.max_inflight_total = kBudget;
+  server_options.max_inflight_per_conn = 1024;
+  TcpServer server(&service, RunPtrs(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  ProgressMonitor sequential(&stack_->static_selector,
+                             &stack_->dynamic_selector);
+  struct Peer {
+    TestClient client;
+    uint64_t session = 0;
+    std::vector<double> expected;
+    size_t taken = 0;
+  };
+  Peer peers[2];
+  for (uint32_t p = 0; p < 2; ++p) {
+    ASSERT_TRUE(peers[p].client.Connect(server.port()));
+    auto opened_frame = peers[p].client.Call(EncodeOpenRequest({p}));
+    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+    auto opened = DecodeOpenResponse(opened_frame->payload);
+    ASSERT_TRUE(opened.ok());
+    peers[p].session = opened->session_id;
+    peers[p].expected = sequential.ReplayQueryProgress((*runs_)[p]);
+  }
+
+  // Pipelined Advance bursts from both connections: a read chunk holding
+  // more than kBudget frames admits kBudget at most. How many land before
+  // the shed line depends on TCP chunking, so the assertion is the
+  // exactness identity, not a fixed split. Each admitted Advance is the
+  // next value of its session's replay, so busy answers are in FIFO order.
+  constexpr size_t kBurst = 16;
+  uint64_t answered = 0;
+  uint64_t busy_total = 0;
+  for (int attempt = 0; attempt < 8 && busy_total == 0; ++attempt) {
+    for (Peer& peer : peers) {
+      std::string burst;
+      for (size_t i = 0; i < kBurst; ++i) {
+        burst += EncodeAdvanceRequest({peer.session, 1});
+      }
+      ASSERT_TRUE(peer.client.SendRaw(burst));
+    }
+    for (Peer& peer : peers) {
+      for (size_t i = 0; i < kBurst; ++i) {
+        auto frame = peer.client.Receive();
+        ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+        ASSERT_EQ(frame->type, MsgType::kAdvance) << "response " << i;
+        ++answered;
+        if (!frame->ok()) {
+          ASSERT_EQ(frame->status, kStatusBusy) << "response " << i;
+          ++busy_total;
+          continue;
+        }
+        auto advanced = DecodeAdvanceResponse(frame->payload);
+        ASSERT_TRUE(advanced.ok());
+        const bool stepped = peer.taken < peer.expected.size();
+        ASSERT_EQ(advanced->steps, stepped ? 1u : 0u) << "response " << i;
+        const double want =
+            peer.expected[stepped ? peer.taken : peer.expected.size() - 1];
+        ASSERT_EQ(std::memcmp(&advanced->progress, &want, sizeof(double)), 0)
+            << "response " << i;
+        peer.taken += stepped ? 1 : 0;
+      }
+    }
+  }
+  ASSERT_GT(busy_total, 0u) << "pipelined bursts never tripped the budget";
+  obs::MetricsRegistry& m = server.metrics_registry();
+  EXPECT_EQ(CounterValue(m, "rpe_server_requests_shed_total"), busy_total);
+  EXPECT_EQ(CounterValue(m, "rpe_server_advance_steps_total"),
+            peers[0].taken + peers[1].taken);
+
+  {
+    // Admitted frames and a hostile header in one write: the connection is
+    // dropped with its frames undispatched, and their in-flight slots must
+    // come back.
+    TestClient hostile;
+    ASSERT_TRUE(hostile.Connect(server.port()));
+    std::string bytes;
+    for (size_t i = 0; i + 1 < kBudget; ++i) {
+      bytes += EncodeProgressRequest({peers[0].session});
+    }
+    bytes += std::string(kFrameHeaderBytes, '\xFF');
+    ASSERT_TRUE(hostile.SendRaw(bytes));
+    auto frame = hostile.Receive();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_FALSE(frame->ok());
+    EXPECT_FALSE(hostile.Receive().ok()) << "hostile connection not dropped";
+  }
+
+  // A fresh connection's pipelined frames, up to the whole budget, are
+  // all admitted.
+  TestClient fresh;
+  ASSERT_TRUE(fresh.Connect(server.port()));
+  std::string burst;
+  for (size_t i = 0; i < kBudget; ++i) {
+    burst += EncodeProgressRequest({peers[1].session});
+  }
+  ASSERT_TRUE(fresh.SendRaw(burst));
+  for (size_t i = 0; i < kBudget; ++i) {
+    auto frame = fresh.Receive();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->type, MsgType::kProgress);
+    EXPECT_TRUE(frame->ok()) << "response " << i << ": "
+                             << frame->ToStatus().ToString();
+  }
+  EXPECT_EQ(CounterValue(m, "rpe_server_requests_shed_total"), busy_total);
+  EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 1u);
+  // 2 opens, the bursts, kBudget - 1 frames dropped with the hostile
+  // connection, and the fresh burst.
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_received_total"),
+            2 + answered + (kBudget - 1) + kBudget);
+  server.Stop();
+}
+
 TEST_F(ServerOnlineTest, AbruptDisconnectLeavesNoPartialRecords) {
   ShardedMonitorService::Options service_options;
   service_options.num_shards = 2;

@@ -861,6 +861,99 @@ TEST_F(WireLoopbackTest, PipelinedAdvanceSplitAcrossReadsAnswersInOrder) {
   EXPECT_EQ(CounterValue(m, "rpe_server_io_errors_total"), 0u);
 }
 
+TEST_F(WireLoopbackTest, PipelinedMixedFramesAnswerInRequestOrder) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  TcpServer server(&service, RunPtrs(), TcpServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+
+  ProgressMonitor sequential(&stack_->static_selector,
+                             &stack_->dynamic_selector);
+  const std::vector<double> ref0 = sequential.ReplayQueryProgress((*runs_)[0]);
+  const std::vector<double> ref1 = sequential.ReplayQueryProgress((*runs_)[1]);
+  ASSERT_GT(ref0.size(), 3u);
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server.port()));
+  uint64_t ids[2];
+  for (uint32_t r = 0; r < 2; ++r) {
+    auto opened_frame = client.Call(EncodeOpenRequest({r}));
+    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+    auto opened = DecodeOpenResponse(opened_frame->payload);
+    ASSERT_TRUE(opened.ok());
+    ids[r] = opened->session_id;
+  }
+  const uint64_t s0 = ids[0];
+  const uint64_t s1 = ids[1];
+
+  // One write: a run of Advances, then every kind of frame that must end
+  // a connection's Advance run (malformed, Progress, Close, over the run
+  // budget) around Advances that join one. A frame dispatched ahead of an
+  // earlier deferred Advance shows up as a response out of order.
+  std::string stream;
+  for (int i = 0; i < 3; ++i) stream += EncodeAdvanceRequest({s0, 1});
+  stream += EncodeAdvanceRequest({s0, 0});  // malformed: max_steps 0
+  stream += EncodeProgressRequest({s0});
+  stream += EncodeAdvanceRequest({999999, 1});  // unknown session
+  stream += EncodeAdvanceRequest({s1, 1});
+  stream += EncodeCloseRequest({s1});
+  stream += EncodeAdvanceRequest({s0, kMaxAdvanceSteps});
+  stream += EncodeAdvanceRequest({s0, 1});  // over the run budget
+  ASSERT_TRUE(client.SendRaw(stream));
+
+  const auto next = [&](MsgType type) {
+    auto frame = client.Receive();
+    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+    if (frame.ok()) {
+      EXPECT_EQ(frame->type, type);
+    }
+    return frame.ok() ? *frame : WireFrame{};
+  };
+  const auto expect_advance = [](const WireFrame& frame, uint32_t steps,
+                                 double progress, uint8_t done) {
+    ASSERT_TRUE(frame.ok()) << frame.ToStatus().ToString();
+    auto advanced = DecodeAdvanceResponse(frame.payload);
+    ASSERT_TRUE(advanced.ok());
+    EXPECT_EQ(advanced->steps, steps);
+    EXPECT_EQ(std::memcmp(&advanced->progress, &progress, sizeof(double)), 0);
+    EXPECT_EQ(advanced->done, done);
+  };
+  for (size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("advance " + std::to_string(i));
+    expect_advance(next(MsgType::kAdvance), 1, ref0[i], 0);
+  }
+  {
+    const WireFrame malformed = next(MsgType::kAdvance);
+    EXPECT_EQ(malformed.ToStatus().code(), StatusCode::kInvalidArgument);
+  }
+  {
+    const WireFrame frame = next(MsgType::kProgress);
+    ASSERT_TRUE(frame.ok()) << frame.ToStatus().ToString();
+    auto progress = DecodeProgressResponse(frame.payload);
+    ASSERT_TRUE(progress.ok());
+    EXPECT_EQ(std::memcmp(&progress->progress, &ref0[2], sizeof(double)), 0);
+    EXPECT_EQ(progress->done, 0);
+  }
+  EXPECT_EQ(next(MsgType::kAdvance).ToStatus().code(), StatusCode::kNotFound);
+  expect_advance(next(MsgType::kAdvance), 1, ref1[0], ref1.size() == 1 ? 1 : 0);
+  EXPECT_TRUE(next(MsgType::kClose).ok());
+  expect_advance(next(MsgType::kAdvance),
+                 static_cast<uint32_t>(ref0.size() - 3), ref0.back(), 1);
+  expect_advance(next(MsgType::kAdvance), 0, ref0.back(), 1);
+
+  auto closed = client.Call(EncodeCloseRequest({s0}));
+  ASSERT_TRUE(closed.ok() && closed->ok());
+  server.Stop();
+  obs::MetricsRegistry& m = server.metrics_registry();
+  // 2 opens + 10 pipelined frames + 1 close, each answered once.
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_received_total"), 13u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_frames_sent_total"), 13u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_advance_steps_total"), ref0.size() + 1);
+  EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 1u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_io_errors_total"), 0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_requests_shed_total"), 0u);
+}
+
 TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
   ShardedMonitorService::Options options;
   options.num_shards = 1;
