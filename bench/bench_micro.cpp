@@ -637,6 +637,36 @@ void BM_SessionOpenAdvanceClose128(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionOpenAdvanceClose128);
 
+// The session step path in the poll-pipelined call pattern: 64 sessions
+// held as values, the way a TCP connection holds them, each stepped one
+// observation per round through MonitorService::Step (no lock, no map
+// lookup). A session at the end of its run rewinds to its first
+// observation. time_per_step divides a round by its 64 steps.
+void BM_SessionAdvance1x64(benchmark::State& state) {
+  auto& fx = Serving();
+  MonitorService service(fx.stack);
+  constexpr size_t kSessions = 64;
+  std::vector<MonitorService::Session> sessions;
+  for (size_t s = 0; s < kSessions; ++s) {
+    sessions.push_back(
+        std::move(service.Open(&fx.runs[s % fx.runs.size()])).ValueOrDie());
+  }
+  for (auto _ : state) {
+    for (MonitorService::Session& session : sessions) {
+      if (session.done()) session.next_obs = 0;
+      uint32_t taken = 0;
+      bool done = false;
+      benchmark::DoNotOptimize(
+          *MonitorService::Step(&session, 1, &taken, &done));
+    }
+  }
+  state.counters["time_per_step"] = benchmark::Counter(
+      static_cast<double>(kSessions),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SessionAdvance1x64);
+
 // Online-learning loop: producer-side ingest throughput (Push with a
 // consumer keeping the queue drained) — the per-record overhead a running
 // executor pays to stream training data out.

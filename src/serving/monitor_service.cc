@@ -33,11 +33,6 @@ Status NoSession(uint64_t id) {
 
 }  // namespace
 
-MonitorService::Session::Session(
-    const QueryRunResult* r,
-    std::span<const ProgressMonitor::PipelineDecision> decisions)
-    : run(r), stepper(*r, decisions) {}
-
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
     : MonitorService(std::move(models), Options()) {}
 
@@ -80,10 +75,10 @@ uint64_t MonitorService::model_generation() const {
   return model_generation_;
 }
 
-Result<MonitorService::SessionId> MonitorService::OpenSession(
+Result<MonitorService::Session> MonitorService::Open(
     const QueryRunResult* run) {
   if (run == nullptr) {
-    return Status::InvalidArgument("OpenSession: null run");
+    return Status::InvalidArgument("Open: null run");
   }
   const auto start = Clock::now();
   const std::shared_ptr<const SelectorStack> stack = models();
@@ -92,18 +87,62 @@ Result<MonitorService::SessionId> MonitorService::OpenSession(
   const ProgressMonitor monitor(&stack->static_selector,
                                 &stack->dynamic_selector);
   const auto decisions = monitor.DecideForRun(*run);
-  auto session = std::make_shared<Session>(run, decisions);
-  session->elapsed_ns = NanosSince(start);
+  Session session;
+  session.run = run;
+  session.stepper = ProgressMonitor::Stepper(*run, decisions);
+  session.elapsed_ns = NanosSince(start);
   sessions_opened_->Inc();
   decisions_->Inc(CountDecisions(decisions));
-  scoring_ns_->Inc(session->elapsed_ns);
+  scoring_ns_->Inc(session.elapsed_ns);
+  return session;
+}
+
+Result<double> MonitorService::Step(Session* session, uint32_t max_steps,
+                                    uint32_t* taken, bool* done) {
+  if (taken != nullptr) *taken = 0;
+  if (max_steps == 0) {
+    return Status::InvalidArgument("Step: max_steps must be >= 1");
+  }
+  const size_t total = session->run->observations.size();
+  if (session->next_obs >= total) {
+    return Status::OutOfRange("replay complete");
+  }
+  const size_t steps = std::min<size_t>(max_steps, total - session->next_obs);
+  const size_t end = session->next_obs + steps;
+  double progress = 0.0;
+  for (size_t oi = session->next_obs; oi < end; ++oi) {
+    // Parents to the wire request being advanced when the TCP front-end
+    // set a TraceContext; one relaxed load when tracing is off.
+    obs::TraceSpan span("advance.step", /*arg=*/oi);
+    progress = session->stepper.ProgressAt(oi);
+  }
+  if (taken != nullptr) *taken = static_cast<uint32_t>(steps);
+  session->next_obs = end;
+  session->last_progress = progress;
+  if (done != nullptr) *done = end >= total;
+  return progress;
+}
+
+void MonitorService::Close(const Session& session) {
+  if (session.done()) {
+    // Scoring time already accrued at open (steps are untimed); only the
+    // completion count and latency sample are recorded here.
+    sessions_completed_->Inc();
+    replay_latency_->Record(session.elapsed_ns);
+  }
+}
+
+Result<MonitorService::SessionId> MonitorService::OpenSession(
+    const QueryRunResult* run) {
+  RPE_ASSIGN_OR_RETURN(Session session, Open(run));
+  auto mapped = std::make_shared<MappedSession>(std::move(session));
   std::lock_guard<std::mutex> lock(sessions_mu_);
   const SessionId id = next_id_++;
-  sessions_.emplace(id, std::move(session));
+  sessions_.emplace(id, std::move(mapped));
   return id;
 }
 
-MonitorService::Session* MonitorService::LockSession(
+MonitorService::MappedSession* MonitorService::LockSession(
     SessionId id, std::unique_lock<std::mutex>* lock) const {
   std::lock_guard<std::mutex> map_lock(sessions_mu_);
   auto it = sessions_.find(id);
@@ -114,36 +153,19 @@ MonitorService::Session* MonitorService::LockSession(
 
 Result<double> MonitorService::Advance(SessionId id, uint32_t max_steps,
                                        uint32_t* taken, bool* done) {
-  if (taken != nullptr) *taken = 0;
-  if (max_steps == 0) {
-    return Status::InvalidArgument("Advance: max_steps must be >= 1");
-  }
-  double progress = 0.0;
-  size_t steps = 0;
+  uint32_t steps = 0;
+  Result<double> progress = 0.0;
   {
     std::unique_lock<std::mutex> lock;
-    Session* s = LockSession(id, &lock);
-    if (s == nullptr) return NoSession(id);
-    const size_t total = s->run->observations.size();
-    if (s->next_obs >= total) {
-      return Status::OutOfRange("session " + std::to_string(id) +
-                                " replay complete");
+    MappedSession* s = LockSession(id, &lock);
+    if (s == nullptr) {
+      if (taken != nullptr) *taken = 0;
+      return NoSession(id);
     }
-    steps = std::min<size_t>(max_steps, total - s->next_obs);
-    const size_t end = s->next_obs + steps;
-    for (size_t oi = s->next_obs; oi < end; ++oi) {
-      // Parents to the wire request being advanced when the TCP
-      // front-end set a TraceContext; one relaxed load when tracing is
-      // off.
-      obs::TraceSpan span("advance.step", /*arg=*/id);
-      progress = s->stepper.ProgressAt(oi);
-    }
-    s->next_obs = end;
-    s->last_progress = progress;
-    if (done != nullptr) *done = end >= total;
+    progress = Step(&s->session, max_steps, &steps, done);
   }
   observations_scored_->Inc(steps);
-  if (taken != nullptr) *taken = static_cast<uint32_t>(steps);
+  if (taken != nullptr) *taken = steps;
   return progress;
 }
 
@@ -153,14 +175,14 @@ Result<double> MonitorService::Advance(SessionId id, bool* done) {
 
 Result<double> MonitorService::Progress(SessionId id, bool* done) const {
   std::unique_lock<std::mutex> lock;
-  const Session* s = LockSession(id, &lock);
+  const MappedSession* s = LockSession(id, &lock);
   if (s == nullptr) return NoSession(id);
-  if (done != nullptr) *done = s->next_obs >= s->run->observations.size();
-  return s->last_progress;
+  if (done != nullptr) *done = s->session.done();
+  return s->session.last_progress;
 }
 
 Status MonitorService::CloseSession(SessionId id) {
-  std::shared_ptr<Session> s;
+  std::shared_ptr<MappedSession> s;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     auto it = sessions_.find(id);
@@ -169,12 +191,7 @@ Status MonitorService::CloseSession(SessionId id) {
     sessions_.erase(it);
   }
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->next_obs >= s->run->observations.size()) {
-    // Scoring time already accrued at open (steps are untimed); only the
-    // completion count and latency sample are recorded here.
-    sessions_completed_->Inc();
-    replay_latency_->Record(s->elapsed_ns);
-  }
+  Close(s->session);
   return Status::OK();
 }
 

@@ -17,6 +17,15 @@
 // only its own state, so the progress series is bit-identical at any
 // thread count.
 //
+// A session is a plain movable value (MonitorService::Session). Open
+// decides and returns one, Step advances it, Close records its end; none
+// of the three takes a lock or looks anything up, so the owner of a
+// session — a TCP connection (serving/server.h) — steps it with no shared
+// state at all. The id-keyed OpenSession/Advance/Progress/CloseSession API
+// is a thin wrapper over those three calls that keeps sessions in a
+// mutex-guarded map, for in-process callers that share sessions across
+// threads.
+//
 // The service is also the publish point of the online-learning loop
 // (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
 // monotonic model generation.
@@ -32,7 +41,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -57,7 +65,8 @@ class ModelPublisher {
 };
 
 /// \brief Concurrent progress-monitoring service over immutable model
-/// snapshots. All public methods are thread-safe.
+/// snapshots. All public methods are thread-safe; a Session value is
+/// stepped by one thread at a time, its owner's.
 class MonitorService : public ModelPublisher {
  public:
   struct Options {
@@ -68,6 +77,20 @@ class MonitorService : public ModelPublisher {
   };
 
   using SessionId = uint64_t;
+
+  /// One monitoring session, owned by value by whoever opened it. Only
+  /// Step writes it; moving it between owners is free of side effects.
+  struct Session {
+    const QueryRunResult* run = nullptr;
+    /// The decisions made at open, compiled for stepping.
+    ProgressMonitor::Stepper stepper;
+    size_t next_obs = 0;
+    double last_progress = 0.0;  ///< 0 before the first step
+    uint64_t elapsed_ns = 0;     ///< decide time at open (steps are untimed)
+
+    /// Every observation of the run has been stepped.
+    bool done() const { return next_obs >= run->observations.size(); }
+  };
 
   explicit MonitorService(std::shared_ptr<const SelectorStack> models);
   MonitorService(std::shared_ptr<const SelectorStack> models,
@@ -85,21 +108,34 @@ class MonitorService : public ModelPublisher {
 
   /// Open a monitoring session over a recorded run. The per-pipeline
   /// estimator decisions (initial + revision) are made here, against the
-  /// current snapshot — per-observation Advance work replays against
-  /// these precomputed decisions and never scores a selector. `run` must
-  /// outlive the session.
+  /// current snapshot — per-observation steps replay against these
+  /// precomputed decisions and never score a selector. Accrues the opened,
+  /// decisions and scoring-time counters. `run` must outlive the session.
+  Result<Session> Open(const QueryRunResult* run);
+
+  /// Step `session` by up to `max_steps` (>= 1) observations, stopping
+  /// early at the end of the run; returns the query progress reported at
+  /// the last observation stepped. `taken`, when non-null, receives the
+  /// number of steps; `done`, when non-null, whether the run's observation
+  /// stream is exhausted right after them. OutOfRange, with no step
+  /// taken, when the stream is already exhausted. Each step is its own
+  /// "advance.step" span (arg = observation index). Reads no clock and
+  /// accrues no counter: the caller accrues rpe_observations_scored_total
+  /// by the steps taken, at whatever grain it batches.
+  static Result<double> Step(Session* session, uint32_t max_steps,
+                             uint32_t* taken, bool* done);
+
+  /// End `session`: a fully stepped one counts as completed and its
+  /// replay latency (decide time at open) enters
+  /// rpe_replay_latency_seconds.
+  void Close(const Session& session);
+
+  /// Open a session (Open) and keep it in the service's map under a new
+  /// id, nonzero and never reused by this service.
   Result<SessionId> OpenSession(const QueryRunResult* run);
 
-  /// Advance the session by up to `max_steps` (>= 1) observations under
-  /// one session lookup and one session lock, stopping early at the end
-  /// of the run; returns the query progress reported at the last
-  /// observation stepped. `taken`, when non-null, receives the number of
-  /// steps; `done`, when non-null, whether the run's observation stream
-  /// is exhausted right after them. OutOfRange, with no step taken, when
-  /// the stream is already exhausted. Each step is its own "advance.step"
-  /// span; rpe_observations_scored_total grows once, by the steps taken.
-  /// Steps read no clock: a session driven by Advance accrues scoring
-  /// time and replay latency for its decide pass at open only.
+  /// Step the session `id` (Step) under one map lookup and one session
+  /// lock, and accrue rpe_observations_scored_total by the steps taken.
   Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
                          bool* done);
 
@@ -111,8 +147,7 @@ class MonitorService : public ModelPublisher {
   /// of the session's run has been stepped.
   Result<double> Progress(SessionId id, bool* done = nullptr) const;
 
-  /// Close the session; a fully replayed session counts as completed and
-  /// its replay latency enters rpe_replay_latency_seconds.
+  /// Remove the session `id` from the map and Close it.
   Status CloseSession(SessionId id);
 
   size_t num_open_sessions() const;
@@ -122,18 +157,12 @@ class MonitorService : public ModelPublisher {
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  struct Session {
-    const QueryRunResult* run = nullptr;
-    /// The decisions made at open, compiled for stepping.
-    ProgressMonitor::Stepper stepper;
-    size_t next_obs = 0;
-    double last_progress = 0.0;
-    uint64_t elapsed_ns = 0;  ///< decide time at open (steps are untimed)
-    /// Serializes calls on the same session; distinct sessions never
-    /// contend.
+  /// A session of the id-keyed API: the value plus the lock that
+  /// serializes calls on it (distinct sessions never contend).
+  struct MappedSession {
+    Session session;
     mutable std::mutex mu;
-    Session(const QueryRunResult* r,
-            std::span<const ProgressMonitor::PipelineDecision> decisions);
+    explicit MappedSession(Session s) : session(std::move(s)) {}
   };
 
   /// Find `id` and take its session lock. The map lock is held only until
@@ -141,7 +170,8 @@ class MonitorService : public ModelPublisher {
   /// reference count; CloseSession unlinks under the map lock before it
   /// takes the session lock, so the session outlives `lock`. Returns
   /// nullptr, `lock` untouched, when no such session is open.
-  Session* LockSession(SessionId id, std::unique_lock<std::mutex>* lock) const;
+  MappedSession* LockSession(SessionId id,
+                             std::unique_lock<std::mutex>* lock) const;
 
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -163,7 +193,7 @@ class MonitorService : public ModelPublisher {
 
   mutable std::mutex sessions_mu_;
   SessionId next_id_ = 1;
-  std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
+  std::unordered_map<SessionId, std::shared_ptr<MappedSession>> sessions_;
 };
 
 }  // namespace rpe

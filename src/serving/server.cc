@@ -82,12 +82,79 @@ uint32_t IngestFrameRecords(const WireFrame& frame) {
   return std::min(count, kMaxIngestBatchRecords);
 }
 
+Status NoSession(uint64_t id) {
+  return Status::NotFound("no open session " + std::to_string(id) +
+                          " on this connection");
+}
+
+/// \brief The sessions one connection opened, held by value. An id is
+/// scoped to its connection: the low 32 bits index a slot, the high 32
+/// bits carry the slot's generation (starting at 1, bumped when the slot's
+/// session closes). So an id is nonzero and never handed out twice on one
+/// connection, and a closed, forged or other connection's id finds
+/// nothing. A slot whose generation would wrap is retired, not reused.
+class SessionTable {
+ public:
+  using Session = MonitorService::Session;
+
+  uint64_t Insert(Session session) {
+    uint32_t index = 0;
+    if (free_.empty()) {
+      index = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      index = free_.back();
+      free_.pop_back();
+    }
+    Slot& slot = slots_[index];
+    slot.session = std::move(session);
+    return (uint64_t{slot.generation} << 32) | index;
+  }
+
+  /// The live session `id` names, or nullptr.
+  Session* Find(uint64_t id) {
+    const uint64_t index = id & 0xFFFFFFFFu;
+    if (index >= slots_.size()) return nullptr;
+    Slot& slot = slots_[index];
+    if (!slot.live() || slot.generation != (id >> 32)) return nullptr;
+    return &slot.session;
+  }
+
+  /// Free the slot of `id`, which must name a live session.
+  void Erase(uint64_t id) {
+    const uint32_t index = static_cast<uint32_t>(id);
+    Slot& slot = slots_[index];
+    slot.session = Session();  // releases the compiled replay plan
+    if (slot.generation < UINT32_MAX) {
+      ++slot.generation;
+      free_.push_back(index);
+    }
+  }
+
+  /// Call fn(session) for every live session; returns how many there were.
+  template <typename Fn>
+  uint64_t ForEachLive(Fn fn) const {
+    uint64_t n = 0;
+    for (const Slot& slot : slots_) {
+      if (!slot.live()) continue;
+      fn(slot.session);
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  struct Slot {
+    Session session;  ///< empty (null run) while the slot is free
+    uint32_t generation = 1;
+    bool live() const { return session.run != nullptr; }
+  };
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_;  ///< reusable slot indexes
+};
+
 }  // namespace
 
-/// \brief One accepted socket: frame reassembly state, the FIFO of
-/// decoded-but-undispatched frames, the bounded write buffer, and the
-/// sessions it opened (closed with the connection). Owned by exactly one
-/// IO thread; nothing here is shared.
 /// \brief One decoded frame awaiting dispatch. A frame shed by admission
 /// control keeps its inbox slot (the busy response must leave in FIFO
 /// order) but its payload is released at shed time and `shed` marks it
@@ -108,6 +175,10 @@ struct TcpServer::InboxEntry {
   bool shed = false;
 };
 
+/// \brief One accepted socket: frame reassembly state, the FIFO of
+/// decoded-but-undispatched frames, the bounded write buffer, and the
+/// sessions it opened (closed with the connection). Owned by exactly one
+/// IO thread; nothing here is shared, so stepping a session takes no lock.
 struct TcpServer::Connection {
   int fd = -1;
   size_t shard = 0;  ///< every session of this connection opens here
@@ -125,7 +196,7 @@ struct TcpServer::Connection {
   bool want_write = false;   ///< EPOLLOUT armed
   bool paused_read = false;  ///< EPOLLIN disarmed by backpressure
   bool dead = false;
-  std::vector<uint64_t> sessions;  ///< open session ids (global)
+  SessionTable session_table;  ///< the sessions this connection owns
 
   size_t pending_write() const { return wbuf.size() - woff; }
 };
@@ -210,6 +281,8 @@ TcpServer::TcpServer(ShardedMonitorService* service,
       registry_->GetCounter("rpe_server_wire_sessions_closed_total");
   c_.advance_steps = registry_->GetCounter(
       "rpe_server_advance_steps_total", "advance steps");
+  observations_scored_ =
+      service_->metrics().GetCounter("rpe_observations_scored_total");
   c_.requests_shed = registry_->GetCounter(
       "rpe_server_requests_shed_total", "session requests shed");
   c_.records_ingested = registry_->GetCounter(
@@ -489,13 +562,11 @@ bool TcpServer::UpdateEpoll(IoThread* io, Connection* conn) {
 void TcpServer::CloseConnection(IoThread* io, Connection* conn) {
   if (conn->dead) return;
   conn->dead = true;
-  // A dropped connection closes its sessions server-side — dangling
-  // sessions would otherwise pin run state and skew open-session counts.
-  for (uint64_t id : conn->sessions) {
-    service_->CloseSession(id);  // best effort; may already be closed
-    c_.wire_sessions_closed->Inc();
-  }
-  conn->sessions.clear();
+  // A dropped connection closes its sessions server-side, so a fully
+  // stepped one still counts as completed and opened == closed holds.
+  MonitorService& shard = service_->shard(conn->shard);
+  c_.wire_sessions_closed->Inc(conn->session_table.ForEachLive(
+      [&](const MonitorService::Session& s) { shard.Close(s); }));
   // Undispatched frames die with the connection; give their in-flight
   // slots back so the global budget cannot leak under disconnect storms.
   for (const InboxEntry& entry : conn->inbox) {
@@ -584,15 +655,15 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       const uint32_t resolved =
           static_cast<uint32_t>(req->run_index % runs_.size());
       const QueryRunResult* run = runs_[resolved];
-      const auto id = service_->OpenSessionOnShard(run, conn->shard);
-      if (!id.ok()) {
-        SendFrame(io, conn, EncodeErrorFrame(MsgType::kOpen, id.status()));
+      auto session = service_->shard(conn->shard).Open(run);
+      if (!session.ok()) {
+        SendFrame(io, conn,
+                  EncodeErrorFrame(MsgType::kOpen, session.status()));
         return;
       }
-      conn->sessions.push_back(*id);
       c_.wire_sessions_opened->Inc();
       OpenResponse resp;
-      resp.session_id = *id;
+      resp.session_id = conn->session_table.Insert(std::move(*session));
       resp.run_index = resolved;
       resp.num_observations =
           static_cast<uint32_t>(run->observations.size());
@@ -617,16 +688,16 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                   EncodeErrorFrame(MsgType::kProgress, req.status()));
         return;
       }
-      bool done = false;
-      const auto progress = service_->Progress(req->session_id, &done);
-      if (!progress.ok()) {
-        SendFrame(io, conn,
-                  EncodeErrorFrame(MsgType::kProgress, progress.status()));
+      const MonitorService::Session* session =
+          conn->session_table.Find(req->session_id);
+      if (session == nullptr) {
+        SendFrame(io, conn, EncodeErrorFrame(MsgType::kProgress,
+                                             NoSession(req->session_id)));
         return;
       }
       ProgressResponse resp;
-      resp.progress = *progress;
-      resp.done = done ? 1 : 0;
+      resp.progress = session->last_progress;
+      resp.done = session->done() ? 1 : 0;
       SendFrame(io, conn, EncodeProgressResponse(resp));
       return;
     }
@@ -637,14 +708,15 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
         SendFrame(io, conn, EncodeErrorFrame(MsgType::kClose, req.status()));
         return;
       }
-      const Status closed = service_->CloseSession(req->session_id);
-      if (!closed.ok()) {
-        SendFrame(io, conn, EncodeErrorFrame(MsgType::kClose, closed));
+      const MonitorService::Session* session =
+          conn->session_table.Find(req->session_id);
+      if (session == nullptr) {
+        SendFrame(io, conn, EncodeErrorFrame(MsgType::kClose,
+                                             NoSession(req->session_id)));
         return;
       }
-      auto it = std::find(conn->sessions.begin(), conn->sessions.end(),
-                          req->session_id);
-      if (it != conn->sessions.end()) conn->sessions.erase(it);
+      service_->shard(conn->shard).Close(*session);
+      conn->session_table.Erase(req->session_id);
       c_.wire_sessions_closed->Inc();
       SendFrame(io, conn, EncodeCloseResponse());
       return;
@@ -847,34 +919,39 @@ void TcpServer::FinishRequest(const char* name, uint64_t trace_id,
 
 void TcpServer::RunAdvanceBatch(IoThread* io) {
   // Each request steps its session up to its budget (bounded by the
-  // kMaxAdvanceSteps cap the decoder enforces) in one service call: one
-  // session lookup and lock per request, stopping early when the replay
-  // is exhausted. A connection's run is contiguous and in request order,
-  // so a session it names twice is stepped twice, in that order.
+  // kMaxAdvanceSteps cap the decoder enforces) in one Step call on the
+  // session its connection owns: no lock and no shared lookup, stopping
+  // early when the replay is exhausted. A connection's run is contiguous
+  // and in request order, so a session it names twice is stepped twice,
+  // in that order.
   std::vector<AdvanceWork>& batch = io->batch;
   obs::SlowScratch::BeginRequest();
   uint64_t steps = 0;
   for (AdvanceWork& w : batch) {
-    // Each step's "advance.step" span (opened inside the service) parents
-    // to the request whose budget it came from.
+    MonitorService::Session* session = w.conn->session_table.Find(w.session);
+    if (session == nullptr) {
+      w.error = NoSession(w.session);
+      continue;
+    }
+    // Each step's "advance.step" span parents to the request whose budget
+    // it came from.
     obs::TraceContext::Scope scope(w.trace_id);
     const auto step =
-        service_->Advance(w.session, w.budget, &w.taken, &w.done);
+        MonitorService::Step(session, w.budget, &w.taken, &w.done);
     if (step.ok()) {
       w.progress = *step;
-    } else if (step.status().code() == StatusCode::kOutOfRange) {
-      // Replay already exhausted: report the resting progress so the
-      // response is still well-formed.
-      const auto progress = service_->Progress(w.session);
-      if (progress.ok()) w.progress = *progress;
-      w.done = true;
     } else {
-      w.error = step.status();
+      // Replay already exhausted (the budget is >= 1 by decode): report
+      // the resting progress so the response is still well-formed.
+      RPE_DCHECK(step.status().code() == StatusCode::kOutOfRange);
+      w.progress = session->last_progress;
+      w.done = true;
     }
     steps += w.taken;
   }
-  // One accrual per batch, before any of its answers is flushed.
+  // One accrual of each per batch, before any of its answers is flushed.
   c_.advance_steps->Inc(steps);
+  observations_scored_->Inc(steps);
   // Every request of the batch is answered at once: one clock read
   // closes all their latencies.
   const uint64_t answered_ns = MonotonicNanos();

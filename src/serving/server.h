@@ -4,15 +4,18 @@
 // this file turns "traffic enters via in-process replay" into "traffic
 // enters via a socket" without adding a single lock to the scoring path.
 //
-// Threading / pinning model: N IO threads, each owning one epoll
+// Threading / ownership model: N IO threads, each owning one epoll
 // instance and a disjoint set of connections. Accepted connections are
-// handed out round-robin and never migrate. IO thread t opens its
-// connections' sessions on monitor shard (t % num_shards) via
-// ShardedMonitorService::OpenSessionOnShard, so with io_threads ==
-// num_shards (the default) the event loops align 1:1 with shards and a
-// request never crosses a shard lock it didn't need — the only
-// contention on a session's shard comes from the one IO thread that owns
-// the session, plus the model-publish fan-out.
+// handed out round-robin and never migrate. A session belongs to the
+// connection that opened it: the connection holds it by value
+// (MonitorService::Session) in a table of its own, and session ids are
+// scoped to that connection — another connection's id, or a closed one,
+// answers NotFound. So Advance, Progress and Close take no lock and no
+// shared map lookup; nothing on the data path is shared. Only Open
+// touches a shard: IO thread t decides against shard (t % num_shards)'s
+// model snapshot (MonitorService::Open), and every shard accrues into
+// the one shared registry. The shard count (serve-tcp --shards) only sets
+// the default number of IO threads.
 //
 // Batched decode → batched advance: an IO thread drains every readable
 // connection first, decoding all complete frames, answering cheap
@@ -23,10 +26,11 @@
 // request always joins), so one connection costs a batch no more than
 // one maximal request and cannot starve another connection of its IO
 // thread. The batch then runs as one loop in arrival order, each request
-// stepping its session up to its budget in one
-// ShardedMonitorService::Advance call (one session lookup and lock per
-// request; a session a run names twice is stepped twice, in request
-// order). Every request of the batch is answered at the same clock read.
+// stepping its session up to its budget in one MonitorService::Step call
+// (one slot lookup in the connection's table per request; a session a
+// run names twice is stepped twice, in request order). Every request of
+// the batch is answered at the same clock read, after one accrual each of
+// rpe_server_advance_steps_total and rpe_observations_scored_total.
 // Per-connection FIFO response order is preserved: any frame that cannot
 // join the run (malformed, shed, over the run budget, not an Advance) is
 // dispatched only after the batch has answered the run.
@@ -93,8 +97,7 @@ class TcpServer {
     /// TCP port to bind (loopback); 0 picks an ephemeral port — read it
     /// back with port() after Start().
     uint16_t port = 0;
-    /// IO threads (event loops); 0 = one per monitor shard (the 1:1
-    /// pinning the header comment describes).
+    /// IO threads (event loops); 0 = one per monitor shard.
     size_t io_threads = 0;
     /// Per-connection write-buffer cap; beyond it the connection's reads
     /// pause until the buffer drains below half (backpressure).
@@ -245,6 +248,10 @@ class TcpServer {
   obs::MetricsRegistry* registry_ = nullptr;
   Counters c_;
   obs::Histogram* request_latency_ = nullptr;  ///< end-to-end, ns
+  /// The service registry's rpe_observations_scored_total: wire steps
+  /// accrue it here, once per Advance batch (MonitorService::Step does
+  /// not).
+  obs::Counter* observations_scored_ = nullptr;
   /// The service / ingest / trainer cells kStats reads (see BuildWireStats).
   struct WireCells {
     obs::Counter* sessions_opened = nullptr;

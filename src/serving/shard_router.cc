@@ -141,12 +141,6 @@ void ShardedMonitorService::AppendDerivedSamples(
                                           "p95 replay latency (ms)"));
   out->push_back(obs::Sample::GaugeSample(
       "rpe_decisions_per_sec", decisions_per_sec, "decisions/sec"));
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    out->push_back(obs::Sample::GaugeSample(
-        "rpe_shard_sessions_open",
-        static_cast<double>(shards_[i]->num_open_sessions()), "",
-        "shard=\"" + std::to_string(i) + "\""));
-  }
 }
 
 }  // namespace rpe

@@ -29,8 +29,12 @@
 // counter is one cell shared by all shards (exact sums by construction)
 // and the replay-latency histogram pools every session. The router adds
 // one scrape-time collector for the values derived only when scraped:
-// rpe_shards, rpe_shard_sessions_open{shard}, p50/p95 replay latency and
-// the decisions-per-second rate.
+// rpe_shards, p50/p95 replay latency and the decisions-per-second rate.
+//
+// The TCP front-end (serving/server.h) routes nothing through the id
+// API: each connection owns its sessions as MonitorService::Session
+// values and opens them on its IO thread's shard with
+// shard(i).Open, so a wire step takes no router or shard lock.
 #pragma once
 
 #include <atomic>
@@ -77,12 +81,9 @@ class ShardedMonitorService : public ModelPublisher {
 
   /// Session API, routed by id; semantics identical to MonitorService.
   Result<SessionId> OpenSession(const QueryRunResult* run);
-  /// Open on an explicit shard instead of the hashed ticket. The TCP
-  /// front-end (serving/server.h) pins each connection to one IO thread
-  /// and opens that connection's sessions on the aligned shard, so every
-  /// later Advance/Progress/Close from the connection touches only locks
-  /// its own IO thread already owns. The returned id routes through the
-  /// normal Advance/Progress/Close calls.
+  /// Open on an explicit shard instead of the hashed ticket, for callers
+  /// that pin their sessions to shards themselves. The returned id routes
+  /// through the normal Advance/Progress/Close calls.
   Result<SessionId> OpenSessionOnShard(const QueryRunResult* run,
                                        size_t shard);
   Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
@@ -96,9 +97,10 @@ class ShardedMonitorService : public ModelPublisher {
   /// the router-private one).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  /// Direct shard access for tests/benches (shards are owned; do not swap
-  /// models through a shard directly or the one-step generation invariant
-  /// breaks).
+  /// Direct shard access: the TCP front-end opens and closes its
+  /// connection-owned sessions through it (MonitorService::Open/Close).
+  /// Shards are owned; do not swap models through a shard directly or the
+  /// one-step generation invariant breaks.
   MonitorService& shard(size_t i) { return *shards_[i]; }
 
  private:

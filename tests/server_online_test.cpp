@@ -528,12 +528,17 @@ TEST_F(ServerOnlineTest,
   }
 
   // A fresh connection's pipelined frames, up to the whole budget, are
-  // all admitted.
+  // all admitted. Session ids are scoped to their connection, so it polls
+  // a session it opened itself.
   TestClient fresh;
   ASSERT_TRUE(fresh.Connect(server.port()));
+  auto fresh_frame = fresh.Call(EncodeOpenRequest({1}));
+  ASSERT_TRUE(fresh_frame.ok() && fresh_frame->ok());
+  auto fresh_opened = DecodeOpenResponse(fresh_frame->payload);
+  ASSERT_TRUE(fresh_opened.ok());
   std::string burst;
   for (size_t i = 0; i < kBudget; ++i) {
-    burst += EncodeProgressRequest({peers[1].session});
+    burst += EncodeProgressRequest({fresh_opened->session_id});
   }
   ASSERT_TRUE(fresh.SendRaw(burst));
   for (size_t i = 0; i < kBudget; ++i) {
@@ -545,10 +550,10 @@ TEST_F(ServerOnlineTest,
   }
   EXPECT_EQ(CounterValue(m, "rpe_server_requests_shed_total"), busy_total);
   EXPECT_EQ(CounterValue(m, "rpe_server_protocol_errors_total"), 1u);
-  // 2 opens, the bursts, kBudget - 1 frames dropped with the hostile
+  // 3 opens, the bursts, kBudget - 1 frames dropped with the hostile
   // connection, and the fresh burst.
   EXPECT_EQ(CounterValue(m, "rpe_server_frames_received_total"),
-            2 + answered + (kBudget - 1) + kBudget);
+            3 + answered + (kBudget - 1) + kBudget);
   server.Stop();
 }
 
@@ -607,7 +612,11 @@ TEST_F(ServerOnlineTest, AbruptDisconnectLeavesNoPartialRecords) {
   FailPoints::DisarmAll();
   server.Stop();
   EXPECT_EQ(CounterValue(m, "rpe_server_records_ingested_total"), 5u);
-  EXPECT_EQ(service.num_open_sessions(), 0u);
+  // No session was opened, over the wire or in the service, and none is
+  // left open.
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_opened_total"), 0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_opened_total"), 0u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_closed_total"), 0u);
 }
 
 TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
@@ -806,9 +815,14 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
 
   EXPECT_EQ(CounterValue(metrics, "rpe_server_connections_accepted_total"),
             CounterValue(metrics, "rpe_server_connections_closed_total"));
+  // Every session the service opened is a wire session, and every wire
+  // session was closed (by its client or with its connection).
   EXPECT_EQ(CounterValue(metrics, "rpe_server_wire_sessions_opened_total"),
             CounterValue(metrics, "rpe_server_wire_sessions_closed_total"));
-  EXPECT_EQ(service.num_open_sessions(), 0u);
+  EXPECT_EQ(CounterValue(metrics, "rpe_sessions_opened_total"),
+            CounterValue(metrics, "rpe_server_wire_sessions_opened_total"));
+  EXPECT_LE(CounterValue(metrics, "rpe_sessions_completed_total"),
+            CounterValue(metrics, "rpe_server_wire_sessions_closed_total"));
   EXPECT_EQ(service.model_generation(), trainer.last_swap_generation());
 
   FailPoints::DisarmAll();

@@ -5,6 +5,7 @@
 // thread count.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +26,7 @@ using ::rpe::testing::ExpectedSessionCounts;
 using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::ReadSessionCounts;
+using ::rpe::testing::SessionCounts;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -337,6 +339,95 @@ TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
             1u);
   EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
             expected.size());
+}
+
+TEST_F(MonitorServiceTest, SessionValuesServeWhatTheIdApiServes) {
+  // The same runs through the id-keyed API on one service and through
+  // Open/Step/Close session values on another: the same series bit for
+  // bit and the same counter deltas. Step accrues no counter, so the
+  // value path accrues rpe_observations_scored_total itself, as its
+  // owner (the TCP front-end) does. The last session of each side is
+  // closed half way, uncompleted.
+  const auto session_runs = SessionRuns(6);
+  const size_t unfinished = session_runs.size() - 1;
+  const auto steps_of = [&](size_t s) {
+    const size_t total = session_runs[s]->observations.size();
+    return s == unfinished ? total / 2 : total;
+  };
+
+  MonitorService by_id(stack_);
+  std::vector<std::vector<uint64_t>> id_series;
+  for (size_t s = 0; s < session_runs.size(); ++s) {
+    auto id = by_id.OpenSession(session_runs[s]);
+    ASSERT_TRUE(id.ok());
+    std::vector<uint64_t>& series = id_series.emplace_back();
+    while (series.size() < steps_of(s)) {
+      auto progress = by_id.Advance(*id);
+      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+      series.push_back(std::bit_cast<uint64_t>(*progress));
+    }
+    EXPECT_EQ(by_id.Advance(*id).ok(), s == unfinished);
+    ASSERT_TRUE(by_id.CloseSession(*id).ok());
+  }
+
+  // Open every value session first, step them in two turns, and move
+  // each into a new vector between the turns.
+  MonitorService by_value(stack_);
+  obs::Counter* value_observations =
+      by_value.metrics().GetCounter("rpe_observations_scored_total");
+  std::vector<MonitorService::Session> sessions;
+  for (const QueryRunResult* run : session_runs) {
+    auto session = by_value.Open(run);
+    ASSERT_TRUE(session.ok());
+    EXPECT_EQ(session->last_progress, 0.0);
+    sessions.push_back(std::move(*session));
+  }
+  std::vector<std::vector<uint64_t>> value_series(sessions.size());
+  const auto step_until = [&](size_t s, size_t end) {
+    while (value_series[s].size() < end) {
+      uint32_t taken = 0;
+      bool done = false;
+      auto progress = MonitorService::Step(&sessions[s], 1, &taken, &done);
+      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+      ASSERT_EQ(taken, 1u);
+      value_observations->Inc(taken);
+      value_series[s].push_back(std::bit_cast<uint64_t>(*progress));
+      EXPECT_EQ(sessions[s].last_progress, *progress);
+      EXPECT_EQ(done, value_series[s].size() ==
+                          session_runs[s]->observations.size());
+      EXPECT_EQ(sessions[s].done(), done);
+    }
+  };
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    step_until(s, steps_of(s) / 2);
+  }
+  std::vector<MonitorService::Session> moved;
+  for (MonitorService::Session& session : sessions) {
+    moved.push_back(std::move(session));
+  }
+  sessions.swap(moved);
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    step_until(s, steps_of(s));
+    EXPECT_EQ(value_series[s], id_series[s]) << "session " << s;
+    uint32_t taken = 7;
+    EXPECT_EQ(MonitorService::Step(&sessions[s], 1, &taken, nullptr).ok(),
+              s == unfinished);
+    if (s == unfinished) {
+      value_observations->Inc(taken);  // the id side's extra Advance
+    } else {
+      EXPECT_EQ(taken, 0u);
+    }
+  }
+  for (const MonitorService::Session& session : sessions) {
+    by_value.Close(session);
+  }
+
+  const SessionCounts value_counts = ReadSessionCounts(by_value.metrics());
+  EXPECT_EQ(value_counts, ReadSessionCounts(by_id.metrics()));
+  // Only completed sessions add a latency sample.
+  EXPECT_EQ(value_counts.opened, session_runs.size());
+  EXPECT_EQ(value_counts.completed, session_runs.size() - 1);
+  EXPECT_EQ(value_counts.latencies, session_runs.size() - 1);
 }
 
 TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {

@@ -15,7 +15,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -1051,23 +1053,106 @@ TEST_F(WireLoopbackTest, AbruptDisconnectClosesTheSessionsServerSide) {
   TcpServer::Options server_options;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
+  obs::MetricsRegistry& m = server.metrics_registry();
+  const uint64_t completed_before =
+      CounterValue(service.metrics(), "rpe_sessions_completed_total");
 
   {
     TestClient client;
     ASSERT_TRUE(client.Connect(server.port()));
-    auto opened_frame = client.Call(EncodeOpenRequest({0}));
-    ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
-    // Drop the connection with the session still open.
+    // One session stepped to its end, one stepped half way.
+    for (uint32_t r = 0; r < 2; ++r) {
+      auto opened_frame = client.Call(EncodeOpenRequest({r}));
+      ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+      auto opened = DecodeOpenResponse(opened_frame->payload);
+      ASSERT_TRUE(opened.ok());
+      const uint32_t steps =
+          r == 0 ? kMaxAdvanceSteps
+                 : std::max<uint32_t>(1, opened->num_observations / 2);
+      auto frame =
+          client.Call(EncodeAdvanceRequest({opened->session_id, steps}));
+      ASSERT_TRUE(frame.ok() && frame->ok());
+      auto advanced = DecodeAdvanceResponse(frame->payload);
+      ASSERT_TRUE(advanced.ok());
+      ASSERT_EQ(advanced->done, r == 0 ? 1 : 0);
+    }
+    // Drop the connection with both sessions still open.
   }
-  // The server notices the hangup and closes the orphaned session; poll
+  // The server notices the hangup and closes the orphaned sessions; poll
   // briefly (hangup delivery is asynchronous).
-  for (int i = 0; i < 200 && service.num_open_sessions() > 0; ++i) {
+  for (int i = 0;
+       i < 200 &&
+       CounterValue(m, "rpe_server_wire_sessions_closed_total") < 2;
+       ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(service.num_open_sessions(), 0u);
-  obs::MetricsRegistry& m = server.metrics_registry();
-  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_opened_total"), 1u);
-  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_closed_total"), 1u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_opened_total"), 2u);
+  EXPECT_EQ(CounterValue(m, "rpe_server_wire_sessions_closed_total"), 2u);
+  // Only the fully stepped session completes.
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_completed_total"),
+            completed_before + 1);
+  server.Stop();
+}
+
+TEST_F(WireLoopbackTest, SessionIdsAreScopedToTheirConnection) {
+  ShardedMonitorService::Options options;
+  options.num_shards = 2;
+  ShardedMonitorService service(stack_, options);
+  TcpServer::Options server_options;
+  TcpServer server(&service, RunPtrs(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient a;
+  TestClient b;
+  ASSERT_TRUE(a.Connect(server.port()));
+  ASSERT_TRUE(b.Connect(server.port()));
+  auto opened_frame = a.Call(EncodeOpenRequest({1}));
+  ASSERT_TRUE(opened_frame.ok() && opened_frame->ok());
+  auto opened = DecodeOpenResponse(opened_frame->payload);
+  ASSERT_TRUE(opened.ok());
+  const uint64_t id = opened->session_id;
+  EXPECT_NE(id, 0u);
+
+  // `expected_type` answered on `client` as a NotFound error frame.
+  const auto expect_not_found = [](TestClient& client,
+                                   const std::string& request,
+                                   MsgType expected_type) {
+    auto frame = client.Call(request);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(frame->type, expected_type);
+    EXPECT_FALSE(frame->ok());
+    EXPECT_EQ(frame->ToStatus().code(), StatusCode::kNotFound);
+  };
+  // Connection B cannot step, read or close A's session.
+  expect_not_found(b, EncodeAdvanceRequest({id, 1}), MsgType::kAdvance);
+  expect_not_found(b, EncodeProgressRequest({id}), MsgType::kProgress);
+  expect_not_found(b, EncodeCloseRequest({id}), MsgType::kClose);
+
+  // A still owns it, untouched: every value is the sequential replay's.
+  ProgressMonitor sequential(&stack_->static_selector,
+                             &stack_->dynamic_selector);
+  const auto expected = sequential.ReplayQueryProgress((*runs_)[1]);
+  for (size_t oi = 0; oi < expected.size(); ++oi) {
+    auto frame = a.Call(EncodeAdvanceRequest({id, 1}));
+    ASSERT_TRUE(frame.ok() && frame->ok());
+    auto advanced = DecodeAdvanceResponse(frame->payload);
+    ASSERT_TRUE(advanced.ok());
+    ASSERT_EQ(advanced->steps, 1u);
+    ASSERT_EQ(std::memcmp(&advanced->progress, &expected[oi],
+                          sizeof(double)),
+              0)
+        << "observation " << oi;
+    EXPECT_EQ(advanced->done, oi + 1 == expected.size() ? 1 : 0);
+  }
+  auto closed = a.Call(EncodeCloseRequest({id}));
+  ASSERT_TRUE(closed.ok() && closed->ok());
+
+  // Closed ids, and ids no connection is ever handed, are NotFound.
+  for (const uint64_t gone : {id, uint64_t{0}, UINT64_MAX}) {
+    expect_not_found(a, EncodeAdvanceRequest({gone, 1}), MsgType::kAdvance);
+    expect_not_found(a, EncodeProgressRequest({gone}), MsgType::kProgress);
+    expect_not_found(a, EncodeCloseRequest({gone}), MsgType::kClose);
+  }
   server.Stop();
 }
 
