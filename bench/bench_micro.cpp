@@ -1,6 +1,7 @@
-// Micro-benchmarks (google-benchmark): executor throughput per operator,
-// feature extraction, MART training internals (leaf-histogram build
-// one-pass vs. rescan, sibling subtraction, tree fit) and prediction,
+// Micro-benchmarks (google-benchmark): executor throughput per operator
+// and over a small workload, feature extraction, MART training internals
+// (leaf-histogram build one-pass vs. rescan, sibling subtraction, tree
+// fit) and prediction,
 // Zipf sampling, histogram construction, and the serving layer (binary
 // snapshots vs. the CSV/text persistence path, zero-copy mmap model load
 // vs. the read+decode path, the session Open/Advance/Close step path,
@@ -21,6 +22,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "harness/runner.h"
 #include "mart/flat_ensemble.h"
 #include "mart/tree.h"
 #include "mart/mart.h"
@@ -80,6 +82,36 @@ void BM_IndexNestedLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_IndexNestedLoop);
+
+// Executes a fixed small TPC-H workload (scale 2, 20 queries, planned
+// once) on one thread; items = queries. The whole executor path per
+// query: operator tree, row handling, counter sampling, pipeline windows.
+void BM_ExecuteWorkload(benchmark::State& state) {
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTpch;
+  config.scale = 2.0;
+  config.num_queries = 20;
+  config.seed = 1;
+  static const Workload workload = BuildWorkload(config).ValueOrDie();
+  static const std::vector<std::unique_ptr<PhysicalPlan>> plans = [] {
+    CardinalityEstimator card(workload.catalog.get());
+    Planner planner(workload.catalog.get(), &card, PlannerOptions{});
+    std::vector<std::unique_ptr<PhysicalPlan>> out;
+    for (const QuerySpec& spec : workload.queries) {
+      out.push_back(planner.Plan(spec).ValueOrDie());
+    }
+    return out;
+  }();
+  for (auto _ : state) {
+    for (const auto& plan : plans) {
+      auto run = ExecutePlan(*plan, *workload.catalog);
+      benchmark::DoNotOptimize(run->rows_out);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(plans.size()));
+}
+BENCHMARK(BM_ExecuteWorkload);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   auto& catalog = SharedCatalog();

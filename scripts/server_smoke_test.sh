@@ -251,7 +251,8 @@ if metric("rpe_retrains_total") <= 0:
 for required in ("rpe_server_frames_received_total",
                  "rpe_sessions_completed_total", "rpe_model_generation",
                  "rpe_ingest_queue_depth", "rpe_simd_tier_info",
-                 "rpe_trace_spans_total"):
+                 "rpe_trace_spans_total", "rpe_process_resident_bytes",
+                 "rpe_process_peak_resident_bytes"):
     metric(required)
 print("scrape reconciles with the loadgen runs exactly")
 PYEOF

@@ -9,7 +9,10 @@ namespace rpe {
 
 ExecContext::ExecContext(const PhysicalPlan* plan, const Catalog* catalog,
                          const ExecOptions& options)
-    : plan_(plan), catalog_(catalog), options_(options) {
+    : plan_(plan),
+      catalog_(catalog),
+      options_(options),
+      observations_(plan->num_nodes()) {
   counters_.resize(plan->num_nodes());
   double est_total_time = 0.0;
   for (const PlanNode* n : plan->nodes()) {
@@ -56,12 +59,7 @@ void ExecContext::MaybeSample() {
   if (static_cast<int>(observations_.size()) >=
       options_.max_observations) {
     // Halve resolution: keep every other observation, double the interval.
-    std::vector<Observation> kept;
-    kept.reserve(observations_.size() / 2 + 1);
-    for (size_t i = 0; i < observations_.size(); i += 2) {
-      kept.push_back(std::move(observations_[i]));
-    }
-    observations_ = std::move(kept);
+    observations_.KeepEveryOther();
     sample_interval_ *= 2.0;
     next_sample_ = vtime_ + sample_interval_;
   }
@@ -69,24 +67,17 @@ void ExecContext::MaybeSample() {
 
 void ExecContext::SampleNow() {
   RefineBounds();
-  Observation obs;
-  obs.vtime = vtime_;
+  const std::span<double> row = observations_.Append(vtime_);
   const size_t n = counters_.size();
-  obs.k.resize(n);
-  obs.e.resize(n);
-  obs.lb.resize(n);
-  obs.ub.resize(n);
-  obs.bytes_read.resize(n);
-  obs.bytes_written.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    obs.k[i] = counters_[i].k;
-    obs.e[i] = counters_[i].e;
-    obs.lb[i] = counters_[i].lb;
-    obs.ub[i] = counters_[i].ub;
-    obs.bytes_read[i] = counters_[i].bytes_read;
-    obs.bytes_written[i] = counters_[i].bytes_written;
+    const NodeCounters& c = counters_[i];
+    row[i] = c.k;
+    row[n + i] = c.e;
+    row[2 * n + i] = c.lb;
+    row[3 * n + i] = c.ub;
+    row[4 * n + i] = c.bytes_read;
+    row[5 * n + i] = c.bytes_written;
   }
-  observations_.push_back(std::move(obs));
 }
 
 void ExecContext::RefineBounds() {

@@ -65,8 +65,9 @@ class ExecContext {
   /// Take a final observation (always called at query end).
   void SampleNow();
 
-  /// Move the collected observations out.
-  std::vector<Observation> TakeObservations() {
+  /// Move the collected observations out, trimmed to exact size.
+  ObservationStore TakeObservations() {
+    observations_.ShrinkToFit();
     return std::move(observations_);
   }
   size_t num_observations() const { return observations_.size(); }
@@ -84,7 +85,7 @@ class ExecContext {
   double next_sample_ = 0.0;
   double sample_interval_ = 1.0;
   int64_t correlated_key_ = 0;
-  std::vector<Observation> observations_;
+  ObservationStore observations_;
 };
 
 }  // namespace rpe

@@ -13,7 +13,7 @@ namespace {
 /// Fill each pipeline's activity window from the observation stream: an
 /// observation belongs to a pipeline if any of the pipeline's node counters
 /// (K, R, W) advanced since the previous observation.
-void ComputePipelineWindows(const std::vector<Observation>& obs,
+void ComputePipelineWindows(const ObservationStore& obs,
                             std::vector<Pipeline>* pipelines) {
   for (auto& p : *pipelines) {
     p.first_obs = -1;

@@ -17,7 +17,7 @@ namespace rpe {
 /// \brief Everything recorded about one query execution.
 struct QueryRunResult {
   const PhysicalPlan* plan = nullptr;
-  std::vector<Observation> observations;
+  ObservationStore observations;
   /// Pipelines with their observation/virtual-time activity windows filled.
   std::vector<Pipeline> pipelines;
   /// True total GetNext calls per node (N_i of §3.1), i.e. final K_i.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/logging.h"
 #include "exec/cost_model.h"
@@ -11,22 +10,30 @@ namespace rpe {
 
 namespace {
 
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+/// Write a followed by b into `out`, reusing its buffer.
+void ConcatRows(std::span<const int64_t> a, std::span<const int64_t> b,
+                Row* out) {
+  out->assign(a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
 }
 
-/// Deterministic sort comparator: primary key column, full-row tiebreak.
-struct RowKeyLess {
-  size_t key;
-  bool operator()(const Row& a, const Row& b) const {
-    if (a[key] != b[key]) return a[key] < b[key];
-    return a < b;
+/// Sort the rows of `rows` into `order`, by the primary key column with a
+/// full-row tiebreak. Rows that compare equal are identical, so the order
+/// of the emitted values is fully determined.
+void SortRows(const RowStore& rows, size_t key,
+              std::vector<const int64_t*>* order) {
+  order->clear();
+  order->reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    order->push_back(rows.row(i).data());
   }
-};
+  const size_t width = rows.width();
+  std::sort(order->begin(), order->end(),
+            [key, width](const int64_t* a, const int64_t* b) {
+              if (a[key] != b[key]) return a[key] < b[key];
+              return std::lexicographical_compare(a, a + width, b, b + width);
+            });
+}
 
 /// The single base table fed into an inner NLJ subtree (for the
 /// matches-per-outer-row bound used in cardinality refinement).
@@ -128,9 +135,12 @@ IndexSeekOp::IndexSeekOp(const PlanNode* node, ExecContext* ctx)
     : Operator(node, ctx) {}
 
 void IndexSeekOp::Open() {
-  table_ = *ctx_->catalog().GetTable(node_->table);
-  index_ = ctx_->catalog().GetIndex(node_->table, node_->index_column);
-  RPE_CHECK(index_ != nullptr) << "missing index for IndexSeek";
+  if (index_ == nullptr) {
+    // Resolved once: a nested-loop join re-opens the seek per outer row.
+    table_ = *ctx_->catalog().GetTable(node_->table);
+    index_ = ctx_->catalog().GetIndex(node_->table, node_->index_column);
+    RPE_CHECK(index_ != nullptr) << "missing index for IndexSeek";
+  }
   matches_ = index_->SeekEqual(ctx_->correlated_key());
   pos_ = 0;
   ctx_->Charge(kSeekOpenCost);  // B-tree descent
@@ -140,7 +150,7 @@ void IndexSeekOp::ReOpen() { Open(); }
 
 bool IndexSeekOp::NextImpl(Row* out) {
   if (pos_ >= matches_.size()) return false;
-  *out = table_->row(matches_[pos_++]);
+  *out = table_->row(matches_[pos_++].second);
   ctx_->Charge(width_ * kReadCostPerByte);
   return true;
 }
@@ -167,12 +177,9 @@ void FilterOp::ReOpen() {
 void FilterOp::Close() { child_->Close(); }
 
 bool FilterOp::NextImpl(Row* out) {
-  Row row;
-  while (child_->Next(&row)) {
-    if (node_->pred.Eval(row, param_)) {
-      *out = std::move(row);
-      return true;
-    }
+  // The child fills the caller's row; a rejected row is overwritten.
+  while (child_->Next(out)) {
+    if (node_->pred.Eval(*out, param_)) return true;
   }
   return false;
 }
@@ -204,7 +211,6 @@ void NestedLoopJoinOp::Close() {
 }
 
 bool NestedLoopJoinOp::NextImpl(Row* out) {
-  Row inner_row;
   while (true) {
     if (!have_outer_) {
       if (!outer_->Next(&outer_row_)) return false;
@@ -212,8 +218,8 @@ bool NestedLoopJoinOp::NextImpl(Row* out) {
       inner_->ReOpen();
       have_outer_ = true;
     }
-    if (inner_->Next(&inner_row)) {
-      *out = ConcatRows(outer_row_, inner_row);
+    if (inner_->Next(&inner_row_)) {
+      ConcatRows(outer_row_, inner_row_, out);
       return true;
     }
     have_outer_ = false;
@@ -223,15 +229,17 @@ bool NestedLoopJoinOp::NextImpl(Row* out) {
 // --- HashJoinOp -------------------------------------------------------------
 
 HashJoinOp::HashJoinOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx) {
+    : Operator(node, ctx), rows_(node->child(0)->output_schema.num_columns()) {
   build_ = Operator::Create(node->child(0), ctx);
   probe_ = Operator::Create(node->child(1), ctx);
 }
 
 void HashJoinOp::Open() {
-  table_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
+  rows_.Clear();
+  index_.Clear();
+  groups_.clear();
+  next_.clear();
+  match_ = GroupIndex::kNone;
 
   build_->Open();
   const double build_width =
@@ -239,10 +247,22 @@ void HashJoinOp::Open() {
   const double mem_limit = ctx_->options().memory_limit_bytes;
   double build_bytes = 0.0;
   double spilled_rows = 0.0;
-  Row row;
-  while (build_->Next(&row)) {
-    const int64_t key = row[node_->left_key];
-    table_[key].push_back(std::move(row));
+  double max_group = 0.0;
+  while (build_->Next(&row_)) {
+    const int64_t key = row_[node_->left_key];
+    const auto index = static_cast<uint32_t>(rows_.Append(row_));
+    next_.push_back(GroupIndex::kNone);
+    bool inserted = false;
+    const uint32_t g = index_.FindOrInsert(
+        HashMix(0, key), [&](uint32_t id) { return groups_[id].key == key; },
+        &inserted);
+    if (inserted) {
+      groups_.push_back({key, index, index, 0});
+    } else {
+      next_[groups_[g].tail] = index;
+      groups_[g].tail = index;
+    }
+    max_group = std::max(max_group, static_cast<double>(++groups_[g].size));
     ctx_->Charge(BuildCostPerRow(OpType::kHashJoin));
     build_bytes += build_width;
     if (build_bytes > mem_limit) {
@@ -260,10 +280,6 @@ void HashJoinOp::Open() {
       ctx_->ChargeRead(node_->id, build_width);
     }
   }
-  double max_group = 0.0;
-  for (const auto& [key, rows] : table_) {
-    max_group = std::max(max_group, static_cast<double>(rows.size()));
-  }
   NodeCounters& c = counters();
   c.max_join_group = max_group;
   c.input_done = true;
@@ -274,29 +290,28 @@ void HashJoinOp::Open() {
 void HashJoinOp::Close() {
   build_->Close();
   probe_->Close();
-  table_.clear();
 }
 
 bool HashJoinOp::NextImpl(Row* out) {
   while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *out = ConcatRows((*matches_)[match_pos_++], probe_row_);
+    if (match_ != GroupIndex::kNone) {
+      ConcatRows(rows_.row(match_), probe_row_, out);
+      match_ = next_[match_];
       return true;
     }
-    matches_ = nullptr;
     if (!probe_->Next(&probe_row_)) return false;
-    auto it = table_.find(probe_row_[node_->right_key]);
-    if (it != table_.end()) {
-      matches_ = &it->second;
-      match_pos_ = 0;
-    }
+    const int64_t key = probe_row_[node_->right_key];
+    const uint32_t g = index_.Find(
+        HashMix(0, key), [&](uint32_t id) { return groups_[id].key == key; });
+    if (g != GroupIndex::kNone) match_ = groups_[g].head;
   }
 }
 
 // --- MergeJoinOp ------------------------------------------------------------
 
 MergeJoinOp::MergeJoinOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx) {
+    : Operator(node, ctx),
+      right_group_(node->child(1)->output_schema.num_columns()) {
   left_ = Operator::Create(node->child(0), ctx);
   right_ = Operator::Create(node->child(1), ctx);
 }
@@ -306,7 +321,7 @@ void MergeJoinOp::Open() {
   right_->Open();
   have_left_ = AdvanceLeft();
   have_right_ = AdvanceRight();
-  right_group_.clear();
+  right_group_.Clear();
   emitting_ = false;
 }
 
@@ -329,7 +344,7 @@ bool MergeJoinOp::NextImpl(Row* out) {
   while (true) {
     if (emitting_) {
       if (group_pos_ < right_group_.size()) {
-        *out = ConcatRows(left_row_, right_group_[group_pos_++]);
+        ConcatRows(left_row_, right_group_.row(group_pos_++), out);
         return true;
       }
       emitting_ = false;
@@ -349,9 +364,9 @@ bool MergeJoinOp::NextImpl(Row* out) {
       if (!AdvanceRight()) return false;
     } else {
       group_key_ = lk;
-      right_group_.clear();
+      right_group_.Clear();
       while (have_right_ && right_row_[node_->right_key] == group_key_) {
-        right_group_.push_back(right_row_);
+        right_group_.Append(right_row_);
         AdvanceRight();
       }
       group_pos_ = 0;
@@ -362,19 +377,19 @@ bool MergeJoinOp::NextImpl(Row* out) {
 
 // --- SortOp -----------------------------------------------------------------
 
-SortOp::SortOp(const PlanNode* node, ExecContext* ctx) : Operator(node, ctx) {
+SortOp::SortOp(const PlanNode* node, ExecContext* ctx)
+    : Operator(node, ctx), rows_(node->output_schema.num_columns()) {
   child_ = Operator::Create(node->child(0), ctx);
 }
 
 void SortOp::Open() {
-  rows_.clear();
+  rows_.Clear();
   pos_ = 0;
   child_->Open();
   const double mem_limit = ctx_->options().memory_limit_bytes;
   double buffered_bytes = 0.0;
-  Row row;
-  while (child_->Next(&row)) {
-    rows_.push_back(std::move(row));
+  while (child_->Next(&row_)) {
+    rows_.Append(row_);
     ctx_->Charge(BuildCostPerRow(OpType::kSort));
     buffered_bytes += width_;
     if (buffered_bytes > mem_limit) {
@@ -382,7 +397,7 @@ void SortOp::Open() {
       ctx_->ChargeWrite(node_->id, width_);
     }
   }
-  std::sort(rows_.begin(), rows_.end(), RowKeyLess{node_->sort_key});
+  SortRows(rows_, node_->sort_key, &order_);
   // Comparison work, charged in chunks so the observation sampler can see
   // time passing during long sorts.
   const double n = static_cast<double>(rows_.size());
@@ -397,95 +412,110 @@ void SortOp::Open() {
 
 void SortOp::Close() {
   child_->Close();
-  rows_.clear();
+  rows_.Clear();
+  order_.clear();
 }
 
 bool SortOp::NextImpl(Row* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
+  if (pos_ >= order_.size()) return false;
+  const int64_t* row = order_[pos_++];
+  out->assign(row, row + rows_.width());
   return true;
 }
 
 // --- BatchSortOp ------------------------------------------------------------
 
 BatchSortOp::BatchSortOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx) {
+    : Operator(node, ctx), batch_(node->output_schema.num_columns()) {
   child_ = Operator::Create(node->child(0), ctx);
 }
 
 void BatchSortOp::Open() {
   child_->Open();
-  batch_.clear();
+  batch_.Clear();
+  order_.clear();
   pos_ = 0;
   child_done_ = false;
 }
 
 void BatchSortOp::ReOpen() {
   child_->ReOpen();
-  batch_.clear();
+  batch_.Clear();
+  order_.clear();
   pos_ = 0;
   child_done_ = false;
 }
 
 void BatchSortOp::Close() {
   child_->Close();
-  batch_.clear();
+  batch_.Clear();
+  order_.clear();
 }
 
 bool BatchSortOp::Refill() {
-  batch_.clear();
+  batch_.Clear();
+  order_.clear();
   pos_ = 0;
   if (child_done_) return false;
-  Row row;
   while (batch_.size() < node_->batch_size) {
-    if (!child_->Next(&row)) {
+    if (!child_->Next(&row_)) {
       child_done_ = true;
       break;
     }
-    batch_.push_back(std::move(row));
+    batch_.Append(row_);
     ctx_->Charge(BuildCostPerRow(OpType::kBatchSort));
   }
   if (batch_.empty()) return false;
-  std::sort(batch_.begin(), batch_.end(), RowKeyLess{node_->sort_key});
+  SortRows(batch_, node_->sort_key, &order_);
   return true;
 }
 
 bool BatchSortOp::NextImpl(Row* out) {
-  if (pos_ >= batch_.size()) {
+  if (pos_ >= order_.size()) {
     if (!Refill()) return false;
   }
-  *out = batch_[pos_++];
+  const int64_t* row = order_[pos_++];
+  out->assign(row, row + batch_.width());
   return true;
 }
 
 // --- HashAggregateOp --------------------------------------------------------
 
 HashAggregateOp::HashAggregateOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx) {
+    : Operator(node, ctx), groups_(node->group_cols.size() + 1) {
   child_ = Operator::Create(node->child(0), ctx);
 }
 
 void HashAggregateOp::Open() {
-  groups_.clear();
+  groups_.Clear();
+  index_.Clear();
+  order_.clear();
   pos_ = 0;
   child_->Open();
-  // Ordered map for deterministic emission order across platforms.
-  std::map<std::vector<int64_t>, int64_t> agg;
-  Row row;
-  std::vector<int64_t> key(node_->group_cols.size());
-  while (child_->Next(&row)) {
-    for (size_t i = 0; i < node_->group_cols.size(); ++i) {
-      key[i] = row[node_->group_cols[i]];
+  const std::vector<size_t>& cols = node_->group_cols;
+  group_.assign(cols.size() + 1, 0);
+  while (child_->Next(&row_)) {
+    uint64_t hash = 0;
+    for (size_t i = 0; i < cols.size(); ++i) {
+      group_[i] = row_[cols[i]];
+      hash = HashMix(hash, group_[i]);
     }
-    agg[key] += 1;
+    bool inserted = false;
+    const uint32_t g = index_.FindOrInsert(
+        hash,
+        [&](uint32_t id) {
+          return std::equal(group_.begin(), group_.end() - 1,
+                            groups_.row(id).begin());
+        },
+        &inserted);
+    if (inserted) groups_.Append(group_);
+    groups_.mutable_row(g)[cols.size()] += 1;
     ctx_->Charge(BuildCostPerRow(OpType::kHashAggregate));
   }
-  groups_.reserve(agg.size());
-  for (const auto& [k, count] : agg) {
-    Row g = k;
-    g.push_back(count);
-    groups_.push_back(std::move(g));
-  }
+  // Emit in ascending order of the group-by values, for a deterministic
+  // order across platforms. Group-by values are unique per group, so
+  // the full-row order is theirs.
+  SortRows(groups_, 0, &order_);
   NodeCounters& c = counters();
   c.input_done = true;
   c.e = static_cast<double>(groups_.size());
@@ -494,12 +524,15 @@ void HashAggregateOp::Open() {
 
 void HashAggregateOp::Close() {
   child_->Close();
-  groups_.clear();
+  groups_.Clear();
+  index_.Clear();
+  order_.clear();
 }
 
 bool HashAggregateOp::NextImpl(Row* out) {
-  if (pos_ >= groups_.size()) return false;
-  *out = groups_[pos_++];
+  if (pos_ >= order_.size()) return false;
+  const int64_t* group = order_[pos_++];
+  out->assign(group, group + groups_.width());
   return true;
 }
 
@@ -527,32 +560,32 @@ bool StreamAggregateOp::NextImpl(Row* out) {
     if (!child_->Next(&pending_)) return false;
     have_pending_ = true;
   }
-  auto group_of = [&](const Row& r) {
-    std::vector<int64_t> g(node_->group_cols.size());
-    for (size_t i = 0; i < node_->group_cols.size(); ++i) {
-      g[i] = r[node_->group_cols[i]];
+  const std::vector<size_t>& cols = node_->group_cols;
+  const auto same_group = [&](const Row& a, const Row& b) {
+    for (size_t col : cols) {
+      if (a[col] != b[col]) return false;
     }
-    return g;
+    return true;
   };
-  const std::vector<int64_t> group = group_of(pending_);
+  // The output row: the pending row's group-by values, then the count.
+  const auto emit = [&](int64_t count) {
+    out->clear();
+    for (size_t col : cols) out->push_back(pending_[col]);
+    out->push_back(count);
+  };
   int64_t count = 1;
-  Row row;
-  while (child_->Next(&row)) {
+  while (child_->Next(&row_)) {
     ctx_->Charge(0.4);  // per-input aggregation work
-    if (group_of(row) == group) {
+    if (same_group(row_, pending_)) {
       ++count;
     } else {
-      pending_ = std::move(row);
-      Row g = group;
-      g.push_back(count);
-      *out = std::move(g);
+      emit(count);
+      std::swap(pending_, row_);
       return true;
     }
   }
   have_pending_ = false;
-  Row g = group;
-  g.push_back(count);
-  *out = std::move(g);
+  emit(count);
   return true;
 }
 

@@ -6,12 +6,14 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "exec/plan.h"
+#include "exec/row_store.h"
 #include "storage/index.h"
 #include "storage/table.h"
 
@@ -99,7 +101,7 @@ class IndexSeekOp : public Operator {
  private:
   const Table* table_ = nullptr;
   const SortedIndex* index_ = nullptr;
-  std::vector<RowId> matches_;
+  std::span<const std::pair<int64_t, RowId>> matches_;
   size_t pos_ = 0;
 };
 
@@ -141,12 +143,14 @@ class NestedLoopJoinOp : public Operator {
   std::unique_ptr<Operator> outer_;
   std::unique_ptr<Operator> inner_;
   Row outer_row_;
+  Row inner_row_;
   bool have_outer_ = false;
 };
 
 /// Hash join: blocking build of child(0), streaming probe of child(1).
 /// Builds exceeding the memory budget spill (extra W/R bytes and extra
-/// GetNext calls during the re-read pass).
+/// GetNext calls during the re-read pass). Build rows sit in a RowStore;
+/// each distinct key is one group whose rows chain in build order.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(const PlanNode* node, ExecContext* ctx);
@@ -159,10 +163,21 @@ class HashJoinOp : public Operator {
  private:
   std::unique_ptr<Operator> build_;
   std::unique_ptr<Operator> probe_;
-  std::unordered_map<int64_t, std::vector<Row>> table_;
+  /// One distinct build key: its rows chain from `head` to `tail`.
+  struct Group {
+    int64_t key;
+    uint32_t head;
+    uint32_t tail;
+    uint32_t size;
+  };
+
+  RowStore rows_;
+  GroupIndex index_;
+  std::vector<Group> groups_;  ///< by GroupIndex id
+  std::vector<uint32_t> next_;  ///< next build row of the same group
+  Row row_;                     ///< build input buffer
   Row probe_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  uint32_t match_ = GroupIndex::kNone;  ///< next build row to emit
 };
 
 /// Merge join over inputs sorted on the join keys (many-to-many).
@@ -183,7 +198,7 @@ class MergeJoinOp : public Operator {
   std::unique_ptr<Operator> right_;
   Row left_row_, right_row_;
   bool have_left_ = false, have_right_ = false;
-  std::vector<Row> right_group_;
+  RowStore right_group_;
   int64_t group_key_ = 0;
   size_t group_pos_ = 0;
   bool emitting_ = false;
@@ -194,7 +209,7 @@ class MergeJoinOp : public Operator {
 // ---------------------------------------------------------------------------
 
 /// Fully blocking sort; spills to (virtual) disk when the buffer exceeds the
-/// memory budget.
+/// memory budget. Sorts a permutation of its RowStore.
 class SortOp : public Operator {
  public:
   SortOp(const PlanNode* node, ExecContext* ctx);
@@ -206,7 +221,9 @@ class SortOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<Row> rows_;
+  RowStore rows_;
+  std::vector<const int64_t*> order_;
+  Row row_;  ///< input buffer
   size_t pos_ = 0;
 };
 
@@ -227,7 +244,9 @@ class BatchSortOp : public Operator {
   bool Refill();
 
   std::unique_ptr<Operator> child_;
-  std::vector<Row> batch_;
+  RowStore batch_;
+  std::vector<const int64_t*> order_;
+  Row row_;  ///< input buffer
   size_t pos_ = 0;
   bool child_done_ = false;
 };
@@ -236,7 +255,8 @@ class BatchSortOp : public Operator {
 // Aggregates / Top
 // ---------------------------------------------------------------------------
 
-/// Blocking hash aggregation: group-by columns + COUNT(*).
+/// Blocking hash aggregation: group-by columns + COUNT(*). Emits groups in
+/// ascending lexicographic order of their group-by values.
 class HashAggregateOp : public Operator {
  public:
   HashAggregateOp(const PlanNode* node, ExecContext* ctx);
@@ -248,7 +268,11 @@ class HashAggregateOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  std::vector<Row> groups_;  // materialized (group cols..., count)
+  RowStore groups_;  // (group cols..., count)
+  GroupIndex index_;
+  std::vector<const int64_t*> order_;
+  Row row_;    ///< input buffer
+  Row group_;  ///< the current input's (group cols..., 0)
   size_t pos_ = 0;
 };
 
@@ -266,6 +290,7 @@ class StreamAggregateOp : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   Row pending_;
+  Row row_;
   bool have_pending_ = false;
 };
 

@@ -173,14 +173,14 @@ class LuoEstimator : public ProgressEstimator {
     const double lookback_start = obs.vtime - std::max(elapsed * 0.25, 1.0);
     // vtime never decreases within a run, so the lookback point is the
     // first observation of the window at or after lookback_start.
-    const auto& all = view.run->observations;
-    const auto at = all.begin() + static_cast<std::ptrdiff_t>(oi);
+    const std::span<const double> vtimes = view.run->observations.vtimes();
+    const auto at = vtimes.begin() + static_cast<std::ptrdiff_t>(oi);
     const auto from =
-        std::min(all.begin() + std::max(view.pipeline->first_obs, 0), at);
-    const Observation& back =
-        *std::partition_point(from, at, [&](const Observation& o) {
-          return o.vtime < lookback_start;
-        });
+        std::min(vtimes.begin() + std::max(view.pipeline->first_obs, 0), at);
+    const Observation back = view.obs(static_cast<size_t>(
+        std::partition_point(from, at,
+                             [&](double t) { return t < lookback_start; }) -
+        vtimes.begin()));
     const double dt = obs.vtime - back.vtime;
     const double db = done - DoneBytes(view, back);
     if (dt <= 0.0 || db <= 0.0) return byte_fraction;

@@ -38,7 +38,7 @@ struct PipelineView {
   const QueryRunResult* run = nullptr;
   const Pipeline* pipeline = nullptr;
 
-  const Observation& obs(size_t oi) const { return run->observations[oi]; }
+  Observation obs(size_t oi) const { return run->observations[oi]; }
   size_t num_obs() const { return run->observations.size(); }
   const PlanNode* node(int id) const { return run->plan->node(id); }
 

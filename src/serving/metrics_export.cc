@@ -1,5 +1,7 @@
 #include "serving/metrics_export.h"
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +13,14 @@ namespace rpe {
 namespace {
 
 using obs::Sample;
+
+/// The value of a "Key:   123 kB" line of /proc/self/status, in bytes.
+bool ParseStatusKb(const std::string& line, const std::string& key,
+                   double* bytes) {
+  if (line.compare(0, key.size(), key) != 0) return false;
+  *bytes = std::strtod(line.c_str() + key.size(), nullptr) * 1024.0;
+  return true;
+}
 
 }  // namespace
 
@@ -46,6 +56,23 @@ int RegisterTracerCollector(obs::MetricsRegistry* registry) {
     out->push_back(Sample::CounterSample(
         "rpe_slow_requests_total",
         static_cast<double>(tracer.slow_requests())));
+  });
+}
+
+int RegisterProcessMemoryCollector(obs::MetricsRegistry* registry) {
+  return registry->AddCollector([](std::vector<Sample>* out) {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    double bytes = 0.0;
+    while (std::getline(status, line)) {
+      if (ParseStatusKb(line, "VmRSS:", &bytes)) {
+        out->push_back(
+            Sample::GaugeSample("rpe_process_resident_bytes", bytes));
+      } else if (ParseStatusKb(line, "VmHWM:", &bytes)) {
+        out->push_back(
+            Sample::GaugeSample("rpe_process_peak_resident_bytes", bytes));
+      }
+    }
   });
 }
 

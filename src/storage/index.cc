@@ -17,14 +17,12 @@ SortedIndex::SortedIndex(const Table* table, size_t column)
   std::sort(entries_.begin(), entries_.end());
 }
 
-std::vector<RowId> SortedIndex::SeekEqual(int64_t key) const {
+std::span<const std::pair<int64_t, RowId>> SortedIndex::SeekEqual(
+    int64_t key) const {
   auto [lo, hi] = std::equal_range(
       entries_.begin(), entries_.end(), std::make_pair(key, RowId{0}),
       [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<RowId> out;
-  out.reserve(static_cast<size_t>(hi - lo));
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-  return out;
+  return {lo, hi};
 }
 
 std::vector<RowId> SortedIndex::SeekRange(int64_t lo_key, int64_t hi_key) const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,8 +24,9 @@ class SortedIndex {
   size_t column() const { return column_; }
   uint64_t num_entries() const { return entries_.size(); }
 
-  /// Row ids whose key equals `key` (seek). O(log n + matches).
-  std::vector<RowId> SeekEqual(int64_t key) const;
+  /// The (key, row id) entries whose key equals `key` (seek), in row-id
+  /// order: a view into the index, allocating nothing. O(log n).
+  std::span<const std::pair<int64_t, RowId>> SeekEqual(int64_t key) const;
 
   /// Row ids with key in [lo, hi], in key order.
   std::vector<RowId> SeekRange(int64_t lo, int64_t hi) const;

@@ -8,6 +8,7 @@
 
 #include "exec/executor.h"
 #include "exec/plan_resolver.h"
+#include "exec/row_store.h"
 #include "tests/test_util.h"
 
 namespace rpe {
@@ -184,10 +185,114 @@ TEST_F(ExecTest, CountersMonotonicallyIncrease) {
   }
 }
 
+TEST(ObservationStoreTest, ViewsSlabRowsAndHalvesInPlace) {
+  // Two nodes; observation i holds field f of node j as 100 i + 10 f + j.
+  ObservationStore store(2);
+  for (int i = 0; i < 5; ++i) {
+    const std::span<double> row = store.Append(0.5 * i);
+    ASSERT_EQ(row.size(), ObservationStore::kFields * 2);
+    for (size_t v = 0; v < row.size(); ++v) {
+      row[v] = 100.0 * i + 10.0 * static_cast<double>(v / 2) +
+               static_cast<double>(v % 2);
+    }
+  }
+  const auto expect_observation = [&](size_t oi, int source) {
+    const Observation obs = store[oi];
+    EXPECT_EQ(obs.vtime, 0.5 * source);
+    const std::span<const double> fields[] = {
+        obs.k, obs.e, obs.lb, obs.ub, obs.bytes_read, obs.bytes_written};
+    for (size_t f = 0; f < ObservationStore::kFields; ++f) {
+      ASSERT_EQ(fields[f].size(), 2u);
+      for (size_t j = 0; j < 2; ++j) {
+        EXPECT_EQ(fields[f][j], 100.0 * source + 10.0 * static_cast<double>(f) +
+                                    static_cast<double>(j))
+            << "observation " << oi << " field " << f << " node " << j;
+      }
+    }
+  };
+  ASSERT_EQ(store.size(), 5u);
+  for (size_t oi = 0; oi < 5; ++oi) {
+    expect_observation(oi, static_cast<int>(oi));
+  }
+  store.KeepEveryOther();  // keeps 0, 2, 4
+  ASSERT_EQ(store.size(), 3u);
+  store.ShrinkToFit();
+  for (size_t oi = 0; oi < 3; ++oi) {
+    expect_observation(oi, static_cast<int>(2 * oi));
+    EXPECT_EQ(store.vtimes()[oi], 1.0 * static_cast<double>(oi));
+  }
+  EXPECT_EQ(store.back().vtime, 2.0);
+}
+
+TEST(RowStoreTest, RowsKeepTheirValuesAndAddressesAcrossChunks) {
+  // Width 3: 2048 rows per 64 KiB chunk, so 5000 rows span three chunks.
+  RowStore store(3);
+  std::vector<const int64_t*> addresses;
+  for (int64_t i = 0; i < 5000; ++i) {
+    const Row row = {i, -i, 7 * i};
+    EXPECT_EQ(store.Append(row), static_cast<size_t>(i));
+    addresses.push_back(store.row(static_cast<size_t>(i)).data());
+  }
+  ASSERT_EQ(store.size(), 5000u);
+  for (int64_t i = 0; i < 5000; ++i) {
+    const std::span<const int64_t> row = store.row(static_cast<size_t>(i));
+    ASSERT_EQ(row.size(), 3u);
+    EXPECT_EQ(row.data(), addresses[static_cast<size_t>(i)]);
+    EXPECT_EQ(row[0], i);
+    EXPECT_EQ(row[1], -i);
+    EXPECT_EQ(row[2], 7 * i);
+  }
+  store.mutable_row(4999)[1] = 42;
+  EXPECT_EQ(store.row(4999)[1], 42);
+  // Clear keeps the chunks: new rows land at the old addresses.
+  store.Clear();
+  EXPECT_TRUE(store.empty());
+  store.Append(Row{1, 2, 3});
+  EXPECT_EQ(store.row(0).data(), addresses[0]);
+  EXPECT_EQ(store.row(0)[2], 3);
+}
+
+TEST(GroupIndexTest, FindsEveryGroupAcrossGrowthAndCollisions) {
+  GroupIndex index;
+  std::vector<int64_t> keys;
+  // Hash only the low bits, so many keys share a hash and probe past
+  // each other.
+  const auto hash = [](int64_t key) { return static_cast<uint64_t>(key % 7); };
+  for (int64_t key = 0; key < 1000; key += 3) {
+    bool inserted = false;
+    const uint32_t id = index.FindOrInsert(
+        hash(key), [&](uint32_t g) { return keys[g] == key; }, &inserted);
+    ASSERT_TRUE(inserted);
+    EXPECT_EQ(id, keys.size());
+    keys.push_back(key);
+  }
+  for (int64_t key = 0; key < 1000; ++key) {
+    const uint32_t id =
+        index.Find(hash(key), [&](uint32_t g) { return keys[g] == key; });
+    if (key % 3 == 0) {
+      ASSERT_NE(id, GroupIndex::kNone);
+      EXPECT_EQ(keys[id], key);
+      bool inserted = true;
+      EXPECT_EQ(index.FindOrInsert(
+                    hash(key), [&](uint32_t g) { return keys[g] == key; },
+                    &inserted),
+                id);
+      EXPECT_FALSE(inserted);
+    } else {
+      EXPECT_EQ(id, GroupIndex::kNone);
+    }
+  }
+  EXPECT_EQ(index.size(), keys.size());
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(hash(0), [](uint32_t) { return true; }),
+            GroupIndex::kNone);
+}
+
 TEST_F(ExecTest, FinalObservationMatchesTrueN) {
   auto root = MakeFilter(MakeTableScan("t_fact"), Predicate::Ge(2, 25));
   auto run = Run(std::move(root));
-  const Observation& last = run.observations.back();
+  const Observation last = run.observations.back();
   for (size_t node = 0; node < run.true_n.size(); ++node) {
     EXPECT_DOUBLE_EQ(last.k[node], run.true_n[node]);
   }
@@ -196,7 +301,8 @@ TEST_F(ExecTest, FinalObservationMatchesTrueN) {
 TEST_F(ExecTest, BoundsContainTrueN) {
   auto root = MakeFilter(MakeTableScan("t_fact"), Predicate::Le(2, 30));
   auto run = Run(std::move(root));
-  for (const auto& obs : run.observations) {
+  for (size_t oi = 0; oi < run.observations.size(); ++oi) {
+    const Observation obs = run.observations[oi];
     for (size_t node = 0; node < run.true_n.size(); ++node) {
       EXPECT_LE(obs.lb[node], run.true_n[node] + 1e-9)
           << "node " << node;
@@ -210,7 +316,8 @@ TEST_F(ExecTest, EstimateWithinBounds) {
   auto root = MakeHashJoin(MakeTableScan("t_dim"), MakeTableScan("t_fact"),
                            0, 1);
   auto run = Run(std::move(root));
-  for (const auto& obs : run.observations) {
+  for (size_t oi = 0; oi < run.observations.size(); ++oi) {
+    const Observation obs = run.observations[oi];
     for (size_t node = 0; node < run.true_n.size(); ++node) {
       EXPECT_GE(obs.e[node], obs.lb[node] - 1e-9);
       EXPECT_LE(obs.e[node], obs.ub[node] + 1e-9);

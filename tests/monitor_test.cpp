@@ -8,10 +8,13 @@
 #include "harness/runner.h"
 #include "selection/features.h"
 #include "selection/monitor.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
 
+using ::rpe::testing::ObservationRows;
+using ::rpe::testing::RebuildObservations;
 using Decisions = std::vector<ProgressMonitor::PipelineDecision>;
 
 /// The straightforward query progress of Eq. 5: a fresh weight vector and
@@ -297,9 +300,13 @@ TEST_F(MonitorTest, StepperMatchesReferenceOnEdgeCases) {
     QueryRunResult run = base;
     const Decisions decisions = ForcedDecisions(run, 0, 1);
     const size_t n = run.observations.size();
-    for (size_t oi : {size_t{0}, n / 2, n - 1}) {
-      std::vector<double>& e = run.observations[oi].e;
-      std::fill(e.begin(), e.end(), 0.0);
+    const std::set<size_t> zeroed = {0, n / 2, n - 1};
+    RebuildObservations(&run, n, [&](size_t oi, ObservationRows* obs) {
+      if (zeroed.count(oi) > 0) {
+        std::fill(obs->e.begin(), obs->e.end(), 0.0);
+      }
+    });
+    for (size_t oi : zeroed) {
       EXPECT_EQ(ReferenceQueryProgressAt(run, decisions, oi), 0.0);
     }
     expect_all_match(run, "zero total E");
@@ -323,7 +330,7 @@ TEST_F(MonitorTest, StepperMatchesReferenceOnEdgeCases) {
   }
   {
     QueryRunResult run = base;
-    run.observations.resize(1);
+    RebuildObservations(&run, 1, [](size_t, ObservationRows*) {});
     for (Pipeline& p : run.pipelines) {
       if (p.first_obs == 0) {
         p.last_obs = 0;

@@ -13,6 +13,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/ingest.h"
+#include "serving/metrics_export.h"
 #include "serving/server.h"
 #include "serving/shard_router.h"
 #include "serving/wire.h"
@@ -105,6 +107,28 @@ TEST(ObsRegistryTest, RemovedCollectorStopsExporting) {
   EXPECT_EQ(registry.Collect().size(), 1u);
   registry.RemoveCollector(id);
   EXPECT_TRUE(registry.Collect().empty());
+}
+
+TEST(ObsRegistryTest, ProcessMemoryGaugesTrackTheResidentSet) {
+  obs::MetricsRegistry registry;
+  RegisterProcessMemoryCollector(&registry);
+  const double resident =
+      testing::SampleValue(registry, "rpe_process_resident_bytes");
+  EXPECT_GT(resident, 0.0);
+  EXPECT_GE(testing::SampleValue(registry, "rpe_process_peak_resident_bytes"),
+            resident);
+  // Touching 32 MiB of freshly mapped pages (never resident before, which
+  // a malloc'd block need not be) raises the peak by about that much
+  // over the resident size read before; the slack covers pages the
+  // process releases meanwhile.
+  const size_t bytes = size_t{32} << 20;
+  void* block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(block, MAP_FAILED);
+  std::memset(block, 1, bytes);
+  EXPECT_GE(testing::SampleValue(registry, "rpe_process_peak_resident_bytes"),
+            resident + 0.9 * static_cast<double>(bytes));
+  munmap(block, bytes);
 }
 
 TEST(ObsRegistryTest, RenderPrometheusEmitsTypedFamilies) {

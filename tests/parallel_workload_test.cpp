@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -109,16 +110,19 @@ TEST_P(ParallelWorkloadTest, KeptRunsMatchTheSerialRuns) {
     EXPECT_EQ(got.plan, run.runs[q].plan.get());
     EXPECT_EQ(got.true_n, want.true_n) << "query " << q;
     ASSERT_EQ(got.observations.size(), want.observations.size());
+    const auto values = [](std::span<const double> v) {
+      return std::vector<double>(v.begin(), v.end());
+    };
     for (size_t o = 0; o < want.observations.size(); ++o) {
-      const Observation& a = got.observations[o];
-      const Observation& b = want.observations[o];
+      const Observation a = got.observations[o];
+      const Observation b = want.observations[o];
       EXPECT_EQ(a.vtime, b.vtime);
-      EXPECT_EQ(a.k, b.k);
-      EXPECT_EQ(a.e, b.e);
-      EXPECT_EQ(a.lb, b.lb);
-      EXPECT_EQ(a.ub, b.ub);
-      EXPECT_EQ(a.bytes_read, b.bytes_read);
-      EXPECT_EQ(a.bytes_written, b.bytes_written);
+      EXPECT_EQ(values(a.k), values(b.k));
+      EXPECT_EQ(values(a.e), values(b.e));
+      EXPECT_EQ(values(a.lb), values(b.lb));
+      EXPECT_EQ(values(a.ub), values(b.ub));
+      EXPECT_EQ(values(a.bytes_read), values(b.bytes_read));
+      EXPECT_EQ(values(a.bytes_written), values(b.bytes_written));
     }
   }
 }

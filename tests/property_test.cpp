@@ -112,7 +112,8 @@ TEST_P(ShapeInvariantTest, CountersMonotone) {
 }
 
 TEST_P(ShapeInvariantTest, BoundsBracketTruth) {
-  for (const auto& obs : run_.observations) {
+  for (size_t oi = 0; oi < run_.observations.size(); ++oi) {
+    const Observation obs = run_.observations[oi];
     for (size_t n = 0; n < run_.true_n.size(); ++n) {
       EXPECT_LE(obs.lb[n], run_.true_n[n] + 1e-9);
       EXPECT_GE(obs.ub[n], run_.true_n[n] - 1e-9);
@@ -158,7 +159,7 @@ TEST_P(ShapeInvariantTest, EstimatesInUnitInterval) {
 }
 
 TEST_P(ShapeInvariantTest, FinalCountersEqualTrueN) {
-  const auto& last = run_.observations.back();
+  const Observation last = run_.observations.back();
   for (size_t n = 0; n < run_.true_n.size(); ++n) {
     EXPECT_DOUBLE_EQ(last.k[n], run_.true_n[n]);
   }

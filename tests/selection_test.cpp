@@ -18,6 +18,8 @@ namespace rpe {
 namespace {
 
 using ::rpe::testing::MakeSmallCatalog;
+using ::rpe::testing::ObservationRows;
+using ::rpe::testing::RebuildObservations;
 
 /// The straightforward ExtractAllFeatures: every marker and sub-marker is
 /// its own MarkerObservation scan, every feature cell its own Estimate
@@ -237,13 +239,14 @@ TEST_F(SelectionTest, OnePassExtractionMatchesReferenceOnEdgeCases) {
   }
   auto scale_drivers = [&](QueryRunResult* run, int from, int to,
                            double k_factor, double e_factor) {
-    for (int oi = from; oi <= to; ++oi) {
-      Observation& obs = run->observations[static_cast<size_t>(oi)];
-      for (int id : pipe.driver_nodes) {
-        obs.k[static_cast<size_t>(id)] *= k_factor;
-        obs.e[static_cast<size_t>(id)] *= e_factor;
-      }
-    }
+    RebuildObservations(
+        run, run->observations.size(), [&](size_t oi, ObservationRows* obs) {
+          if (static_cast<int>(oi) < from || static_cast<int>(oi) > to) return;
+          for (int id : pipe.driver_nodes) {
+            obs->k[static_cast<size_t>(id)] *= k_factor;
+            obs->e[static_cast<size_t>(id)] *= e_factor;
+          }
+        });
   };
   const int t2 = MarkerObservation(PipelineView{&base, &pipe}, 2.0);
   const int t20 = MarkerObservation(PipelineView{&base, &pipe}, 20.0);

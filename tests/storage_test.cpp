@@ -67,6 +67,20 @@ TEST_F(IndexTest, SeekEqualFindsAllDuplicates) {
   EXPECT_EQ(index_->SeekEqual(3).size(), 2u);
   EXPECT_EQ(index_->SeekEqual(1).size(), 1u);
   EXPECT_TRUE(index_->SeekEqual(7).empty());
+  // The span views the index's own entries: the rows holding key 5, in
+  // row-id order.
+  const auto fives = index_->SeekEqual(5);
+  ASSERT_EQ(fives.size(), 3u);
+  EXPECT_EQ(fives[0].second, 0u);
+  EXPECT_EQ(fives[1].second, 2u);
+  EXPECT_EQ(fives[2].second, 5u);
+  for (const auto& [key, id] : fives) {
+    EXPECT_EQ(key, 5);
+    EXPECT_EQ(table_->row(id)[0], 5);
+  }
+  EXPECT_GE(fives.data(), index_->entries().data());
+  EXPECT_LE(fives.data() + fives.size(),
+            index_->entries().data() + index_->entries().size());
 }
 
 TEST_F(IndexTest, CountMatchesSeek) {

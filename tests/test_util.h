@@ -4,6 +4,7 @@
 // against the sequential monitor.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <functional>
@@ -12,6 +13,7 @@
 #include <set>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -110,6 +112,60 @@ inline std::unique_ptr<Catalog> MakeSmallCatalog(uint64_t seed = 5) {
   RPE_CHECK_OK(catalog->CreateIndex("t_dim", "d_id"));
   RPE_CHECK_OK(catalog->CreateIndex("t_fact", "f_fk"));
   return catalog;
+}
+
+/// One observation as owned arrays, for tests that build or edit runs by
+/// hand: copy one out with CopyObservation, change it, and add it to a
+/// store with AppendObservation.
+struct ObservationRows {
+  double vtime = 0.0;
+  std::vector<double> k, e, lb, ub, bytes_read, bytes_written;
+};
+
+inline ObservationRows CopyObservation(const Observation& obs) {
+  const auto copy = [](std::span<const double> values) {
+    return std::vector<double>(values.begin(), values.end());
+  };
+  ObservationRows rows;
+  rows.vtime = obs.vtime;
+  rows.k = copy(obs.k);
+  rows.e = copy(obs.e);
+  rows.lb = copy(obs.lb);
+  rows.ub = copy(obs.ub);
+  rows.bytes_read = copy(obs.bytes_read);
+  rows.bytes_written = copy(obs.bytes_written);
+  return rows;
+}
+
+/// Append `obs` to `store`: the one way tests add an observation by hand.
+/// Every array must hold one value per plan node.
+inline void AppendObservation(ObservationStore* store,
+                              const ObservationRows& obs) {
+  const size_t n = store->num_nodes();
+  const std::span<double> row = store->Append(obs.vtime);
+  size_t offset = 0;
+  for (const std::vector<double>* field :
+       {&obs.k, &obs.e, &obs.lb, &obs.ub, &obs.bytes_read,
+        &obs.bytes_written}) {
+    RPE_CHECK_EQ(field->size(), n);
+    std::copy(field->begin(), field->end(), row.begin() + offset);
+    offset += n;
+  }
+}
+
+/// Replace `run`'s observations with copies of its first `count`, each
+/// passed through `edit` (given the observation index) before it is
+/// appended back.
+inline void RebuildObservations(
+    QueryRunResult* run, size_t count,
+    const std::function<void(size_t, ObservationRows*)>& edit) {
+  ObservationStore rebuilt(run->observations.num_nodes());
+  for (size_t oi = 0; oi < count; ++oi) {
+    ObservationRows rows = CopyObservation(run->observations[oi]);
+    edit(oi, &rows);
+    AppendObservation(&rebuilt, rows);
+  }
+  run->observations = std::move(rebuilt);
 }
 
 /// Current value of the counter `name` in `registry` (0 if nothing has

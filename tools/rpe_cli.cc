@@ -603,6 +603,7 @@ int CmdServeTcp(const Flags& flags) {
   RegisterFailPointCollector(&registry);
   RegisterSimdCollector(&registry);
   RegisterTracerCollector(&registry);
+  RegisterProcessMemoryCollector(&registry);
   if (!trace_out.empty() || *slow_ms > 0) {
     obs::Tracer::Global().Enable();
     obs::Tracer::Global().SetSlowThresholdNs(
