@@ -2,9 +2,9 @@
 // and over a small workload, feature extraction, MART training internals
 // (leaf-histogram build one-pass vs. rescan, sibling subtraction, tree
 // fit) and prediction,
-// Zipf sampling, histogram construction, and the serving layer (binary
-// snapshots vs. the CSV/text persistence path, zero-copy mmap model load
-// vs. the read+decode path, the session Open/Advance/Close step path,
+// Zipf sampling, histogram construction, and the serving layer (record and
+// model snapshot encode/decode, zero-copy mmap model load vs. the
+// read+decode path, the session Open/Advance/Close step path,
 // ingest push throughput and TrainerLoop retrain+publish latency) — the
 // building blocks whose cost determines the (low) overhead the paper
 // requires of progress estimation.
@@ -496,8 +496,7 @@ BENCHMARK(BM_HistogramRecord);
 // ingredients of the snapshot and MonitorService benchmarks.
 struct ServingFixture {
   ServingFixture() : records(rpe::testing::RandomRecords(200, 17)) {
-    records_csv = RecordsToCsv(records);
-    records_snapshot = EncodeRecordBatch(records);
+    records_snapshot = EncodeRecordBatch(records).ValueOrDie();
 
     MartParams params;
     params.num_trees = 20;
@@ -511,14 +510,6 @@ struct ServingFixture {
                  "/rpe_bench_micro_stack." + std::to_string(::getpid()) +
                  ".rpsn";
     RPE_CHECK_OK(SaveSelectorStack(*stack, stack_path));
-    // The text form of the same per-candidate models (a selector keeps
-    // only their compiled tables).
-    for (const bool dynamic : {false, true}) {
-      for (const MartModel& m : rpe::testing::TrainSelectorModels(
-               records, PoolOriginalThree(), dynamic, params)) {
-        model_texts.push_back(m.Serialize());
-      }
-    }
 
     auto& catalog = SharedCatalog();
     auto add_run = [&](std::unique_ptr<PlanNode> root) {
@@ -537,12 +528,10 @@ struct ServingFixture {
   ~ServingFixture() { std::remove(stack_path.c_str()); }
 
   std::vector<PipelineRecord> records;
-  std::string records_csv;
   std::string records_snapshot;
   std::shared_ptr<const SelectorStack> stack;
   std::string stack_snapshot;
   std::string stack_path;
-  std::vector<std::string> model_texts;
   std::vector<std::unique_ptr<PhysicalPlan>> plans;
   std::vector<QueryRunResult> runs;
 };
@@ -552,29 +541,8 @@ ServingFixture& Serving() {
   return fixture;
 }
 
-// The "including read/write" cost of Table 7: record persistence via the
-// text CSV path vs. the binary snapshot path.
-void BM_RecordsCsvEncode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RecordsToCsv(fx.records));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.records.size()));
-}
-BENCHMARK(BM_RecordsCsvEncode);
-
-void BM_RecordsCsvDecode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    auto records = RecordsFromCsv(fx.records_csv);
-    benchmark::DoNotOptimize(records->size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.records.size()));
-}
-BENCHMARK(BM_RecordsCsvDecode);
-
+// The "including read/write" cost of Table 7: record persistence through
+// the .rpsn record batch.
 void BM_RecordsSnapshotEncode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {
@@ -596,22 +564,8 @@ void BM_RecordsSnapshotDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RecordsSnapshotDecode);
 
-// Model (re)load for warm restarts: text Deserialize of every model of the
-// stack (trees only, no scoring tables) vs. one binary snapshot decode
-// (owned copy + borrowing the compiled tables in place).
-void BM_SelectorStackTextDecode(benchmark::State& state) {
-  auto& fx = Serving();
-  for (auto _ : state) {
-    size_t trees = 0;
-    for (const std::string& text : fx.model_texts) {
-      auto model = MartModel::Deserialize(text);
-      trees += model->num_trees();
-    }
-    benchmark::DoNotOptimize(trees);
-  }
-}
-BENCHMARK(BM_SelectorStackTextDecode);
-
+// Model (re)load for warm restarts: one binary snapshot decode (owned copy
+// + borrowing the compiled tables in place).
 void BM_SelectorStackSnapshotDecode(benchmark::State& state) {
   auto& fx = Serving();
   for (auto _ : state) {

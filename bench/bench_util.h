@@ -4,8 +4,8 @@
 //
 // All bench binaries are standalone executables that print the paper's
 // tables/figures as aligned text; expensive workload executions are cached
-// as CSV under RPE_CACHE_DIR (default ./rpe_record_cache), so the first
-// binary pays the cost and the rest reuse it.
+// as .rpsn record batches under RPE_CACHE_DIR (default ./rpe_record_cache),
+// so the first binary pays the cost and the rest reuse it.
 #pragma once
 
 #include <iostream>

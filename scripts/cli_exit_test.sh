@@ -14,6 +14,9 @@
 #      counts.
 #   4. A malformed RPE_FAILPOINTS spec is diagnosed, ignored, and must
 #      not turn into silent fault injection.
+#   5. `run` with a record the record element cannot carry (a --tag over
+#      the 256-byte label cap) exits 1 with the InvalidArgument naming
+#      the field and the cap, and writes no file.
 #
 # Usage: cli_exit_test.sh <path-to-rpe_cli> <path-to-rpe_loadgen>
 set -u
@@ -127,6 +130,18 @@ expect_arg_err "'thre'" "$CLI" train --records "$MISSING" --pool thre
 expect_arg_err "'thre'" \
   timeout 60 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --pool thre
 expect_arg_err "'stray'" "$CLI" inspect --records "$MISSING" stray
+
+# --- a record the element cannot carry is refused, not written -----------
+LONG_TAG="$(printf 'x%.0s' $(seq 1 300))"
+"$CLI" run --kind tpch --queries 10 --scale 2 --tag "$LONG_TAG" \
+  --out "$WORK/long_tag.rpsn" >"$WORK/stdout.txt" 2>"$WORK/stderr.txt"
+RC=$?
+[ "$RC" -eq 1 ] || fail "run with a 300-byte --tag exited $RC (expected 1)"
+grep -q "InvalidArgument.*tag.*256-byte cap" "$WORK/stderr.txt" \
+  || fail "run with a 300-byte --tag lacks the Status: $(cat "$WORK/stderr.txt")"
+for f in "$WORK"/long_tag.rpsn*; do
+  [ -e "$f" ] && fail "refused record batch left a file: $f"
+done
 
 # --- serve-tcp under a 100% snapshot-write fault --------------------------
 OUT="$WORK/serve_tcp.txt"

@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "serving/snapshot.h"
 
 namespace rpe {
 
@@ -137,17 +138,16 @@ Result<std::vector<PipelineRecord>> CachedRecords(const std::string& name,
                                                   const WorkloadConfig& config,
                                                   const RunOptions& options,
                                                   const std::string& tag) {
-  // ".v2": older cache files hold 12-digit, rounded records and are not
-  // read.
-  const std::string path = RecordCacheDir() + "/" + name + ".v2.csv";
-  if (std::filesystem::exists(path)) {
-    auto loaded = LoadRecords(path);
-    if (loaded.ok()) return loaded;
-    // Fall through to recompute on a corrupt cache file.
-  }
+  // One .rpsn record batch, written by temp file + rename: a run killed
+  // mid-write leaves no short file under this name, and a file that fails
+  // its frame checks anyway (cut, corrupt, another format version) is
+  // recomputed, never loaded short. Older ".v2.csv" caches are not read.
+  const std::string path = RecordCacheDir() + "/" + name + ".v3.rpsn";
+  auto loaded = LoadRecordBatch(path);
+  if (loaded.ok()) return loaded;
   RPE_ASSIGN_OR_RETURN(std::vector<PipelineRecord> records,
                        BuildAndRun(config, options, tag));
-  RPE_RETURN_NOT_OK(SaveRecords(records, path));
+  RPE_RETURN_NOT_OK(SaveRecordBatch(records, path));
   return records;
 }
 

@@ -78,9 +78,9 @@ Result<std::vector<PipelineRecord>> BuildAndRun(
     const WorkloadConfig& config, const RunOptions& options = {},
     const std::string& tag = "");
 
-/// Disk-cached variant: loads `<cache_dir>/<name>.v2.csv` when present,
-/// otherwise builds + runs + saves. cache_dir defaults to $RPE_CACHE_DIR or
-/// "rpe_record_cache" under the current directory.
+/// Disk-cached variant: loads the record batch `<cache_dir>/<name>.v3.rpsn`
+/// when it decodes, otherwise builds + runs + saves it. cache_dir defaults
+/// to $RPE_CACHE_DIR or "rpe_record_cache" under the current directory.
 Result<std::vector<PipelineRecord>> CachedRecords(
     const std::string& name, const WorkloadConfig& config,
     const RunOptions& options = {}, const std::string& tag = "");

@@ -104,44 +104,4 @@ std::string MartModel::Serialize() const {
   return out.str();
 }
 
-Result<MartModel> MartModel::Deserialize(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  MartModel model;
-  size_t num_trees = 0, num_features = 0;
-  if (!(in >> magic >> model.bias_ >> model.learning_rate_ >> num_trees >>
-        num_features) ||
-      magic != "MART") {
-    return Status::InvalidArgument("bad MART header");
-  }
-  model.feature_gains_.resize(num_features);
-  for (size_t i = 0; i < num_features; ++i) {
-    if (!(in >> model.feature_gains_[i])) {
-      return Status::InvalidArgument("bad MART gains");
-    }
-  }
-  // Re-serialize remaining stream per tree: trees are line-structured, so
-  // hand the rest of the stream to each tree in turn.
-  for (size_t t = 0; t < num_trees; ++t) {
-    size_t count = 0;
-    if (!(in >> count)) return Status::InvalidArgument("bad tree count");
-    std::ostringstream tree_text;
-    tree_text.precision(17);
-    tree_text << count << "\n";
-    for (size_t i = 0; i < count; ++i) {
-      int feature, left, right;
-      double threshold, value;
-      if (!(in >> feature >> threshold >> left >> right >> value)) {
-        return Status::InvalidArgument("bad tree body");
-      }
-      tree_text << feature << " " << threshold << " " << left << " " << right
-                << " " << value << "\n";
-    }
-    RPE_ASSIGN_OR_RETURN(RegressionTree tree,
-                         RegressionTree::Deserialize(tree_text.str()));
-    model.trees_.push_back(std::move(tree));
-  }
-  return model;
-}
-
 }  // namespace rpe

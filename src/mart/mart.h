@@ -62,9 +62,11 @@ class MartModel {
   /// Training MSE after each boosting iteration.
   const std::vector<double>& training_curve() const { return training_curve_; }
 
-  /// Text round-trip for persistence.
+  /// Text form of the model (bias, rate, gains, then every tree): a
+  /// fingerprint for identity checks and a write cost for Table 7. Models
+  /// are stored only as compiled tables (serving/snapshot.h), so nothing
+  /// reads this back.
   std::string Serialize() const;
-  static Result<MartModel> Deserialize(const std::string& text);
 
  private:
   double bias_ = 0.0;

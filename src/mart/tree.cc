@@ -663,19 +663,4 @@ std::string RegressionTree::Serialize() const {
   return out.str();
 }
 
-Result<RegressionTree> RegressionTree::Deserialize(const std::string& text) {
-  std::istringstream in(text);
-  size_t count = 0;
-  if (!(in >> count)) return Status::InvalidArgument("bad tree header");
-  RegressionTree tree;
-  tree.nodes_.resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    Node& n = tree.nodes_[i];
-    if (!(in >> n.feature >> n.threshold >> n.left >> n.right >> n.value)) {
-      return Status::InvalidArgument("bad tree node");
-    }
-  }
-  return tree;
-}
-
 }  // namespace rpe

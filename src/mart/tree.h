@@ -154,9 +154,8 @@ class RegressionTree {
   size_t num_leaves() const;
   const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// Compact text form (one node per line) for model persistence.
+  /// Compact text form (one node per line); see MartModel::Serialize.
   std::string Serialize() const;
-  static Result<RegressionTree> Deserialize(const std::string& text);
 
  private:
   std::vector<Node> nodes_;  // nodes_[0] is the root

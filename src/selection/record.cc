@@ -1,12 +1,7 @@
 #include "selection/record.h"
 
 #include <algorithm>
-#include <fstream>
-#include <limits>
-#include <sstream>
-#include <stdexcept>
-
-#include "common/logging.h"
+#include <cmath>
 
 namespace rpe {
 
@@ -50,159 +45,124 @@ bool MakeRecord(const PipelineView& view, const std::string& workload,
   return true;
 }
 
-std::string RecordsToCsv(const std::vector<PipelineRecord>& records) {
-  std::ostringstream out;
-  // max_digits10 significant digits read back as the identical double.
-  out.precision(std::numeric_limits<double>::max_digits10);
-  const FeatureSchema& schema = FeatureSchema::Get();
-  out << "workload,query,pipeline,tag,total_n";
-  for (size_t f = 0; f < schema.num_features(); ++f) {
-    out << "," << schema.name(f);
-  }
-  for (int e = 0; e < kNumEstimatorKinds; ++e) {
-    out << ",l1_" << EstimatorName(static_cast<EstimatorKind>(e));
-  }
-  for (int e = 0; e < kNumEstimatorKinds; ++e) {
-    out << ",l2_" << EstimatorName(static_cast<EstimatorKind>(e));
-  }
-  out << "\n";
-  for (const auto& r : records) {
-    out << r.workload << "," << r.query << "," << r.pipeline_id << ","
-        << r.tag << "," << r.total_n;
-    for (double f : r.features) out << "," << f;
-    for (double v : r.l1) out << "," << v;
-    for (double v : r.l2) out << "," << v;
-    out << "\n";
-  }
-  return out.str();
-}
-
 namespace {
 
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> cells;
-  size_t start = 0;
-  while (true) {
-    const size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      cells.push_back(line.substr(start));
-      return cells;
-    }
-    cells.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
+Status CheckLabel(size_t len, const char* field) {
+  if (len <= kMaxIngestStringBytes) return Status::OK();
+  return Status::InvalidArgument(
+      "record " + std::string(field) + " length " + std::to_string(len) +
+      " exceeds the " + std::to_string(kMaxIngestStringBytes) + "-byte cap");
 }
 
-Status CsvRowError(size_t line_no, const std::string& what) {
-  return Status::InvalidArgument("records CSV line " +
-                                 std::to_string(line_no) + ": " + what);
+// A record whose arity disagrees with this binary's schema / estimator
+// table (e.g. one captured by a binary with a different feature list) is
+// rejected, not silently re-indexed: a mixed-arity corpus breaks training.
+Status CheckArity(size_t n, size_t expected, const char* field) {
+  if (n == expected) return Status::OK();
+  return Status::InvalidArgument("record " + std::string(field) + " arity " +
+                                 std::to_string(n) + " != expected " +
+                                 std::to_string(expected));
 }
 
-Status ParseCell(const std::string& cell, size_t line_no,
-                 const std::string& column, double* out) {
-  try {
-    size_t consumed = 0;
-    *out = std::stod(cell, &consumed);
-    if (consumed != cell.size()) throw std::invalid_argument(cell);
-  } catch (const std::exception&) {
-    return CsvRowError(line_no, "bad numeric value '" + cell + "' in column " +
-                                    column);
-  }
-  return Status::OK();
+Status NonFinite(const char* field) {
+  return Status::InvalidArgument("record " + std::string(field) +
+                                 " carries a non-finite value");
 }
 
-Status ParseIntCell(const std::string& cell, size_t line_no,
-                    const std::string& column, int* out) {
-  try {
-    size_t consumed = 0;
-    const long long v = std::stoll(cell, &consumed);
-    if (consumed != cell.size() || v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument(cell);
-    }
-    *out = static_cast<int>(v);
-  } catch (const std::exception&) {
-    return CsvRowError(line_no, "bad integer value '" + cell +
-                                    "' in column " + column);
+size_t NumFeatures() { return FeatureSchema::Get().num_features(); }
+constexpr size_t kNumLevels = static_cast<size_t>(kNumEstimatorKinds);
+
+/// Whether every value is finite, without a branch per value: x * 0 is 0
+/// for a finite x and NaN for NaN or ±Inf, and a NaN survives any sum.
+/// Two sums, so consecutive adds overlap (about twice as fast as an
+/// early-exit std::isfinite loop over a feature vector).
+bool AllFinite(const std::vector<double>& v) {
+  double a = 0.0, b = 0.0;
+  size_t i = 0;
+  for (; i + 2 <= v.size(); i += 2) {
+    a += v[i] * 0.0;
+    b += v[i + 1] * 0.0;
   }
-  return Status::OK();
+  if (i < v.size()) a += v[i] * 0.0;
+  return a + b == 0.0;
+}
+
+Status CheckDoubles(const std::vector<double>& v, size_t expected,
+                    const char* field) {
+  RPE_RETURN_NOT_OK(CheckArity(v.size(), expected, field));
+  return AllFinite(v) ? Status::OK() : NonFinite(field);
+}
+
+void PutString16(const std::string& s, ByteWriter* w) {
+  w->Put(static_cast<uint16_t>(s.size()));
+  w->PutBytes(s);
+}
+
+void PutDoubles16(const std::vector<double>& v, ByteWriter* w) {
+  w->Put(static_cast<uint16_t>(v.size()));
+  w->PutArray(v.data(), v.size());
+}
+
+Status GetString16(ByteReader* r, std::string* out, const char* field) {
+  uint16_t len = 0;
+  RPE_RETURN_NOT_OK(r->Get(&len));
+  RPE_RETURN_NOT_OK(CheckLabel(len, field));
+  return r->GetBytes(out, len);
+}
+
+Status GetDoubles16(ByteReader* r, std::vector<double>* out, size_t expected,
+                    const char* field) {
+  uint16_t n = 0;
+  RPE_RETURN_NOT_OK(r->Get(&n));
+  // The arity check bounds the allocation before any value is read.
+  RPE_RETURN_NOT_OK(CheckArity(n, expected, field));
+  out->resize(n);
+  RPE_RETURN_NOT_OK(r->GetArray(out->data(), n));
+  return CheckDoubles(*out, expected, field);
 }
 
 }  // namespace
 
-Result<std::vector<PipelineRecord>> RecordsFromCsv(const std::string& csv) {
-  std::istringstream in(csv);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty records CSV");
-  }
-  const size_t num_features = FeatureSchema::Get().num_features();
-  const size_t num_est = static_cast<size_t>(kNumEstimatorKinds);
-  // 4 label columns + total_n + features + l1/l2 per estimator kind. A row
-  // whose l1/l2 arity disagrees with the estimator table (e.g. a record
-  // set captured by a binary with a different SelectableEstimators list)
-  // must be rejected, not silently re-indexed.
-  const size_t expected = 5 + num_features + 2 * num_est;
-  std::vector<PipelineRecord> records;
-  size_t line_no = 1;  // the header was line 1
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF input
-    if (line.empty()) continue;
-    const std::vector<std::string> cells = SplitCsvLine(line);
-    if (cells.size() != expected) {
-      return CsvRowError(
-          line_no, "expected " + std::to_string(expected) + " columns (" +
-                       std::to_string(num_features) + " features + l1/l2 of " +
-                       std::to_string(num_est) + " estimators), got " +
-                       std::to_string(cells.size()));
-    }
-    PipelineRecord r;
-    r.workload = cells[0];
-    r.query = cells[1];
-    RPE_RETURN_NOT_OK(
-        ParseIntCell(cells[2], line_no, "pipeline", &r.pipeline_id));
-    r.tag = cells[3];
-    RPE_RETURN_NOT_OK(ParseCell(cells[4], line_no, "total_n", &r.total_n));
-    size_t c = 5;
-    r.features.reserve(num_features);
-    for (size_t f = 0; f < num_features; ++f, ++c) {
-      double v = 0.0;
-      RPE_RETURN_NOT_OK(
-          ParseCell(cells[c], line_no, FeatureSchema::Get().name(f), &v));
-      r.features.push_back(v);
-    }
-    r.l1.reserve(num_est);
-    for (size_t e = 0; e < num_est; ++e, ++c) {
-      double v = 0.0;
-      RPE_RETURN_NOT_OK(ParseCell(cells[c], line_no, "l1", &v));
-      r.l1.push_back(v);
-    }
-    r.l2.reserve(num_est);
-    for (size_t e = 0; e < num_est; ++e, ++c) {
-      double v = 0.0;
-      RPE_RETURN_NOT_OK(ParseCell(cells[c], line_no, "l2", &v));
-      r.l2.push_back(v);
-    }
-    records.push_back(std::move(r));
-  }
-  return records;
+Status ValidateRecordElement(const PipelineRecord& record) {
+  RPE_RETURN_NOT_OK(CheckLabel(record.workload.size(), "workload"));
+  RPE_RETURN_NOT_OK(CheckLabel(record.query.size(), "query"));
+  RPE_RETURN_NOT_OK(CheckLabel(record.tag.size(), "tag"));
+  if (!std::isfinite(record.total_n)) return NonFinite("total_n");
+  RPE_RETURN_NOT_OK(CheckDoubles(record.features, NumFeatures(), "features"));
+  RPE_RETURN_NOT_OK(CheckDoubles(record.l1, kNumLevels, "l1"));
+  return CheckDoubles(record.l2, kNumLevels, "l2");
 }
 
-Status SaveRecords(const std::vector<PipelineRecord>& records,
-                   const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << RecordsToCsv(records);
-  return out ? Status::OK() : Status::IOError("write failed: " + path);
+size_t RecordElementBytes(const PipelineRecord& record) {
+  return 3 * 2 + record.workload.size() + record.query.size() +
+         record.tag.size() + 4 + 8 + 3 * 2 +
+         8 * (record.features.size() + record.l1.size() + record.l2.size());
 }
 
-Result<std::vector<PipelineRecord>> LoadRecords(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return RecordsFromCsv(buf.str());
+void PutRecordElement(const PipelineRecord& record, ByteWriter* w) {
+  PutString16(record.workload, w);
+  PutString16(record.query, w);
+  PutString16(record.tag, w);
+  w->Put(static_cast<int32_t>(record.pipeline_id));
+  w->Put(record.total_n);
+  PutDoubles16(record.features, w);
+  PutDoubles16(record.l1, w);
+  PutDoubles16(record.l2, w);
+}
+
+Status GetRecordElement(ByteReader* r, PipelineRecord* out) {
+  RPE_RETURN_NOT_OK(GetString16(r, &out->workload, "workload"));
+  RPE_RETURN_NOT_OK(GetString16(r, &out->query, "query"));
+  RPE_RETURN_NOT_OK(GetString16(r, &out->tag, "tag"));
+  int32_t pipeline_id = 0;
+  RPE_RETURN_NOT_OK(r->Get(&pipeline_id));
+  out->pipeline_id = pipeline_id;
+  RPE_RETURN_NOT_OK(r->Get(&out->total_n));
+  if (!std::isfinite(out->total_n)) return NonFinite("total_n");
+  RPE_RETURN_NOT_OK(
+      GetDoubles16(r, &out->features, NumFeatures(), "features"));
+  RPE_RETURN_NOT_OK(GetDoubles16(r, &out->l1, kNumLevels, "l1"));
+  return GetDoubles16(r, &out->l2, kNumLevels, "l2");
 }
 
 }  // namespace rpe

@@ -1,14 +1,34 @@
 // PipelineRecord: one training/evaluation example for estimator selection —
 // the features of one executed pipeline plus the measured error of every
-// candidate estimator on it. Records serialize to CSV so expensive workload
-// runs can be captured once and reused across experiments (the paper's
-// "training data can be captured at low overhead in a running system",
-// §6.4).
+// candidate estimator on it. Records are captured once and reused across
+// experiments and by online retraining (the paper's "training data can be
+// captured at low overhead in a running system", §6.4).
+//
+// Records have exactly one binary encoding, the record element below. Wire
+// ingest frames (serving/wire.h) carry it and .rpsn record batches
+// (serving/snapshot.h) store it, so files and the socket share one layout,
+// one set of caps and one validation. All integers little-endian, no
+// padding; every length is its own prefix and every prefix is validated
+// before a byte is read behind it:
+//
+//   record :=  u16 len, bytes   workload   (len <= kMaxIngestStringBytes)
+//              u16 len, bytes   query      (same cap)
+//              u16 len, bytes   tag        (same cap)
+//              i32              pipeline_id
+//              f64              total_n    (must be finite)
+//              u16 n, f64 * n   features   (n must equal the feature
+//                                          schema arity; values finite)
+//              u16 n, f64 * n   l1         (n == kNumEstimatorKinds;
+//                                          values finite)
+//              u16 n, f64 * n   l2         (same)
+//
+// Doubles travel as raw IEEE-754 bits, so a round trip is bit-exact.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/status.h"
 #include "progress/error.h"
 #include "selection/features.h"
@@ -39,12 +59,29 @@ bool MakeRecord(const PipelineView& view, const std::string& workload,
                 const std::string& query, const std::string& tag,
                 PipelineRecord* out, size_t min_observations = 5);
 
-/// CSV round-trip (header + one line per record).
-std::string RecordsToCsv(const std::vector<PipelineRecord>& records);
-Result<std::vector<PipelineRecord>> RecordsFromCsv(const std::string& csv);
+/// Per-field ceiling on a record's string labels (workload / query /
+/// tag): a training label, not a document.
+inline constexpr uint32_t kMaxIngestStringBytes = 256;
 
-Status SaveRecords(const std::vector<PipelineRecord>& records,
-                   const std::string& path);
-Result<std::vector<PipelineRecord>> LoadRecords(const std::string& path);
+/// The element's content rules on an in-memory record: every label within
+/// its cap, every double finite, features/l1/l2 at the running binary's
+/// arity. InvalidArgument names the first field that breaks a rule — the
+/// same verdict GetRecordElement reaches on the encoded bytes, so an
+/// encoder can refuse a record its decoder would reject.
+Status ValidateRecordElement(const PipelineRecord& record);
+
+/// Bytes PutRecordElement appends for `record`.
+size_t RecordElementBytes(const PipelineRecord& record);
+
+/// Append `record` as one element, as written: no validation (callers
+/// that must not write an unreadable element run ValidateRecordElement
+/// first; the wire encoders send as written and the peer's decoder
+/// enforces the rules).
+void PutRecordElement(const PipelineRecord& record, ByteWriter* w);
+
+/// Decode one element from untrusted bytes. Hostile lengths, truncation,
+/// arity mismatches and non-finite doubles all come back as Status, never
+/// UB; on error *out holds no usable record.
+Status GetRecordElement(ByteReader* r, PipelineRecord* out);
 
 }  // namespace rpe

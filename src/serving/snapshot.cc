@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/byte_io.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -26,132 +27,8 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr size_t kHeaderSize = 32;
 
-constexpr size_t kMaxSlabElems = size_t{1} << 28;
-
-// ---------------------------------------------------------------------------
-// Byte-level writer/reader. The writer appends POD scalars and slabs to a
-// growing string; the reader is bounds-checked and returns Status on any
-// out-of-range access, so a truncated or hostile payload can never read
-// past the buffer. Scalars may sit unaligned (both sides memcpy them);
-// the aligned slabs of the compiled tables are padded to 8 bytes relative
-// to the payload start, which itself sits 8-aligned in memory (file
-// offset 32 of a page-aligned mapping or of an 8-aligned owned copy), so
-// the reader can borrow them in place on their natural alignment.
-
-class Writer {
- public:
-  explicit Writer(std::string* out) : out_(out) {}
-
-  void U32(uint32_t v) { Raw(&v, sizeof v); }
-  void U64(uint64_t v) { Raw(&v, sizeof v); }
-  void I32(int32_t v) { Raw(&v, sizeof v); }
-  void F64(double v) { Raw(&v, sizeof v); }
-  void Pad8() { out_->append((8 - out_->size() % 8) % 8, '\0'); }
-
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
-
-  /// u32 count, then the raw elements (read back by copy).
-  template <typename T>
-  void Slab(const std::vector<T>& xs) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    U32(static_cast<uint32_t>(xs.size()));
-    Raw(xs.data(), xs.size() * sizeof(T));
-  }
-
-  /// u64 count, padding to 8, then the raw elements (read back in place).
-  template <typename T>
-  void AlignedSlab(const rpe::Slab<T>& s) {
-    static_assert(alignof(T) <= 8);
-    U64(s.size());
-    Pad8();
-    Raw(s.data(), s.size() * sizeof(T));
-  }
-
- private:
-  void Raw(const void* data, size_t size) {
-    out_->append(static_cast<const char*>(data), size);
-  }
-  std::string* out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  Status U32(uint32_t* v) { return Raw(v, sizeof *v); }
-  Status U64(uint64_t* v) { return Raw(v, sizeof *v); }
-  Status I32(int32_t* v) { return Raw(v, sizeof *v); }
-  Status F64(double* v) { return Raw(v, sizeof *v); }
-
-  Status Align8() {
-    const size_t aligned = (pos_ + 7) & ~size_t{7};
-    if (aligned > bytes_.size()) return Truncated();
-    pos_ = aligned;
-    return Status::OK();
-  }
-
-  Status Str(std::string* s) {
-    uint32_t size = 0;
-    RPE_RETURN_NOT_OK(U32(&size));
-    if (size > Remaining()) return Truncated();
-    s->assign(bytes_.data() + pos_, size);
-    pos_ += size;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Slab(std::vector<T>* xs) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint32_t count = 0;
-    RPE_RETURN_NOT_OK(U32(&count));
-    if (count > kMaxSlabElems || count * sizeof(T) > Remaining()) {
-      return Truncated();
-    }
-    xs->resize(count);
-    return Raw(xs->data(), count * sizeof(T));
-  }
-
-  /// An AlignedSlab, viewed in place: the result borrows the bytes, which
-  /// the caller keeps alive.
-  template <typename T>
-  Status BorrowSlab(rpe::Slab<T>* out) {
-    static_assert(alignof(T) <= 8);
-    uint64_t count = 0;
-    RPE_RETURN_NOT_OK(U64(&count));
-    RPE_RETURN_NOT_OK(Align8());
-    if (count > kMaxSlabElems || count * sizeof(T) > Remaining()) {
-      return Truncated();
-    }
-    const char* p = bytes_.data() + pos_;
-    RPE_DCHECK(reinterpret_cast<uintptr_t>(p) % alignof(T) == 0);
-    *out = rpe::Slab<T>::Borrow(reinterpret_cast<const T*>(p),
-                                static_cast<size_t>(count));
-    pos_ += static_cast<size_t>(count) * sizeof(T);
-    return Status::OK();
-  }
-
-  size_t Remaining() const { return bytes_.size() - pos_; }
-  size_t pos() const { return pos_; }
-
- private:
-  Status Raw(void* v, size_t size) {
-    if (size > Remaining()) return Truncated();
-    // An empty slab decodes to a vector whose data() may be null; memcpy
-    // requires non-null pointers even for size 0.
-    if (size != 0) std::memcpy(v, bytes_.data() + pos_, size);
-    pos_ += size;
-    return Status::OK();
-  }
-  static Status Truncated() {
-    return Status::InvalidArgument("snapshot payload truncated");
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
+/// How a ByteReader names snapshot bytes in its errors.
+constexpr char kPayload[] = "snapshot payload";
 
 // ---------------------------------------------------------------------------
 // Container framing.
@@ -164,19 +41,30 @@ uint32_t FrameCrc(uint32_t aux_offset, std::string_view payload) {
                Crc32(&aux_offset, sizeof aux_offset));
 }
 
-std::string Frame(SnapshotKind kind, std::string payload,
-                  uint32_t aux_offset = 0) {
+/// A snapshot buffer to encode a payload into: a header placeholder that
+/// SealFrame fills in, so the payload is written once, in place. The
+/// header is 32 bytes, so padding relative to the buffer is padding
+/// relative to the payload.
+std::string OpenFrame(size_t payload_bytes) {
   std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  Writer w(&out);
-  w.U32(kSnapshotMagic);
-  w.U32(kSnapshotVersion);
-  w.U32(static_cast<uint32_t>(kind));
-  w.U32(0);
-  w.U64(payload.size());
-  w.U32(FrameCrc(aux_offset, payload));
-  w.U32(aux_offset);
-  out += payload;
+  out.reserve(kHeaderSize + payload_bytes);
+  out.resize(kHeaderSize);
+  return out;
+}
+
+std::string SealFrame(SnapshotKind kind, std::string out,
+                      uint32_t aux_offset = 0) {
+  const std::string_view payload = std::string_view(out).substr(kHeaderSize);
+  std::string header;
+  ByteWriter w(&header);
+  w.Put(kSnapshotMagic);
+  w.Put(kSnapshotVersion);
+  w.Put(static_cast<uint32_t>(kind));
+  w.Put(uint32_t{0});
+  w.Put(static_cast<uint64_t>(payload.size()));
+  w.Put(FrameCrc(aux_offset, payload));
+  w.Put(aux_offset);
+  out.replace(0, kHeaderSize, header);
   return out;
 }
 
@@ -191,18 +79,21 @@ Result<std::string_view> UnframeAs(SnapshotKind want, std::string_view bytes) {
 // Feature metadata: the snapshot pins the schema it was trained under; a
 // load into a binary whose FeatureSchema differs (renamed, reordered or
 // recounted features) must fail rather than silently mis-index.
-void EncodeSchema(Writer* w) {
+void EncodeSchema(ByteWriter* w) {
   const FeatureSchema& schema = FeatureSchema::Get();
-  w->U32(static_cast<uint32_t>(schema.num_features()));
-  w->U32(static_cast<uint32_t>(schema.num_static_features()));
-  for (const std::string& name : schema.names()) w->Str(name);
+  w->Put(static_cast<uint32_t>(schema.num_features()));
+  w->Put(static_cast<uint32_t>(schema.num_static_features()));
+  for (const std::string& name : schema.names()) {
+    w->Put(static_cast<uint32_t>(name.size()));
+    w->PutBytes(name);
+  }
 }
 
-Status DecodeAndCheckSchema(Reader* r) {
+Status DecodeAndCheckSchema(ByteReader* r) {
   const FeatureSchema& schema = FeatureSchema::Get();
   uint32_t num_features = 0, num_static = 0;
-  RPE_RETURN_NOT_OK(r->U32(&num_features));
-  RPE_RETURN_NOT_OK(r->U32(&num_static));
+  RPE_RETURN_NOT_OK(r->Get(&num_features));
+  RPE_RETURN_NOT_OK(r->Get(&num_static));
   if (num_features != schema.num_features() ||
       num_static != schema.num_static_features()) {
     return Status::InvalidArgument(
@@ -212,8 +103,10 @@ Status DecodeAndCheckSchema(Reader* r) {
         std::to_string(schema.num_static_features()));
   }
   for (size_t f = 0; f < schema.num_features(); ++f) {
+    uint32_t len = 0;
     std::string name;
-    RPE_RETURN_NOT_OK(r->Str(&name));
+    RPE_RETURN_NOT_OK(r->Get(&len));
+    RPE_RETURN_NOT_OK(r->GetBytes(&name, len));
     if (name != schema.name(f)) {
       return Status::InvalidArgument("snapshot feature " + std::to_string(f) +
                                      " is '" + name + "', expected '" +
@@ -228,15 +121,16 @@ Status DecodeAndCheckSchema(Reader* r) {
 // per-model training gains, then the FlatEnsembleSet's merged QuickScorer
 // tables, every slab 8-aligned so the reader borrows them in place.
 
-void EncodeFlatSet(const EstimatorSelector& selector, Writer* w) {
+void EncodeFlatSet(const EstimatorSelector& selector, ByteWriter* w) {
   const FlatEnsembleSet& flat = selector.flat();
   w->Pad8();
-  w->U32(kFlatSectionMagic);
-  w->U32(selector.uses_dynamic_features() ? 1 : 0);
-  w->U64(flat.num_models());
-  w->U64(selector.uses_dynamic_features()
-             ? FeatureSchema::Get().num_features()
-             : FeatureSchema::Get().num_static_features());
+  w->Put(kFlatSectionMagic);
+  w->Put(uint32_t{selector.uses_dynamic_features() ? 1u : 0u});
+  const FeatureSchema& schema = FeatureSchema::Get();
+  w->Put(static_cast<uint64_t>(flat.num_models()));
+  w->Put(static_cast<uint64_t>(selector.uses_dynamic_features()
+                                   ? schema.num_features()
+                                   : schema.num_static_features()));
   w->AlignedSlab(Slab<uint64_t>(
       std::vector<uint64_t>(selector.pool().begin(), selector.pool().end())));
   // Per-model training gains (small, copied at load) for
@@ -252,7 +146,7 @@ void EncodeFlatSet(const EstimatorSelector& selector, Writer* w) {
     w->AlignedSlab(Slab<double>(std::move(concat)));
   }
   const flat_internal::MergedQuickScorer& merged = flat.merged();
-  w->I32(merged.num_features);
+  w->Put(static_cast<int32_t>(merged.num_features));
   w->AlignedSlab(merged.feat_begin);
   w->AlignedSlab(merged.threshold);
   w->AlignedSlab(merged.entry_tree);
@@ -267,21 +161,22 @@ void EncodeFlatSet(const EstimatorSelector& selector, Writer* w) {
 /// One selector's RPFL section -> an EstimatorSelector whose scoring slabs
 /// borrow the reader's bytes. Structural validation happens in
 /// FlatEnsembleSet::FromParts / EstimatorSelector::FromFlat.
-Result<EstimatorSelector> DecodeFlatSelector(Reader* r, bool expect_dynamic) {
+Result<EstimatorSelector> DecodeFlatSelector(ByteReader* r,
+                                             bool expect_dynamic) {
   RPE_RETURN_NOT_OK(r->Align8());
   uint32_t magic = 0, use_dynamic = 0;
   uint64_t num_models = 0, num_inputs = 0;
-  RPE_RETURN_NOT_OK(r->U32(&magic));
+  RPE_RETURN_NOT_OK(r->Get(&magic));
   if (magic != kFlatSectionMagic) {
     return Status::InvalidArgument("flat snapshot section has bad magic");
   }
-  RPE_RETURN_NOT_OK(r->U32(&use_dynamic));
+  RPE_RETURN_NOT_OK(r->Get(&use_dynamic));
   if ((use_dynamic != 0) != expect_dynamic) {
     return Status::InvalidArgument(
         "flat snapshot section has the wrong feature mode");
   }
-  RPE_RETURN_NOT_OK(r->U64(&num_models));
-  RPE_RETURN_NOT_OK(r->U64(&num_inputs));
+  RPE_RETURN_NOT_OK(r->Get(&num_models));
+  RPE_RETURN_NOT_OK(r->Get(&num_inputs));
   const FeatureSchema& schema = FeatureSchema::Get();
   const size_t expected_inputs = expect_dynamic
                                      ? schema.num_features()
@@ -303,7 +198,7 @@ Result<EstimatorSelector> DecodeFlatSelector(Reader* r, bool expect_dynamic) {
   RPE_RETURN_NOT_OK(r->BorrowSlab(&gain_concat));
 
   flat_internal::MergedQuickScorer tables;
-  RPE_RETURN_NOT_OK(r->I32(&tables.num_features));
+  RPE_RETURN_NOT_OK(r->Get(&tables.num_features));
   RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.feat_begin));
   RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.threshold));
   RPE_RETURN_NOT_OK(r->BorrowSlab(&tables.entry_tree));
@@ -358,7 +253,7 @@ Result<std::shared_ptr<const SelectorStack>> DecodeStackOver(
   if (frame.kind != SnapshotKind::kSelectorStack) {
     return Status::InvalidArgument("snapshot holds a different payload kind");
   }
-  Reader r(frame.payload);
+  ByteReader r(frame.payload, kPayload);
   RPE_RETURN_NOT_OK(DecodeAndCheckSchema(&r));
   RPE_RETURN_NOT_OK(r.Align8());
   if (r.pos() != frame.aux_offset) {
@@ -371,7 +266,7 @@ Result<std::shared_ptr<const SelectorStack>> DecodeStackOver(
                        DecodeFlatSelector(&r, /*expect_dynamic=*/false));
   RPE_ASSIGN_OR_RETURN(holder->stack.dynamic_selector,
                        DecodeFlatSelector(&r, /*expect_dynamic=*/true));
-  if (r.Remaining() != 0) {
+  if (r.remaining() != 0) {
     return Status::InvalidArgument("flat snapshot section has trailing bytes");
   }
   return std::shared_ptr<const SelectorStack>(holder, &holder->stack);
@@ -432,17 +327,17 @@ Result<SnapshotFrame> UnframeSnapshot(std::string_view bytes) {
   if (bytes.size() < kHeaderSize) {
     return Status::InvalidArgument("snapshot shorter than its header");
   }
-  Reader r(bytes.substr(0, kHeaderSize));
+  ByteReader r(bytes.substr(0, kHeaderSize), "snapshot header");
   uint32_t magic = 0, version = 0, kind = 0, reserved = 0, crc = 0;
   uint32_t aux_offset = 0;
   uint64_t payload_size = 0;
-  RPE_RETURN_NOT_OK(r.U32(&magic));
-  RPE_RETURN_NOT_OK(r.U32(&version));
-  RPE_RETURN_NOT_OK(r.U32(&kind));
-  RPE_RETURN_NOT_OK(r.U32(&reserved));
-  RPE_RETURN_NOT_OK(r.U64(&payload_size));
-  RPE_RETURN_NOT_OK(r.U32(&crc));
-  RPE_RETURN_NOT_OK(r.U32(&aux_offset));
+  RPE_RETURN_NOT_OK(r.Get(&magic));
+  RPE_RETURN_NOT_OK(r.Get(&version));
+  RPE_RETURN_NOT_OK(r.Get(&kind));
+  RPE_RETURN_NOT_OK(r.Get(&reserved));
+  RPE_RETURN_NOT_OK(r.Get(&payload_size));
+  RPE_RETURN_NOT_OK(r.Get(&crc));
+  RPE_RETURN_NOT_OK(r.Get(&aux_offset));
   if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("bad snapshot magic");
   }
@@ -504,16 +399,16 @@ SelectorStack SelectorStack::Train(const std::vector<PipelineRecord>& records,
 std::string EncodeSelectorStack(const SelectorStack& stack) {
   RPE_CHECK(!stack.static_selector.uses_dynamic_features());
   RPE_CHECK(stack.dynamic_selector.uses_dynamic_features());
-  std::string payload;
-  Writer w(&payload);
+  std::string out = OpenFrame(0);
+  ByteWriter w(&out);
   EncodeSchema(&w);
   w.Pad8();
-  const uint64_t aux_offset = payload.size();
+  const uint64_t aux_offset = out.size() - kHeaderSize;
   RPE_CHECK_LE(aux_offset, std::numeric_limits<uint32_t>::max());
   EncodeFlatSet(stack.static_selector, &w);
   EncodeFlatSet(stack.dynamic_selector, &w);
-  return Frame(SnapshotKind::kSelectorStack, std::move(payload),
-               static_cast<uint32_t>(aux_offset));
+  return SealFrame(SnapshotKind::kSelectorStack, std::move(out),
+                   static_cast<uint32_t>(aux_offset));
 }
 
 Result<std::shared_ptr<const SelectorStack>> DecodeSelectorStack(
@@ -527,75 +422,42 @@ Result<std::shared_ptr<const SelectorStack>> DecodeSelectorStack(
   return DecodeStackOver(std::move(buffer), owned);
 }
 
-std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records) {
-  const FeatureSchema& schema = FeatureSchema::Get();
-  const size_t arity =
-      records.empty() ? static_cast<size_t>(kNumEstimatorKinds)
-                      : records.front().l1.size();
-  std::string payload;
-  Writer w(&payload);
-  w.U32(static_cast<uint32_t>(schema.num_features()));
-  w.U32(static_cast<uint32_t>(arity));
-  w.U64(records.size());
-  for (const PipelineRecord& r : records) {
-    RPE_CHECK_EQ(r.features.size(), schema.num_features());
-    RPE_CHECK_EQ(r.l1.size(), arity);
-    RPE_CHECK_EQ(r.l2.size(), arity);
-    w.Str(r.workload);
-    w.Str(r.query);
-    w.I32(r.pipeline_id);
-    w.Str(r.tag);
-    w.F64(r.total_n);
-    w.Slab(r.features);
-    w.Slab(r.l1);
-    w.Slab(r.l2);
+Result<std::string> EncodeRecordBatch(
+    const std::vector<PipelineRecord>& records) {
+  size_t bytes = sizeof(uint64_t);
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Status valid = ValidateRecordElement(records[i]);
+    if (!valid.ok()) {
+      return Status::InvalidArgument("cannot encode record " +
+                                     std::to_string(i) + ": " +
+                                     valid.message());
+    }
+    bytes += RecordElementBytes(records[i]);
   }
-  return Frame(SnapshotKind::kRecordBatch, std::move(payload));
+  std::string out = OpenFrame(bytes);
+  ByteWriter w(&out);
+  w.Put(static_cast<uint64_t>(records.size()));
+  for (const PipelineRecord& r : records) PutRecordElement(r, &w);
+  return SealFrame(SnapshotKind::kRecordBatch, std::move(out));
 }
 
 Result<std::vector<PipelineRecord>> DecodeRecordBatch(std::string_view bytes) {
   RPE_ASSIGN_OR_RETURN(std::string_view payload,
                        UnframeAs(SnapshotKind::kRecordBatch, bytes));
-  Reader r(payload);
-  const FeatureSchema& schema = FeatureSchema::Get();
-  uint32_t num_features = 0, arity = 0;
-  uint64_t num_records = 0;
-  RPE_RETURN_NOT_OK(r.U32(&num_features));
-  RPE_RETURN_NOT_OK(r.U32(&arity));
-  RPE_RETURN_NOT_OK(r.U64(&num_records));
-  if (num_features != schema.num_features()) {
-    return Status::InvalidArgument(
-        "record snapshot feature count disagrees with this binary");
-  }
-  if (arity != static_cast<size_t>(kNumEstimatorKinds)) {
-    return Status::InvalidArgument(
-        "record snapshot estimator arity " + std::to_string(arity) +
-        " disagrees with this binary's estimator table (" +
-        std::to_string(kNumEstimatorKinds) + ")");
-  }
+  ByteReader r(payload, kPayload);
+  uint64_t count = 0;
+  RPE_RETURN_NOT_OK(r.Get(&count));
   std::vector<PipelineRecord> records;
-  records.reserve(static_cast<size_t>(std::min<uint64_t>(num_records, 65536)));
-  for (uint64_t i = 0; i < num_records; ++i) {
-    PipelineRecord rec;
-    RPE_RETURN_NOT_OK(r.Str(&rec.workload));
-    RPE_RETURN_NOT_OK(r.Str(&rec.query));
-    RPE_RETURN_NOT_OK(r.I32(&rec.pipeline_id));
-    RPE_RETURN_NOT_OK(r.Str(&rec.tag));
-    RPE_RETURN_NOT_OK(r.F64(&rec.total_n));
-    RPE_RETURN_NOT_OK(r.Slab(&rec.features));
-    RPE_RETURN_NOT_OK(r.Slab(&rec.l1));
-    RPE_RETURN_NOT_OK(r.Slab(&rec.l2));
-    if (rec.features.size() != num_features || rec.l1.size() != arity ||
-        rec.l2.size() != arity) {
-      return Status::InvalidArgument("record snapshot row " +
-                                     std::to_string(i) +
-                                     " has mismatched arity");
+  records.reserve(static_cast<size_t>(std::min<uint64_t>(count, 65536)));
+  for (uint64_t i = 0; i < count; ++i) {
+    const Status element = GetRecordElement(&r, &records.emplace_back());
+    if (!element.ok()) {
+      return Status::InvalidArgument("record batch element " +
+                                     std::to_string(i) + ": " +
+                                     element.message());
     }
-    records.push_back(std::move(rec));
   }
-  if (r.Remaining() != 0) {
-    return Status::InvalidArgument("snapshot has trailing payload bytes");
-  }
+  RPE_RETURN_NOT_OK(r.ExpectEnd());
   return records;
 }
 
@@ -632,7 +494,8 @@ Result<std::shared_ptr<const SelectorStack>> LoadSelectorStack(
 
 Status SaveRecordBatch(const std::vector<PipelineRecord>& records,
                        const std::string& path) {
-  return WriteFile(path, EncodeRecordBatch(records));
+  RPE_ASSIGN_OR_RETURN(std::string bytes, EncodeRecordBatch(records));
+  return WriteFile(path, bytes);
 }
 
 Result<std::vector<PipelineRecord>> LoadRecordBatch(const std::string& path) {

@@ -12,7 +12,7 @@
 //
 //   offset  size  field
 //   0       4     magic  "RPSN" (0x4E535052)
-//   4       4     format version (4; no other version is readable)
+//   4       4     format version (5; no other version is readable)
 //   8       4     payload kind (SnapshotKind)
 //   12      4     reserved (0)
 //   16      8     payload size in bytes
@@ -24,7 +24,7 @@
 //                 header is 32 bytes, payload 8-aligned
 //   32      ...   payload
 //
-// Selector-stack payload (v4): the feature-schema block (count, static
+// Selector-stack payload: the feature-schema block (count, static
 // count, names — validated against the running binary's FeatureSchema at
 // load), zero padding to 8 bytes, then the aux section, which starts at
 // the header's aux offset, just past the schema block. The aux section is
@@ -49,8 +49,12 @@
 // directory and rename it over the target; a mapped reader keeps the old
 // inode, a new load sees the new file.
 //
-// Record-batch payload: feature/estimator arity header (validated against
-// the schema at load) followed by the records.
+// Record-batch payload: u64 record count, then that many record elements
+// back to back — the same element a wire ingest frame carries, with the
+// same caps and checks (layout in selection/record.h). Each element's
+// feature/l1/l2 arity is checked against the running binary at load.
+// Version 5 introduced this payload (v4 had its own record layout); the
+// selector-stack payload is unchanged from v4.
 //
 // Threading contract: all functions here are stateless and thread-safe;
 // encode/decode touch only their arguments. A decoded SelectorStack is
@@ -77,7 +81,7 @@ namespace rpe {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E535052;  // "RPSN"
 /// The one format version this build writes and reads.
-inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kSnapshotVersion = 5;
 /// Magic opening each selector's compiled-table (RPFL) section.
 inline constexpr uint32_t kFlatSectionMagic = 0x4C465052;  // "RPFL"
 
@@ -118,7 +122,11 @@ struct SelectorStack {
 std::string EncodeSelectorStack(const SelectorStack& stack);
 Result<std::shared_ptr<const SelectorStack>> DecodeSelectorStack(
     std::string_view bytes);
-std::string EncodeRecordBatch(const std::vector<PipelineRecord>& records);
+/// InvalidArgument (naming the record, the field and the rule) when a
+/// record breaks the element's rules (ValidateRecordElement): a batch is
+/// either readable back in full or not written.
+Result<std::string> EncodeRecordBatch(
+    const std::vector<PipelineRecord>& records);
 Result<std::vector<PipelineRecord>> DecodeRecordBatch(std::string_view bytes);
 
 /// Kind of a snapshot buffer/file without decoding the payload (CRC is
@@ -130,7 +138,8 @@ Result<SnapshotKind> PeekSnapshotFileKind(const std::string& path);
 /// buffer without reading (and CRC-checking) the file twice.
 Result<std::string> ReadSnapshotFile(const std::string& path);
 
-/// Write by temp file + rename (see "Publishing" above).
+/// Write by temp file + rename (see "Publishing" above), so a cut or
+/// failed write never leaves a short file under `path`.
 Status SaveSelectorStack(const SelectorStack& stack, const std::string& path);
 /// Map `path` and decode it in place; the stack keeps the mapping alive.
 Result<std::shared_ptr<const SelectorStack>> LoadSelectorStack(

@@ -1,169 +1,28 @@
 #include "serving/wire.h"
 
-#include <cmath>
-#include <type_traits>
-
-#include "selection/features.h"
+#include "common/byte_io.h"
 
 namespace rpe {
 namespace {
 
-/// Sequential little-endian writer. All wire integers are encoded with
-/// memcpy so the codec is alignment- and strict-aliasing-safe.
-class Writer {
+/// A writer over its own payload string, reserved to the payload's size
+/// (the base only keeps the string's address until Take()).
+class PayloadWriter : public ByteWriter {
  public:
-  explicit Writer(size_t reserve) { out_.reserve(reserve); }
-
-  template <typename T>
-  void Put(T value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    char raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    out_.append(raw, sizeof(T));
+  explicit PayloadWriter(size_t reserve) : ByteWriter(&out_) {
+    out_.reserve(reserve);
   }
-
-  void PutBytes(const std::string& bytes) { out_.append(bytes); }
-
   std::string Take() { return std::move(out_); }
 
  private:
   std::string out_;
 };
 
-/// Sequential bounds-checked reader over an untrusted payload.
-class Reader {
- public:
-  explicit Reader(std::string_view payload) : payload_(payload) {}
+/// How a ByteReader names a wire payload in its errors.
+constexpr char kPayload[] = "wire payload";
 
-  template <typename T>
-  Status Get(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (payload_.size() - pos_ < sizeof(T)) {
-      return Status::InvalidArgument("wire payload truncated");
-    }
-    std::memcpy(out, payload_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  Status GetBytes(std::string* out, size_t n) {
-    if (payload_.size() - pos_ < n) {
-      return Status::InvalidArgument("wire payload truncated");
-    }
-    out->assign(payload_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  /// Typed payloads are exact-size: trailing bytes are as much a protocol
-  /// violation as missing ones (a lying encoder, not a storage fault).
-  Status ExpectEnd() const {
-    if (pos_ != payload_.size()) {
-      return Status::InvalidArgument(
-          "wire payload has " + std::to_string(payload_.size() - pos_) +
-          " trailing byte(s)");
-    }
-    return Status::OK();
-  }
-
- private:
-  std::string_view payload_;
-  size_t pos_ = 0;
-};
-
-std::string FinishFrame(MsgType type, uint8_t status, Writer* payload) {
+std::string FinishFrame(MsgType type, uint8_t status, PayloadWriter* payload) {
   return EncodeFrame(type, status, payload->Take());
-}
-
-// --- wire record (see the layout in wire.h) --------------------------------
-
-void PutString16(Writer* w, const std::string& s) {
-  // Lengths travel as written; the decoder enforces the caps, so a lying
-  // or oversized encoder is rejected by the peer rather than silently
-  // truncated here.
-  w->Put(static_cast<uint16_t>(s.size()));
-  w->PutBytes(s);
-}
-
-void PutDoubles16(Writer* w, const std::vector<double>& v) {
-  w->Put(static_cast<uint16_t>(v.size()));
-  for (double d : v) w->Put(d);
-}
-
-size_t RecordWireBytes(const PipelineRecord& r) {
-  return 3 * 2 + r.workload.size() + r.query.size() + r.tag.size() + 4 + 8 +
-         3 * 2 + 8 * (r.features.size() + r.l1.size() + r.l2.size());
-}
-
-void PutRecord(Writer* w, const PipelineRecord& r) {
-  PutString16(w, r.workload);
-  PutString16(w, r.query);
-  PutString16(w, r.tag);
-  w->Put(static_cast<int32_t>(r.pipeline_id));
-  w->Put(r.total_n);
-  PutDoubles16(w, r.features);
-  PutDoubles16(w, r.l1);
-  PutDoubles16(w, r.l2);
-}
-
-Status GetString16(Reader* r, std::string* out, const char* field) {
-  uint16_t len = 0;
-  RPE_RETURN_NOT_OK(r->Get(&len));
-  if (len > kMaxIngestStringBytes) {
-    return Status::InvalidArgument(
-        "wire record " + std::string(field) + " length " +
-        std::to_string(len) + " exceeds the " +
-        std::to_string(kMaxIngestStringBytes) + "-byte cap");
-  }
-  return r->GetBytes(out, len);
-}
-
-Status GetDoubles16(Reader* r, std::vector<double>* out, size_t expected,
-                    const char* field) {
-  uint16_t n = 0;
-  RPE_RETURN_NOT_OK(r->Get(&n));
-  if (n != expected) {
-    return Status::InvalidArgument(
-        "wire record " + std::string(field) + " arity " + std::to_string(n) +
-        " != expected " + std::to_string(expected));
-  }
-  out->clear();
-  out->reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    double d = 0.0;
-    RPE_RETURN_NOT_OK(r->Get(&d));
-    if (!std::isfinite(d)) {
-      return Status::InvalidArgument("wire record " + std::string(field) +
-                                     " carries a non-finite value");
-    }
-    out->push_back(d);
-  }
-  return Status::OK();
-}
-
-Status GetRecord(Reader* r, PipelineRecord* out) {
-  RPE_RETURN_NOT_OK(GetString16(r, &out->workload, "workload"));
-  RPE_RETURN_NOT_OK(GetString16(r, &out->query, "query"));
-  RPE_RETURN_NOT_OK(GetString16(r, &out->tag, "tag"));
-  int32_t pipeline_id = 0;
-  RPE_RETURN_NOT_OK(r->Get(&pipeline_id));
-  out->pipeline_id = pipeline_id;
-  RPE_RETURN_NOT_OK(r->Get(&out->total_n));
-  if (!std::isfinite(out->total_n)) {
-    return Status::InvalidArgument(
-        "wire record total_n carries a non-finite value");
-  }
-  // A record whose arity disagrees with this process's schema / estimator
-  // table must be rejected at the wire, exactly as RecordsFromCsv rejects
-  // it at the file boundary — a mixed-arity corpus breaks retraining.
-  RPE_RETURN_NOT_OK(GetDoubles16(r, &out->features,
-                                 FeatureSchema::Get().num_features(),
-                                 "features"));
-  RPE_RETURN_NOT_OK(GetDoubles16(
-      r, &out->l1, static_cast<size_t>(kNumEstimatorKinds), "l1"));
-  RPE_RETURN_NOT_OK(GetDoubles16(
-      r, &out->l2, static_cast<size_t>(kNumEstimatorKinds), "l2"));
-  return Status::OK();
 }
 
 }  // namespace
@@ -189,7 +48,7 @@ Status WireFrame::ToStatus() const {
 
 std::string EncodeFrame(MsgType type, uint8_t status,
                         std::string_view payload) {
-  Writer w(kFrameHeaderBytes + payload.size());
+  PayloadWriter w(kFrameHeaderBytes + payload.size());
   w.Put(static_cast<uint32_t>(payload.size()));
   w.Put(static_cast<uint8_t>(type));
   w.Put(status);
@@ -205,13 +64,13 @@ std::string EncodeErrorFrame(MsgType type, const Status& error) {
 }
 
 std::string EncodeOpenRequest(const OpenRequest& m) {
-  Writer w(4);
+  PayloadWriter w(4);
   w.Put(m.run_index);
   return FinishFrame(MsgType::kOpen, 0, &w);
 }
 
 std::string EncodeOpenResponse(const OpenResponse& m) {
-  Writer w(16);
+  PayloadWriter w(16);
   w.Put(m.session_id);
   w.Put(m.run_index);
   w.Put(m.num_observations);
@@ -219,7 +78,7 @@ std::string EncodeOpenResponse(const OpenResponse& m) {
 }
 
 std::string EncodeAdvanceRequest(const AdvanceRequest& m) {
-  Writer w(12);
+  PayloadWriter w(12);
   w.Put(m.session_id);
   w.Put(m.max_steps);
   return FinishFrame(MsgType::kAdvance, 0, &w);
@@ -252,20 +111,20 @@ std::string EncodeAdvanceResponse(const AdvanceResponse& m) {
 }
 
 std::string EncodeProgressRequest(const ProgressRequest& m) {
-  Writer w(8);
+  PayloadWriter w(8);
   w.Put(m.session_id);
   return FinishFrame(MsgType::kProgress, 0, &w);
 }
 
 std::string EncodeProgressResponse(const ProgressResponse& m) {
-  Writer w(9);
+  PayloadWriter w(9);
   w.Put(m.progress);
   w.Put(m.done);
   return FinishFrame(MsgType::kProgress, 0, &w);
 }
 
 std::string EncodeCloseRequest(const CloseRequest& m) {
-  Writer w(8);
+  PayloadWriter w(8);
   w.Put(m.session_id);
   return FinishFrame(MsgType::kClose, 0, &w);
 }
@@ -287,29 +146,29 @@ std::string EncodeMetricsDumpResponse(std::string_view text) {
 }
 
 std::string EncodeIngestRecordRequest(const IngestRecordRequest& m) {
-  Writer w(RecordWireBytes(m.record));
-  PutRecord(&w, m.record);
+  PayloadWriter w(RecordElementBytes(m.record));
+  PutRecordElement(m.record, &w);
   return FinishFrame(MsgType::kIngestRecord, 0, &w);
 }
 
 std::string EncodeIngestBatchRequest(const IngestBatchRequest& m) {
   size_t bytes = 4;
-  for (const PipelineRecord& r : m.records) bytes += RecordWireBytes(r);
-  Writer w(bytes);
+  for (const PipelineRecord& r : m.records) bytes += RecordElementBytes(r);
+  PayloadWriter w(bytes);
   w.Put(static_cast<uint32_t>(m.records.size()));
-  for (const PipelineRecord& r : m.records) PutRecord(&w, r);
+  for (const PipelineRecord& r : m.records) PutRecordElement(r, &w);
   return FinishFrame(MsgType::kIngestBatch, 0, &w);
 }
 
 std::string EncodeIngestResponse(MsgType type, const IngestResponse& m) {
-  Writer w(8);
+  PayloadWriter w(8);
   w.Put(m.accepted);
   w.Put(m.dropped);
   return FinishFrame(type, 0, &w);
 }
 
 std::string EncodeStatsResponse(const WireStats& m) {
-  Writer w(25 * 8 + 2 * 8);
+  PayloadWriter w(25 * 8 + 2 * 8);
   w.Put(m.sessions_opened);
   w.Put(m.sessions_completed);
   w.Put(m.decisions);
@@ -341,7 +200,7 @@ std::string EncodeStatsResponse(const WireStats& m) {
 }
 
 Result<OpenRequest> DecodeOpenRequest(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   OpenRequest m;
   RPE_RETURN_NOT_OK(r.Get(&m.run_index));
   RPE_RETURN_NOT_OK(r.ExpectEnd());
@@ -349,7 +208,7 @@ Result<OpenRequest> DecodeOpenRequest(std::string_view payload) {
 }
 
 Result<OpenResponse> DecodeOpenResponse(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   OpenResponse m;
   RPE_RETURN_NOT_OK(r.Get(&m.session_id));
   RPE_RETURN_NOT_OK(r.Get(&m.run_index));
@@ -359,7 +218,7 @@ Result<OpenResponse> DecodeOpenResponse(std::string_view payload) {
 }
 
 Result<AdvanceRequest> DecodeAdvanceRequest(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   AdvanceRequest m;
   RPE_RETURN_NOT_OK(r.Get(&m.session_id));
   RPE_RETURN_NOT_OK(r.Get(&m.max_steps));
@@ -373,7 +232,7 @@ Result<AdvanceRequest> DecodeAdvanceRequest(std::string_view payload) {
 }
 
 Result<AdvanceResponse> DecodeAdvanceResponse(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   AdvanceResponse m;
   RPE_RETURN_NOT_OK(r.Get(&m.progress));
   RPE_RETURN_NOT_OK(r.Get(&m.steps));
@@ -383,7 +242,7 @@ Result<AdvanceResponse> DecodeAdvanceResponse(std::string_view payload) {
 }
 
 Result<ProgressRequest> DecodeProgressRequest(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   ProgressRequest m;
   RPE_RETURN_NOT_OK(r.Get(&m.session_id));
   RPE_RETURN_NOT_OK(r.ExpectEnd());
@@ -391,7 +250,7 @@ Result<ProgressRequest> DecodeProgressRequest(std::string_view payload) {
 }
 
 Result<ProgressResponse> DecodeProgressResponse(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   ProgressResponse m;
   RPE_RETURN_NOT_OK(r.Get(&m.progress));
   RPE_RETURN_NOT_OK(r.Get(&m.done));
@@ -400,7 +259,7 @@ Result<ProgressResponse> DecodeProgressResponse(std::string_view payload) {
 }
 
 Result<CloseRequest> DecodeCloseRequest(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   CloseRequest m;
   RPE_RETURN_NOT_OK(r.Get(&m.session_id));
   RPE_RETURN_NOT_OK(r.ExpectEnd());
@@ -408,7 +267,7 @@ Result<CloseRequest> DecodeCloseRequest(std::string_view payload) {
 }
 
 Result<WireStats> DecodeStatsResponse(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   WireStats m;
   RPE_RETURN_NOT_OK(r.Get(&m.sessions_opened));
   RPE_RETURN_NOT_OK(r.Get(&m.sessions_completed));
@@ -443,15 +302,15 @@ Result<WireStats> DecodeStatsResponse(std::string_view payload) {
 
 Result<IngestRecordRequest> DecodeIngestRecordRequest(
     std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   IngestRecordRequest m;
-  RPE_RETURN_NOT_OK(GetRecord(&r, &m.record));
+  RPE_RETURN_NOT_OK(GetRecordElement(&r, &m.record));
   RPE_RETURN_NOT_OK(r.ExpectEnd());
   return m;
 }
 
 Result<IngestBatchRequest> DecodeIngestBatchRequest(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   uint32_t count = 0;
   RPE_RETURN_NOT_OK(r.Get(&count));
   if (count == 0 || count > kMaxIngestBatchRecords) {
@@ -463,7 +322,7 @@ Result<IngestBatchRequest> DecodeIngestBatchRequest(std::string_view payload) {
   m.records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     PipelineRecord record;
-    RPE_RETURN_NOT_OK(GetRecord(&r, &record));
+    RPE_RETURN_NOT_OK(GetRecordElement(&r, &record));
     m.records.push_back(std::move(record));
   }
   RPE_RETURN_NOT_OK(r.ExpectEnd());
@@ -471,7 +330,7 @@ Result<IngestBatchRequest> DecodeIngestBatchRequest(std::string_view payload) {
 }
 
 Result<IngestResponse> DecodeIngestResponse(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kPayload);
   IngestResponse m;
   RPE_RETURN_NOT_OK(r.Get(&m.accepted));
   RPE_RETURN_NOT_OK(r.Get(&m.dropped));

@@ -43,27 +43,19 @@
 //   CloseResponse    (empty)
 //   StatsRequest     (empty)
 //   StatsResponse    WireStats (fixed field order, see struct)
-//   IngestRecordRequest  one wire record (layout below)
+//   IngestRecordRequest  one record element (selection/record.h)
 //   IngestBatchRequest   u32 count (1..kMaxIngestBatchRecords), then
-//                        `count` wire records back to back
+//                        `count` record elements back to back
 //   IngestResponse   u32 accepted, u32 dropped (both request types)
 //   MetricsDumpRequest   (empty)
 //   MetricsDumpResponse  Prometheus text exposition bytes (the same
 //                        document /metrics serves), opaque to the codec
 //
-// A wire record is the only variable-length payload element; every
-// length is its own prefix and every prefix is validated before a byte
-// is read behind it:
-//
-//   record :=  u16 len, bytes   workload   (len <= kMaxIngestStringBytes)
-//              u16 len, bytes   query
-//              u16 len, bytes   tag
-//              i32              pipeline_id
-//              f64              total_n    (must be finite)
-//              u16 n, f64 * n   features   (n must equal the feature
-//                                          schema arity; values finite)
-//              u16 n, f64 * n   l1         (n == kNumEstimatorKinds)
-//              u16 n, f64 * n   l2         (n == kNumEstimatorKinds)
+// The record element is the only variable-length payload element. It is
+// also the file element: an .rpsn record batch (serving/snapshot.h)
+// stores the same bytes, so its layout, caps and validation live in one
+// place, selection/record.h, and a record decodes through the same checks
+// whether it arrives over the socket or from disk.
 //
 // Threat model: the decoder consumes untrusted bytes from the socket.
 // Hostile lengths, truncation, type/status garbage, payload-size lies,
@@ -98,10 +90,6 @@ inline constexpr uint32_t kMaxAdvanceSteps = 1 << 16;
 /// Per-frame ceiling on IngestBatchRequest record count: bounds the queue
 /// work (and the decode allocation) one frame can demand.
 inline constexpr uint32_t kMaxIngestBatchRecords = 512;
-
-/// Per-field ceiling on a wire record's string labels (workload / query /
-/// tag): a training label, not a document.
-inline constexpr uint32_t kMaxIngestStringBytes = 256;
 
 /// \brief Message discriminator (the frame's `type` byte). Values are
 /// wire format — never renumber.

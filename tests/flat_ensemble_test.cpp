@@ -71,25 +71,6 @@ TEST(FlatEnsembleTest, BitExactWithMartPredictAcrossRandomModels) {
   }
 }
 
-TEST(FlatEnsembleTest, SerializeDeserializeFlattenRoundTrip) {
-  Dataset data = RandomDataset(1200, 5, 9);
-  MartParams params;
-  params.num_trees = 40;
-  MartModel model = MartModel::Train(data, params);
-  auto restored = MartModel::Deserialize(model.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  const FlatEnsembleSet flat = FlatEnsembleSet::Compile({model});
-  const FlatEnsembleSet flat_restored = FlatEnsembleSet::Compile({*restored});
-  ASSERT_EQ(flat.merged().threshold.size(),
-            flat_restored.merged().threshold.size());
-  for (size_t i = 0; i < 300; ++i) {
-    const auto x = data.ExampleSpan(i);
-    EXPECT_EQ(PredictOne(flat, x), PredictOne(flat_restored, x));
-    EXPECT_EQ(PredictOne(flat_restored, x), model.Predict(x));
-  }
-}
-
 TEST(FlatEnsembleTest, PredictBatchMatchesScalarPredict) {
   Dataset data = RandomDataset(700, 8, 17);
   MartParams params;

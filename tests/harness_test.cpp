@@ -4,10 +4,12 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "serving/snapshot.h"
 
 namespace rpe {
 namespace {
@@ -109,9 +111,10 @@ void ExpectRecordsIdentical(const std::vector<PipelineRecord>& got,
   }
 }
 
-TEST_F(HarnessTest, CsvRoundTrip) {
-  const std::string csv = RecordsToCsv(*records_);
-  auto loaded = RecordsFromCsv(csv);
+TEST_F(HarnessTest, RecordBatchRoundTrip) {
+  auto bytes = EncodeRecordBatch(*records_);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto loaded = DecodeRecordBatch(*bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectRecordsIdentical(*loaded, *records_);
 }
@@ -166,11 +169,32 @@ TEST_F(HarnessTest, CachedRecordsRoundTrip) {
   setenv("RPE_CACHE_DIR", "harness_test_cache", 1);
   WorkloadConfig config = SmallTpch(123);
   config.num_queries = 10;
-  auto first = CachedRecords("harness_test_tiny", config);
+  std::filesystem::remove_all("harness_test_cache");
+  auto first = CachedRecords("harness_test_tiny", config);  // cold
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  auto second = CachedRecords("harness_test_tiny", config);
+  ASSERT_FALSE(first->empty());
+  auto second = CachedRecords("harness_test_tiny", config);  // warm
   ASSERT_TRUE(second.ok());
   ExpectRecordsIdentical(*second, *first);
+
+  // A cache file cut in half (a writer killed mid-file) fails its frame
+  // checks, so the records are recomputed in full — never loaded short —
+  // and the cache is whole again afterwards.
+  const std::string path = RecordCacheDir() + "/harness_test_tiny.v3.rpsn";
+  auto bytes = ReadSnapshotFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  {
+    std::ofstream cut(path, std::ios::binary | std::ios::trunc);
+    cut.write(bytes->data(),
+              static_cast<std::streamsize>(bytes->size() / 2));
+  }
+  ASSERT_FALSE(LoadRecordBatch(path).ok());
+  auto recomputed = CachedRecords("harness_test_tiny", config);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  ExpectRecordsIdentical(*recomputed, *first);
+  auto rewritten = ReadSnapshotFile(path);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(*rewritten, *bytes);
   unsetenv("RPE_CACHE_DIR");
   std::filesystem::remove_all("harness_test_cache");
 }

@@ -516,24 +516,6 @@ TEST(TreeTest, ConstantTargetYieldsSingleLeaf) {
   EXPECT_NEAR(tree.Predict({0.1, 0.2, 0.3, 0.4}), 7.0, 1e-9);
 }
 
-TEST(TreeTest, SerializationRoundTrip) {
-  Dataset data = MakeDataset(1000, 24, NonlinearTarget);
-  BinnedDataset binned(data);
-  std::vector<double> residuals(data.num_examples());
-  for (size_t i = 0; i < data.num_examples(); ++i) {
-    residuals[i] = data.target(i);
-  }
-  TreeParams params;
-  RegressionTree tree =
-      RegressionTree::Fit(binned, residuals, {}, params, nullptr);
-  auto restored = RegressionTree::Deserialize(tree.Serialize());
-  ASSERT_TRUE(restored.ok());
-  for (size_t i = 0; i < 50; ++i) {
-    const auto x = data.ExampleFeatures(i);
-    EXPECT_DOUBLE_EQ(tree.Predict(x), restored->Predict(x));
-  }
-}
-
 // --- MART ------------------------------------------------------------------
 
 TEST(MartTest, TrainingLossDecreases) {
@@ -588,25 +570,6 @@ TEST(MartTest, FeatureImportanceIdentifiesSignal) {
   ASSERT_EQ(gains.size(), 4u);
   EXPECT_GT(gains[0], gains[2] * 10);
   EXPECT_GT(gains[1], gains[3] * 10);
-}
-
-TEST(MartTest, SerializationRoundTrip) {
-  Dataset data = MakeDataset(1500, 31, NonlinearTarget);
-  MartParams params;
-  params.num_trees = 25;
-  MartModel model = MartModel::Train(data, params);
-  auto restored = MartModel::Deserialize(model.Serialize());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->num_trees(), model.num_trees());
-  for (size_t i = 0; i < 100; ++i) {
-    const auto x = data.ExampleFeatures(i);
-    EXPECT_DOUBLE_EQ(model.Predict(x), restored->Predict(x));
-  }
-}
-
-TEST(MartTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(MartModel::Deserialize("not a model").ok());
-  EXPECT_FALSE(MartModel::Deserialize("MART 0.5").ok());
 }
 
 TEST(MartTest, EmptyDatasetProducesConstantZero) {

@@ -1,35 +1,26 @@
 // PlanAndExecuteWorkload runs a workload's queries in parallel on the
 // global pool. Execution runs on a virtual clock, so its output must be
 // identical to a serial RunQuery + MakeRecord loop at any pool size:
-// records byte for byte through SaveRecords, kept runs observation for
+// records byte for byte through EncodeRecordBatch, kept runs observation for
 // observation, and on_record in query order on the calling thread.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
-#include <fstream>
 #include <span>
-#include <sstream>
 #include <thread>
 
 #include "common/thread_pool.h"
 #include "harness/runner.h"
+#include "serving/snapshot.h"
 
 namespace rpe {
 namespace {
 
-std::string SavedBytes(const std::vector<PipelineRecord>& records,
-                       const std::string& name) {
-  // Per-process path: ctest runs each test of the suite in its own
-  // process, concurrently under -j, so a shared name races its siblings.
-  const std::string path = ::testing::TempDir() + "/" +
-                           std::to_string(::getpid()) + "_" + name;
-  EXPECT_TRUE(SaveRecords(records, path).ok());
-  std::ifstream in(path);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::filesystem::remove(path);
-  return bytes.str();
+/// The records' .rpsn record-batch bytes: doubles are stored as raw bits,
+/// so equal bytes mean bit-equal records.
+std::string RecordBytes(const std::vector<PipelineRecord>& records) {
+  auto bytes = EncodeRecordBatch(records);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
 }
 
 class ParallelWorkloadTest : public ::testing::TestWithParam<int> {
@@ -96,8 +87,7 @@ TEST_P(ParallelWorkloadTest, RecordsAreByteIdenticalToTheSerialLoop) {
                                                  /*keep_runs=*/false);
   EXPECT_EQ(run.failed, 0u);
   EXPECT_TRUE(run.runs.empty());
-  EXPECT_EQ(SavedBytes(run.records, "parallel.csv"),
-            SavedBytes(*records_, "serial.csv"));
+  EXPECT_EQ(RecordBytes(run.records), RecordBytes(*records_));
 }
 
 TEST_P(ParallelWorkloadTest, KeptRunsMatchTheSerialRuns) {
@@ -139,8 +129,7 @@ TEST_P(ParallelWorkloadTest, OnRecordSeesTheRecordsInOrderOnTheCaller) {
   const WorkloadRun run = PlanAndExecuteWorkload(*workload_, options, "t",
                                                  /*keep_runs=*/false);
   EXPECT_FALSE(off_caller);
-  EXPECT_EQ(SavedBytes(streamed, "streamed.csv"),
-            SavedBytes(run.records, "returned.csv"));
+  EXPECT_EQ(RecordBytes(streamed), RecordBytes(run.records));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelWorkloadTest,

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "common/thread_pool.h"
 #include "exec/executor.h"
@@ -426,66 +425,6 @@ TEST_F(SelectionTest, RecordSkipsShortPipelines) {
   PipelineRecord record;
   EXPECT_FALSE(MakeRecord(view, "wl", "q", "", &record,
                           /*min_observations=*/100000));
-}
-
-TEST_F(SelectionTest, CsvRejectsMismatchedArityWithLineNumber) {
-  auto run = Run(MakeFilter(MakeTableScan("t_fact"), Predicate::Ge(2, 10)));
-  PipelineView view{&run, &run.pipelines[0]};
-  PipelineRecord record;
-  ASSERT_TRUE(MakeRecord(view, "wl", "q1", "tag", &record));
-  const std::string csv = RecordsToCsv({record, record, record});
-  ASSERT_TRUE(RecordsFromCsv(csv).ok());
-
-  // Drop the last l2 column of the second data row: its l1/l2 arity no
-  // longer matches SelectableEstimators and the row must be rejected with
-  // its line number (header = line 1, so row 2 is line 3).
-  std::vector<std::string> lines;
-  std::istringstream in(csv);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 4u);
-  std::string truncated = lines[2].substr(0, lines[2].rfind(','));
-  const std::string bad_arity =
-      lines[0] + "\n" + lines[1] + "\n" + truncated + "\n" + lines[3] + "\n";
-  auto result = RecordsFromCsv(bad_arity);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("line 3"), std::string::npos)
-      << result.status().ToString();
-  EXPECT_NE(result.status().message().find("columns"), std::string::npos);
-
-  // Extra columns are equally a mismatch, not silently ignored.
-  const std::string extra =
-      lines[0] + "\n" + lines[1] + ",0.5\n" + lines[2] + "\n" + lines[3] +
-      "\n";
-  result = RecordsFromCsv(extra);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("line 2"), std::string::npos);
-
-  // Non-numeric cells name the offending line too.
-  std::string garbled = csv;
-  const size_t pos = garbled.rfind(",");
-  garbled.replace(pos + 1, garbled.size() - pos - 2, "not-a-number");
-  result = RecordsFromCsv(garbled);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("line 4"), std::string::npos)
-      << result.status().ToString();
-
-  // A fractional pipeline id is not silently truncated.
-  std::string frac = csv;
-  ASSERT_NE(frac.find("wl,q1,0,"), std::string::npos);
-  frac.replace(frac.find("wl,q1,0,"), 8, "wl,q1,0.5,");
-  result = RecordsFromCsv(frac);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("bad integer"), std::string::npos);
-
-  // CRLF input still loads (the strict parser strips the trailing \r).
-  std::string crlf;
-  for (char c : csv) {
-    if (c == '\n') crlf += "\r\n";
-    else crlf += c;
-  }
-  auto crlf_result = RecordsFromCsv(crlf);
-  EXPECT_TRUE(crlf_result.ok()) << crlf_result.status().ToString();
-  EXPECT_EQ(crlf_result->size(), 3u);
 }
 
 TEST_F(SelectionTest, PoolsAreConsistent) {

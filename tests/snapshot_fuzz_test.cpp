@@ -256,11 +256,13 @@ TEST_F(SnapshotFuzzTest, SeededMutationsNeverCrashEitherLoader) {
 }
 
 TEST_F(SnapshotFuzzTest, MutatedRecordBatchesNeverCrashTheDecoder) {
-  // The record-batch payload shares the container but has its own parser;
-  // give it the same treatment on a smaller budget.
+  // The record-batch payload shares the container but holds record
+  // elements (the wire ingest element, selection/record.h); give it the
+  // same treatment on a smaller budget.
   const size_t cases = EnvCount("RPE_FUZZ_CASES", 300) / 4 + 1;
   const uint64_t base_seed = EnvCount("RPE_FUZZ_SEED", 1) + 0x10000000ull;
-  const std::string valid = EncodeRecordBatch(RandomRecords(20, 61));
+  const std::string valid =
+      EncodeRecordBatch(RandomRecords(20, 61)).ValueOrDie();
   for (size_t i = 0; i < cases; ++i) {
     const uint64_t seed = base_seed + i;
     const Mutation mutated = Mutate(valid, seed);

@@ -58,7 +58,7 @@ std::vector<PipelineRecord>* SnapshotTest::records_ = nullptr;
 SelectorStack* SnapshotTest::stack_ = nullptr;
 
 TEST_F(SnapshotTest, RecordBatchRoundTripIsByteIdentical) {
-  const std::string bytes = EncodeRecordBatch(*records_);
+  const std::string bytes = EncodeRecordBatch(*records_).ValueOrDie();
   auto decoded = DecodeRecordBatch(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->size(), records_->size());
@@ -75,11 +75,11 @@ TEST_F(SnapshotTest, RecordBatchRoundTripIsByteIdentical) {
     EXPECT_EQ(a.l2, b.l2);
   }
   // Re-encoding the decoded batch reproduces the file byte for byte.
-  EXPECT_EQ(EncodeRecordBatch(*decoded), bytes);
+  EXPECT_EQ(EncodeRecordBatch(*decoded).ValueOrDie(), bytes);
 }
 
 TEST_F(SnapshotTest, EmptyRecordBatchRoundTrips) {
-  const std::string bytes = EncodeRecordBatch({});
+  const std::string bytes = EncodeRecordBatch({}).ValueOrDie();
   auto decoded = DecodeRecordBatch(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->empty());
@@ -112,7 +112,7 @@ TEST_F(SnapshotTest, SelectorStackRoundTripIsBitExact) {
 }
 
 TEST_F(SnapshotTest, CorruptedPayloadIsRejected) {
-  std::string bytes = EncodeRecordBatch(*records_);
+  std::string bytes = EncodeRecordBatch(*records_).ValueOrDie();
   bytes[bytes.size() / 2] ^= 0x5A;  // flip bits mid-payload
   auto decoded = DecodeRecordBatch(bytes);
   ASSERT_FALSE(decoded.ok());
@@ -127,7 +127,7 @@ TEST_F(SnapshotTest, CorruptedModelPayloadIsRejected) {
 }
 
 TEST_F(SnapshotTest, TruncatedSnapshotIsRejected) {
-  const std::string bytes = EncodeRecordBatch(*records_);
+  const std::string bytes = EncodeRecordBatch(*records_).ValueOrDie();
   // Every strict prefix must be rejected — header-only, mid-payload, and
   // one-byte-short truncations alike.
   for (size_t keep : {size_t{0}, size_t{16}, size_t{31}, size_t{32},
@@ -138,7 +138,7 @@ TEST_F(SnapshotTest, TruncatedSnapshotIsRejected) {
 }
 
 TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
-  std::string bytes = EncodeRecordBatch(*records_);
+  std::string bytes = EncodeRecordBatch(*records_).ValueOrDie();
   {
     std::string bad = bytes;
     bad[0] = 'X';
@@ -154,10 +154,10 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
   }
   // Earlier formats with a valid CRC under their own rule (v1 over the
-  // payload only, v2 and v3 over the aux offset, then the payload): no
+  // payload only, v2 to v4 over the aux offset, then the payload): no
   // longer readable, and the error names both versions.
   const std::string stack_bytes = EncodeSelectorStack(*stack_);
-  for (const uint32_t version : {1u, 2u, 3u}) {
+  for (const uint32_t version : {1u, 2u, 3u, 4u}) {
     std::string old = stack_bytes;
     uint32_t aux_offset = 0;
     if (version >= 2) std::memcpy(&aux_offset, old.data() + 28, 4);
@@ -171,14 +171,24 @@ TEST_F(SnapshotTest, BadMagicAndVersionAreRejected) {
     ASSERT_FALSE(decoded.ok());
     EXPECT_EQ(decoded.status().message(),
               "unsupported snapshot version " + std::to_string(version) +
-                  " (this build reads 4)");
+                  " (this build reads 5)");
   }
+  // A v4 record batch (its own record layout, not the v5 record element)
+  // is rejected by its version, never parsed as elements.
+  std::string v4_batch = bytes;
+  const uint32_t v4 = 4;
+  std::memcpy(v4_batch.data() + 4, &v4, 4);
+  auto decoded = DecodeRecordBatch(v4_batch);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST_F(SnapshotTest, MismatchedKindIsRejected) {
   const std::string stack_bytes = EncodeSelectorStack(*stack_);
   EXPECT_FALSE(DecodeRecordBatch(stack_bytes).ok());
-  const std::string record_bytes = EncodeRecordBatch(*records_);
+  const std::string record_bytes =
+      EncodeRecordBatch(*records_).ValueOrDie();
   EXPECT_FALSE(DecodeSelectorStack(record_bytes).ok());
   auto kind = PeekSnapshotKind(stack_bytes);
   ASSERT_TRUE(kind.ok());
@@ -193,7 +203,8 @@ TEST_F(SnapshotTest, FileRoundTrip) {
   ASSERT_TRUE(SaveRecordBatch(*records_, record_path).ok());
   auto records = LoadRecordBatch(record_path);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
-  EXPECT_EQ(EncodeRecordBatch(*records), EncodeRecordBatch(*records_));
+  EXPECT_EQ(EncodeRecordBatch(*records).ValueOrDie(),
+            EncodeRecordBatch(*records_).ValueOrDie());
 
   ASSERT_TRUE(SaveSelectorStack(*stack_, stack_path).ok());
   auto stack = LoadSelectorStack(stack_path);

@@ -1,27 +1,24 @@
 // Command-line driver for the progress-estimation library:
 //
 //   rpe_cli run      --kind tpch --queries 200 --scale 10 --zipf 1.0
-//                    --tuning partial --seed 1 --out records.csv
-//       Build a workload, execute it, and write the pipeline records.
-//       `--out x.rpsn` (or --binary) writes a binary record snapshot.
+//                    --tuning partial --seed 1 --out records.rpsn
+//       Build a workload, execute it, and write the pipeline records as
+//       an .rpsn record batch.
 //
-//   rpe_cli train    --records records.{csv|rpsn} [--pool three|six|all]
+//   rpe_cli train    --records records.rpsn [--pool three|six|all]
 //                    [--trees 200] --out stack.rpsn
 //       Train the full selector stack (static + dynamic) and persist it as
 //       a binary model snapshot.
 //
-//   rpe_cli evaluate --train a.csv --test b.csv [--pool ...] [--dynamic]
+//   rpe_cli evaluate --train train.rpsn --test test.rpsn [--pool ...]
+//                    [--dynamic]
 //       Train on one record set, evaluate on another, print the metrics.
 //
-//   rpe_cli inspect  --records records.{csv|rpsn}
+//   rpe_cli inspect  --records records.rpsn
 //       Summarize a record set (per-estimator error stats and win rates).
 //
-//   rpe_cli snapshot-save --records records.csv --out records.rpsn
-//       Convert a CSV record set into a binary record snapshot.
-//
-//   rpe_cli snapshot-load --in x.rpsn [--out records.csv]
-//       Verify + describe a snapshot (either kind); optionally convert a
-//       record snapshot back to CSV.
+//   rpe_cli snapshot-load --in x.rpsn
+//       Verify + describe a snapshot (either kind).
 //
 //   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
 //                     [--io-threads 0] [--model stack.rpsn]
@@ -224,18 +221,6 @@ Result<WorkloadConfig> ParseWorkloadFlags(const Flags& flags,
   return config;
 }
 
-bool IsSnapshotPath(const std::string& path) {
-  return path.size() >= 5 &&
-         path.compare(path.size() - 5, 5, ".rpsn") == 0;
-}
-
-/// Records load from either persistence format, keyed by extension:
-/// `.rpsn` is the binary snapshot, anything else the CSV path.
-Result<std::vector<PipelineRecord>> LoadRecordsAuto(const std::string& path) {
-  if (IsSnapshotPath(path)) return LoadRecordBatch(path);
-  return LoadRecords(path);
-}
-
 int CmdRun(const Flags& flags) {
   auto config = ParseWorkloadFlags(flags, /*default_scale=*/"10",
                                    /*default_queries=*/"200");
@@ -252,12 +237,8 @@ int CmdRun(const Flags& flags) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
   }
-  const bool binary = flags.count("binary") > 0;
-  const std::string out =
-      FlagOr(flags, "out", binary ? "records.rpsn" : "records.csv");
-  const Status save = binary || IsSnapshotPath(out)
-                          ? SaveRecordBatch(*records, out)
-                          : SaveRecords(*records, out);
+  const std::string out = FlagOr(flags, "out", "records.rpsn");
+  const Status save = SaveRecordBatch(*records, out);
   if (!save.ok()) {
     std::cerr << save.ToString() << "\n";
     return 1;
@@ -275,7 +256,7 @@ int CmdTrain(const Flags& flags) {
       return 2;
     }
   }
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
+  auto records = LoadRecordBatch(FlagOr(flags, "records", "records.rpsn"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
@@ -306,11 +287,13 @@ int CmdEvaluate(const Flags& flags) {
       return 2;
     }
   }
-  auto train = LoadRecordsAuto(FlagOr(flags, "train", "train.csv"));
-  auto test = LoadRecordsAuto(FlagOr(flags, "test", "test.csv"));
-  if (!train.ok() || !test.ok()) {
-    std::cerr << "failed to load records\n";
-    return 1;
+  auto train = LoadRecordBatch(FlagOr(flags, "train", "train.rpsn"));
+  auto test = LoadRecordBatch(FlagOr(flags, "test", "test.rpsn"));
+  for (const Status& st : {train.status(), test.status()}) {
+    if (!st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 1;
+    }
   }
   const std::vector<size_t>& pool = *parsed_pool;
   const bool dynamic = flags.count("dynamic") > 0;
@@ -336,7 +319,7 @@ int CmdEvaluate(const Flags& flags) {
 }
 
 int CmdInspect(const Flags& flags) {
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
+  auto records = LoadRecordBatch(FlagOr(flags, "records", "records.rpsn"));
   if (!records.ok()) {
     std::cerr << records.status().ToString() << "\n";
     return 1;
@@ -360,23 +343,6 @@ int CmdInspect(const Flags& flags) {
   return 0;
 }
 
-int CmdSnapshotSave(const Flags& flags) {
-  auto records = LoadRecordsAuto(FlagOr(flags, "records", "records.csv"));
-  if (!records.ok()) {
-    std::cerr << records.status().ToString() << "\n";
-    return 1;
-  }
-  const std::string out = FlagOr(flags, "out", "records.rpsn");
-  auto save = SaveRecordBatch(*records, out);
-  if (!save.ok()) {
-    std::cerr << save.ToString() << "\n";
-    return 1;
-  }
-  std::cout << records->size() << " records -> binary snapshot " << out
-            << "\n";
-  return 0;
-}
-
 int CmdSnapshotLoad(const Flags& flags) {
   const std::string in = FlagOr(flags, "in", "records.rpsn");
   auto bytes = ReadSnapshotFile(in);
@@ -397,14 +363,6 @@ int CmdSnapshotLoad(const Flags& flags) {
     }
     std::cout << in << ": record batch, " << records->size()
               << " records (CRC ok)\n";
-    if (flags.count("out") > 0) {
-      auto save = SaveRecords(*records, flags.at("out"));
-      if (!save.ok()) {
-        std::cerr << save.ToString() << "\n";
-        return 1;
-      }
-      std::cout << "  -> CSV " << flags.at("out") << "\n";
-    }
     return 0;
   }
   auto stack = DecodeSelectorStack(*bytes);
@@ -692,16 +650,14 @@ const std::vector<Command>& Commands() {
   };
   static const std::vector<Command> commands = {
       {"run", "execute a workload and write pipeline records", CmdRun,
-       with_workload({"out", "tag"}), {"binary"}},
+       with_workload({"out", "tag"}), {}},
       {"train", "train the selector stack, write a .rpsn model", CmdTrain,
        {"records", "pool", "trees", "out"}, {}},
       {"evaluate", "train on one record set, score another", CmdEvaluate,
        {"train", "test", "pool", "trees"}, {"dynamic"}},
       {"inspect", "summarize a record set", CmdInspect, {"records"}, {}},
-      {"snapshot-save", "convert CSV records to a binary snapshot",
-       CmdSnapshotSave, {"records", "out"}, {}},
       {"snapshot-load", "verify + describe a snapshot", CmdSnapshotLoad,
-       {"in", "out"}, {}},
+       {"in"}, {}},
       {"serve-tcp", "epoll TCP front-end over the monitor tier", CmdServeTcp,
        with_workload({"port", "shards", "io-threads", "model", "trees",
                       "pool", "queue-cap", "retrain-every", "corpus-cap",
