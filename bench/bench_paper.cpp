@@ -1,0 +1,1099 @@
+// The paper-reproduction driver: every figure, table and ablation of
+// docs/PAPER_MAP.md as one named experiment that prints the paper's rows as
+// aligned text.
+//
+//   bench_paper                  # every experiment, in registry order
+//   bench_paper --only fig5,table6
+//
+// Expensive workload executions are cached as .rpsn record batches under
+// RPE_CACHE_DIR (default ./rpe_record_cache), and the inputs several
+// experiments share — the six paper record sets, the TPC-H variant sets and
+// the ad-hoc selector choices — are computed at most once per process.
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstring>
+#include <iostream>
+#include <map>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/logging.h"
+#include "common/random.h"
+#include "common/stats.h"
+#include "common/table_printer.h"
+#include "common/thread_pool.h"
+#include "harness/experiment.h"
+#include "harness/runner.h"
+#include "mart/linear.h"
+#include "mart/mart.h"
+
+using namespace rpe;
+
+namespace {
+
+/// MART parameters for the experiments: the paper's 30-leaf trees with a
+/// reduced number of boosting iterations (the accuracy plateau is reached
+/// well before M=200 on these dataset sizes; Table 7 still sweeps the full
+/// M range for the training-time reproduction).
+MartParams ExperimentParams() {
+  MartParams params;
+  params.num_trees = 100;
+  params.tree.max_leaves = 30;
+  params.learning_rate = 0.1;
+  return params;
+}
+
+RunOptions DefaultRunOptions() {
+  RunOptions options;
+  options.progress_every = 200;
+  return options;
+}
+
+/// Inputs shared across experiments, each computed on first use.
+class SharedInputs {
+ public:
+  /// Records of all six paper workloads (cached), workload label preserved.
+  const std::vector<PipelineRecord>& Paper() {
+    if (!paper_) {
+      paper_.emplace();
+      for (const WorkloadConfig& config : PaperWorkloadConfigs()) {
+        std::cerr << "== workload " << config.name << " ==\n";
+        auto records =
+            CachedRecords("paper_" + config.name, config, DefaultRunOptions());
+        RPE_CHECK(records.ok()) << records.status().ToString();
+        paper_->insert(paper_->end(), records->begin(), records->end());
+      }
+    }
+    return *paper_;
+  }
+
+  /// TPC-H variant records for the sensitivity experiments; `dimension` is
+  /// "design", "skew" or "size". Records are tagged with the variant label.
+  const std::vector<PipelineRecord>& Variants(const std::string& dimension) {
+    auto it = variants_.find(dimension);
+    if (it == variants_.end()) {
+      it = variants_.emplace(dimension, BuildVariants(dimension)).first;
+    }
+    return it->second;
+  }
+
+  /// The §6.2 ad-hoc choices over Paper(), aligned with its order.
+  const AdHocResult& AdHoc() {
+    if (!adhoc_) adhoc_ = RunAdHoc(Paper(), ExperimentParams());
+    return *adhoc_;
+  }
+
+ private:
+  static std::vector<PipelineRecord> BuildVariants(
+      const std::string& dimension) {
+    struct Variant {
+      std::string tag;
+      double scale;
+      double zipf;
+      TuningLevel tuning;
+      uint64_t seed;
+    };
+    std::vector<Variant> variants;
+    if (dimension == "design") {
+      variants = {{"fully", 10.0, 1.0, TuningLevel::kFullyTuned, 51},
+                  {"partially", 10.0, 1.0, TuningLevel::kPartiallyTuned, 52},
+                  {"untuned", 10.0, 1.0, TuningLevel::kUntuned, 53}};
+    } else if (dimension == "skew") {
+      variants = {{"z0", 10.0, 0.0, TuningLevel::kPartiallyTuned, 61},
+                  {"z1", 10.0, 1.0, TuningLevel::kPartiallyTuned, 62},
+                  {"z2", 10.0, 2.0, TuningLevel::kPartiallyTuned, 63}};
+    } else {
+      RPE_CHECK(dimension == "size")
+          << "unknown sensitivity dimension " << dimension;
+      variants = {{"sf2", 2.0, 1.0, TuningLevel::kPartiallyTuned, 71},
+                  {"sf5", 5.0, 1.0, TuningLevel::kPartiallyTuned, 72},
+                  {"sf10", 10.0, 1.0, TuningLevel::kPartiallyTuned, 73}};
+    }
+    std::vector<PipelineRecord> all;
+    for (const Variant& v : variants) {
+      WorkloadConfig config;
+      config.kind = WorkloadKind::kTpch;
+      config.name = "tpch-" + dimension + "-" + v.tag;
+      config.scale = v.scale;
+      config.zipf = v.zipf;
+      config.tuning = v.tuning;
+      config.num_queries = 300;
+      config.seed = v.seed;
+      std::cerr << "== workload " << config.name << " ==\n";
+      auto records = CachedRecords("sens_" + config.name, config,
+                                   DefaultRunOptions(), v.tag);
+      RPE_CHECK(records.ok()) << records.status().ToString();
+      all.insert(all.end(), records->begin(), records->end());
+    }
+    return all;
+  }
+
+  std::optional<std::vector<PipelineRecord>> paper_;
+  std::map<std::string, std::vector<PipelineRecord>> variants_;
+  std::optional<AdHocResult> adhoc_;
+};
+
+struct NamedChoices {
+  std::string name;
+  std::vector<size_t> choices;
+};
+
+/// Train on the benchmark workloads, test on the (out-of-distribution)
+/// Real-1 and Real-2 workloads: the split of the model/feature ablations.
+void SplitRealHoldout(const std::vector<PipelineRecord>& records,
+                      std::vector<PipelineRecord>* train,
+                      std::vector<PipelineRecord>* test) {
+  for (const auto& r : records) {
+    (r.workload == "real1" || r.workload == "real2" ? test : train)
+        ->push_back(r);
+  }
+}
+
+// Figure 1: no single estimator is robust — for each of DNE / TGN / LUO,
+// the ratio of its error to the best of the three, over all queries of all
+// six workloads. The paper plots per-query curves (log-scale Y); we print
+// the curve's percentiles and the fraction of pipelines beyond 2x/5x/10x.
+void Fig1(SharedInputs& in) {
+  std::cout << "=== Figure 1: error ratio (estimator / best-of-three) ===\n";
+  const auto& records = in.Paper();
+  std::cout << records.size() << " pipelines over "
+            << PaperWorkloadConfigs().size() << " workloads\n\n";
+
+  const std::vector<size_t> pool = PoolOriginalThree();
+  const char* names[3] = {"DNE", "TGN", "LUO"};
+
+  TablePrinter table({"Estimator", "p50", "p75", "p90", "p95", "p99", "max",
+                      ">2x", ">5x", ">10x", "% optimal"});
+  for (size_t i = 0; i < 3; ++i) {
+    auto curve = ErrorRatioCurve(records, pool[i], pool);
+    auto frac_above = [&](double t) {
+      size_t n = 0;
+      for (double r : curve) {
+        if (r > t) ++n;
+      }
+      return static_cast<double>(n) / static_cast<double>(curve.size());
+    };
+    table.AddRow({names[i], TablePrinter::Fmt(Percentile(curve, 50), 2),
+                  TablePrinter::Fmt(Percentile(curve, 75), 2),
+                  TablePrinter::Fmt(Percentile(curve, 90), 2),
+                  TablePrinter::Fmt(Percentile(curve, 95), 2),
+                  TablePrinter::Fmt(Percentile(curve, 99), 2),
+                  TablePrinter::Fmt(curve.back(), 1),
+                  TablePrinter::Pct(frac_above(2.0)),
+                  TablePrinter::Pct(frac_above(5.0)),
+                  TablePrinter::Pct(frac_above(10.0)),
+                  TablePrinter::Pct(FractionOptimal(records, pool[i], pool))});
+  }
+  table.Print();
+  std::cout << "\nPaper's qualitative claim: each estimator is close to\n"
+               "optimal for a subset of queries but degrades by 5x or more\n"
+               "for a significant fraction of the workload.\n";
+}
+
+// Figure 4: robustness on fully "ad-hoc" queries — each of the six
+// workloads held out in turn, the selector trained on the other five.
+// Prints the error-ratio curve percentiles (the paper's per-query curves)
+// and the fraction of pipelines for which each policy picks the optimal
+// estimator among {DNE, TGN, LUO}.
+void Fig4(SharedInputs& in) {
+  std::cout << "=== Figure 4: ad-hoc (leave-one-workload-out) robustness "
+               "===\n";
+  const auto& records = in.Paper();
+  const AdHocResult& adhoc = in.AdHoc();
+  const std::vector<size_t> pool = PoolOriginalThree();
+  const std::vector<NamedChoices> rows = {
+      {"DNE", FixedChoice(records, pool[0])},
+      {"TGN", FixedChoice(records, pool[1])},
+      {"LUO", FixedChoice(records, pool[2])},
+      {"Est. Selection (static)", adhoc.static3},
+      {"Est. Selection (dynamic)", adhoc.dynamic3},
+  };
+
+  TablePrinter table({"Policy", "p50", "p75", "p90", "p95", "p99",
+                      "% optimal"});
+  for (const NamedChoices& row : rows) {
+    auto curve = ErrorRatioCurve(records, row.choices, pool);
+    const auto metrics = EvaluateChoices(records, row.choices, pool);
+    table.AddRow({row.name, TablePrinter::Fmt(Percentile(curve, 50), 2),
+                  TablePrinter::Fmt(Percentile(curve, 75), 2),
+                  TablePrinter::Fmt(Percentile(curve, 90), 2),
+                  TablePrinter::Fmt(Percentile(curve, 95), 2),
+                  TablePrinter::Fmt(Percentile(curve, 99), 2),
+                  TablePrinter::Pct(metrics.pct_optimal)});
+  }
+  table.Print();
+  std::cout << "\nPaper's result: DNE/TGN/LUO optimal for 31%/44%/25% of\n"
+               "queries; selection optimal for 55% (static) and 64%\n"
+               "(dynamic), with far smaller error when not optimal.\n";
+}
+
+// Figure 5: average L1 and L2 progress-estimation error under the ad-hoc
+// setup: the three prior estimators vs. estimator selection with static /
+// dynamic features, with the {DNE,TGN,LUO} pool and with the six-estimator
+// pool (adding BATCHDNE, DNESEEK, TGNINT); plus the selection-oracle floor
+// (§6.2) and the worst-case-optimal SAFE/PMAX estimators the paper rules
+// out.
+void Fig5(SharedInputs& in) {
+  std::cout << "=== Figure 5: average progress-estimation error (ad-hoc "
+               "setup) ===\n";
+  const auto& records = in.Paper();
+  const AdHocResult& adhoc = in.AdHoc();
+
+  auto pool_oracle = [&](const std::vector<size_t>& pool) {
+    std::vector<size_t> choices;
+    choices.reserve(records.size());
+    for (const auto& r : records) choices.push_back(BestInPool(r, pool));
+    return choices;
+  };
+  const std::vector<NamedChoices> rows = {
+      {"DNE", FixedChoice(records, size_t(EstimatorKind::kDne))},
+      {"TGN", FixedChoice(records, size_t(EstimatorKind::kTgn))},
+      {"LUO", FixedChoice(records, size_t(EstimatorKind::kLuo))},
+      {"Est.Sel. (static, 3 est.)", adhoc.static3},
+      {"Est.Sel. (dynamic, 3 est.)", adhoc.dynamic3},
+      {"Est.Sel. (static, 6 est.)", adhoc.static6},
+      {"Est.Sel. (dynamic, 6 est.)", adhoc.dynamic6},
+      {"Oracle selection (3 est.)", pool_oracle(PoolOriginalThree())},
+      {"Oracle selection (6 est.)", pool_oracle(PoolSix())},
+      {"SAFE", FixedChoice(records, size_t(EstimatorKind::kSafe))},
+      {"PMAX", FixedChoice(records, size_t(EstimatorKind::kPmax))},
+  };
+  TablePrinter table({"Policy", "avg L1", "avg L2"});
+  for (const NamedChoices& row : rows) {
+    const auto m = EvaluateChoices(records, row.choices);
+    table.AddRow({row.name, TablePrinter::Fmt(m.avg_l1, 4),
+                  TablePrinter::Fmt(m.avg_l2, 4)});
+  }
+  table.Print();
+  std::cout
+      << "\nPaper's Figure 5 (L1): DNE .1748, TGN .1463, LUO .1616;\n"
+         "selection .1410 (st,3) / .1294 (dy,3) / .1275 (st,6) / .1271\n"
+         "(dy,6); oracle .109 (3 est.) / .099 (6 est.). SAFE .40, PMAX .50\n"
+         "(\"ruled out for practical applications\").\n";
+}
+
+void PrintCurves(const char* title, const OwnedRun& run,
+                 const std::vector<EstimatorKind>& kinds) {
+  // Pick the pipeline with the longest activity window.
+  const Pipeline* best = nullptr;
+  for (const auto& p : run.result.pipelines) {
+    if (p.first_obs < 0) continue;
+    if (best == nullptr ||
+        (p.end_time - p.start_time) > (best->end_time - best->start_time)) {
+      best = &p;
+    }
+  }
+  RPE_CHECK(best != nullptr);
+  PipelineView view{&run.result, best};
+
+  std::cout << title << "\n";
+  std::vector<std::string> header = {"elapsed%", "true"};
+  for (EstimatorKind k : kinds) header.push_back(EstimatorName(k));
+  TablePrinter table(header);
+  const int points = 15;
+  for (int i = 0; i <= points; ++i) {
+    const size_t oi = static_cast<size_t>(
+        best->first_obs + (best->last_obs - best->first_obs) * i / points);
+    std::vector<std::string> row;
+    row.push_back(TablePrinter::Pct(view.TrueProgress(oi), 0));
+    row.push_back(TablePrinter::Fmt(view.TrueProgress(oi), 3));
+    for (EstimatorKind k : kinds) {
+      row.push_back(TablePrinter::Fmt(GetEstimator(k).Estimate(view, oi), 3));
+    }
+    table.AddRow(std::move(row));
+  }
+  table.Print();
+  std::cout << "\n";
+}
+
+// Figures 6 and 7: example progress-estimation error curves.
+//
+// Figure 6: a nested-loop-join pipeline behind a partial batch sort — the
+// batch sort's blocking bursts make driver-node-based estimators (DNE)
+// overshoot while BATCHDNE tracks the truth.
+//
+// Figure 7: a complex hash-join query whose correlated filter breaks the
+// optimizer's cardinality estimate — TGN cannot recover from the bad E_i,
+// while interpolating/driver-based estimators adjust late in the query.
+void Fig6Fig7(SharedInputs&) {
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTpch;
+  config.name = "tpch-curves";
+  config.scale = 10.0;
+  config.zipf = 1.5;
+  config.tuning = TuningLevel::kFullyTuned;
+  config.num_queries = 0;
+  config.seed = 5;
+  auto workload = BuildWorkload(config);
+  RPE_CHECK(workload.ok()) << workload.status().ToString();
+
+  // Figure 6: lineitem NLJ part behind a batch sort (forced via planner
+  // thresholds: the big outer triggers the batch sort automatically).
+  {
+    QuerySpec spec;
+    spec.name = "fig6";
+    spec.tables = {"lineitem", "part"};
+    JoinEdge e;
+    e.left_idx = 0;
+    e.left_col = "l_partkey";
+    e.right_col = "p_partkey";
+    e.hint = JoinHint::kNestedLoop;
+    spec.joins.push_back(e);
+    auto run = RunQuery(*workload, spec);
+    RPE_CHECK(run.ok()) << run.status().ToString();
+    std::cout << "plan:\n" << run->plan->ToString() << "\n";
+    PrintCurves("=== Figure 6: nested-loop + batch sort pipeline ===", *run,
+                {EstimatorKind::kDne, EstimatorKind::kTgn,
+                 EstimatorKind::kBatchDne, EstimatorKind::kDneSeek});
+  }
+
+  // Figure 7: hash join with a correlated range filter (l_shipdate
+  // correlates with l_orderkey, so independence-based estimates are off).
+  {
+    QuerySpec spec;
+    spec.name = "fig7";
+    spec.tables = {"orders", "lineitem"};
+    JoinEdge e;
+    e.left_idx = 0;
+    e.left_col = "o_orderkey";
+    e.right_col = "l_orderkey";
+    e.hint = JoinHint::kHash;
+    spec.joins.push_back(e);
+    FilterSpec f1;
+    f1.table_idx = 0;
+    f1.column = "o_orderdate";
+    f1.kind = Predicate::Kind::kLe;
+    f1.v1 = 700;
+    spec.filters.push_back(f1);
+    FilterSpec f2;
+    f2.table_idx = 1;
+    f2.column = "l_shipdate";
+    f2.kind = Predicate::Kind::kLe;
+    f2.v1 = 900;
+    spec.filters.push_back(f2);
+    auto run = RunQuery(*workload, spec);
+    RPE_CHECK(run.ok()) << run.status().ToString();
+    std::cout << "plan:\n" << run->plan->ToString() << "\n";
+    PrintCurves(
+        "=== Figure 7: hash join with correlated-filter cardinality error "
+        "===",
+        *run,
+        {EstimatorKind::kDne, EstimatorKind::kTgn, EstimatorKind::kTgnInt,
+         EstimatorKind::kLuo});
+  }
+  std::cout << "Expected: in Fig. 6 DNE runs ahead of true progress once the\n"
+               "batch sort drains the driver early (BATCHDNE corrects); in\n"
+               "Fig. 7 TGN is persistently off due to the cardinality error\n"
+               "while TGNINT/DNE adjust as the driver input is consumed.\n";
+}
+
+// Table 1: fraction of pipelines containing each operator type for TPC-H
+// under the three physical designs. The physical design shifts the plan mix
+// (more indexes -> more nested iteration / seeks / batch sorts), which is
+// what makes the Table 3 sensitivity experiment challenging.
+void Table1(SharedInputs& in) {
+  std::cout << "=== Table 1: % pipelines containing operator, per physical "
+               "design (TPC-H) ===\n";
+  const auto& records = in.Variants("design");
+  const auto untuned = FilterByTag(records, "untuned");
+  const auto partial = FilterByTag(records, "partially");
+  const auto full = FilterByTag(records, "fully");
+  std::cout << "pipelines: untuned=" << untuned.size()
+            << " partially=" << partial.size() << " fully=" << full.size()
+            << "\n\n";
+
+  // Fraction of records (pipelines) whose Count_op feature is > 0.
+  auto fraction_with_op = [](const std::vector<PipelineRecord>& part,
+                             OpType op) {
+    if (part.empty()) return 0.0;
+    size_t n = 0;
+    for (const auto& r : part) {
+      if (r.features[static_cast<size_t>(op) * 5] > 0.0) ++n;
+    }
+    return static_cast<double>(n) / static_cast<double>(part.size());
+  };
+  const OpType ops[] = {OpType::kNestedLoopJoin, OpType::kMergeJoin,
+                        OpType::kHashJoin,       OpType::kIndexSeek,
+                        OpType::kBatchSort,      OpType::kStreamAggregate,
+                        OpType::kHashAggregate,  OpType::kSort};
+  TablePrinter table({"Operator", "not tuned", "partially tuned",
+                      "fully tuned"});
+  for (OpType op : ops) {
+    table.AddRow({OpTypeName(op),
+                  TablePrinter::Pct(fraction_with_op(untuned, op)),
+                  TablePrinter::Pct(fraction_with_op(partial, op)),
+                  TablePrinter::Pct(fraction_with_op(full, op))});
+  }
+  table.Print();
+  std::cout << "\nExpected shape (paper Table 1): index seeks and batch sorts\n"
+               "increase sharply with tuning; merge joins decrease.\n";
+}
+
+/// One held-out part of a sensitivity experiment.
+struct HeldOut {
+  std::string column;
+  std::vector<PipelineRecord> test;
+  std::vector<PipelineRecord> train;
+};
+
+/// The Tables 2-5 pattern: per held-out part, the %-optimal of DNE/TGN/LUO
+/// and of static-feature selection trained on the other parts.
+void PrintSensitivityTable(const std::vector<HeldOut>& parts) {
+  const std::vector<size_t> pool = PoolOriginalThree();
+  std::vector<std::string> header = {"Estimator"};
+  std::vector<std::vector<std::string>> rows = {
+      {"DNE"}, {"TGN"}, {"LUO"}, {"EST. SEL."}};
+  for (const HeldOut& part : parts) {
+    header.push_back(part.column);
+    for (size_t i = 0; i < 3; ++i) {
+      rows[i].push_back(
+          TablePrinter::Pct(FractionOptimal(part.test, pool[i], pool)));
+    }
+    const auto eval = TrainAndEvaluate(part.train, part.test, pool,
+                                       /*use_dynamic_features=*/false,
+                                       ExperimentParams());
+    rows[3].push_back(TablePrinter::Pct(eval.metrics.pct_optimal));
+  }
+  TablePrinter table(header);
+  for (auto& r : rows) table.AddRow(std::move(r));
+  table.Print();
+}
+
+// Table 2: sensitivity to selectivity/cardinality differences between
+// training and test sets. Pipelines sharing an operator signature (>= 6
+// instances) are sorted by their total GetNext calls and split into
+// small/medium/large buckets; each bucket is held out in turn.
+void Table2(SharedInputs& in) {
+  std::cout << "=== Table 2: varying the total number of GetNext calls "
+               "between test/training sets (TPC-H) ===\n";
+  const auto& records = in.Variants("size");
+  const auto buckets = SelectivityBuckets(records, 6);
+  const char* names[3] = {"small", "medium", "large"};
+  std::vector<HeldOut> parts;
+  for (int b = 0; b < 3; ++b) {
+    parts.push_back({"\"" + std::string(names[b]) + "\" queries",
+                     FilterByBucket(records, buckets, b),
+                     FilterByBucket(records, buckets, b, /*invert=*/true)});
+  }
+  PrintSensitivityTable(parts);
+  std::cout << "\n(each column: selection trained on the two other GetNext "
+               "buckets)\n";
+}
+
+/// Tables 3/4/5: each variant tag of `records` held out in turn.
+void VariantTable(const std::string& caption, const std::string& dimension,
+                  const std::vector<PipelineRecord>& records,
+                  const std::vector<std::string>& tags) {
+  std::cout << caption << "\n";
+  std::vector<HeldOut> parts;
+  for (const std::string& tag : tags) {
+    parts.push_back({"test: " + tag, FilterByTag(records, tag),
+                     FilterByTag(records, tag, /*invert=*/true)});
+  }
+  PrintSensitivityTable(parts);
+  std::cout << "(" << dimension
+            << " sensitivity: selection trained on the two other variants)\n";
+}
+
+// Tables 3, 4 and 5: sensitivity to physical-design, data-skew and
+// database-size differences between training and test workloads (TPC-H
+// variants; train on two, test on the third).
+void Table3(SharedInputs& in) {
+  VariantTable(
+      "=== Table 3: varying the physical design between test/training sets "
+      "===",
+      "physical design", in.Variants("design"),
+      {"fully", "partially", "untuned"});
+}
+
+void Table4(SharedInputs& in) {
+  VariantTable(
+      "=== Table 4: varying the data skew between test/training sets ===",
+      "data skew", in.Variants("skew"), {"z0", "z1", "z2"});
+}
+
+void Table5(SharedInputs& in) {
+  VariantTable(
+      "=== Table 5: varying the data size between test/training sets ===",
+      "data size", in.Variants("size"), {"sf2", "sf5", "sf10"});
+}
+
+// Table 6: percentage of pipelines where the ratio of a policy's estimation
+// error to the minimum error (among DNE/TGN/LUO) exceeds 2x / 5x / 10x,
+// under the ad-hoc leave-one-workload-out setup.
+void Table6(SharedInputs& in) {
+  std::cout << "=== Table 6: error-ratio tails (ad-hoc setup) ===\n";
+  const auto& records = in.Paper();
+  const AdHocResult& adhoc = in.AdHoc();
+  const std::vector<size_t> pool = PoolOriginalThree();
+  const std::vector<NamedChoices> rows = {
+      {"DNE", FixedChoice(records, pool[0])},
+      {"TGN", FixedChoice(records, pool[1])},
+      {"LUO", FixedChoice(records, pool[2])},
+      {"EST. SEL. (ST)", adhoc.static3},
+      {"EST. SEL. (DY)", adhoc.dynamic3},
+  };
+  TablePrinter table({"Policy", ">2x", ">5x", ">10x"});
+  for (const NamedChoices& row : rows) {
+    const auto m = EvaluateChoices(records, row.choices, pool);
+    table.AddRow({row.name, TablePrinter::Pct(m.frac_ratio_gt2),
+                  TablePrinter::Pct(m.frac_ratio_gt5),
+                  TablePrinter::Pct(m.frac_ratio_gt10)});
+  }
+  table.Print();
+  std::cout << "\nPaper's Table 6: selection shrinks the >5x tail from\n"
+               "7.8%-14.5% (single estimators) to 3.7% (static) and 0.8%\n"
+               "(dynamic).\n";
+}
+
+// Synthetic training data with the paper's feature arity (~200 double
+// values per query) for the Table 7 timings.
+constexpr size_t kTable7Features = 200;
+
+Dataset MakeSyntheticData(size_t examples, uint64_t seed) {
+  Dataset data(kTable7Features);
+  Rng rng(seed);
+  std::vector<double> x(kTable7Features);
+  for (size_t i = 0; i < examples; ++i) {
+    for (double& v : x) v = rng.NextDouble();
+    // Nonlinear target with noise, so trees have something to learn.
+    const double y = 0.3 * x[0] + (x[1] > 0.5 ? 0.4 : 0.0) +
+                     0.2 * x[2] * x[3] + 0.05 * rng.NextGaussian();
+    RPE_CHECK_OK(data.AddExample(x, y));
+  }
+  return data;
+}
+
+// Table 7: MART training times (seconds) as a function of the number of
+// training examples and boosting iterations M, including writing the
+// model, with 30-leaf trees. The full sweep runs for a long time.
+void Table7(SharedInputs&) {
+  const std::vector<size_t> example_counts = {100, 500, 3000, 6000, 60000};
+  const std::vector<int> boosting = {20, 50, 100, 200, 500, 1000};
+  TablePrinter table({"Examples", "M=20", "M=50", "M=100", "M=200", "M=500",
+                      "M=1000"});
+  for (size_t n : example_counts) {
+    Dataset data = MakeSyntheticData(n, 42 + n);
+    std::vector<std::string> row = {std::to_string(n)};
+    for (int m : boosting) {
+      MartParams params;
+      params.num_trees = m;
+      params.tree.max_leaves = 30;
+      const auto start = std::chrono::steady_clock::now();
+      MartModel model = MartModel::Train(data, params);
+      // The paper's times include writing the output model.
+      const std::string blob = model.Serialize();
+      const double secs = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      RPE_CHECK(!blob.empty());
+      row.push_back(TablePrinter::Fmt(secs, secs < 1 ? 2 : 1));
+      std::cerr << n << " examples, M=" << m << ": " << secs << "s\n";
+    }
+    table.AddRow(std::move(row));
+  }
+  std::cout << "=== Table 7: MART training times in seconds ===\n";
+  table.Print();
+  std::cout << "\nPaper's Table 7: sub-second up to 6K examples; 60K\n"
+               "examples range from 8s (M=20) to 41s (M=1000). Training\n"
+               "scales ~linearly in examples x M.\n";
+}
+
+// Parallel-training delta: the same fit at several thread counts. The
+// fitted model is thread-count invariant (ordered split reduction), so
+// this measures pure wall-clock, not a different model. Hardware
+// concurrency on this host bounds the achievable speedup.
+void Table7Parallel(SharedInputs&) {
+  std::cout << "\n=== Parallel training: wall-clock vs. thread count ===\n"
+            << "(hardware concurrency: "
+            << std::thread::hardware_concurrency() << ")\n";
+  TablePrinter table(
+      {"Examples x M", "T=1", "T=2", "T=4", "T=8", "speedup T=8"});
+  const std::vector<std::pair<size_t, int>> parallel_cases = {{6000, 100},
+                                                              {20000, 100}};
+  for (const auto& [n, m] : parallel_cases) {
+    Dataset data = MakeSyntheticData(n, 42 + n);
+    MartParams params;
+    params.num_trees = m;
+    params.tree.max_leaves = 30;
+    std::vector<double> secs_by_threads;
+    for (const int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      params.pool = &pool;
+      const auto start = std::chrono::steady_clock::now();
+      MartModel model = MartModel::Train(data, params);
+      secs_by_threads.push_back(std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+      std::cerr << n << " examples, M=" << m << ", T=" << threads << ": "
+                << secs_by_threads.back() << "s\n";
+    }
+    table.AddRow(
+        {std::to_string(n) + " x M=" + std::to_string(m),
+         TablePrinter::Fmt(secs_by_threads[0], 2),
+         TablePrinter::Fmt(secs_by_threads[1], 2),
+         TablePrinter::Fmt(secs_by_threads[2], 2),
+         TablePrinter::Fmt(secs_by_threads[3], 2),
+         TablePrinter::Fmt(secs_by_threads[0] / secs_by_threads[3], 2) + "x"});
+  }
+  table.Print();
+}
+
+// Table 8 / §6.6: how many estimators do we need? For every candidate
+// estimator: (a) the fraction of pipelines where it is "(close to) optimal"
+// (optimal, or within 0.01 absolute or 1% relative of optimal), and (b) the
+// fraction where it "significantly outperforms" all others (strictly best
+// by more than 0.01 absolute and 1% relative).
+void Table8(SharedInputs& in) {
+  std::cout << "=== Table 8: estimator necessity (all workloads) ===\n";
+  const auto& records = in.Paper();
+
+  TablePrinter table(
+      {"Estimator", "% (close to) optimal", "% significantly outperforms"});
+  for (int e = 0; e < kNumSelectableEstimators; ++e) {
+    size_t close = 0, dominates = 0;
+    for (const auto& r : records) {
+      const double mine = r.l1[static_cast<size_t>(e)];
+      double best = 1e100;  // best of the other estimators
+      for (int o = 0; o < kNumSelectableEstimators; ++o) {
+        if (o != e) best = std::min(best, r.l1[static_cast<size_t>(o)]);
+      }
+      const double overall_best = std::min(mine, best);
+      if (mine <= overall_best + 1e-9 || mine - overall_best < 0.01 ||
+          mine <= overall_best * 1.01) {
+        ++close;
+      }
+      if (mine < best && best - mine > 0.01 && mine < best * 0.99) {
+        ++dominates;
+      }
+    }
+    const double n = static_cast<double>(records.size());
+    table.AddRow({EstimatorName(static_cast<EstimatorKind>(e)),
+                  TablePrinter::Pct(static_cast<double>(close) / n),
+                  TablePrinter::Pct(static_cast<double>(dominates) / n)});
+  }
+  table.Print();
+  std::cout
+      << "\nPaper's Table 8: no estimator is close-to-optimal for even 50%\n"
+         "of pipelines (max: DNESEEK at 45.5%); only DNE and PMAX fail to\n"
+         "significantly outperform the rest on >=2% of pipelines (DNE\n"
+         "because BATCHDNE/DNESEEK subsume it when no batch sort / seek\n"
+         "is present).\n";
+}
+
+// §6.7: validating the Total GetNext and Bytes Processed models — the two
+// idealized progress models evaluated with *exact* cardinalities / byte
+// totals (obtained post-execution). The GetNext model should correlate far
+// better with (virtual) time than the bytes model, supporting its use as
+// the theoretical basis of progress estimation.
+void Sec67(SharedInputs& in) {
+  std::cout << "=== Section 6.7: idealized progress models with true "
+               "cardinalities ===\n";
+  const auto& records = in.Paper();
+  auto fixed = [&](EstimatorKind kind) {
+    return EvaluateChoices(records,
+                           FixedChoice(records, static_cast<size_t>(kind)));
+  };
+  const auto gn = fixed(EstimatorKind::kOracleGetNext);
+  const auto bytes = fixed(EstimatorKind::kOracleBytes);
+  const auto tgn = fixed(EstimatorKind::kTgn);
+  TablePrinter table({"Model", "avg L1", "avg L2"});
+  table.AddRow({"GetNext model (true N_i)", TablePrinter::Fmt(gn.avg_l1, 4),
+                TablePrinter::Fmt(gn.avg_l2, 4)});
+  table.AddRow({"Bytes model (true totals)",
+                TablePrinter::Fmt(bytes.avg_l1, 4),
+                TablePrinter::Fmt(bytes.avg_l2, 4)});
+  table.AddRow({"TGN (estimated E_i, reference)",
+                TablePrinter::Fmt(tgn.avg_l1, 4),
+                TablePrinter::Fmt(tgn.avg_l2, 4)});
+  table.Print();
+  std::cout << "\nPaper §6.7: GetNext model L1 = 0.062 (L2 0.073); bytes\n"
+               "model L1 = 0.12 (L2 0.142) — the GetNext model with exact\n"
+               "cardinalities is ~2x more accurate and clearly better than\n"
+               "any practical estimator, validating it as the theoretical\n"
+               "gold standard.\n";
+}
+
+/// Summed MSE across pool models trained on a feature subset (features not
+/// in the subset are zeroed out, making them useless for splits).
+double SubsetMse(const std::vector<PipelineRecord>& records,
+                 const std::vector<size_t>& pool,
+                 const std::vector<size_t>& subset) {
+  const size_t nf = FeatureSchema::Get().num_features();
+  std::vector<bool> keep(nf, false);
+  for (size_t f : subset) keep[f] = true;
+  MartParams params;
+  params.num_trees = 25;
+  params.tree.max_leaves = 12;
+  double total = 0.0;
+  for (size_t est : pool) {
+    Dataset data(nf);
+    std::vector<double> x(nf);
+    for (const auto& r : records) {
+      for (size_t f = 0; f < nf; ++f) {
+        x[f] = keep[f] ? r.features[f] : 0.0;
+      }
+      RPE_CHECK_OK(data.AddExample(x, r.l1[est]));
+    }
+    MartModel model = MartModel::Train(data, params);
+    total += model.MeanSquaredError(data);
+  }
+  return total;
+}
+
+// §6.5: feature importance. Reproduces the paper's greedy forward feature
+// selection — iteratively add the feature that most reduces the summed MSE
+// of the per-estimator error regressors — over a gain-pruned candidate set,
+// and also reports the aggregate split-gain ranking of the full model.
+void FeatureImportance(SharedInputs& in) {
+  std::cout << "=== Section 6.5: feature importance ===\n";
+  std::vector<PipelineRecord> records = in.Paper();
+  // Subsample for the greedy search (it retrains many models).
+  if (records.size() > 1500) {
+    std::vector<PipelineRecord> sampled;
+    for (size_t i = 0; i < records.size(); i += records.size() / 1500) {
+      sampled.push_back(records[i]);
+    }
+    records = std::move(sampled);
+  }
+  const FeatureSchema& schema = FeatureSchema::Get();
+  const std::vector<size_t> pool = PoolSix();
+
+  // Rank features by aggregate split gain of the full dynamic model.
+  EstimatorSelector full = EstimatorSelector::Train(
+      records, pool, /*use_dynamic_features=*/true, ExperimentParams());
+  const std::vector<double> gains = full.FeatureImportance();
+  std::vector<size_t> by_gain(gains.size());
+  for (size_t i = 0; i < gains.size(); ++i) by_gain[i] = i;
+  std::sort(by_gain.begin(), by_gain.end(),
+            [&](size_t a, size_t b) { return gains[a] > gains[b]; });
+
+  std::cout << "\nTop 15 features by aggregate MART split gain:\n";
+  TablePrinter gain_table({"#", "Feature", "relative gain"});
+  const double top_gain = std::max(gains[by_gain[0]], 1e-12);
+  for (size_t i = 0; i < 15 && i < by_gain.size(); ++i) {
+    gain_table.AddRow({std::to_string(i + 1), schema.name(by_gain[i]),
+                       TablePrinter::Fmt(gains[by_gain[i]] / top_gain, 3)});
+  }
+  gain_table.Print();
+
+  // Greedy forward selection over the 32 highest-gain candidates.
+  std::vector<size_t> candidates(
+      by_gain.begin(), by_gain.begin() + std::min<size_t>(32, by_gain.size()));
+  std::vector<size_t> selected;
+  std::cout << "\nGreedy forward selection (paper §6.5 methodology):\n";
+  TablePrinter greedy_table({"Round", "Selected feature", "summed MSE"});
+  for (int round = 0; round < 8; ++round) {
+    double best_mse = 1e100;
+    size_t best_f = static_cast<size_t>(-1);
+    for (size_t f : candidates) {
+      if (std::find(selected.begin(), selected.end(), f) != selected.end()) {
+        continue;
+      }
+      std::vector<size_t> trial = selected;
+      trial.push_back(f);
+      const double mse = SubsetMse(records, pool, trial);
+      if (mse < best_mse) {
+        best_mse = mse;
+        best_f = f;
+      }
+    }
+    if (best_f == static_cast<size_t>(-1)) break;
+    selected.push_back(best_f);
+    greedy_table.AddRow({std::to_string(round + 1), schema.name(best_f),
+                         TablePrinter::Fmt(best_mse, 5)});
+    std::cerr << "round " << round + 1 << ": " << schema.name(best_f) << "\n";
+  }
+  greedy_table.Print();
+
+  size_t dynamic_in_top10 = 0;
+  for (size_t i = 0; i < 10 && i < by_gain.size(); ++i) {
+    if (by_gain[i] >= schema.num_static_features()) ++dynamic_in_top10;
+  }
+  std::cout << "\nDynamic features among the top-10 by gain: "
+            << dynamic_in_top10 << "/10\n";
+  std::cout << "Paper: first features selected were SelBelow_NLJoin,\n"
+               "Cor_DNESEEK_4_20 and SelAtDN; 7 of the next 10 were dynamic\n"
+               "(time-correlation) features.\n";
+}
+
+/// Linear-model estimator selection: one ridge regressor per estimator.
+std::vector<size_t> LinearChoices(const std::vector<PipelineRecord>& train,
+                                  const std::vector<PipelineRecord>& test,
+                                  const std::vector<size_t>& pool) {
+  const size_t nf = FeatureSchema::Get().num_features();
+  std::vector<LinearModel> models;
+  for (size_t est : pool) {
+    Dataset data(nf);
+    for (const auto& r : train) {
+      RPE_CHECK_OK(data.AddExample(r.features, r.l1[est]));
+    }
+    models.push_back(LinearModel::Train(data));
+  }
+  std::vector<size_t> choices;
+  for (const auto& r : test) {
+    size_t best = 0;
+    double best_pred = 1e100;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const double pred = models[i].Predict(r.features);
+      if (pred < best_pred) {
+        best_pred = pred;
+        best = pool[i];
+      }
+    }
+    choices.push_back(best);
+  }
+  return choices;
+}
+
+// Ablation (§4.2): the learning model. Compares MART against the
+// ridge-regression baseline (the class of "other statistical models" the
+// paper found inferior), and sweeps MART's boosting iterations and leaf
+// counts.
+void AblationModel(SharedInputs& in) {
+  std::cout << "=== Ablation: learning model for estimator selection ===\n";
+  std::vector<PipelineRecord> train, test;
+  SplitRealHoldout(in.Paper(), &train, &test);
+  const std::vector<size_t> pool = PoolSix();
+
+  TablePrinter table({"Model", "avg L1", "% optimal"});
+  {
+    const auto choices = LinearChoices(train, test, pool);
+    const auto m = EvaluateChoices(test, choices, pool);
+    table.AddRow({"ridge regression (linear)", TablePrinter::Fmt(m.avg_l1, 4),
+                  TablePrinter::Pct(m.pct_optimal)});
+  }
+  struct Sweep {
+    int trees;
+    int leaves;
+  };
+  const Sweep sweeps[] = {{10, 30},  {25, 30},  {50, 30}, {100, 30},
+                          {200, 30}, {100, 8}, {100, 16}, {100, 64}};
+  for (const Sweep& s : sweeps) {
+    MartParams params;
+    params.num_trees = s.trees;
+    params.tree.max_leaves = s.leaves;
+    const auto eval = TrainAndEvaluate(train, test, pool,
+                                       /*use_dynamic_features=*/true, params);
+    table.AddRow({"MART M=" + std::to_string(s.trees) +
+                      " leaves=" + std::to_string(s.leaves),
+                  TablePrinter::Fmt(eval.metrics.avg_l1, 4),
+                  TablePrinter::Pct(eval.metrics.pct_optimal)});
+    std::cerr << "done M=" << s.trees << " leaves=" << s.leaves << "\n";
+  }
+  table.Print();
+  std::cout << "\nExpected (§4.2): MART beats the linear baseline — the\n"
+               "feature/error dependencies are non-linear — and accuracy\n"
+               "saturates in M well before the paper's M=200 default.\n";
+}
+
+// Ablation: which dynamic-feature family buys the accuracy? Trains
+// selectors with feature blocks zeroed out — static only, static +
+// pairwise divergences, static + time correlations, and the full set — on
+// the benchmark workloads, testing on the (out-of-distribution) Real-1 and
+// Real-2 workloads.
+void AblationFeatures(SharedInputs& in) {
+  std::cout << "=== Ablation: dynamic feature families ===\n";
+  std::vector<PipelineRecord> train, test;
+  SplitRealHoldout(in.Paper(), &train, &test);
+  std::cout << "train=" << train.size() << " (tpch x3 + tpcds), test="
+            << test.size() << " (real1 + real2)\n\n";
+
+  const FeatureSchema& schema = FeatureSchema::Get();
+  const size_t s = schema.num_static_features();
+  const size_t pairwise_end = s + 3 * kNumMarkers;  // 3 estimator pairs
+  const size_t all = schema.num_features();
+  const std::vector<size_t> pool = PoolSix();
+
+  // Zero out features with index in [lo, hi) in a copy of the records.
+  auto zero_range = [](std::vector<PipelineRecord> records, size_t lo,
+                       size_t hi) {
+    for (auto& r : records) {
+      for (size_t f = lo; f < hi && f < r.features.size(); ++f) {
+        r.features[f] = 0.0;
+      }
+    }
+    return records;
+  };
+  struct Variant {
+    const char* name;
+    size_t zero_lo, zero_hi;  // feature range zeroed out
+    bool use_dynamic;
+  };
+  const Variant variants[] = {
+      {"static features only", 0, 0, false},
+      {"static + pairwise divergences", pairwise_end, all, true},
+      {"static + time correlations", s, pairwise_end, true},
+      {"full feature set", 0, 0, true},
+  };
+
+  TablePrinter table({"Feature set", "avg L1", "% optimal", ">5x tail"});
+  for (const Variant& v : variants) {
+    const auto eval = TrainAndEvaluate(zero_range(train, v.zero_lo, v.zero_hi),
+                                       zero_range(test, v.zero_lo, v.zero_hi),
+                                       pool, v.use_dynamic, ExperimentParams());
+    // Evaluate against the unmodified records (errors are unchanged by
+    // feature zeroing).
+    const auto metrics = EvaluateChoices(test, eval.choices, pool);
+    table.AddRow({v.name, TablePrinter::Fmt(metrics.avg_l1, 4),
+                  TablePrinter::Pct(metrics.pct_optimal),
+                  TablePrinter::Pct(metrics.frac_ratio_gt5)});
+    std::cerr << "done: " << v.name << "\n";
+  }
+  table.Print();
+  std::cout << "\nExpected: each dynamic family helps over static-only;\n"
+               "time-correlation features carry most of the gain (cf. §6.5:\n"
+               "six of the ten next selected features were correlation\n"
+               "features).\n";
+}
+
+/// TGN using the *initial* estimates (no online refinement).
+double StaticTgn(const PipelineView& view, size_t oi) {
+  const Observation& obs = view.obs(oi);
+  double k = 0.0, e0 = 0.0;
+  for (int id : view.pipeline->nodes) {
+    k += obs.k[static_cast<size_t>(id)];
+    e0 += view.node(id)->est_rows;
+  }
+  if (e0 <= 0.0) return k > 0.0 ? 1.0 : 0.0;
+  return std::clamp(k / e0, 0.0, 1.0);
+}
+
+struct Accumulator {
+  double sum = 0.0;
+  size_t n = 0;
+  void Add(double v) {
+    sum += v;
+    ++n;
+  }
+  double mean() const { return n == 0 ? 0.0 : sum / static_cast<double>(n); }
+};
+
+// Ablation (paper §3.3 / §7 outlook): how much does online cardinality
+// refinement buy? Compares TGN computed from (a) the raw optimizer
+// estimates E0, frozen for the whole query, (b) the bound-clamped online
+// refinement of [6] (the engine's default E_i), and (c) the interpolation
+// refinement of [13] (the TGNINT estimator). The paper's §7 names better
+// online refinement as the main avenue for further gains.
+void AblationRefinement(SharedInputs&) {
+  std::cout << "=== Ablation: online cardinality refinement (§3.3) ===\n";
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTpch;
+  config.name = "refine-ablation";
+  config.scale = 10.0;
+  config.zipf = 1.0;
+  config.tuning = TuningLevel::kPartiallyTuned;
+  config.num_queries = 250;
+  config.seed = 81;
+  auto workload = BuildWorkload(config);
+  RPE_CHECK(workload.ok()) << workload.status().ToString();
+
+  Accumulator frozen, clamped, interpolated, oracle;
+  auto mean_l1 = [](EstimatorKind kind, const PipelineView& view) {
+    return EvaluateEstimator(GetEstimator(kind), view).l1;
+  };
+  for (const QuerySpec& spec : workload->queries) {
+    auto run = RunQuery(*workload, spec);
+    if (!run.ok()) continue;
+    for (const Pipeline& pipeline : run->result.pipelines) {
+      if (pipeline.first_obs < 0 ||
+          pipeline.last_obs - pipeline.first_obs < 5) {
+        continue;
+      }
+      PipelineView view{&run->result, &pipeline};
+      double sum_frozen = 0.0;
+      size_t count = 0;
+      for (int oi = pipeline.first_obs; oi <= pipeline.last_obs; ++oi) {
+        const double truth = view.TrueProgress(static_cast<size_t>(oi));
+        sum_frozen +=
+            std::abs(StaticTgn(view, static_cast<size_t>(oi)) - truth);
+        ++count;
+      }
+      frozen.Add(sum_frozen / static_cast<double>(count));
+      clamped.Add(mean_l1(EstimatorKind::kTgn, view));
+      interpolated.Add(mean_l1(EstimatorKind::kTgnInt, view));
+      oracle.Add(mean_l1(EstimatorKind::kOracleGetNext, view));
+    }
+  }
+
+  TablePrinter table({"Cardinality source for TGN", "avg L1"});
+  table.AddRow({"frozen optimizer estimates (no refinement)",
+                TablePrinter::Fmt(frozen.mean(), 4)});
+  table.AddRow({"bound-clamped online refinement [6] (TGN)",
+                TablePrinter::Fmt(clamped.mean(), 4)});
+  table.AddRow({"interpolation refinement [13] (TGNINT)",
+                TablePrinter::Fmt(interpolated.mean(), 4)});
+  table.AddRow({"true cardinalities (GetNext oracle, lower bound)",
+                TablePrinter::Fmt(oracle.mean(), 4)});
+  table.Print();
+  std::cout << "\n(" << frozen.n << " pipelines) Expected: each refinement\n"
+               "level improves on the last; the gap to the oracle is the\n"
+               "headroom §7 attributes to better online refinement.\n";
+}
+
+struct Experiment {
+  const char* name;
+  void (*run)(SharedInputs&);
+};
+
+constexpr Experiment kExperiments[] = {
+    {"fig1", Fig1},
+    {"fig4", Fig4},
+    {"fig5", Fig5},
+    {"fig6-fig7", Fig6Fig7},
+    {"table1", Table1},
+    {"table2", Table2},
+    {"table3", Table3},
+    {"table4", Table4},
+    {"table5", Table5},
+    {"table6", Table6},
+    {"table7", Table7},
+    {"table8", Table8},
+    {"table7-parallel", Table7Parallel},
+    {"sec67", Sec67},
+    {"feature-importance", FeatureImportance},
+    {"ablation-model", AblationModel},
+    {"ablation-features", AblationFeatures},
+    {"ablation-refinement", AblationRefinement},
+};
+
+int Usage(const char* message) {
+  std::cerr << message << "\nusage: bench_paper [--only NAME[,NAME...]]\n"
+            << "experiments:";
+  for (const Experiment& e : kExperiments) std::cerr << " " << e.name;
+  std::cerr << "\n";
+  return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::vector<bool> selected(std::size(kExperiments), argc == 1);
+  if (argc != 1) {
+    if (argc != 3 || std::strcmp(argv[1], "--only") != 0) {
+      return Usage("expected no arguments or --only NAME[,NAME...]");
+    }
+    std::string list = argv[2];
+    size_t begin = 0;
+    while (begin <= list.size()) {
+      size_t end = list.find(',', begin);
+      if (end == std::string::npos) end = list.size();
+      const std::string name = list.substr(begin, end - begin);
+      size_t i = 0;
+      while (i < selected.size() && name != kExperiments[i].name) ++i;
+      if (i == selected.size()) {
+        return Usage(("unknown experiment '" + name + "'").c_str());
+      }
+      selected[i] = true;
+      begin = end + 1;
+    }
+  }
+  SharedInputs inputs;
+  for (size_t i = 0; i < selected.size(); ++i) {
+    if (selected[i]) kExperiments[i].run(inputs);
+  }
+  return 0;
+}

@@ -6,13 +6,17 @@
 #      binary's --help list name the same commands, and README.md and
 #      docs/*.md name no `rpe_cli <subcommand>` that --help does not list
 #      (a retired command leaves no stale example behind),
-#   3. every code symbol docs/TRAINING.md, docs/SERVING.md,
-#      docs/ROBUSTNESS.md, docs/NETWORK.md and docs/CLI.md reference in
-#      backticks still exists somewhere under src/ (or bench/, tests/,
-#      tools/ for bench rows, test files and CLI flags) — the guides
-#      must not drift from the code, and
+#   3. every code symbol the guides (docs/TRAINING.md, SERVING.md,
+#      ROBUSTNESS.md, NETWORK.md, BENCHMARKS.md, CLI.md, OBSERVABILITY.md
+#      and PAPER_MAP.md) reference in backticks still exists somewhere
+#      under src/ (or bench/, tests/, tools/ for bench rows, test files
+#      and CLI flags) — the guides must not drift from the code,
 #   4. docs/OBSERVABILITY.md's metric catalog has a row for every metric
-#      name src/ registers, and no row for a name nothing registers.
+#      name src/ registers, and no row for a name nothing registers, and
+#   5. every `bench_<name>` binary that README.md, docs/*.md or the
+#      verify skill names is a target of CMakeLists.txt or
+#      perfbench/CMakeLists.txt (a deleted bench leaves no stale
+#      command behind; the lowercase name escapes check 3).
 #
 # usage: scripts/check_docs.sh [path/to/rpe_cli]
 set -u
@@ -93,7 +97,8 @@ done
 # (`Class::Member`), CamelCase identifiers, or k-prefixed constants — must
 # appear somewhere in the sources. Lowercase/prose tokens are skipped.
 for guide in docs/TRAINING.md docs/SERVING.md docs/ROBUSTNESS.md \
-  docs/NETWORK.md docs/BENCHMARKS.md docs/CLI.md docs/OBSERVABILITY.md; do
+  docs/NETWORK.md docs/BENCHMARKS.md docs/CLI.md docs/OBSERVABILITY.md \
+  docs/PAPER_MAP.md; do
   [ -f "$guide" ] || continue
   symbols=$(grep -oE '`[A-Za-z_][A-Za-z0-9_:()]*`' "$guide" |
     tr -d '\`' | sed 's/()$//' | sort -u)
@@ -148,8 +153,30 @@ for name in $(comm -13 <(echo "$registered") <(echo "$cataloged")); do
   failures=$((failures + 1))
 done
 
+# --- 5. bench binaries exist -------------------------------------------------
+# A `bench_<name>` token not preceded by a word character or a dot (so
+# `.bench_build/` and `perfbench_schedule` are not binaries) must be an
+# add_executable target.
+bench_targets=$(grep -ohE 'add_executable\(bench_[a-z0-9_]+' CMakeLists.txt \
+  perfbench/CMakeLists.txt | sed 's/^add_executable(//' | sort -u)
+if [ -z "$bench_targets" ]; then
+  echo "NO BENCH TARGETS EXTRACTED from CMakeLists.txt / perfbench/CMakeLists.txt"
+  failures=$((failures + 1))
+fi
+for doc in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -f "$doc" ] || continue
+  while IFS= read -r hit; do
+    [ -z "$hit" ] && continue
+    name=$(printf '%s\n' "$hit" | grep -oE 'bench_[a-z0-9_]+$')
+    if ! printf '%s\n' "$bench_targets" | grep -qxF "$name"; then
+      echo "STALE BENCH: $doc:${hit%%:*} names '$name' but no CMakeLists.txt builds it"
+      failures=$((failures + 1))
+    fi
+  done < <(grep -noE '(^|[^.A-Za-z0-9_])bench_[a-z0-9_]+' "$doc")
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures failure(s)"
   exit 1
 fi
-echo "check_docs: links resolve, documented subcommands match --help, guide symbols are live, metric catalog is complete"
+echo "check_docs: links resolve, documented subcommands match --help, guide symbols are live, metric catalog is complete, bench names are targets"

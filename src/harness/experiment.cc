@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
+#include <iostream>
 #include <map>
 #include <sstream>
 
@@ -22,6 +23,55 @@ SelectionEvaluation TrainAndEvaluate(const std::vector<PipelineRecord>& train,
   }
   eval.metrics = EvaluateChoices(test, eval.choices, pool);
   return eval;
+}
+
+AdHocResult RunAdHoc(const std::vector<PipelineRecord>& records,
+                     const MartParams& params) {
+  const size_t n = records.size();
+  AdHocResult result;
+  result.static3.assign(n, 0);
+  result.dynamic3.assign(n, 0);
+  result.static6.assign(n, 0);
+  result.dynamic6.assign(n, 0);
+  std::vector<std::string> labels;
+  for (const auto& r : records) {
+    if (std::find(labels.begin(), labels.end(), r.workload) == labels.end()) {
+      labels.push_back(r.workload);
+    }
+  }
+  for (const std::string& label : labels) {
+    std::vector<size_t> test_idx;
+    std::vector<PipelineRecord> train, test;
+    for (size_t i = 0; i < n; ++i) {
+      if (records[i].workload == label) {
+        test_idx.push_back(i);
+        test.push_back(records[i]);
+      } else {
+        train.push_back(records[i]);
+      }
+    }
+    std::cerr << "ad-hoc: holding out " << label << " (" << test.size()
+              << " test pipelines)\n";
+    struct Config {
+      std::vector<size_t>* out;
+      std::vector<size_t> pool;
+      bool dynamic;
+    };
+    const Config configs[] = {
+        {&result.static3, PoolOriginalThree(), false},
+        {&result.dynamic3, PoolOriginalThree(), true},
+        {&result.static6, PoolSix(), false},
+        {&result.dynamic6, PoolSix(), true},
+    };
+    for (const Config& c : configs) {
+      const SelectionEvaluation eval =
+          TrainAndEvaluate(train, test, c.pool, c.dynamic, params);
+      for (size_t j = 0; j < test_idx.size(); ++j) {
+        (*c.out)[test_idx[j]] = eval.choices[j];
+      }
+    }
+  }
+  return result;
 }
 
 std::string PipelineSignature(const PipelineRecord& record) {

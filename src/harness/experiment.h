@@ -1,5 +1,6 @@
-// Shared experiment drivers: train-and-evaluate for one split, and the
-// selectivity-bucket grouping of the Table 2 sensitivity experiment.
+// Shared experiment drivers: train-and-evaluate for one split, the §6.2
+// ad-hoc (leave-one-workload-out) split, and the selectivity-bucket
+// grouping of the Table 2 sensitivity experiment.
 #pragma once
 
 #include <string>
@@ -22,6 +23,23 @@ SelectionEvaluation TrainAndEvaluate(
     const std::vector<PipelineRecord>& test, const std::vector<size_t>& pool,
     bool use_dynamic_features,
     const MartParams& params = EstimatorSelector::DefaultParams());
+
+/// \brief Choices of the §6.2 ad-hoc experiment, aligned with the records
+/// it was run on: every record is chosen for exactly once, by selectors
+/// trained on the records of every other workload label.
+struct AdHocResult {
+  std::vector<size_t> static3;   ///< static features, {DNE,TGN,LUO} pool
+  std::vector<size_t> dynamic3;  ///< + dynamic features
+  std::vector<size_t> static6;   ///< static features, six-estimator pool
+  std::vector<size_t> dynamic6;  ///< + dynamic features
+};
+
+/// The ad-hoc split: each distinct `workload` label, in order of first
+/// appearance, is held out in turn, and static- and dynamic-feature
+/// selectors over both pools, trained on the other labels' records,
+/// choose for the held-out ones.
+AdHocResult RunAdHoc(const std::vector<PipelineRecord>& records,
+                     const MartParams& params);
 
 /// Structural signature of a pipeline (its operator multiset), used to group
 /// "instances of the same operator pipeline" for Table 2.

@@ -125,7 +125,8 @@ Result<Workload> BuildWorkload(const WorkloadConfig& config) {
 std::vector<WorkloadConfig> PaperWorkloadConfigs() {
   // Paper counts: TPC-DS ~200, TPC-H 1000 x 3 designs, Real-1 477,
   // Real-2 632. Query counts here are scaled down ~2.5x so the full
-  // six-workload sweep runs in minutes (documented in EXPERIMENTS.md).
+  // six-workload sweep runs in minutes (the table is in docs/PAPER_MAP.md,
+  // "Workload sizes").
   std::vector<WorkloadConfig> configs;
   {
     WorkloadConfig c;

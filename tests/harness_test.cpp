@@ -199,5 +199,46 @@ TEST_F(HarnessTest, CachedRecordsRoundTrip) {
   std::filesystem::remove_all("harness_test_cache");
 }
 
+// RunAdHoc on three interleaved workload labels whose only feature is a
+// per-label value (a=0, b=10, c=11) and whose best estimator is DNE, TGN
+// and LUO respectively, with every other estimator far worse. A selector
+// that never saw a label cannot pick that label's estimator: a held-out
+// record lands on the side of the nearest training label and gets that
+// label's estimator (a and c -> TGN via b, b -> LUO via c). Seeing its own
+// label in training, an unfilled slot (0 = DNE) or a choice written to the
+// wrong record all break these expectations.
+TEST(HarnessAdHoc, HoldsOutEachLabelOnceInRecordOrder) {
+  const size_t nf = FeatureSchema::Get().num_features();
+  const std::vector<size_t> pool = PoolOriginalThree();
+  const std::vector<std::string> labels = {"a", "b", "c"};
+  const double value[3] = {0.0, 10.0, 11.0};
+  std::vector<PipelineRecord> records;
+  for (size_t i = 0; i < 90; ++i) {
+    const size_t label = i % 3;
+    PipelineRecord r;
+    r.workload = labels[label];
+    r.features.assign(nf, 0.0);
+    r.features[0] = value[label];
+    r.l1.assign(kNumEstimatorKinds, 0.9);
+    r.l1[pool[label]] = 0.1;
+    r.l2 = r.l1;
+    records.push_back(std::move(r));
+  }
+  MartParams params;
+  params.num_trees = 10;
+  params.tree.max_leaves = 4;
+  const AdHocResult adhoc = RunAdHoc(records, params);
+
+  const size_t expected[3] = {pool[1], pool[2], pool[1]};
+  for (const auto* choices :
+       {&adhoc.static3, &adhoc.dynamic3, &adhoc.static6, &adhoc.dynamic6}) {
+    ASSERT_EQ(choices->size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ((*choices)[i], expected[i % 3])
+          << "record " << i << " (label " << records[i].workload << ")";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rpe
