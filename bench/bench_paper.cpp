@@ -718,29 +718,34 @@ void Sec67(SharedInputs& in) {
 }
 
 /// Summed MSE across pool models trained on a feature subset (features not
-/// in the subset are zeroed out, making them useless for splits).
+/// in the subset are zeroed out, making them useless for splits). The
+/// models are small, so each trains on one thread and the pool's models
+/// train concurrently; the sum runs in pool order.
 double SubsetMse(const std::vector<PipelineRecord>& records,
                  const std::vector<size_t>& pool,
                  const std::vector<size_t>& subset) {
   const size_t nf = FeatureSchema::Get().num_features();
   std::vector<bool> keep(nf, false);
   for (size_t f : subset) keep[f] = true;
+  ThreadPool one_thread(1);
   MartParams params;
   params.num_trees = 25;
   params.tree.max_leaves = 12;
-  double total = 0.0;
-  for (size_t est : pool) {
+  params.pool = &one_thread;
+  std::vector<double> mse(pool.size());
+  ThreadPool::Global().ParallelFor(pool.size(), [&](size_t i) {
     Dataset data(nf);
     std::vector<double> x(nf);
     for (const auto& r : records) {
       for (size_t f = 0; f < nf; ++f) {
         x[f] = keep[f] ? r.features[f] : 0.0;
       }
-      RPE_CHECK_OK(data.AddExample(x, r.l1[est]));
+      RPE_CHECK_OK(data.AddExample(x, r.l1[pool[i]]));
     }
-    MartModel model = MartModel::Train(data, params);
-    total += model.MeanSquaredError(data);
-  }
+    mse[i] = MartModel::Train(data, params).MeanSquaredError(data);
+  });
+  double total = 0.0;
+  for (const double m : mse) total += m;
   return total;
 }
 

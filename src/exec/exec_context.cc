@@ -27,6 +27,11 @@ ExecContext::ExecContext(const PhysicalPlan* plan, const Catalog* catalog,
       std::max(1.0, est_total_time /
                         std::max(1, options_.target_observations));
   next_sample_ = sample_interval_;
+  // Preorder ids: a Top's only child has the next id, so the root's chain
+  // of Tops and the node below it hold ids 0..last_unread_id_.
+  const PlanNode* unread = plan->root();
+  while (unread->op == OpType::kTop) unread = unread->child(0);
+  last_unread_id_ = unread->id;
 }
 
 void ExecContext::Charge(double cost) {

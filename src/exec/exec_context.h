@@ -44,6 +44,12 @@ class ExecContext {
   const ExecOptions& options() const { return options_; }
   const PhysicalPlan& plan() const { return *plan_; }
 
+  /// Whether nothing reads node `id`'s output values. The executor only
+  /// counts the root's rows, and a Top only counts its input, so this
+  /// holds for the root, the chain of Tops below it, and the chain's
+  /// first other node. Decided once per plan, from its shape.
+  bool OutputUnread(int id) const { return id <= last_unread_id_; }
+
   NodeCounters& counters(int id) { return counters_[static_cast<size_t>(id)]; }
   const std::vector<NodeCounters>& all_counters() const { return counters_; }
 
@@ -85,6 +91,7 @@ class ExecContext {
   double next_sample_ = 0.0;
   double sample_interval_ = 1.0;
   int64_t correlated_key_ = 0;
+  int last_unread_id_ = 0;
   ObservationStore observations_;
 };
 

@@ -378,18 +378,22 @@ bool MergeJoinOp::NextImpl(Row* out) {
 // --- SortOp -----------------------------------------------------------------
 
 SortOp::SortOp(const PlanNode* node, ExecContext* ctx)
-    : Operator(node, ctx), rows_(node->output_schema.num_columns()) {
+    : Operator(node, ctx),
+      count_only_(ctx->OutputUnread(node->id)),
+      rows_(node->output_schema.num_columns()) {
   child_ = Operator::Create(node->child(0), ctx);
 }
 
 void SortOp::Open() {
   rows_.Clear();
+  size_ = 0;
   pos_ = 0;
   child_->Open();
   const double mem_limit = ctx_->options().memory_limit_bytes;
   double buffered_bytes = 0.0;
   while (child_->Next(&row_)) {
-    rows_.Append(row_);
+    if (!count_only_) rows_.Append(row_);
+    ++size_;
     ctx_->Charge(BuildCostPerRow(OpType::kSort));
     buffered_bytes += width_;
     if (buffered_bytes > mem_limit) {
@@ -397,10 +401,10 @@ void SortOp::Open() {
       ctx_->ChargeWrite(node_->id, width_);
     }
   }
-  SortRows(rows_, node_->sort_key, &order_);
+  if (!count_only_) SortRows(rows_, node_->sort_key, &order_);
   // Comparison work, charged in chunks so the observation sampler can see
   // time passing during long sorts.
-  const double n = static_cast<double>(rows_.size());
+  const double n = static_cast<double>(size_);
   const double sort_cpu = 0.3 * n * std::log2(n + 2.0);
   const int chunks = 32;
   for (int i = 0; i < chunks; ++i) ctx_->Charge(sort_cpu / chunks);
@@ -417,9 +421,12 @@ void SortOp::Close() {
 }
 
 bool SortOp::NextImpl(Row* out) {
-  if (pos_ >= order_.size()) return false;
-  const int64_t* row = order_[pos_++];
-  out->assign(row, row + rows_.width());
+  if (pos_ >= size_) return false;
+  if (!count_only_) {
+    const int64_t* row = order_[pos_];
+    out->assign(row, row + rows_.width());
+  }
+  ++pos_;
   return true;
 }
 

@@ -209,7 +209,10 @@ class MergeJoinOp : public Operator {
 // ---------------------------------------------------------------------------
 
 /// Fully blocking sort; spills to (virtual) disk when the buffer exceeds the
-/// memory budget. Sorts a permutation of its RowStore.
+/// memory budget. Sorts a permutation of its RowStore. Where nothing reads
+/// its output (ExecContext::OutputUnread) it only counts its input: the
+/// counters and the clock see the same charges, but no row is stored or
+/// sorted and the rows it emits carry no values.
 class SortOp : public Operator {
  public:
   SortOp(const PlanNode* node, ExecContext* ctx);
@@ -221,9 +224,11 @@ class SortOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
+  const bool count_only_;
   RowStore rows_;
   std::vector<const int64_t*> order_;
   Row row_;  ///< input buffer
+  size_t size_ = 0;  ///< input rows consumed at open
   size_t pos_ = 0;
 };
 

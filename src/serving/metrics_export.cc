@@ -24,6 +24,20 @@ bool ParseStatusKb(const std::string& line, const std::string& key,
 
 }  // namespace
 
+std::optional<ProcessMemory> ReadProcessMemory() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  ProcessMemory memory;
+  bool rss = false;
+  bool hwm = false;
+  while (std::getline(status, line)) {
+    rss = rss || ParseStatusKb(line, "VmRSS:", &memory.resident_bytes);
+    hwm = hwm || ParseStatusKb(line, "VmHWM:", &memory.peak_bytes);
+  }
+  if (!rss || !hwm) return std::nullopt;
+  return memory;
+}
+
 int RegisterFailPointCollector(obs::MetricsRegistry* registry) {
   return registry->AddCollector([](std::vector<Sample>* out) {
     for (const FailPointSnapshot& fp : FailPoints::Snapshot()) {
@@ -61,18 +75,12 @@ int RegisterTracerCollector(obs::MetricsRegistry* registry) {
 
 int RegisterProcessMemoryCollector(obs::MetricsRegistry* registry) {
   return registry->AddCollector([](std::vector<Sample>* out) {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    double bytes = 0.0;
-    while (std::getline(status, line)) {
-      if (ParseStatusKb(line, "VmRSS:", &bytes)) {
-        out->push_back(
-            Sample::GaugeSample("rpe_process_resident_bytes", bytes));
-      } else if (ParseStatusKb(line, "VmHWM:", &bytes)) {
-        out->push_back(
-            Sample::GaugeSample("rpe_process_peak_resident_bytes", bytes));
-      }
-    }
+    const std::optional<ProcessMemory> memory = ReadProcessMemory();
+    if (!memory) return;
+    out->push_back(Sample::GaugeSample("rpe_process_resident_bytes",
+                                       memory->resident_bytes));
+    out->push_back(Sample::GaugeSample("rpe_process_peak_resident_bytes",
+                                       memory->peak_bytes));
   });
 }
 

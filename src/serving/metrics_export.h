@@ -8,9 +8,21 @@
 // server.h); metric names are catalogued in docs/OBSERVABILITY.md.
 #pragma once
 
+#include <optional>
+
 #include "obs/metrics.h"
 
 namespace rpe {
+
+/// \brief The process's resident set and its peak, in bytes.
+struct ProcessMemory {
+  double resident_bytes = 0.0;  ///< VmRSS
+  double peak_bytes = 0.0;      ///< VmHWM
+};
+
+/// VmRSS and VmHWM from /proc/self/status; nullopt where the file or
+/// either line is missing.
+std::optional<ProcessMemory> ReadProcessMemory();
 
 /// Collector exporting every armed failpoint's hit/trip counters as
 /// rpe_failpoint_hits_total / rpe_failpoint_trips_total{name="..."}.
@@ -24,10 +36,9 @@ int RegisterSimdCollector(obs::MetricsRegistry* registry);
 /// requests over the --slow-ms threshold).
 int RegisterTracerCollector(obs::MetricsRegistry* registry);
 
-/// Collector exporting the process's resident set and its peak (VmRSS and
-/// VmHWM of /proc/self/status, in bytes) as rpe_process_resident_bytes and
-/// rpe_process_peak_resident_bytes. Exports nothing where the file is
-/// missing.
+/// Collector exporting ReadProcessMemory() as rpe_process_resident_bytes
+/// and rpe_process_peak_resident_bytes. Exports nothing where it reads
+/// nothing.
 int RegisterProcessMemoryCollector(obs::MetricsRegistry* registry);
 
 }  // namespace rpe

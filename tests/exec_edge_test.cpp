@@ -2,6 +2,8 @@
 // predicates, plan-validation failures, and unusual operator compositions.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+
 #include "exec/executor.h"
 #include "storage/datagen.h"
 #include "tests/test_util.h"
@@ -9,7 +11,38 @@
 namespace rpe {
 namespace {
 
+using ::rpe::testing::Fnv64;
 using ::rpe::testing::MakeSmallCatalog;
+
+/// What a run shows the progress estimators, pinned exactly: rows out,
+/// each node's true N and final bytes written, the end time on the
+/// virtual clock, and an FNV-1a digest of the observation stream.
+struct RunPin {
+  uint64_t rows_out = 0;
+  std::vector<double> true_n;
+  std::vector<double> bytes_written;
+  double total_time = 0.0;
+  uint64_t observations = 0;
+};
+
+void ExpectPinned(const QueryRunResult& run, const RunPin& want) {
+  Fnv64 digest;
+  digest.Observations(run.observations);
+  EXPECT_EQ(run.rows_out, want.rows_out);
+  EXPECT_EQ(run.true_n, want.true_n);
+  EXPECT_EQ(run.final_bytes_written, want.bytes_written);
+  EXPECT_EQ(run.total_time, want.total_time)
+      << std::setprecision(17) << run.total_time;
+  EXPECT_EQ(digest.value(), want.observations)
+      << "observation digest 0x" << std::hex << digest.value();
+}
+
+/// A budget of 8 KiB: the 24-byte rows of t_fact spill after 341 rows.
+ExecOptions SmallMemory() {
+  ExecOptions options;
+  options.memory_limit_bytes = 8 * 1024;
+  return options;
+}
 
 class ExecEdgeTest : public ::testing::Test {
  protected:
@@ -25,11 +58,12 @@ class ExecEdgeTest : public ::testing::Test {
     RPE_CHECK_OK(catalog_->CreateIndex("t_one", "o"));
   }
 
-  QueryRunResult Run(std::unique_ptr<PlanNode> root) {
+  QueryRunResult Run(std::unique_ptr<PlanNode> root,
+                     const ExecOptions& options = {}) {
     auto plan = FinalizePlan(std::move(root), *catalog_);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     plans_.push_back(std::move(plan).ValueOrDie());
-    auto result = ExecutePlan(*plans_.back(), *catalog_);
+    auto result = ExecutePlan(*plans_.back(), *catalog_, options);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).ValueOrDie();
   }
@@ -139,6 +173,72 @@ TEST_F(ExecEdgeTest, StreamAggregateMultiColumnGroups) {
   // columns after the key.
   auto hash_run = Run(MakeHashAggregate(MakeTableScan("t_fact"), {1, 2}));
   EXPECT_GT(hash_run.rows_out, 50u);
+}
+
+// --- sorts whose output nothing reads ---------------------------------------
+// Such a Sort only counts its rows; every counter, byte and clock value the
+// estimators see must equal what storing and sorting them gives, pinned here.
+
+TEST_F(ExecEdgeTest, RootSortSpillingPastTheMemoryLimitIsPinned) {
+  auto run = Run(MakeSort(MakeTableScan("t_fact"), 2), SmallMemory());
+  ExpectPinned(run, {1000, {1000, 1000}, {15816, 0}, 7724.1600379583197,
+                     0xe67a2b90431f2542ULL});
+  EXPECT_GT(run.final_bytes_written[0], 0.0);  // the spill charges applied
+}
+
+TEST_F(ExecEdgeTest, RootTopOverSortIsPinned) {
+  auto run = Run(MakeTop(MakeSort(MakeTableScan("t_fact"), 1), 10));
+  ExpectPinned(run, {10, {10, 10, 1000}, {0, 0, 0}, 6281.6000379586203,
+                     0xe554bf7a94985917ULL});
+  // Below a chain of Tops the Sort's output is unread too.
+  auto chain = Run(MakeTop(MakeTop(MakeSort(MakeTableScan("t_fact"), 2), 50),
+                           10),
+                   SmallMemory());
+  ExpectPinned(chain, {10, {10, 10, 10, 1000}, {0, 0, 15816, 0},
+                       6837.1600379586762, 0x1911a26ebded2510ULL});
+}
+
+TEST_F(ExecEdgeTest, SortUnderStreamAggregateIsPinned) {
+  auto run = Run(
+      MakeStreamAggregate(MakeSort(MakeTableScan("t_fact"), 1), {1}),
+      SmallMemory());
+  ExpectPinned(run, {95, {95, 1000, 1000}, {0, 15816, 0}, 8209.2600379579217,
+                     0xc4dddd75c95508f4ULL});
+  // The aggregate reads the sorted values: it finds every f_fk group once.
+  auto hashed = Run(MakeHashAggregate(MakeTableScan("t_fact"), {1}));
+  EXPECT_EQ(run.rows_out, hashed.rows_out);
+}
+
+TEST_F(ExecEdgeTest, OutputUnreadCoversTheRootAndItsChainOfTops) {
+  const auto unread = [&](std::unique_ptr<PlanNode> root) {
+    auto plan = FinalizePlan(std::move(root), *catalog_);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    const ExecContext ctx(plan->get(), catalog_.get(), {});
+    std::vector<bool> out;
+    for (const PlanNode* n : (*plan)->nodes()) {
+      out.push_back(ctx.OutputUnread(n->id));
+    }
+    return out;
+  };
+  // Root Sort: ids 0=Sort, 1=scan.
+  EXPECT_EQ(unread(MakeSort(MakeTableScan("t_fact"), 1)),
+            (std::vector<bool>{true, false}));
+  // Top, Top, Sort, scan.
+  EXPECT_EQ(unread(MakeTop(MakeTop(MakeSort(MakeTableScan("t_fact"), 1), 5),
+                           3)),
+            (std::vector<bool>{true, true, true, false}));
+  // A filter reads its input: Filter, Sort, scan.
+  EXPECT_EQ(unread(MakeFilter(MakeSort(MakeTableScan("t_fact"), 1),
+                              Predicate::True())),
+            (std::vector<bool>{true, false, false}));
+  // StreamAggregate, Sort, scan.
+  EXPECT_EQ(unread(MakeStreamAggregate(MakeSort(MakeTableScan("t_fact"), 1),
+                                       {1})),
+            (std::vector<bool>{true, false, false}));
+  // A merge join reads both sorted sides: MergeJoin, Sort, scan, Sort, scan.
+  EXPECT_EQ(unread(MakeMergeJoin(MakeSort(MakeTableScan("t_dim"), 0),
+                                 MakeSort(MakeTableScan("t_fact"), 1), 0, 1)),
+            (std::vector<bool>{true, false, false, false, false}));
 }
 
 // --- plan validation --------------------------------------------------------

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +118,10 @@ TEST(ObsRegistryTest, ProcessMemoryGaugesTrackTheResidentSet) {
   EXPECT_GT(resident, 0.0);
   EXPECT_GE(testing::SampleValue(registry, "rpe_process_peak_resident_bytes"),
             resident);
+  const std::optional<ProcessMemory> read = ReadProcessMemory();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_GT(read->resident_bytes, 0.0);
+  EXPECT_GE(read->peak_bytes, read->resident_bytes);
   // Touching 32 MiB of freshly mapped pages (never resident before, which
   // a malloc'd block need not be) raises the peak by about that much
   // over the resident size read before; the slack covers pages the

@@ -1,47 +1,23 @@
 // Pins the executor's output bit for bit: a 64-bit FNV-1a digest of every
 // record and of every kept run (observation stream, pipeline windows,
-// ground truth) of a small TPC-H and a small TPC-DS workload, at 1 and 4
-// pool threads, plus one run whose tiny observation cap forces the
+// ground truth) of a small TPC-H, TPC-DS, Real-1 and Real-2 workload, at 1
+// and 4 pool threads, plus one run whose tiny observation cap forces the
 // sampler's halving path. A change to how the executor or the run data is
 // stored must leave every digest as it is. The constants hold for the
 // default build flags (no -march=native, whose FMA contraction may change
 // the last bits of a double).
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstring>
 #include <string>
 
 #include "common/thread_pool.h"
 #include "harness/runner.h"
+#include "tests/test_util.h"
 
 namespace rpe {
 namespace {
 
-class Fnv64 {
- public:
-  void Bytes(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
-    }
-  }
-  void Double(double v) { Bytes(&v, sizeof(v)); }
-  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
-  void String(const std::string& s) {
-    Int(static_cast<int64_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-  template <typename Values>
-  void Doubles(const Values& values) {
-    Int(static_cast<int64_t>(values.size()));
-    for (size_t i = 0; i < values.size(); ++i) Double(values[i]);
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using ::rpe::testing::Fnv64;
 
 struct Digest {
   uint64_t records = 0;
@@ -81,17 +57,7 @@ Digest Execute(const WorkloadConfig& config, int threads,
   Fnv64 runs;
   for (const OwnedRun& owned : run.runs) {
     const QueryRunResult& result = owned.result;
-    runs.Int(static_cast<int64_t>(result.observations.size()));
-    for (size_t oi = 0; oi < result.observations.size(); ++oi) {
-      const auto& obs = result.observations[oi];
-      runs.Double(obs.vtime);
-      runs.Doubles(obs.k);
-      runs.Doubles(obs.e);
-      runs.Doubles(obs.lb);
-      runs.Doubles(obs.ub);
-      runs.Doubles(obs.bytes_read);
-      runs.Doubles(obs.bytes_written);
-    }
+    runs.Observations(result.observations);
     d.num_observations += result.observations.size();
     runs.Int(static_cast<int64_t>(result.pipelines.size()));
     for (const Pipeline& p : result.pipelines) {
@@ -149,6 +115,28 @@ TEST(PinnedExecOutputTest, TpcdsAtOneAndFourThreads) {
   for (const int threads : {1, 4}) {
     ExpectDigest(Execute(config, threads, kDefaultCap), want,
                  "tpcds threads " + std::to_string(threads));
+  }
+}
+
+TEST(PinnedExecOutputTest, Real1AtOneAndFourThreads) {
+  // Two of these plans end in a Sort whose output nothing reads.
+  const WorkloadConfig config =
+      Config(WorkloadKind::kReal1, "real1", 2.0, 40);
+  const Digest want{0x2973100d8b3aa44aULL, 0x5ff8882df89ac5f7ULL, 100, 15867};
+  for (const int threads : {1, 4}) {
+    ExpectDigest(Execute(config, threads, kDefaultCap), want,
+                 "real1 threads " + std::to_string(threads));
+  }
+}
+
+TEST(PinnedExecOutputTest, Real2AtOneAndFourThreads) {
+  // Four of these plans end in a Sort whose output nothing reads.
+  const WorkloadConfig config =
+      Config(WorkloadKind::kReal2, "real2", 2.0, 30);
+  const Digest want{0x6f94163ccacfbf35ULL, 0x70c9de38f98b3d8bULL, 86, 11313};
+  for (const int threads : {1, 4}) {
+    ExpectDigest(Execute(config, threads, kDefaultCap), want,
+                 "real2 threads " + std::to_string(threads));
   }
 }
 

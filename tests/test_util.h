@@ -7,11 +7,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -167,6 +169,48 @@ inline void RebuildObservations(
   }
   run->observations = std::move(rebuilt);
 }
+
+/// 64-bit FNV-1a over the bytes of the values fed in: the digest the
+/// pinned-output tests compare runs and records with.
+class Fnv64 {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void Double(double v) { Bytes(&v, sizeof(v)); }
+  void Int(int64_t v) { Bytes(&v, sizeof(v)); }
+  void String(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  template <typename Values>
+  void Doubles(const Values& values) {
+    Int(static_cast<int64_t>(values.size()));
+    for (size_t i = 0; i < values.size(); ++i) Double(values[i]);
+  }
+  /// Every observation: its count, then per observation the virtual time
+  /// and the six per-node arrays.
+  void Observations(const ObservationStore& store) {
+    Int(static_cast<int64_t>(store.size()));
+    for (size_t oi = 0; oi < store.size(); ++oi) {
+      const Observation obs = store[oi];
+      Double(obs.vtime);
+      Doubles(obs.k);
+      Doubles(obs.e);
+      Doubles(obs.lb);
+      Doubles(obs.ub);
+      Doubles(obs.bytes_read);
+      Doubles(obs.bytes_written);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 /// Current value of the counter `name` in `registry` (0 if nothing has
 /// accrued into it yet).

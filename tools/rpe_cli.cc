@@ -50,6 +50,7 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -392,6 +393,20 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// ", peak X MB, resident Y MB": the process's VmHWM and VmRSS (MB =
+/// 2^20 bytes, the unit of perfbench's server_rss_mb), or "" where
+/// /proc/self/status cannot be read.
+std::string MemoryNote() {
+  const std::optional<ProcessMemory> memory = ReadProcessMemory();
+  if (!memory) return "";
+  constexpr double kMb = 1024.0 * 1024.0;
+  std::ostringstream note;
+  note << std::fixed << std::setprecision(1) << ", peak "
+       << memory->peak_bytes / kMb << " MB, resident "
+       << memory->resident_bytes / kMb << " MB";
+  return note.str();
+}
+
 /// Build + execute a serving workload, keeping every successful run alive
 /// (sessions replay against them) and its featurized records.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
@@ -408,7 +423,7 @@ Status ExecuteServingWorkload(const WorkloadConfig& config,
                << executed.plan_seconds << " s, execute "
                << executed.execute_seconds << " s on "
                << ThreadPool::Global().num_threads() << " threads ("
-               << executed.failed << " failed)";
+               << executed.failed << " failed)" << MemoryNote();
   *runs = std::move(executed.runs);
   *records = std::move(executed.records);
   if (runs->empty()) {
@@ -449,7 +464,8 @@ std::shared_ptr<const SelectorStack> InitialStack(
       SelectorStack::Train(records, pool, params));
   RPE_LOG_INFO << std::fixed << std::setprecision(3)
                << "train selector stack on " << records.size()
-               << " records " << SecondsSince(train_start) << " s";
+               << " records " << SecondsSince(train_start) << " s"
+               << MemoryNote();
   return stack;
 }
 
