@@ -19,11 +19,11 @@ void ComputePipelineWindows(const ObservationStore& obs,
     p.first_obs = -1;
     p.last_obs = -1;
     auto activity = [&](size_t oi) {
+      const Observation o = obs[oi];
       double total = 0.0;
       for (int nid : p.nodes) {
         const size_t i = static_cast<size_t>(nid);
-        total += obs[oi].k[i] + obs[oi].bytes_read[i] +
-                 obs[oi].bytes_written[i];
+        total += o.k[i] + o.bytes_read[i] + o.bytes_written[i];
       }
       return total;
     };

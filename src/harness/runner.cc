@@ -24,6 +24,7 @@ Result<OwnedRun> RunQuery(const Workload& workload, const QuerySpec& spec,
   RPE_ASSIGN_OR_RETURN(
       QueryRunResult result,
       ExecutePlan(*plan, *workload.catalog, options.exec));
+  result.observations.ShareArrays();
   OwnedRun run;
   run.plan = std::move(plan);
   run.result = std::move(result);
@@ -75,7 +76,11 @@ WorkloadRun PlanAndExecuteWorkload(const Workload& workload,
         slot.records.push_back(std::move(record));
       }
     }
-    if (!keep_runs) slot.run = OwnedRun();
+    if (keep_runs) {
+      slot.run.result.observations.ShareArrays();
+    } else {
+      slot.run = OwnedRun();
+    }
   });
 #if defined(__GLIBC__)
   // Hand the freed execution memory of the parallel phase back to the OS.

@@ -52,7 +52,8 @@ struct WorkloadRun {
   double execute_seconds = 0.0;
 };
 
-/// Plan and execute a single query of a workload.
+/// Plan and execute a single query of a workload. The run's observations
+/// share their arrays (ObservationStore::ShareArrays).
 Result<OwnedRun> RunQuery(const Workload& workload, const QuerySpec& spec,
                           const RunOptions& options = {});
 
@@ -62,7 +63,8 @@ Result<OwnedRun> RunQuery(const Workload& workload, const QuerySpec& spec,
 /// merges in query order on the caller: records, on_record, progress
 /// lines and the failure count. Execution runs on a virtual clock, so
 /// the result is identical at every pool size. Runs are kept only when
-/// `keep_runs` is set. Applies no failure threshold.
+/// `keep_runs` is set, and a kept run's observations share their arrays
+/// (ObservationStore::ShareArrays). Applies no failure threshold.
 WorkloadRun PlanAndExecuteWorkload(const Workload& workload,
                                    const RunOptions& options,
                                    const std::string& tag, bool keep_runs);

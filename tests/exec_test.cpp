@@ -3,6 +3,7 @@
 // observation stream.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <set>
 
@@ -222,6 +223,157 @@ TEST(ObservationStoreTest, ViewsSlabRowsAndHalvesInPlace) {
     EXPECT_EQ(store.vtimes()[oi], 1.0 * static_cast<double>(oi));
   }
   EXPECT_EQ(store.back().vtime, 2.0);
+}
+
+/// Field f of observation `obs` (Observation's field order).
+std::span<const double> Field(const Observation& obs, size_t f) {
+  const std::span<const double> fields[] = {
+      obs.k, obs.e, obs.lb, obs.ub, obs.bytes_read, obs.bytes_written};
+  return fields[f];
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(ObservationStoreTest, EqualArraysShareStorage) {
+  ObservationStore store(3);
+  testing::ObservationRows rows;
+  rows.vtime = 1.0;
+  rows.k = {1.0, 2.0, 3.0};
+  rows.e = {5.0, 6.0, 7.0};
+  rows.lb = rows.k;
+  rows.ub = {9.0, 9.0, 9.0};
+  rows.bytes_read = rows.e;  // an earlier field other than k
+  rows.bytes_written = {0.0, 0.0, 0.0};
+  testing::AppendObservation(&store, rows);
+  rows.vtime = 2.0;
+  rows.k = {2.0, 2.0, 3.0};
+  rows.lb = rows.k;
+  rows.ub = {8.0, 9.0, 9.0};
+  rows.bytes_read = {16.0, 8.0, 0.0};
+  testing::AppendObservation(&store, rows);
+  // Before sharing, each observation owns its six arrays.
+  EXPECT_EQ(store.stored_arrays(), 2 * ObservationStore::kFields);
+  EXPECT_NE(store[0].lb.data(), store[0].k.data());
+  store.ShareArrays();
+
+  const Observation first = store[0];
+  const Observation second = store[1];
+  // Within an observation: lb is k, and bytes_read is e.
+  EXPECT_EQ(first.lb.data(), first.k.data());
+  EXPECT_EQ(first.bytes_read.data(), first.e.data());
+  EXPECT_EQ(second.lb.data(), second.k.data());
+  // Across observations: the unchanged e and bytes_written are the
+  // previous observation's arrays.
+  EXPECT_EQ(second.e.data(), first.e.data());
+  EXPECT_EQ(second.bytes_written.data(), first.bytes_written.data());
+  EXPECT_NE(second.k.data(), first.k.data());
+  EXPECT_NE(second.ub.data(), first.ub.data());
+  // First: k, e, ub, bytes_written. Second: k, ub, bytes_read.
+  EXPECT_EQ(store.stored_arrays(), 7u);
+  EXPECT_EQ(store.stored_bytes(), 2 * sizeof(double) +
+                                      2 * ObservationStore::kFields *
+                                          sizeof(uint32_t) +
+                                      7 * 3 * sizeof(double));
+  EXPECT_EQ(std::vector<double>(second.e.begin(), second.e.end()), rows.e);
+  EXPECT_EQ(std::vector<double>(second.bytes_read.begin(),
+                                second.bytes_read.end()),
+            rows.bytes_read);
+}
+
+TEST(ObservationStoreTest, SharingIsBitwise) {
+  const double nan_a = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7ff8000000000002ULL);
+  ObservationStore store(1);
+  testing::ObservationRows rows;
+  rows.k = {0.0};
+  rows.e = {-0.0};  // == 0.0, yet a different bit pattern
+  rows.lb = {nan_a};
+  rows.ub = {nan_b};  // another NaN payload
+  rows.bytes_read = {nan_a};  // != itself, yet the same bits as lb
+  rows.bytes_written = {-0.0};
+  testing::AppendObservation(&store, rows);
+  store.ShareArrays();
+
+  const Observation obs = store[0];
+  EXPECT_NE(obs.e.data(), obs.k.data());
+  EXPECT_NE(obs.ub.data(), obs.lb.data());
+  EXPECT_EQ(obs.bytes_read.data(), obs.lb.data());
+  EXPECT_EQ(obs.bytes_written.data(), obs.e.data());
+  EXPECT_EQ(store.stored_arrays(), 4u);
+  EXPECT_EQ(Bits(obs.k[0]), Bits(0.0));
+  EXPECT_EQ(Bits(obs.e[0]), Bits(-0.0));
+  EXPECT_EQ(Bits(obs.lb[0]), Bits(nan_a));
+  EXPECT_EQ(Bits(obs.ub[0]), Bits(nan_b));
+  EXPECT_EQ(Bits(obs.bytes_read[0]), Bits(nan_a));
+  EXPECT_EQ(Bits(obs.bytes_written[0]), Bits(-0.0));
+}
+
+TEST(ObservationStoreTest, HalvingKeepsOnlyTheKeptObservationsArrays) {
+  // e alternates between two arrays, so each observation stores its own;
+  // once every other observation is dropped, one e array is enough. ub
+  // changes at every odd observation, so each kept one has its own.
+  std::vector<testing::ObservationRows> all;
+  for (int i = 0; i < 9; ++i) {
+    testing::ObservationRows rows;
+    rows.vtime = i;
+    rows.k = {1.0 + i, 2.0 * i};
+    rows.e = i % 2 == 0 ? std::vector<double>{3.5, 4.5}
+                        : std::vector<double>{5.5, 6.5};
+    rows.lb = rows.k;
+    rows.ub = {100.0 - (i + 1) / 2, 50.0};
+    rows.bytes_read = {8.0 * i, 0.0};
+    rows.bytes_written = {0.0, 1.0};
+    all.push_back(rows);
+  }
+  const auto build = [&](size_t step) {
+    ObservationStore store(2);
+    for (size_t i = 0; i < all.size(); i += step) {
+      testing::AppendObservation(&store, all[i]);
+    }
+    return store;
+  };
+  ObservationStore whole = build(1);
+  whole.ShareArrays();
+  // k, e and bytes_read 9 each, ub 5, bytes_written 1.
+  EXPECT_EQ(whole.stored_arrays(), 33u);
+
+  ObservationStore store = build(1);
+  store.KeepEveryOther();  // keeps 0, 2, 4, 6, 8
+  EXPECT_EQ(store.stored_arrays(), 5 * ObservationStore::kFields);
+  store.ShareArrays();
+  ObservationStore fresh = build(2);
+  fresh.ShareArrays();
+  ASSERT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.stored_arrays(), fresh.stored_arrays());
+  // k, ub and bytes_read 5 each, e and bytes_written 1 each.
+  EXPECT_EQ(store.stored_arrays(), 17u);
+  EXPECT_EQ(store.stored_bytes(), fresh.stored_bytes());
+  for (size_t oi = 0; oi < store.size(); ++oi) {
+    const Observation got = store[oi];
+    const Observation want = fresh[oi];
+    EXPECT_EQ(got.vtime, want.vtime);
+    for (size_t f = 0; f < ObservationStore::kFields; ++f) {
+      const std::span<const double> g = Field(got, f);
+      const std::span<const double> w = Field(want, f);
+      EXPECT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()))
+          << "observation " << oi << " field " << f;
+    }
+    EXPECT_EQ(got.e.data(), store[0].e.data());
+  }
+}
+
+TEST(ObservationStoreTest, ZeroNodeStoreHoldsEmptyArrays) {
+  ObservationStore store(0);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(store.Append(1.0 * i).empty());
+  ASSERT_EQ(store.size(), 3u);
+  store.KeepEveryOther();
+  store.ShareArrays();
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.back().vtime, 2.0);
+  EXPECT_EQ(store.stored_arrays(), 1u);
+  for (size_t f = 0; f < ObservationStore::kFields; ++f) {
+    EXPECT_TRUE(Field(store[1], f).empty());
+  }
 }
 
 TEST(RowStoreTest, RowsKeepTheirValuesAndAddressesAcrossChunks) {

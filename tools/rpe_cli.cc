@@ -407,6 +407,22 @@ std::string MemoryNote() {
   return note.str();
 }
 
+/// ", observations N, stored X MB": the observations the kept runs hold,
+/// and the bytes of their observation stores (MB = 2^20 bytes).
+std::string ObservationNote(const std::vector<OwnedRun>& runs) {
+  size_t observations = 0;
+  size_t stored_bytes = 0;
+  for (const OwnedRun& run : runs) {
+    observations += run.result.observations.size();
+    stored_bytes += run.result.observations.stored_bytes();
+  }
+  std::ostringstream note;
+  note << std::fixed << std::setprecision(1) << ", observations "
+       << observations << ", stored "
+       << static_cast<double>(stored_bytes) / (1024.0 * 1024.0) << " MB";
+  return note.str();
+}
+
 /// Build + execute a serving workload, keeping every successful run alive
 /// (sessions replay against them) and its featurized records.
 Status ExecuteServingWorkload(const WorkloadConfig& config,
@@ -423,7 +439,8 @@ Status ExecuteServingWorkload(const WorkloadConfig& config,
                << executed.plan_seconds << " s, execute "
                << executed.execute_seconds << " s on "
                << ThreadPool::Global().num_threads() << " threads ("
-               << executed.failed << " failed)" << MemoryNote();
+               << executed.failed << " failed)"
+               << ObservationNote(executed.runs) << MemoryNote();
   *runs = std::move(executed.runs);
   *records = std::move(executed.records);
   if (runs->empty()) {
