@@ -78,8 +78,10 @@ expect_err "invalid --port" \
   "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port 70000
 expect_err "invalid --port" \
   "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port banana
-expect_err "invalid --io-threads" \
-  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --io-threads 9999
+# --shards is the IO-thread count: one past the 256 cap would start one
+# OS thread per unit.
+expect_err "invalid --shards" \
+  "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --shards 257
 expect_err "invalid --shards" \
   "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --shards 0
 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --port 70000 \
@@ -125,6 +127,9 @@ expect_arg_err() {
 }
 expect_arg_err --mmap \
   timeout 60 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --mmap
+# --shards sets the IO threads; there is no separate --io-threads flag.
+expect_arg_err --io-threads \
+  timeout 60 "$CLI" serve-tcp --kind tpch --queries 2 --scale 1 --io-threads 2
 expect_arg_err --bogus "$CLI" train --records "$MISSING" --bogus 1
 expect_arg_err "'thre'" "$CLI" train --records "$MISSING" --pool thre
 expect_arg_err "'thre'" \

@@ -27,10 +27,6 @@ uint64_t CountDecisions(
   return n;
 }
 
-Status NoSession(uint64_t id) {
-  return Status::NotFound("no open session " + std::to_string(id));
-}
-
 }  // namespace
 
 MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models)
@@ -51,18 +47,30 @@ MonitorService::MonitorService(std::shared_ptr<const SelectorStack> models,
   sessions_completed_ = metrics_->GetCounter("rpe_sessions_completed_total",
                                              "sessions completed");
   decisions_ = metrics_->GetCounter("rpe_decisions_total", "decisions");
-  observations_scored_ = metrics_->GetCounter(
-      "rpe_observations_scored_total", "observations scored");
+  // Accrued by the owners of stepped sessions (the TCP front-end, the
+  // id-keyed router); registered here so the exit table keeps its order.
+  metrics_->GetCounter("rpe_observations_scored_total",
+                       "observations scored");
   scoring_ns_ = metrics_->GetCounter("rpe_scoring_time_nanoseconds_total");
   replay_latency_ = metrics_->GetHistogram("rpe_replay_latency_seconds");
+  generation_ = metrics_->GetGauge("rpe_model_generation", "model generation");
+  generation_->Set(0);
+  collector_id_ = metrics_->AddCollector(
+      [this](std::vector<obs::Sample>* out) { AppendDerivedSamples(out); });
 }
+
+MonitorService::~MonitorService() { metrics_->RemoveCollector(collector_id_); }
 
 uint64_t MonitorService::SwapModels(
     std::shared_ptr<const SelectorStack> models) {
   RPE_CHECK(models != nullptr);
   std::lock_guard<std::mutex> lock(models_mu_);
   models_ = std::move(models);
-  return ++model_generation_;
+  // Stepped under the lock, so the generation never runs ahead of the
+  // snapshot that Open reads nor steps back under concurrent publishes.
+  const int64_t generation = generation_->Value() + 1;
+  generation_->Set(generation);
+  return static_cast<uint64_t>(generation);
 }
 
 std::shared_ptr<const SelectorStack> MonitorService::models() const {
@@ -71,8 +79,7 @@ std::shared_ptr<const SelectorStack> MonitorService::models() const {
 }
 
 uint64_t MonitorService::model_generation() const {
-  std::lock_guard<std::mutex> lock(models_mu_);
-  return model_generation_;
+  return static_cast<uint64_t>(generation_->Value());
 }
 
 Result<MonitorService::Session> MonitorService::Open(
@@ -132,72 +139,28 @@ void MonitorService::Close(const Session& session) {
   }
 }
 
-Result<MonitorService::SessionId> MonitorService::OpenSession(
-    const QueryRunResult* run) {
-  RPE_ASSIGN_OR_RETURN(Session session, Open(run));
-  auto mapped = std::make_shared<MappedSession>(std::move(session));
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const SessionId id = next_id_++;
-  sessions_.emplace(id, std::move(mapped));
-  return id;
-}
-
-MonitorService::MappedSession* MonitorService::LockSession(
-    SessionId id, std::unique_lock<std::mutex>* lock) const {
-  std::lock_guard<std::mutex> map_lock(sessions_mu_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return nullptr;
-  *lock = std::unique_lock<std::mutex>(it->second->mu);
-  return it->second.get();
-}
-
-Result<double> MonitorService::Advance(SessionId id, uint32_t max_steps,
-                                       uint32_t* taken, bool* done) {
-  uint32_t steps = 0;
-  Result<double> progress = 0.0;
-  {
-    std::unique_lock<std::mutex> lock;
-    MappedSession* s = LockSession(id, &lock);
-    if (s == nullptr) {
-      if (taken != nullptr) *taken = 0;
-      return NoSession(id);
-    }
-    progress = Step(&s->session, max_steps, &steps, done);
-  }
-  observations_scored_->Inc(steps);
-  if (taken != nullptr) *taken = steps;
-  return progress;
-}
-
-Result<double> MonitorService::Advance(SessionId id, bool* done) {
-  return Advance(id, 1, nullptr, done);
-}
-
-Result<double> MonitorService::Progress(SessionId id, bool* done) const {
-  std::unique_lock<std::mutex> lock;
-  const MappedSession* s = LockSession(id, &lock);
-  if (s == nullptr) return NoSession(id);
-  if (done != nullptr) *done = s->session.done();
-  return s->session.last_progress;
-}
-
-Status MonitorService::CloseSession(SessionId id) {
-  std::shared_ptr<MappedSession> s;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return NoSession(id);
-    s = std::move(it->second);
-    sessions_.erase(it);
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  Close(s->session);
-  return Status::OK();
-}
-
-size_t MonitorService::num_open_sessions() const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return sessions_.size();
+void MonitorService::AppendDerivedSamples(
+    std::vector<obs::Sample>* out) const {
+  // Runs under the registry mutex: read the cells through pointers taken
+  // at construction, never through Get* (which takes that mutex).
+  const obs::Histogram::Snapshot latency = replay_latency_->Snap();
+  // Scoring time is the decide pass at open (steps read no clock), so
+  // only decisions have a rate over it.
+  const double scoring_sec = static_cast<double>(scoring_ns_->Value()) / 1e9;
+  const double decisions_per_sec =
+      scoring_sec > 0.0 ? static_cast<double>(decisions_->Value()) / scoring_sec
+                        : 0.0;
+  // table_value() in the smoke/exit scripts takes the FIRST row whose
+  // label matches, so "decisions/sec" must render after the registered
+  // "decisions" row, which every collector does.
+  out->push_back(obs::Sample::GaugeSample("rpe_replay_latency_p50_ms",
+                                          latency.Quantile(0.50) / 1e6,
+                                          "p50 replay latency (ms)"));
+  out->push_back(obs::Sample::GaugeSample("rpe_replay_latency_p95_ms",
+                                          latency.Quantile(0.95) / 1e6,
+                                          "p95 replay latency (ms)"));
+  out->push_back(obs::Sample::GaugeSample(
+      "rpe_decisions_per_sec", decisions_per_sec, "decisions/sec"));
 }
 
 }  // namespace rpe

@@ -1,15 +1,18 @@
 // MonitorService: the concurrent serving front of the deployed architecture
-// (paper Figure 3). Many queries are monitored at once; each open session
+// (paper Figure 3). Many queries are monitored at once; each session
 // replays one recorded run through the online select-then-revise protocol
-// of ProgressMonitor: the estimators are chosen once at OpenSession, and
-// each Advance steps one or more observations against those choices.
+// of ProgressMonitor: the estimators are chosen once at Open, and each
+// Step advances one or more observations against those choices.
 //
 // Model ownership is an immutable-snapshot hot swap: the service holds a
 // std::shared_ptr<const SelectorStack>, every session makes its estimator
 // decisions against the snapshot that was current when it opened, and
 // SwapModels atomically publishes a new stack for future sessions without
 // stopping in-flight traffic — nothing is ever mutated after publication,
-// so no scoring path takes a lock.
+// so no scoring path takes a lock. One service is the one snapshot of a
+// server: the TCP front-end (serving/server.h) opens every connection's
+// sessions on it, and the TrainerLoop (serving/trainer_loop.h) publishes
+// into it, each publish one step of a monotonic model generation.
 //
 // Replay is deterministic: each session compiles its decisions at open
 // into a ProgressMonitor::Stepper — the step kernel the sequential
@@ -20,28 +23,25 @@
 // A session is a plain movable value (MonitorService::Session). Open
 // decides and returns one, Step advances it, Close records its end; none
 // of the three takes a lock or looks anything up, so the owner of a
-// session — a TCP connection (serving/server.h) — steps it with no shared
-// state at all. The id-keyed OpenSession/Advance/Progress/CloseSession API
-// is a thin wrapper over those three calls that keeps sessions in a
-// mutex-guarded map, for in-process callers that share sessions across
-// threads.
+// session — a TCP connection, or a ShardedMonitorService partition
+// (serving/shard_router.h) for in-process callers that address sessions
+// by id — steps it with no state shared with other sessions.
 //
-// The service is also the publish point of the online-learning loop
-// (serving/ingest.h + serving/trainer_loop.h): SwapModels carries a
-// monotonic model generation.
-//
-// Counters: every session, decision, observation and replay latency is
-// accrued straight into cells of the obs::MetricsRegistry handed in via
+// Counters: every session, decision and replay latency is accrued
+// straight into cells of the obs::MetricsRegistry handed in via
 // Options::metrics (docs/OBSERVABILITY.md is the catalog); there is no
-// stats struct and no stats lock. A service whose registry is shared
-// with the queue, the trainer and the TCP front-end describes the whole
-// observe → record → retrain → publish cycle in one scrape.
+// stats struct and no stats lock. The service also sets the
+// rpe_model_generation gauge on every publish and registers the
+// scrape-time collector that derives p50/p95 replay latency and the
+// decisions-per-second rate. A service whose registry is shared with the
+// queue, the trainer and the TCP front-end describes the whole observe →
+// record → retrain → publish cycle in one scrape.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "selection/monitor.h"
@@ -49,34 +49,18 @@
 
 namespace rpe {
 
-/// \brief Publish target of the online-learning loop: anything that can
-/// atomically swap in a new immutable model snapshot. MonitorService and
-/// ShardedMonitorService (serving/shard_router.h) implement it; the
-/// TrainerLoop publishes through it so retraining is agnostic to whether
-/// the serving tier is sharded.
-class ModelPublisher {
- public:
-  virtual ~ModelPublisher() = default;
-
-  /// Atomically publish a new snapshot; returns the new model generation
-  /// (strictly increasing, construction-time snapshot = generation 0).
-  virtual uint64_t SwapModels(
-      std::shared_ptr<const SelectorStack> models) = 0;
-};
-
 /// \brief Concurrent progress-monitoring service over immutable model
 /// snapshots. All public methods are thread-safe; a Session value is
 /// stepped by one thread at a time, its owner's.
-class MonitorService : public ModelPublisher {
+class MonitorService {
  public:
   struct Options {
-    /// Registry the service's counters and replay-latency histogram live
-    /// in. nullptr = a service-private registry, so tests that assert
-    /// exact per-service counters stay isolated from each other.
+    /// Registry the service's counters, replay-latency histogram,
+    /// generation gauge and collector live in. One service per registry.
+    /// nullptr = a service-private registry, so tests that assert exact
+    /// per-service counters stay isolated from each other.
     obs::MetricsRegistry* metrics = nullptr;
   };
-
-  using SessionId = uint64_t;
 
   /// One monitoring session, owned by value by whoever opened it. Only
   /// Step writes it; moving it between owners is free of side effects.
@@ -95,13 +79,19 @@ class MonitorService : public ModelPublisher {
   explicit MonitorService(std::shared_ptr<const SelectorStack> models);
   MonitorService(std::shared_ptr<const SelectorStack> models,
                  Options options);
+  ~MonitorService();  ///< removes the scrape-time collector
+
+  /// The registry's collector holds `this`.
+  MonitorService(const MonitorService&) = delete;
+  MonitorService& operator=(const MonitorService&) = delete;
 
   /// Atomically publish a new model snapshot. Sessions opened before the
   /// swap keep the decisions they made at open (steps never read the
   /// models); only new sessions see the replacement. Returns the new
   /// model generation (strictly increasing; the construction-time
-  /// snapshot is generation 0).
-  uint64_t SwapModels(std::shared_ptr<const SelectorStack> models) override;
+  /// snapshot is generation 0) and sets the rpe_model_generation gauge
+  /// to it.
+  uint64_t SwapModels(std::shared_ptr<const SelectorStack> models);
   std::shared_ptr<const SelectorStack> models() const;
   /// Generation of the currently published snapshot (number of swaps).
   uint64_t model_generation() const;
@@ -130,48 +120,13 @@ class MonitorService : public ModelPublisher {
   /// rpe_replay_latency_seconds.
   void Close(const Session& session);
 
-  /// Open a session (Open) and keep it in the service's map under a new
-  /// id, nonzero and never reused by this service.
-  Result<SessionId> OpenSession(const QueryRunResult* run);
-
-  /// Step the session `id` (Step) under one map lookup and one session
-  /// lock, and accrue rpe_observations_scored_total by the steps taken.
-  Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
-                         bool* done);
-
-  /// Advance by one observation: Advance(id, 1, nullptr, done).
-  Result<double> Advance(SessionId id, bool* done = nullptr);
-
-  /// Last reported progress (0 before the first Advance); `done`, when
-  /// non-null, receives from the same lookup whether every observation
-  /// of the session's run has been stepped.
-  Result<double> Progress(SessionId id, bool* done = nullptr) const;
-
-  /// Remove the session `id` from the map and Close it.
-  Status CloseSession(SessionId id);
-
-  size_t num_open_sessions() const;
-
   /// The registry the service's counters live in (Options::metrics, or
   /// the service-private one).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// A session of the id-keyed API: the value plus the lock that
-  /// serializes calls on it (distinct sessions never contend).
-  struct MappedSession {
-    Session session;
-    mutable std::mutex mu;
-    explicit MappedSession(Session s) : session(std::move(s)) {}
-  };
-
-  /// Find `id` and take its session lock. The map lock is held only until
-  /// the session lock is taken (lock coupling), so a lookup pays no
-  /// reference count; CloseSession unlinks under the map lock before it
-  /// takes the session lock, so the session outlives `lock`. Returns
-  /// nullptr, `lock` untouched, when no such session is open.
-  MappedSession* LockSession(SessionId id,
-                             std::unique_lock<std::mutex>* lock) const;
+  /// The scrape-time samples (see file comment).
+  void AppendDerivedSamples(std::vector<obs::Sample>* out) const;
 
   std::unique_ptr<obs::MetricsRegistry> own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
@@ -180,20 +135,17 @@ class MonitorService : public ModelPublisher {
   obs::Counter* sessions_completed_ = nullptr;
   /// Estimator selections (initial + revised).
   obs::Counter* decisions_ = nullptr;
-  obs::Counter* observations_scored_ = nullptr;
-  /// Cumulative scoring time: the decide pass at open (Advance steps are
+  /// Cumulative scoring time: the decide pass at open (steps are
   /// untimed), the denominator of rpe_decisions_per_sec.
   obs::Counter* scoring_ns_ = nullptr;
   /// Per-session full-replay latency, recorded at completion.
   obs::Histogram* replay_latency_ = nullptr;
+  /// rpe_model_generation: the number of swaps, stepped under models_mu_.
+  obs::Gauge* generation_ = nullptr;
+  int collector_id_ = 0;
 
   mutable std::mutex models_mu_;
   std::shared_ptr<const SelectorStack> models_;
-  uint64_t model_generation_ = 0;
-
-  mutable std::mutex sessions_mu_;
-  SessionId next_id_ = 1;
-  std::unordered_map<SessionId, std::shared_ptr<MappedSession>> sessions_;
 };
 
 }  // namespace rpe

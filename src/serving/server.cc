@@ -181,7 +181,6 @@ struct TcpServer::InboxEntry {
 /// IO thread; nothing here is shared, so stepping a session takes no lock.
 struct TcpServer::Connection {
   int fd = -1;
-  size_t shard = 0;  ///< every session of this connection opens here
   FrameDecoder decoder;
   /// Frames decoded but not yet dispatched. Dispatch stops at the first
   /// frame that cannot join this connection's Advance run (response order
@@ -234,11 +233,11 @@ struct TcpServer::IoThread {
   std::vector<AdvanceWork> batch;
 };
 
-TcpServer::TcpServer(ShardedMonitorService* service,
+TcpServer::TcpServer(MonitorService* service,
                      std::vector<const QueryRunResult*> runs, Options options)
     : TcpServer(service, std::move(runs), nullptr, options) {}
 
-TcpServer::TcpServer(ShardedMonitorService* service,
+TcpServer::TcpServer(MonitorService* service,
                      std::vector<const QueryRunResult*> runs,
                      RecordIngestQueue* ingest, Options options)
     : service_(service),
@@ -247,6 +246,7 @@ TcpServer::TcpServer(ShardedMonitorService* service,
       options_(options) {
   RPE_CHECK(service_ != nullptr);
   RPE_CHECK(!runs_.empty());
+  RPE_CHECK(options_.io_threads > 0);
   RPE_CHECK(options_.max_inflight_per_conn > 0);
   RPE_CHECK(options_.max_inflight_total > 0);
   if (options_.metrics != nullptr) {
@@ -388,9 +388,7 @@ Status TcpServer::Start() {
     return st;
   }
 
-  const size_t n_threads = options_.io_threads > 0 ? options_.io_threads
-                                                   : service_->num_shards();
-  for (size_t t = 0; t < n_threads; ++t) {
+  for (size_t t = 0; t < options_.io_threads; ++t) {
     auto io = std::make_unique<IoThread>();
     io->index = t;
     io->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
@@ -564,9 +562,8 @@ void TcpServer::CloseConnection(IoThread* io, Connection* conn) {
   conn->dead = true;
   // A dropped connection closes its sessions server-side, so a fully
   // stepped one still counts as completed and opened == closed holds.
-  MonitorService& shard = service_->shard(conn->shard);
   c_.wire_sessions_closed->Inc(conn->session_table.ForEachLive(
-      [&](const MonitorService::Session& s) { shard.Close(s); }));
+      [&](const MonitorService::Session& s) { service_->Close(s); }));
   // Undispatched frames die with the connection; give their in-flight
   // slots back so the global budget cannot leak under disconnect storms.
   for (const InboxEntry& entry : conn->inbox) {
@@ -643,7 +640,7 @@ bool TcpServer::FlushWrites(IoThread* io, Connection* conn) {
 void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                             const InboxEntry& entry) {
   const WireFrame& frame = entry.frame;
-  obs::TraceSpan route_span("shard.route", conn->shard);
+  obs::TraceSpan route_span("shard.route", io->index);
   switch (frame.type) {
     case MsgType::kOpen: {
       const auto req = DecodeOpenRequest(frame.payload);
@@ -655,7 +652,7 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
       const uint32_t resolved =
           static_cast<uint32_t>(req->run_index % runs_.size());
       const QueryRunResult* run = runs_[resolved];
-      auto session = service_->shard(conn->shard).Open(run);
+      auto session = service_->Open(run);
       if (!session.ok()) {
         SendFrame(io, conn,
                   EncodeErrorFrame(MsgType::kOpen, session.status()));
@@ -715,7 +712,7 @@ void TcpServer::HandleFrame(IoThread* io, Connection* conn,
                                              NoSession(req->session_id)));
         return;
       }
-      service_->shard(conn->shard).Close(*session);
+      service_->Close(*session);
       conn->session_table.Erase(req->session_id);
       c_.wire_sessions_closed->Inc();
       SendFrame(io, conn, EncodeCloseResponse());
@@ -852,7 +849,7 @@ bool TcpServer::JoinAdvanceRun(IoThread* io, Connection* conn,
   if (!req.ok() || req->max_steps > kMaxAdvanceSteps - conn->run_steps) {
     return false;
   }
-  obs::TraceSpan route_span("shard.route", entry.trace_id, conn->shard);
+  obs::TraceSpan route_span("shard.route", entry.trace_id, io->index);
   AdvanceWork work;
   work.conn = conn;
   work.session = req->session_id;
@@ -1107,7 +1104,6 @@ void TcpServer::IoLoop(IoThread* io) {
         for (int cfd : adopted) {
           auto conn = std::make_unique<Connection>();
           conn->fd = cfd;
-          conn->shard = io->index % service_->num_shards();
           epoll_event ev{};
           ev.events = EPOLLIN;
           ev.data.fd = cfd;

@@ -1,6 +1,6 @@
 // TcpServer: the epoll TCP front-end of the serving tier. Untrusted
 // clients speak the length-prefixed wire protocol (serving/wire.h) —
-// Open/Advance/Progress/Close/Stats — against a ShardedMonitorService;
+// Open/Advance/Progress/Close/Stats — against one MonitorService;
 // this file turns "traffic enters via in-process replay" into "traffic
 // enters via a socket" without adding a single lock to the scoring path.
 //
@@ -11,11 +11,10 @@
 // (MonitorService::Session) in a table of its own, and session ids are
 // scoped to that connection — another connection's id, or a closed one,
 // answers NotFound. So Advance, Progress and Close take no lock and no
-// shared map lookup; nothing on the data path is shared. Only Open
-// touches a shard: IO thread t decides against shard (t % num_shards)'s
-// model snapshot (MonitorService::Open), and every shard accrues into
-// the one shared registry. The shard count (serve-tcp --shards) only sets
-// the default number of IO threads.
+// shared map lookup; nothing on the data path is shared. Only Open and
+// Close touch the service: every IO thread decides against its one
+// published model snapshot (MonitorService::Open) and accrues into its
+// registry.
 //
 // Batched decode → batched advance: an IO thread drains every readable
 // connection first, decoding all complete frames, answering cheap
@@ -83,12 +82,12 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "serving/ingest.h"
-#include "serving/shard_router.h"
+#include "serving/monitor_service.h"
 #include "serving/wire.h"
 
 namespace rpe {
 
-/// \brief Epoll event-loop TCP server over a ShardedMonitorService.
+/// \brief Epoll event-loop TCP server over a MonitorService.
 /// Start/Stop are not thread-safe against each other; everything the IO
 /// threads do internally is.
 class TcpServer {
@@ -97,8 +96,8 @@ class TcpServer {
     /// TCP port to bind (loopback); 0 picks an ephemeral port — read it
     /// back with port() after Start().
     uint16_t port = 0;
-    /// IO threads (event loops); 0 = one per monitor shard.
-    size_t io_threads = 0;
+    /// IO threads (event loops); must be >= 1.
+    size_t io_threads = 1;
     /// Per-connection write-buffer cap; beyond it the connection's reads
     /// pause until the buffer drains below half (backpressure).
     size_t max_write_buffer = 1 << 20;
@@ -132,11 +131,11 @@ class TcpServer {
   /// `service` and the runs behind `runs` must outlive the server. `runs`
   /// is the replay corpus OpenRequest.run_index indexes into (modulo).
   /// Without an ingest queue, ingest frames are answered NotImplemented.
-  TcpServer(ShardedMonitorService* service,
+  TcpServer(MonitorService* service,
             std::vector<const QueryRunResult*> runs, Options options);
   /// `ingest` (may be null) must outlive the server; it is the wire →
   /// TrainerLoop edge for kIngestRecord / kIngestBatch frames.
-  TcpServer(ShardedMonitorService* service,
+  TcpServer(MonitorService* service,
             std::vector<const QueryRunResult*> runs,
             RecordIngestQueue* ingest, Options options);
   ~TcpServer();
@@ -218,7 +217,7 @@ class TcpServer {
                      std::vector<PipelineRecord> records);
   bool UpdateEpoll(IoThread* io, Connection* conn);
 
-  ShardedMonitorService* const service_;
+  MonitorService* const service_;
   const std::vector<const QueryRunResult*> runs_;
   RecordIngestQueue* const ingest_;  ///< may be null (replay-only server)
   const Options options_;

@@ -1,130 +1,105 @@
-// ShardedMonitorService: the scale-out front of the serving tier. One
-// mutex-guarded session map is fine for hundreds of concurrent queries;
-// at tens of thousands of open sessions every OpenSession/Advance/Close
-// serializes on the same two locks. The router hash-partitions sessions
-// across N fully independent MonitorService shards — each with its own
-// session map and locks — so unrelated sessions never contend and the
-// data-path cost of routing is two arithmetic ops on the session id.
+// ShardedMonitorService: the id-keyed session API over one MonitorService,
+// for in-process callers that share sessions across threads (tests, the
+// chaos drill, bench_micro, perfbench's layer timings). The TCP
+// front-end does not use it: a connection owns its sessions by value.
 //
-// Routing: OpenSession picks a shard by hashing a monotone open ticket
-// (splitmix64 — uniform spread without coordination) and returns a global
-// id that encodes the shard: global = local * num_shards + shard. Every
-// later call derives the shard from the id alone; there is no central
-// session table.
+// One MonitorService holds the model snapshot, its generation and the
+// counters; the router adds only the id map, hash-partitioned into N
+// independently locked partitions so unrelated sessions rarely contend.
+// A partition's lock covers its map and every step of its sessions, so
+// calls on one partition serialize; a step is a few table reads, and the
+// partition count spreads callers over as many locks.
 //
-// Publish: SwapModels fans out to every shard under one router lock, so a
-// publish is observed by all shards as one generation step — after any
-// SwapModels returns, every shard reports the same generation. The
-// rpe_model_generation gauge is set once per fan-out, under the same
-// lock, after every shard has stepped. The router is the TrainerLoop's
-// ModelPublisher, so the online-learning loop drives all shards with one
-// call.
+// Routing: OpenSession picks a partition by hashing a monotone open
+// ticket (splitmix64 — uniform spread without coordination) and returns a
+// global id that encodes the partition: global = local * num_shards +
+// partition. Every later call derives the partition from the id alone;
+// there is no central session table.
 //
-// Determinism: shards only partition sessions; each session's replay is
+// Publish: monitor().SwapModels is the only publish path; every session
+// decides at open against the snapshot current then, whatever its
+// partition.
+//
+// Determinism: partitions only hold sessions; each session's replay is
 // the same deterministic observation walk MonitorService performs, so a
-// sharded replay is bit-identical to an unsharded one at any shard count
-// and any thread count.
-//
-// Metrics: every shard accrues into the router's registry, so each
-// counter is one cell shared by all shards (exact sums by construction)
-// and the replay-latency histogram pools every session. The router adds
-// one scrape-time collector for the values derived only when scraped:
-// rpe_shards, p50/p95 replay latency and the decisions-per-second rate.
-//
-// The TCP front-end (serving/server.h) routes nothing through the id
-// API: each connection owns its sessions as MonitorService::Session
-// values and opens them on its IO thread's shard with
-// shard(i).Open, so a wire step takes no router or shard lock.
+// routed replay is bit-identical at any partition and thread count.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "serving/monitor_service.h"
 
 namespace rpe {
 
-/// \brief Hash-partitioned MonitorService pool behind one service
-/// interface. All public methods are thread-safe.
-class ShardedMonitorService : public ModelPublisher {
+/// \brief Id-keyed sessions over one MonitorService. All public methods
+/// are thread-safe.
+class ShardedMonitorService {
  public:
   struct Options {
-    /// Number of independent shards; must be >= 1. Powers of two give the
-    /// cheapest routing but any count works.
+    /// Number of id-map partitions; must be >= 1. Any count works.
     size_t num_shards = 4;
-    /// Registry every shard's counters live in (see file comment).
-    /// nullptr = a router-private registry, for test isolation.
+    /// Registry the service's counters live in. nullptr = a
+    /// router-private registry, for test isolation.
     obs::MetricsRegistry* metrics = nullptr;
   };
 
-  using SessionId = MonitorService::SessionId;
+  using SessionId = uint64_t;
 
   ShardedMonitorService(std::shared_ptr<const SelectorStack> models,
                         Options options);
-  ~ShardedMonitorService();  ///< removes the scrape-time collector
 
-  /// The registry's collector holds `this`.
-  ShardedMonitorService(const ShardedMonitorService&) = delete;
-  ShardedMonitorService& operator=(const ShardedMonitorService&) = delete;
+  size_t num_shards() const { return partitions_.size(); }
 
-  size_t num_shards() const { return shards_.size(); }
+  /// The one service every session opens on; publish through it.
+  MonitorService& monitor() { return monitor_; }
 
-  /// Fan the publish out to every shard in one generation step (see file
-  /// comment). Returns the new generation, identical on every shard.
-  uint64_t SwapModels(std::shared_ptr<const SelectorStack> models) override;
-  /// Generation every shard has observed ("published everywhere"): the
-  /// rpe_model_generation gauge, written once each fan-out completes.
-  uint64_t model_generation() const;
-
-  /// Session API, routed by id; semantics identical to MonitorService.
+  /// Open a session (MonitorService::Open) in a hashed partition under a
+  /// new id, nonzero and never reused by this router.
   Result<SessionId> OpenSession(const QueryRunResult* run);
-  /// Open on an explicit shard instead of the hashed ticket, for callers
-  /// that pin their sessions to shards themselves. The returned id routes
+  /// Open in an explicit partition instead of the hashed ticket, for
+  /// callers that pin their sessions themselves. The returned id routes
   /// through the normal Advance/Progress/Close calls.
   Result<SessionId> OpenSessionOnShard(const QueryRunResult* run,
                                        size_t shard);
+  /// Step the session `id` (MonitorService::Step) under its partition
+  /// lock, and accrue rpe_observations_scored_total by the steps taken.
   Result<double> Advance(SessionId id, uint32_t max_steps, uint32_t* taken,
                          bool* done);
+  /// Advance by one observation: Advance(id, 1, nullptr, done).
   Result<double> Advance(SessionId id, bool* done = nullptr);
+  /// Last reported progress (0 before the first Advance); `done`, when
+  /// non-null, receives whether every observation of the session's run
+  /// has been stepped.
   Result<double> Progress(SessionId id, bool* done = nullptr) const;
+  /// Remove the session `id` and Close it.
   Status CloseSession(SessionId id);
-  size_t num_open_sessions() const;  ///< sum over shards
+  size_t num_open_sessions() const;  ///< sum over partitions
 
-  /// The registry every shard's counters live in (Options::metrics, or
+  /// The registry the service's counters live in (Options::metrics, or
   /// the router-private one).
-  obs::MetricsRegistry& metrics() const { return *metrics_; }
-
-  /// Direct shard access: the TCP front-end opens and closes its
-  /// connection-owned sessions through it (MonitorService::Open/Close).
-  /// Shards are owned; do not swap models through a shard directly or the
-  /// one-step generation invariant breaks.
-  MonitorService& shard(size_t i) { return *shards_[i]; }
+  obs::MetricsRegistry& metrics() const { return monitor_.metrics(); }
 
  private:
-  size_t ShardOf(SessionId id) const { return id % shards_.size(); }
-  SessionId LocalId(SessionId id) const { return id / shards_.size(); }
-  /// The scrape-time samples (see file comment).
-  void AppendDerivedSamples(std::vector<obs::Sample>* out) const;
+  /// One lock-guarded slice of the id map.
+  struct Partition {
+    mutable std::mutex mu;
+    SessionId next_local = 1;  ///< guarded by mu
+    std::unordered_map<SessionId, MonitorService::Session> sessions;
+  };
 
-  std::unique_ptr<obs::MetricsRegistry> own_metrics_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::vector<std::unique_ptr<MonitorService>> shards_;
-  obs::Gauge* generation_ = nullptr;  ///< set under swap_mu_
-  /// The shards' shared cells the collector derives its samples from.
-  obs::Counter* decisions_ = nullptr;
-  obs::Counter* scoring_ns_ = nullptr;
-  obs::Histogram* replay_latency_ = nullptr;
-  int collector_id_ = 0;
+  size_t PartitionOf(SessionId id) const { return id % partitions_.size(); }
+  SessionId LocalId(SessionId id) const { return id / partitions_.size(); }
 
-  /// Monotone open ticket; hashed to pick the shard of a new session.
+  MonitorService monitor_;
+  obs::Counter* observations_scored_ = nullptr;
+  std::vector<Partition> partitions_;
+
+  /// Monotone open ticket; hashed to pick the partition of a new session.
   std::atomic<uint64_t> open_ticket_{0};
-
-  /// Serializes SwapModels fan-outs so a publish lands on every shard as
-  /// one step and generations advance in lockstep.
-  std::mutex swap_mu_;
 };
 
 }  // namespace rpe

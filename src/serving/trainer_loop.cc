@@ -22,7 +22,7 @@ std::chrono::milliseconds BackoffDelay(std::chrono::milliseconds base,
 }
 }  // namespace
 
-TrainerLoop::TrainerLoop(RecordIngestQueue* queue, ModelPublisher* service,
+TrainerLoop::TrainerLoop(RecordIngestQueue* queue, MonitorService* service,
                          Options options)
     : queue_(queue), service_(service), options_(std::move(options)) {
   RPE_CHECK(queue_ != nullptr);
@@ -142,7 +142,7 @@ void TrainerLoop::MaybeRetrainLocked() {
   if (consecutive_failures_ > 0 && Clock::now() < quarantine_until_) return;
 
   const auto start = Clock::now();
-  // Spans the whole retrain → snapshot → publish cycle; the publish leg
+  // Spans the whole retrain → publish → snapshot cycle; the publish leg
   // below gets its own child span so a swap is attributable in a trace
   // dump even when the training step dominates.
   obs::TraceSpan retrain_span("trainer.retrain",
@@ -158,28 +158,9 @@ void TrainerLoop::MaybeRetrainLocked() {
   auto stack = std::make_shared<const SelectorStack>(
       SelectorStack::Train(snapshot, options_.pool, options_.params));
 
-  if (!options_.snapshot_path.empty()) {
-    Status saved;
-    for (size_t attempt = 0;; ++attempt) {
-      saved = SaveSelectorStack(*stack, options_.snapshot_path);
-      if (saved.ok() || attempt >= options_.snapshot_write_retries) break;
-      snapshot_write_retries_->Inc();
-      std::this_thread::sleep_for(
-          BackoffDelay(options_.retry_backoff, attempt));
-    }
-    if (!saved.ok()) {
-      // Exhausted: losing the on-disk copy is survivable, losing the
-      // publish is not — the fresh models still go out.
-      RPE_LOG_WARN << "trainer_loop: snapshot write failed after "
-                   << options_.snapshot_write_retries
-                   << " retries: " << saved.ToString();
-      snapshot_write_failures_->Inc();
-    }
-  }
-
   // "trainer.publish" stands in for a publish edge that cannot accept the
-  // swap (a shard wedged mid-restart, a torn fan-out). Bounded retries,
-  // then the stack is dropped and the loop quarantines.
+  // swap (a service wedged mid-restart). Bounded retries, then the stack
+  // is dropped and the loop quarantines.
   uint64_t generation = 0;
   bool published = false;
   {
@@ -201,6 +182,26 @@ void TrainerLoop::MaybeRetrainLocked() {
     publish_failures_->Inc();
     FailCycleLocked("publish failed");
     return;
+  }
+  // Persist only what was published: a dropped stack never reaches disk,
+  // so a restart from the file serves a generation that once served.
+  if (!options_.snapshot_path.empty()) {
+    Status saved;
+    for (size_t attempt = 0;; ++attempt) {
+      saved = SaveSelectorStack(*stack, options_.snapshot_path);
+      if (saved.ok() || attempt >= options_.snapshot_write_retries) break;
+      snapshot_write_retries_->Inc();
+      std::this_thread::sleep_for(
+          BackoffDelay(options_.retry_backoff, attempt));
+    }
+    if (!saved.ok()) {
+      // Exhausted: losing the on-disk copy is survivable; the fresh
+      // models already serve.
+      RPE_LOG_WARN << "trainer_loop: snapshot write failed after "
+                   << options_.snapshot_write_retries
+                   << " retries: " << saved.ToString();
+      snapshot_write_failures_->Inc();
+    }
   }
 
   new_since_retrain_ = 0;

@@ -2,8 +2,9 @@
 // background thread drains record batches from a RecordIngestQueue, folds
 // them into a bounded sliding training corpus (oldest records age out),
 // and when the retrain thresholds trip it retrains the full SelectorStack
-// on the ThreadPool, optionally writes an .rpsn snapshot, and publishes
-// the new stack through MonitorService::SwapModels. In-flight sessions
+// on the ThreadPool, publishes the new stack through
+// MonitorService::SwapModels, and then optionally writes it as an .rpsn
+// snapshot, so only a published stack reaches disk. In-flight sessions
 // keep the decisions they made at open; only new sessions see the fresh
 // models — the loop never stops traffic.
 //
@@ -15,8 +16,8 @@
 //
 // Failure semantics (see docs/ROBUSTNESS.md): the loop degrades, it never
 // stops serving. A failed snapshot write is retried with bounded
-// exponential backoff and, when exhausted, counted — the publish still
-// goes out. A failed retrain or publish quarantines the loop (exponential
+// exponential backoff and, when exhausted, counted — the publish went
+// out first. A failed retrain or publish quarantines the loop (exponential
 // deferral of the next attempt) while sessions keep scoring on the last
 // published generation; the pending-record counters stay set, so the next
 // cycle out of quarantine retries, and a success is counted as a
@@ -76,10 +77,11 @@ class TrainerLoop {
     std::vector<size_t> pool;
     /// MART training parameters (params.pool selects the worker pool).
     MartParams params;
-    /// When non-empty, every retrained stack is also written here as a
-    /// binary .rpsn snapshot. A failed write is retried up to
+    /// When non-empty, every published stack is also written here as a
+    /// binary .rpsn snapshot, after the publish; a stack whose publish
+    /// failed is never written. A failed write is retried up to
     /// `snapshot_write_retries` times with exponential backoff; exhausting
-    /// the retries is counted but never blocks the publish.
+    /// the retries is counted and the published stack keeps serving.
     std::string snapshot_path;
     /// Retry attempts after a failed snapshot write (0 = no retries).
     size_t snapshot_write_retries = 3;
@@ -100,12 +102,9 @@ class TrainerLoop {
     obs::MetricsRegistry* metrics = nullptr;
   };
 
-  /// `queue` and `service` must outlive the loop. `service` is any
-  /// publish target — a single MonitorService or the sharded router
-  /// (serving/shard_router.h), which fans a publish out to every shard in
-  /// one generation step. Nothing is trained or published until records
-  /// arrive and thresholds trip.
-  TrainerLoop(RecordIngestQueue* queue, ModelPublisher* service,
+  /// `queue` and `service` must outlive the loop. Nothing is trained or
+  /// published until records arrive and thresholds trip.
+  TrainerLoop(RecordIngestQueue* queue, MonitorService* service,
               Options options);
   ~TrainerLoop();  ///< calls Stop()
 
@@ -150,7 +149,7 @@ class TrainerLoop {
   void FailCycleLocked(const char* what);
 
   RecordIngestQueue* const queue_;
-  ModelPublisher* const service_;
+  MonitorService* const service_;
   const Options options_;
 
   /// Serializes consumer steps (background thread vs. RunOnce callers).
@@ -172,7 +171,7 @@ class TrainerLoop {
   obs::Counter* retrain_failures_ = nullptr;
   /// Successful cycles that ended a failure streak.
   obs::Counter* retrain_recoveries_ = nullptr;
-  /// Snapshot writes that failed after every retry (publish proceeded).
+  /// Snapshot writes that failed after every retry (the publish stood).
   obs::Counter* snapshot_write_failures_ = nullptr;
   obs::Counter* snapshot_write_retries_ = nullptr;  ///< beyond each first try
   /// Publishes abandoned after every retry (previous generation serves).

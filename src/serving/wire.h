@@ -185,7 +185,7 @@ struct IngestResponse {
 /// the wire, plus the front-end's own IO counters. Field order is wire
 /// format — append, never reorder.
 struct WireStats {
-  // ShardedMonitorService counters (exact sums across shards).
+  // MonitorService counters.
   uint64_t sessions_opened = 0;
   uint64_t sessions_completed = 0;
   uint64_t decisions = 0;

@@ -145,7 +145,7 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
     return p;
   }();
   trainer_options.metrics = &metrics;
-  TrainerLoop trainer(&queue, &service, trainer_options);
+  TrainerLoop trainer(&queue, &service.monitor(), trainer_options);
   trainer.Start();
 
   // Worker threads interleave session traffic, record pushes, and swap
@@ -217,7 +217,8 @@ TEST_F(ChaosTest, SeededFaultStormLeavesTheTierConsistent) {
   EXPECT_EQ(metrics.GetGauge("rpe_ingest_queue_depth")->Value(), 0);
   EXPECT_EQ(opened.load(), closed.load());
   EXPECT_EQ(service.num_open_sessions(), 0u);
-  EXPECT_EQ(service.model_generation(), trainer.last_swap_generation());
+  EXPECT_EQ(service.monitor().model_generation(),
+            trainer.last_swap_generation());
   EXPECT_EQ(CounterValue(metrics, "rpe_retrain_failures_total"),
             FailPoints::Trips("trainer.retrain") +
                 CounterValue(metrics, "rpe_publish_failures_total"));

@@ -348,6 +348,39 @@ TEST(TrainerLoopFaultTest, PublishRetriesThenDropsStackAndHealsLater) {
   EXPECT_EQ(service.model_generation(), 1u);
 }
 
+TEST(TrainerLoopFaultTest, FailedPublishWritesNoSnapshot) {
+  const std::string path = TempPath("rpe_fp_snapshot_unpublished.rpsn");
+  std::remove(path.c_str());
+  MonitorService service(FpTinyStack());
+  RecordIngestQueue queue(256);
+  obs::MetricsRegistry metrics;
+  TrainerLoop::Options options = FpTrainerOptions();
+  options.snapshot_path = path;
+  options.publish_retries = 1;
+  options.metrics = &metrics;
+  TrainerLoop trainer(&queue, &service, options);
+
+  {
+    // The dropped stack never reaches disk: a restart from the file must
+    // not serve models that never served.
+    const ScopedFailPoint fp("trainer.publish", FailPointSpec::Always());
+    PushThresholdBatch(&queue, 0);
+    trainer.RunOnce();
+    EXPECT_EQ(CounterValue(metrics, "rpe_publish_failures_total"), 1u);
+    EXPECT_EQ(service.model_generation(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+
+  // Healed: the file holds exactly the stack that was published.
+  trainer.RunOnce();
+  EXPECT_EQ(service.model_generation(), 1u);
+  auto on_disk = ReadSnapshotFile(path);
+  ASSERT_TRUE(on_disk.ok()) << on_disk.status().ToString();
+  EXPECT_EQ(*on_disk, EncodeSelectorStack(*service.models()));
+  EXPECT_EQ(CounterValue(metrics, "rpe_snapshot_write_failures_total"), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(TrainerLoopFaultTest, PublishRetryBeforeExhaustionSucceeds) {
   MonitorService service(FpTinyStack());
   RecordIngestQueue queue(256);

@@ -32,8 +32,13 @@ std::string TempPath(const std::string& name) {
          std::to_string(::getpid()) + "_" + name;
 }
 
+/// Writes `bytes` to a fresh file at `path`. Unlinking first matters: on
+/// ext4, closing a file that was truncated and rewritten flushes it to
+/// disk (tens of ms for a 1.5 MB snapshot), while a new file's close does
+/// not.
 void WriteBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::remove(path.c_str());
+  std::ofstream out(path, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
 }

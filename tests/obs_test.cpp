@@ -34,8 +34,8 @@
 #include "obs/trace.h"
 #include "serving/ingest.h"
 #include "serving/metrics_export.h"
+#include "serving/monitor_service.h"
 #include "serving/server.h"
-#include "serving/shard_router.h"
 #include "serving/wire.h"
 #include "tests/test_util.h"
 
@@ -520,12 +520,10 @@ std::shared_ptr<const SelectorStack> ObsScrapeTest::stack_;
 TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
   // One registry for service, queue and server, as rpe_cli wires it.
   obs::MetricsRegistry metrics;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  service_options.metrics = &metrics;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_, MonitorService::Options{&metrics});
   RecordIngestQueue queue(/*capacity=*/4, &metrics);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   server_options.metrics = &metrics;
   server_options.metrics_port = 0;  // ephemeral HTTP /metrics listener
   TcpServer server(&service, {run_}, &queue, server_options);
@@ -685,9 +683,7 @@ TEST_F(ObsScrapeTest, MetricsDumpAndHttpScrapeReconcileExactly) {
 TEST_F(ObsScrapeTest, AdvanceRootSpanCarriesItsStepCountInTheChromeTrace) {
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Enable(/*capacity=*/256);
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 1;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   TcpServer server(&service, {run_}, TcpServer::Options{});
   ASSERT_TRUE(server.Start().ok());
   ScrapeClient client;
@@ -722,9 +718,7 @@ TEST_F(ObsScrapeTest, AdvanceRootSpanCarriesItsStepCountInTheChromeTrace) {
 }
 
 TEST_F(ObsScrapeTest, ServersWithoutSharedRegistryStayIsolated) {
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 1;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   // Two servers, no shared registry: each registers its counters in a
   // private one, so per-server assertions cannot bleed across tests.
   TcpServer a(&service, {run_}, TcpServer::Options{});

@@ -32,8 +32,8 @@
 
 #include "common/failpoint.h"
 #include "exec/executor.h"
+#include "serving/monitor_service.h"
 #include "serving/server.h"
-#include "serving/shard_router.h"
 #include "serving/trainer_loop.h"
 #include "serving/wire.h"
 #include "tests/test_util.h"
@@ -214,10 +214,7 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   // One registry for the whole tier, as rpe_cli wires it: kStats reads
   // the service, queue and trainer cells through it.
   obs::MetricsRegistry metrics;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  service_options.metrics = &metrics;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_, MonitorService::Options{&metrics});
   RecordIngestQueue queue(256, &metrics);
   TrainerLoop::Options trainer_options = FastTrainerOptions();
   trainer_options.metrics = &metrics;
@@ -226,6 +223,7 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
   trainer.Start();
 
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   server_options.metrics = &metrics;
   TcpServer server(&service, RunPtrs(), &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -317,13 +315,12 @@ TEST_F(ServerOnlineTest, IngestOverTheWireRetrainsAndKeepsPinnedSessions) {
 }
 
 TEST_F(ServerOnlineTest, WatermarkShedsAreBusyWholeFrameAndExact) {
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   // No trainer: the queue only moves when the test drains it, so every
   // admission decision below is deterministic.
   RecordIngestQueue queue(32);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   server_options.ingest_shed_watermark = 8;
   TcpServer server(&service, RunPtrs(), &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -373,11 +370,10 @@ TEST_F(ServerOnlineTest, WatermarkShedsAreBusyWholeFrameAndExact) {
 }
 
 TEST_F(ServerOnlineTest, InflightBudgetShedsPipelinedFramesInFifoOrder) {
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   RecordIngestQueue queue(4096);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   server_options.max_inflight_per_conn = 2;
   TcpServer server(&service, RunPtrs(), &queue, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -432,9 +428,7 @@ TEST_F(ServerOnlineTest, InflightBudgetShedsPipelinedFramesInFifoOrder) {
 
 TEST_F(ServerOnlineTest,
        GlobalInflightBudgetShedsExactlyAndRefundsOnDisconnect) {
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   // One IO thread makes the global count exact; the per-connection cap
   // never binds, so every busy answer below is the global budget's.
   constexpr size_t kBudget = 4;
@@ -558,11 +552,10 @@ TEST_F(ServerOnlineTest,
 }
 
 TEST_F(ServerOnlineTest, AbruptDisconnectLeavesNoPartialRecords) {
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_);
   RecordIngestQueue queue(256);
-  TcpServer server(&service, RunPtrs(), &queue, TcpServer::Options{});
+  TcpServer server(&service, RunPtrs(), &queue,
+                   TcpServer::Options{.io_threads = 2});
   ASSERT_TRUE(server.Start().ok());
   FailPoints::Observe("server.ingest");
 
@@ -634,10 +627,7 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
   FailPoints::Observe("server.shed");
 
   obs::MetricsRegistry metrics;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = 2;
-  service_options.metrics = &metrics;
-  ShardedMonitorService service(stack_, service_options);
+  MonitorService service(stack_, MonitorService::Options{&metrics});
   RecordIngestQueue queue(128, &metrics);
   TrainerLoop::Options trainer_options = FastTrainerOptions();
   trainer_options.retrain_min_records = 48;
@@ -646,6 +636,7 @@ TEST_F(ServerOnlineTest, SeededIngestStormReconcilesEveryCounterExactly) {
   trainer.Start();
 
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   server_options.max_inflight_per_conn = 4;
   server_options.ingest_shed_watermark = 64;
   server_options.metrics = &metrics;

@@ -1,14 +1,16 @@
-// ShardedMonitorService tests: sessions stepped through Open/Advance/Close
-// must be bit-identical to the sequential ProgressMonitor at any
-// shard/caller-thread count (50k-session stress), counter aggregation
-// must be exact sums, routing must keep per-session semantics intact, and
-// a SwapModels publish must land on every shard as one generation step
-// even while sessions open concurrently. Advance reports the done flag from its own lookup, and
-// the lock-free observation counter stays exact under concurrent steps.
+// MonitorService and ShardedMonitorService tests: sessions stepped through
+// the router's id-keyed Open/Advance/Close, or through MonitorService's
+// Open/Step/Close values, must be bit-identical to the sequential
+// ProgressMonitor at any partition/caller-thread count (50k-session
+// stress), counters must be exact, routing must keep per-session
+// semantics intact, and the published generation never steps back while
+// sessions open concurrently. Advance reports the done flag from its own
+// lookup, and the observation counter stays exact under concurrent steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <thread>
 
@@ -28,6 +30,7 @@ using ::rpe::testing::MakeSmallCatalog;
 using ::rpe::testing::RandomRecords;
 using ::rpe::testing::ReadSessionCounts;
 using ::rpe::testing::SampleValue;
+using ::rpe::testing::SessionCounts;
 
 SelectorStack TrainSmallStack(const std::vector<PipelineRecord>& records,
                               uint64_t seed) {
@@ -123,10 +126,10 @@ std::vector<std::unique_ptr<PhysicalPlan>>*
 std::shared_ptr<const SelectorStack> ShardedMonitorServiceTest::stack_;
 
 TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
-  // The acceptance bar: 50k sessions stepped through the sharded tier by
-  // four caller threads must serve exactly the sequential monitor's
-  // values on one shard and on sixteen, and the aggregated counters must
-  // be exact.
+  // The acceptance bar: 50k sessions stepped through the router by four
+  // caller threads must serve exactly the sequential monitor's values
+  // with one id-map partition and with sixteen, and the counters must be
+  // exact.
   const size_t kSessions = 50000;
   const auto session_runs = SessionRuns(kSessions);
   const auto reference = ReferencePerRun();
@@ -138,12 +141,9 @@ TEST_F(ShardedMonitorServiceTest, StressReplay50kBitIdenticalToUnsharded) {
     EXPECT_EQ(DriveSessions(service, session_runs, Cycling(reference), 4),
               0u)
         << shards << " shards";
-    // Every shard accrues into the router's registry: one cell per
-    // counter.
     obs::MetricsRegistry& m = service.metrics();
     EXPECT_EQ(ReadSessionCounts(m), want) << shards << " shards";
     EXPECT_EQ(service.num_open_sessions(), 0u);
-    EXPECT_EQ(SampleValue(m, "rpe_shards"), static_cast<double>(shards));
     EXPECT_EQ(SampleValue(m, "rpe_model_generation"), 0.0);
     EXPECT_GE(SampleValue(m, "rpe_replay_latency_p95_ms"),
               SampleValue(m, "rpe_replay_latency_p50_ms"));
@@ -371,8 +371,8 @@ TEST_F(ShardedMonitorServiceTest, ConcurrentAdvanceCountsEveryStepExactly) {
   EXPECT_EQ(CounterValue(m, "rpe_observations_scored_total"), total);
   EXPECT_EQ(CounterValue(m, "rpe_sessions_completed_total"),
             kThreads * kSessionsPerThread);
-  // One latency sample per completed session, pooled across shards in
-  // the one histogram; the quantiles derive from that histogram.
+  // One latency sample per completed session, pooled across partitions
+  // in the one histogram; the quantiles derive from that histogram.
   const obs::Histogram::Snapshot latency =
       m.GetHistogram("rpe_replay_latency_seconds")->Snap();
   EXPECT_EQ(latency.count, kThreads * kSessionsPerThread);
@@ -388,10 +388,11 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   ShardedMonitorService::Options options;
   options.num_shards = 8;
   ShardedMonitorService service(stack_, options);
+  MonitorService& monitor = service.monitor();
 
-  // Openers hammer every shard while swaps land; a reader asserts that
-  // the generation gauge never runs ahead of any shard (it is written
-  // once per fan-out, after every shard stepped) and never goes back.
+  // Openers hammer every partition while swaps land; a reader asserts
+  // that the generation gauge never runs ahead of the published snapshot
+  // and never goes back.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> opened{0};
   std::thread opener([&] {
@@ -408,19 +409,16 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
     while (!stop.load()) {
       const int64_t published = gauge->Value();
       ASSERT_GE(published, last);
-      for (size_t sh = 0; sh < service.num_shards(); ++sh) {
-        ASSERT_GE(service.shard(sh).model_generation(),
-                  static_cast<uint64_t>(published));
-      }
+      ASSERT_GE(monitor.model_generation(),
+                static_cast<uint64_t>(published));
       last = published;
     }
   });
 
   const uint64_t kSwaps = 200;
   for (uint64_t g = 1; g <= kSwaps; ++g) {
-    const uint64_t generation =
-        service.SwapModels(g % 2 == 0 ? stack_ : other);
-    ASSERT_EQ(generation, g);  // lockstep across all shards
+    const uint64_t generation = monitor.SwapModels(g % 2 == 0 ? stack_ : other);
+    ASSERT_EQ(generation, g);  // one step per publish
   }
   // On a single-core box the swap loop can finish before the opener is
   // ever scheduled; let it observe the post-swap world at least once.
@@ -429,12 +427,8 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
   opener.join();
   reader.join();
 
-  // After the last swap returns, every shard reports the same generation.
-  for (size_t sh = 0; sh < service.num_shards(); ++sh) {
-    EXPECT_EQ(service.shard(sh).model_generation(), kSwaps);
-  }
   EXPECT_EQ(gauge->Value(), static_cast<int64_t>(kSwaps));
-  EXPECT_EQ(service.model_generation(), kSwaps);
+  EXPECT_EQ(monitor.model_generation(), kSwaps);
   EXPECT_GT(opened.load(), 0u);
 
   // Sessions opened after the swaps decide against the final snapshot
@@ -447,6 +441,191 @@ TEST_F(ShardedMonitorServiceTest, SwapLandsOnAllShardsInOneGenerationStep) {
         0u)
         << threads << " threads";
   }
+}
+
+// ---------------------------------------------------------------------------
+// MonitorService: sessions by id (through the router) and by value.
+
+class MonitorServiceTest : public ShardedMonitorServiceTest {};
+
+TEST_F(MonitorServiceTest, ConcurrentReplayIsBitIdenticalAtAnyThreadCount) {
+  const auto session_runs = SessionRuns(64);
+  const auto reference = ReferencePerRun();
+  const auto want = ExpectedSessionCounts(Monitor(), session_runs);
+  EXPECT_GT(want.decisions, 0u);
+
+  for (int threads : {1, 4}) {
+    ShardedMonitorService service(stack_, {.num_shards = 1});
+    EXPECT_EQ(
+        DriveSessions(service, session_runs, Cycling(reference), threads),
+        0u)
+        << threads << " threads";
+    obs::MetricsRegistry& m = service.metrics();
+    EXPECT_EQ(ReadSessionCounts(m), want) << threads << " threads";
+    const obs::Histogram::Snapshot latency =
+        m.GetHistogram("rpe_replay_latency_seconds")->Snap();
+    EXPECT_GE(latency.Quantile(0.95), latency.Quantile(0.50));
+  }
+}
+
+TEST_F(MonitorServiceTest, SessionAdvanceMatchesSequentialReplay) {
+  ShardedMonitorService service(stack_, {.num_shards = 1});
+  const QueryRunResult& run = (*runs_)[1];
+  const auto expected = Monitor().ReplayQueryProgress(run);
+
+  auto id = service.OpenSession(&run);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(service.num_open_sessions(), 1u);
+  bool done = true;
+  for (size_t oi = 0; oi < expected.size(); ++oi) {
+    ASSERT_TRUE(service.Progress(*id, &done).ok());
+    EXPECT_FALSE(done);
+    auto progress = service.Advance(*id);
+    ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+    EXPECT_EQ(*progress, expected[oi]) << "observation " << oi;
+    EXPECT_EQ(*service.Progress(*id), expected[oi]);
+  }
+  ASSERT_TRUE(service.Progress(*id, &done).ok());
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(service.Advance(*id).ok());  // stream exhausted
+  ASSERT_TRUE(service.CloseSession(*id).ok());
+  EXPECT_EQ(service.num_open_sessions(), 0u);
+  EXPECT_FALSE(service.Progress(*id).ok());  // closed sessions are gone
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_sessions_completed_total"),
+            1u);
+  EXPECT_EQ(CounterValue(service.metrics(), "rpe_observations_scored_total"),
+            expected.size());
+}
+
+TEST_F(MonitorServiceTest, SessionValuesServeWhatTheIdApiServes) {
+  // The same runs through the router's id-keyed API and through
+  // Open/Step/Close session values on a bare MonitorService: the same
+  // series bit for bit and the same counter deltas. Step accrues no
+  // counter, so the value path accrues rpe_observations_scored_total
+  // itself, as its owner (the TCP front-end) does. The last session of
+  // each side is closed half way, uncompleted.
+  const auto session_runs = SessionRuns(6);
+  const size_t unfinished = session_runs.size() - 1;
+  const auto steps_of = [&](size_t s) {
+    const size_t total = session_runs[s]->observations.size();
+    return s == unfinished ? total / 2 : total;
+  };
+
+  ShardedMonitorService by_id(stack_, {.num_shards = 1});
+  std::vector<std::vector<uint64_t>> id_series;
+  for (size_t s = 0; s < session_runs.size(); ++s) {
+    auto id = by_id.OpenSession(session_runs[s]);
+    ASSERT_TRUE(id.ok());
+    std::vector<uint64_t>& series = id_series.emplace_back();
+    while (series.size() < steps_of(s)) {
+      auto progress = by_id.Advance(*id);
+      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+      series.push_back(std::bit_cast<uint64_t>(*progress));
+    }
+    EXPECT_EQ(by_id.Advance(*id).ok(), s == unfinished);
+    ASSERT_TRUE(by_id.CloseSession(*id).ok());
+  }
+
+  // Open every value session first, step them in two turns, and move
+  // each into a new vector between the turns.
+  MonitorService by_value(stack_);
+  obs::Counter* value_observations =
+      by_value.metrics().GetCounter("rpe_observations_scored_total");
+  std::vector<MonitorService::Session> sessions;
+  for (const QueryRunResult* run : session_runs) {
+    auto session = by_value.Open(run);
+    ASSERT_TRUE(session.ok());
+    EXPECT_EQ(session->last_progress, 0.0);
+    sessions.push_back(std::move(*session));
+  }
+  std::vector<std::vector<uint64_t>> value_series(sessions.size());
+  const auto step_until = [&](size_t s, size_t end) {
+    while (value_series[s].size() < end) {
+      uint32_t taken = 0;
+      bool done = false;
+      auto progress = MonitorService::Step(&sessions[s], 1, &taken, &done);
+      ASSERT_TRUE(progress.ok()) << progress.status().ToString();
+      ASSERT_EQ(taken, 1u);
+      value_observations->Inc(taken);
+      value_series[s].push_back(std::bit_cast<uint64_t>(*progress));
+      EXPECT_EQ(sessions[s].last_progress, *progress);
+      EXPECT_EQ(done, value_series[s].size() ==
+                          session_runs[s]->observations.size());
+      EXPECT_EQ(sessions[s].done(), done);
+    }
+  };
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    step_until(s, steps_of(s) / 2);
+  }
+  std::vector<MonitorService::Session> moved;
+  for (MonitorService::Session& session : sessions) {
+    moved.push_back(std::move(session));
+  }
+  sessions.swap(moved);
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    step_until(s, steps_of(s));
+    EXPECT_EQ(value_series[s], id_series[s]) << "session " << s;
+    uint32_t taken = 7;
+    EXPECT_EQ(MonitorService::Step(&sessions[s], 1, &taken, nullptr).ok(),
+              s == unfinished);
+    if (s == unfinished) {
+      value_observations->Inc(taken);  // the id side's extra Advance
+    } else {
+      EXPECT_EQ(taken, 0u);
+    }
+  }
+  for (const MonitorService::Session& session : sessions) {
+    by_value.Close(session);
+  }
+
+  const SessionCounts value_counts = ReadSessionCounts(by_value.metrics());
+  EXPECT_EQ(value_counts, ReadSessionCounts(by_id.metrics()));
+  // Only completed sessions add a latency sample.
+  EXPECT_EQ(value_counts.opened, session_runs.size());
+  EXPECT_EQ(value_counts.completed, session_runs.size() - 1);
+  EXPECT_EQ(value_counts.latencies, session_runs.size() - 1);
+}
+
+TEST_F(MonitorServiceTest, SwapModelsKeepsOpenSessionsPinned) {
+  auto other = std::make_shared<const SelectorStack>(
+      TrainSmallStack(RandomRecords(80, 23), 41));
+  ShardedMonitorService service(stack_, {.num_shards = 1});
+  const QueryRunResult& run = (*runs_)[2];
+
+  auto id = service.OpenSession(&run);
+  ASSERT_TRUE(id.ok());
+  service.monitor().SwapModels(other);
+  EXPECT_EQ(service.monitor().models().get(), other.get());
+
+  // The open session still replays against the snapshot it pinned at open.
+  const auto expected = Monitor().ReplayQueryProgress(run);
+  for (size_t oi = 0; oi < expected.size(); ++oi) {
+    EXPECT_EQ(*service.Advance(*id), expected[oi]);
+  }
+  ASSERT_TRUE(service.CloseSession(*id).ok());
+
+  // New sessions decide against the swapped-in models.
+  const std::vector<const QueryRunResult*> runs(4, &run);
+  ProgressMonitor swapped(&other->static_selector, &other->dynamic_selector);
+  const auto want = swapped.ReplayQueryProgress(run);
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(DriveSessions(
+                  service, runs,
+                  [&](size_t) -> const std::vector<double>& { return want; },
+                  threads),
+              0u)
+        << threads << " threads";
+  }
+}
+
+TEST_F(MonitorServiceTest, InvalidSessionsAreErrors) {
+  MonitorService monitor(stack_);
+  EXPECT_FALSE(monitor.Open(nullptr).ok());
+  ShardedMonitorService service(stack_, {.num_shards = 1});
+  EXPECT_FALSE(service.OpenSession(nullptr).ok());
+  EXPECT_FALSE(service.Advance(99).ok());
+  EXPECT_FALSE(service.Progress(99).ok());
+  EXPECT_FALSE(service.CloseSession(99).ok());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "selection/monitor.h"
 #include "selection/record.h"
+#include "serving/shard_router.h"
 #include "storage/catalog.h"
 #include "storage/datagen.h"
 
@@ -230,8 +231,7 @@ inline double SampleValue(const obs::MetricsRegistry& registry,
   return 0.0;
 }
 
-/// The session counters a MonitorService or ShardedMonitorService
-/// accrues into its registry.
+/// The session counters a MonitorService accrues into its registry.
 struct SessionCounts {
   uint64_t opened = 0;
   uint64_t completed = 0;
@@ -277,9 +277,9 @@ inline SessionCounts ExpectedSessionCounts(
 /// turn on at the last step only, and one more Advance must report the
 /// stream exhausted. Returns the number of sessions that broke any of
 /// that (0 = all bit-identical).
-template <typename Service>
-size_t DriveSessions(
-    Service& service, std::span<const QueryRunResult* const> runs,
+inline size_t DriveSessions(
+    ShardedMonitorService& service,
+    std::span<const QueryRunResult* const> runs,
     const std::function<const std::vector<double>&(size_t)>& expected,
     int threads) {
   ThreadPool pool(threads);

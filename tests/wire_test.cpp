@@ -7,7 +7,7 @@
 // in-process MonitorService walking the same run, reconcile its counters
 // exactly, reject garbage streams without dying, and drain cleanly. The
 // Wire* suites run in the CI TSan job (the server fans out across IO
-// threads and shards).
+// threads).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -577,16 +577,15 @@ std::vector<std::unique_ptr<PhysicalPlan>>* WireLoopbackTest::plans_ =
 std::shared_ptr<const SelectorStack> WireLoopbackTest::stack_;
 
 TEST_F(WireLoopbackTest, AdvanceOverTheWireIsBitIdenticalToInProcess) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 4;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = 4;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
-  // In-process reference: one MonitorService over the same stack, stepped
-  // one observation at a time.
-  MonitorService reference(stack_);
+  // In-process reference: the id-keyed router over the same stack,
+  // stepped one observation at a time.
+  ShardedMonitorService reference(stack_, {});
 
   for (size_t r = 0; r < runs_->size(); ++r) {
     TestClient client;
@@ -646,11 +645,9 @@ TEST_F(WireLoopbackTest, BatchedAdvanceMatchesSingleStepsAndReconciles) {
   // kStats reads the service's cells through the registry it shares with
   // the server.
   obs::MetricsRegistry metrics;
-  ShardedMonitorService::Options options;
-  options.num_shards = 4;
-  options.metrics = &metrics;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_, MonitorService::Options{&metrics});
   TcpServer::Options server_options;
+  server_options.io_threads = 4;
   server_options.metrics = &metrics;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -707,10 +704,9 @@ TEST_F(WireLoopbackTest, BatchedAdvanceMatchesSingleStepsAndReconciles) {
 }
 
 TEST_F(WireLoopbackTest, ConcurrentClientsAcrossShardsStayIsolated) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 4;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = 4;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -784,10 +780,9 @@ TEST_F(WireLoopbackTest, ConcurrentClientsAcrossShardsStayIsolated) {
 }
 
 TEST_F(WireLoopbackTest, PipelinedAdvanceSplitAcrossReadsAnswersInOrder) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
-  TcpServer server(&service, RunPtrs(), TcpServer::Options{});
+  MonitorService service(stack_);
+  TcpServer server(&service, RunPtrs(),
+                   TcpServer::Options{.io_threads = 2});
   ASSERT_TRUE(server.Start().ok());
 
   ProgressMonitor sequential(&stack_->static_selector,
@@ -864,10 +859,9 @@ TEST_F(WireLoopbackTest, PipelinedAdvanceSplitAcrossReadsAnswersInOrder) {
 }
 
 TEST_F(WireLoopbackTest, PipelinedMixedFramesAnswerInRequestOrder) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
-  TcpServer server(&service, RunPtrs(), TcpServer::Options{});
+  MonitorService service(stack_);
+  TcpServer server(&service, RunPtrs(),
+                   TcpServer::Options{.io_threads = 2});
   ASSERT_TRUE(server.Start().ok());
 
   ProgressMonitor sequential(&stack_->static_selector,
@@ -957,9 +951,7 @@ TEST_F(WireLoopbackTest, PipelinedMixedFramesAnswerInRequestOrder) {
 }
 
 TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 1;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   RecordIngestQueue queue(kMaxIngestBatchRecords);
   TcpServer server(&service, RunPtrs(), &queue, TcpServer::Options{});
   ASSERT_TRUE(server.Start().ok());
@@ -1005,10 +997,9 @@ TEST_F(WireLoopbackTest, IngestBatchLargerThanOneReadArrivesWhole) {
 }
 
 TEST_F(WireLoopbackTest, GarbageStreamsAreRejectedWithoutKillingTheServer) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1047,10 +1038,9 @@ TEST_F(WireLoopbackTest, GarbageStreamsAreRejectedWithoutKillingTheServer) {
 }
 
 TEST_F(WireLoopbackTest, AbruptDisconnectClosesTheSessionsServerSide) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
   obs::MetricsRegistry& m = server.metrics_registry();
@@ -1095,10 +1085,9 @@ TEST_F(WireLoopbackTest, AbruptDisconnectClosesTheSessionsServerSide) {
 }
 
 TEST_F(WireLoopbackTest, SessionIdsAreScopedToTheirConnection) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = 2;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1156,11 +1145,83 @@ TEST_F(WireLoopbackTest, SessionIdsAreScopedToTheirConnection) {
   server.Stop();
 }
 
-TEST_F(WireLoopbackTest, StopDrainsAndStartStopIsIdempotent) {
-  ShardedMonitorService::Options options;
-  options.num_shards = 2;
-  ShardedMonitorService service(stack_, options);
+TEST_F(WireLoopbackTest, EveryIoThreadOpensAgainstThePublishedSnapshot) {
+  // The reference series of one run under the initial stack and under a
+  // replacement must differ, or the test below could pass vacuously.
+  auto other = std::make_shared<const SelectorStack>(
+      TrainSmallStack(RandomRecords(80, 23), 41));
+  const ProgressMonitor old_monitor(&stack_->static_selector,
+                                    &stack_->dynamic_selector);
+  const ProgressMonitor new_monitor(&other->static_selector,
+                                    &other->dynamic_selector);
+  uint32_t run = 0;
+  std::vector<double> old_series;
+  std::vector<double> new_series;
+  for (; run < runs_->size(); ++run) {
+    old_series = old_monitor.ReplayQueryProgress((*runs_)[run]);
+    new_series = new_monitor.ReplayQueryProgress((*runs_)[run]);
+    if (old_series.size() != new_series.size() ||
+        std::memcmp(old_series.data(), new_series.data(),
+                    old_series.size() * sizeof(double)) != 0) {
+      break;
+    }
+  }
+  ASSERT_LT(run, runs_->size()) << "both stacks serve identical series";
+
+  constexpr size_t kIoThreads = 4;
+  MonitorService service(stack_);
   TcpServer::Options server_options;
+  server_options.io_threads = kIoThreads;
+  TcpServer server(&service, RunPtrs(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Connections are handed to IO threads round-robin, so two per thread.
+  constexpr size_t kConnections = 2 * kIoThreads;
+  std::vector<TestClient> clients(kConnections);
+  const auto open = [&](TestClient& client) -> uint64_t {
+    auto frame = client.Call(EncodeOpenRequest({run}));
+    EXPECT_TRUE(frame.ok() && frame->ok());
+    if (!frame.ok() || !frame->ok()) return 0;
+    return DecodeOpenResponse(frame->payload)->session_id;
+  };
+  // Steps `id` to its end one observation at a time; the number of
+  // values that differ from `want` bit for bit (or are missing).
+  const auto mismatches = [](TestClient& client, uint64_t id,
+                             const std::vector<double>& want) {
+    size_t bad = 0;
+    for (const double expected : want) {
+      auto frame = client.Call(EncodeAdvanceRequest({id, 1}));
+      if (!frame.ok() || !frame->ok()) return want.size();
+      auto advanced = DecodeAdvanceResponse(frame->payload);
+      if (!advanced.ok() || advanced->steps != 1 ||
+          std::memcmp(&advanced->progress, &expected, sizeof(double)) != 0) {
+        ++bad;
+      }
+    }
+    return bad;
+  };
+
+  std::vector<uint64_t> before(kConnections);
+  for (size_t c = 0; c < kConnections; ++c) {
+    ASSERT_TRUE(clients[c].Connect(server.port()));
+    before[c] = open(clients[c]);
+  }
+  ASSERT_EQ(service.SwapModels(other), 1u);
+  for (size_t c = 0; c < kConnections; ++c) {
+    const uint64_t after = open(clients[c]);
+    // Opened before the swap: pinned to the old stack. After: the new.
+    EXPECT_EQ(mismatches(clients[c], before[c], old_series), 0u)
+        << "connection " << c << ", session opened before the swap";
+    EXPECT_EQ(mismatches(clients[c], after, new_series), 0u)
+        << "connection " << c << ", session opened after the swap";
+  }
+  server.Stop();
+}
+
+TEST_F(WireLoopbackTest, StopDrainsAndStartStopIsIdempotent) {
+  MonitorService service(stack_);
+  TcpServer::Options server_options;
+  server_options.io_threads = 2;
   TcpServer server(&service, RunPtrs(), server_options);
   ASSERT_TRUE(server.Start().ok());
   EXPECT_NE(server.port(), 0);

@@ -20,8 +20,8 @@
 //   rpe_cli snapshot-load --in x.rpsn
 //       Verify + describe a snapshot (either kind).
 //
-//   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 4]
-//                     [--io-threads 0] [--model stack.rpsn]
+//   rpe_cli serve-tcp --kind tpch --queries 40 [--port 0] [--shards 1]
+//                     [--model stack.rpsn]
 //                     [--trees 50] [--metrics-port 0] [--trace-out t.json]
 //                     [--slow-ms 50]
 //       Run a workload, then serve it over TCP (loopback) with the epoll
@@ -67,8 +67,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/metrics_export.h"
+#include "serving/monitor_service.h"
 #include "serving/server.h"
-#include "serving/shard_router.h"
 #include "serving/snapshot.h"
 #include "serving/trainer_loop.h"
 
@@ -503,11 +503,11 @@ int CmdServeTcp(const Flags& flags) {
 
   // Flag validation happens before the (expensive) workload run: a typo'd
   // serve configuration must fail in milliseconds.
-  // Powers of two route cheapest but are not required.
-  auto shards = ParseSizeFlag(flags, "shards", "1", 1, 1024);
+  // --shards is the IO-thread (event loop) count; every one is an OS
+  // thread, so it is capped like --threads.
+  auto shards = ParseSizeFlag(flags, "shards", "1", 1, 256);
   auto trees = ParseTrees(flags, "50");
   auto port = ParseSizeFlag(flags, "port", "0", 0, 65535);
-  auto io_threads = ParseSizeFlag(flags, "io-threads", "0", 0, 256);
   auto queue_cap = ParseSizeFlag(flags, "queue-cap", "1024", 1, 1 << 24);
   auto retrain_every =
       ParseSizeFlag(flags, "retrain-every", "48", 0, 1 << 24);
@@ -529,8 +529,8 @@ int CmdServeTcp(const Flags& flags) {
   auto slow_ms = ParseSizeFlag(flags, "slow-ms", "0", 0, 1 << 24);
   auto parsed_pool = ParsePool(flags);
   for (const Status& st :
-       {shards.status(), trees.status(), port.status(), io_threads.status(),
-        queue_cap.status(), retrain_every.status(), corpus_cap.status(),
+       {shards.status(), trees.status(), port.status(), queue_cap.status(),
+        retrain_every.status(), corpus_cap.status(),
         max_inflight.status(), conn_inflight.status(),
         ingest_watermark.status(), metrics_port.status(), slow_ms.status(),
         parsed_pool.status()}) {
@@ -564,10 +564,7 @@ int CmdServeTcp(const Flags& flags) {
   // operator surface: kStats, the /metrics endpoint, kMetricsDump frames,
   // and the exit table below.
   obs::MetricsRegistry registry;
-  ShardedMonitorService::Options service_options;
-  service_options.num_shards = *shards;
-  service_options.metrics = &registry;
-  ShardedMonitorService service(stack, service_options);
+  MonitorService service(stack, MonitorService::Options{&registry});
 
   // The full online loop rides behind the wire: ingest frames land in
   // this queue, the TrainerLoop drains/retrains/hot-swaps, and kStats
@@ -603,7 +600,7 @@ int CmdServeTcp(const Flags& flags) {
 
   TcpServer::Options server_options;
   server_options.port = static_cast<uint16_t>(*port);
-  server_options.io_threads = *io_threads;
+  server_options.io_threads = *shards;
   server_options.max_inflight_total = *max_inflight;
   server_options.max_inflight_per_conn = *conn_inflight;
   server_options.ingest_shed_watermark = *ingest_watermark;
@@ -623,7 +620,7 @@ int CmdServeTcp(const Flags& flags) {
   // The smoke test (scripts/server_smoke_test.sh) parses this line for
   // the ephemeral port; keep the format stable.
   std::cout << "listening on 127.0.0.1:" << server.port() << " ("
-            << service.num_shards() << " shards, " << run_ptrs.size()
+            << *shards << " io threads, " << run_ptrs.size()
             << " runs)" << std::endl;
   if (metrics_enabled) {
     // The smoke test parses this line for the scrape port; keep the
@@ -692,8 +689,8 @@ const std::vector<Command>& Commands() {
       {"snapshot-load", "verify + describe a snapshot", CmdSnapshotLoad,
        {"in"}, {}},
       {"serve-tcp", "epoll TCP front-end over the monitor tier", CmdServeTcp,
-       with_workload({"port", "shards", "io-threads", "model", "trees",
-                      "pool", "queue-cap", "retrain-every", "corpus-cap",
+       with_workload({"port", "shards", "model", "trees", "pool",
+                      "queue-cap", "retrain-every", "corpus-cap",
                       "snapshot-out", "max-inflight", "conn-inflight",
                       "ingest-watermark", "metrics-port", "trace-out",
                       "slow-ms"}),
@@ -711,8 +708,7 @@ void PrintUsage(std::ostream& out) {
     out << "  " << std::left << std::setw(15) << c.name << c.summary << "\n";
   }
   out << "common flags: --threads N (0..256); serve-tcp also takes --shards N\n"
-         "(sharded session routing) and --model x.rpsn (mapped snapshot\n"
-         "load)\n";
+         "(IO threads, 1..256) and --model x.rpsn (mapped snapshot load)\n";
 }
 
 int Main(int argc, char** argv) {
@@ -740,7 +736,7 @@ int Main(int argc, char** argv) {
     return 2;
   }
   if (flags->count("threads") > 0) {
-    // Capped like --io-threads: every pool thread is an OS thread.
+    // Capped like --shards: every pool thread is an OS thread.
     auto threads = ParseSizeFlag(*flags, "threads", "0", 0, 256);
     if (!threads.ok()) {
       std::cerr << threads.status().ToString() << "\n";
